@@ -51,7 +51,7 @@ def _c12(z):
     return {"re": _g12(z.real), "im": _g12(z.imag)}
 
 
-def _parse_theta(text):
+def _angle(text):
     """Angle in radians, with an optional 'pi' suffix like 0.5pi or -pi/12."""
     s = str(text).strip().lower().replace(" ", "").replace("π", "pi")
     if s in ("pi", "+pi"):
@@ -72,11 +72,22 @@ def _parse_theta(text):
     return float(s)
 
 
+def _parse_theta(text, flag):
+    """The angle given to flag; nan, inf and a division by zero are usage errors."""
+    try:
+        theta = _angle(text)
+    except ZeroDivisionError:
+        theta = math.inf
+    if not math.isfinite(theta):
+        raise UsageError(f"{flag} must be a finite angle, got {text!r}")
+    return theta
+
+
 def _eval_point(args):
     if getattr(args, "theta", None) is not None and getattr(args, "k", None) is not None:
         raise UsageError("give either --theta or --k, not both")
     if getattr(args, "theta", None) is not None:
-        return EvalPoint(_parse_theta(args.theta))
+        return EvalPoint(_parse_theta(args.theta, "--theta"))
     if getattr(args, "k", None) is not None:
         return EvalPoint.from_level(args.k)
     return EvalPoint.from_level(4)
@@ -294,8 +305,8 @@ def _scan_workers():
 def _cmd_scan_tangle3(args):
     doc = _load_document(args.file)
     _require_three_qubits(doc)
-    lo = _parse_theta(args.theta_min)
-    hi = _parse_theta(args.theta_max)
+    lo = _parse_theta(args.theta_min, "--theta-min")
+    hi = _parse_theta(args.theta_max, "--theta-max")
     steps = args.steps
     if steps < 3:
         raise UsageError("--steps must be at least 3")
@@ -497,6 +508,10 @@ def main(argv=None):
     except DegeneratePointError as exc:
         print(f"degenerate evaluation point: {exc}", file=sys.stderr)
         return 3
+    except np.linalg.LinAlgError as exc:
+        # a ValueError subclass, but a numeric failure rather than bad input
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 4
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

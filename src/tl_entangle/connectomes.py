@@ -35,6 +35,8 @@ class Connectome:
         sums = [sum(row) for row in adj]
         if punctures is None:
             punctures = sums[0] if sums else 0
+        if punctures % 2:
+            raise ValueError("punctures per party must be even")
         if any(s != punctures for s in sums):
             raise ValueError(f"row sums must all equal {punctures}")
         self.adj = adj

@@ -419,6 +419,103 @@ def close_trace(element, d):
     return total
 
 
+def _accumulate(out, key, c, loops=0, d=None):
+    """Add c * d**loops to out[key], dropping the entry when the sum vanishes."""
+    for _ in range(loops):
+        c = c * d
+    s = out.get(key, 0) + c
+    if _is_zero(s):
+        out.pop(key, None)
+    else:
+        out[key] = s
+
+
+def _join(state, tile_edges):
+    """Attach tile arcs, given as pairs of bonds, to one frontier state.
+
+    A bond is open exactly while one of its ends is placed, so the same walk
+    serves a whole tile and a part of one.  Returns the new frontier (pairs of
+    open bonds joined through placed strands) and the number of closed loops.
+    """
+    adj = {}
+    for pr in state:
+        x, y = tuple(pr) if len(pr) == 2 else (next(iter(pr)), next(iter(pr)))
+        adj.setdefault(x, []).append(y)
+        adj.setdefault(y, []).append(x)
+    loops = 0
+    for x, y in tile_edges:
+        if x == y:
+            # both endpoints of one bond joined by a single arc
+            loops += 1
+            continue
+        adj.setdefault(x, []).append(y)
+        adj.setdefault(y, []).append(x)
+    endpoints = [n for n, nb_ in adj.items() if len(nb_) == 1]
+    visited = set()
+    new_pairs = []
+    for start in endpoints:
+        if start in visited:
+            continue
+        visited.add(start)
+        prev, cur = start, adj[start][0]
+        while len(adj[cur]) == 2:
+            nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
+            visited.add(cur)
+            prev, cur = cur, nxt
+        visited.add(cur)
+        new_pairs.append(frozenset((start, cur)))
+    for n in adj:
+        if n in visited:
+            continue
+        loops += 1
+        prev, cur = n, adj[n][0]
+        visited.add(n)
+        while cur != n:
+            visited.add(cur)
+            nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
+            prev, cur = cur, nxt
+    return frozenset(new_pairs), loops
+
+
+def _product_halves(tile, closes):
+    """Write a state tile as sum_{u,v} C[u,v] u (x) v over two halves.
+
+    One half is the set X of points that the tile's arcs link to point 1, the
+    other its complement, so no term pairs the halves.  closes(p) tells
+    whether point p ends a bond that is open in the frontier; the half that
+    closes more of them is u, the half attached first.  Returns (us, vs, rows)
+    with rows[i] = {j: C[us[i], vs[j]]}, or None when the tile is one piece or
+    when |U| + |V| walks per frontier state are no fewer than its T terms.
+    """
+    if len(tile.terms) <= 4:
+        # T <= |U|*|V| gives |U| + |V| >= 2 sqrt(T) >= T: qubit projectors stay whole
+        return None
+    arcs = {pr for dg in tile.terms for pr in dg.pairs}
+    x = {1}
+    grown = True
+    while grown:
+        grown = False
+        for a, b in arcs:
+            if (a in x) != (b in x):
+                x.update((a, b))
+                grown = True
+    y = set(range(1, tile.shape()[1] + 1)) - x
+    if not y:
+        return None
+    first = y if sum(map(closes, y)) > sum(map(closes, x)) else x
+    halves = [(tuple(pr for pr in dg.pairs if pr[0] in first),
+               tuple(pr for pr in dg.pairs if pr[0] not in first), c)
+              for dg, c in tile.terms.items()]
+    us = {u: i for i, u in enumerate(dict.fromkeys(u for u, _, _ in halves))}
+    vs = {v: j for j, v in enumerate(dict.fromkeys(v for _, v, _ in halves))}
+    if len(halves) <= len(us) + len(vs):
+        return None
+    rows = [{} for _ in us]
+    for u, v, c in halves:
+        rows[us[u]][vs[v]] = c
+    return list(us), list(vs), rows
+
+
 def glue_network(tiles, bonds, d):
     """Contract a closed network of state tiles into a scalar.
 
@@ -429,7 +526,12 @@ def glue_network(tiles, bonds, d):
 
     Tiles are processed in order, keeping a frontier of partially connected
     bonds, so the cost is driven by frontier width rather than by the product
-    of term counts.
+    of term counts.  A product tile, sum C[u,v] u (x) v with no strand between
+    the halves, is attached in two halves when that walks fewer terms: first
+    the half closing more open bonds, each intermediate frontier carrying a
+    coefficient vector over v, then the other half.  That is about |U| + |V|
+    walks per frontier state instead of one per term; a qutrit projector tile
+    has 14 + 14 against 196.
     """
     point_bond = {}
     for b, (end1, end2) in enumerate(bonds):
@@ -450,55 +552,41 @@ def glue_network(tiles, bonds, d):
     # states: frozenset of frozenset({bond, bond}) partial pairings -> coefficient
     states = {frozenset(): 1}
     for t, tile in enumerate(tiles):
+        if not states:
+            return 0
+        # every frontier state pairs up the same open bonds
+        open_bonds = frozenset().union(*next(iter(states)))
+
+        def edges(pairs):
+            return [(point_bond[(t, a)], point_bond[(t, b)]) for a, b in pairs]
+
+        halves = _product_halves(tile, lambda p: point_bond[(t, p)] in open_bonds)
         new_states = {}
-        for diag, dcoeff in tile.terms.items():
-            tile_edges = [(point_bond[(t, a)], point_bond[(t, b)]) for a, b in diag.pairs]
+        if halves is None:
+            for diag, dcoeff in tile.terms.items():
+                tile_edges = edges(diag.pairs)
+                for state, scoeff in states.items():
+                    key, loops = _join(state, tile_edges)
+                    _accumulate(new_states, key, scoeff * dcoeff, loops, d)
+            states = new_states
+            continue
+        us, vs, rows = halves
+        # first half: the weight of each intermediate frontier, per u
+        mid = {}
+        for i, u in enumerate(us):
+            u_edges = edges(u)
             for state, scoeff in states.items():
-                adj = {}
-                for pr in state:
-                    x, y = tuple(pr) if len(pr) == 2 else (next(iter(pr)), next(iter(pr)))
-                    adj.setdefault(x, []).append(y)
-                    adj.setdefault(y, []).append(x)
-                loops = 0
-                for x, y in tile_edges:
-                    if x == y:
-                        # both endpoints of one bond joined by a single arc
-                        loops += 1
-                        continue
-                    adj.setdefault(x, []).append(y)
-                    adj.setdefault(y, []).append(x)
-                endpoints = [n for n, nb_ in adj.items() if len(nb_) == 1]
-                visited = set()
-                new_pairs = []
-                for start in endpoints:
-                    if start in visited:
-                        continue
-                    visited.add(start)
-                    prev, cur = start, adj[start][0]
-                    while len(adj[cur]) == 2:
-                        nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
-                        visited.add(cur)
-                        prev, cur = cur, nxt
-                    visited.add(cur)
-                    new_pairs.append(frozenset((start, cur)))
-                for n in adj:
-                    if n in visited:
-                        continue
-                    loops += 1
-                    prev, cur = n, adj[n][0]
-                    visited.add(n)
-                    while cur != n:
-                        visited.add(cur)
-                        nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
-                        prev, cur = cur, nxt
-                c = scoeff * dcoeff
-                for _ in range(loops):
-                    c = c * d
-                key = frozenset(new_pairs)
-                s = new_states.get(key, 0) + c
-                if _is_zero(s):
-                    new_states.pop(key, None)
-                else:
-                    new_states[key] = s
+                key, loops = _join(state, u_edges)
+                _accumulate(mid.setdefault(key, {}), i, scoeff, loops, d)
+        # second half: fold the weights through C into a vector over v
+        v_edges = [edges(v) for v in vs]
+        for key, weights in mid.items():
+            vec = {}
+            for i, w in weights.items():
+                for j, c in rows[i].items():
+                    _accumulate(vec, j, w * c)
+            for j, cv in vec.items():
+                key2, loops = _join(key, v_edges[j])
+                _accumulate(new_states, key2, cv, loops, d)
         states = new_states
     return states.get(frozenset(), 0)

@@ -209,6 +209,34 @@ def test_usage_errors_exit_code(capsys):
     assert run(capsys, ["rep", "hw", "--spins", "banana"])[0] == 1
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "infpi", "pi/0"])
+def test_non_finite_theta_rejected(capsys, value):
+    code, out, err = run(capsys, ["state", "maxent", f"--theta={value}"])
+    assert code == 1 and out == ""
+    assert "--theta must be a finite angle" in err
+
+
+@pytest.mark.parametrize("flag", ["--theta-min", "--theta-max"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_scan_bounds_rejected(capsys, flag, value):
+    bounds = {"--theta-min": "0.05", "--theta-max": "0.45", flag: value}
+    code, out, err = run(capsys, ["scan-tangle3", "quasiw", "--steps", "5",
+                                  *(f"{k}={v}" for k, v in bounds.items())])
+    assert code == 1 and out == ""
+    assert f"{flag} must be a finite angle" in err
+
+
+def test_linalg_failure_is_internal_error(capsys, monkeypatch):
+    # LinAlgError subclasses ValueError, yet it is a numeric failure, not bad input
+    def failing_svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr("tl_entangle.cli.schmidt_rank", failing_svd)
+    code, out, err = run(capsys, ["classify", "maxent"])
+    assert code == 4 and out == ""
+    assert "internal error" in err and "SVD did not converge" in err
+
+
 def test_theta_spellings(capsys):
     _, out_pi, _ = run(capsys, ["tangle3", "tripartite_7", "--theta", "0.1pi"])
     _, out_rad, _ = run(capsys, ["tangle3", "tripartite_7",

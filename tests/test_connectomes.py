@@ -26,6 +26,10 @@ def test_validation():
         Connectome([[4, 0], [0, 2]])  # unequal row sums
     with pytest.raises(ValueError):
         Connectome([[2, -2], [-2, 2]])
+    with pytest.raises(ValueError):
+        Connectome([[0, 1], [1, 0]])  # one puncture per party
+    with pytest.raises(ValueError):
+        Connectome([[2, 1], [1, 2]], punctures=3)
 
 
 def test_json_round_trip():

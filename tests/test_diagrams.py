@@ -7,13 +7,17 @@ from hypothesis import given, settings, strategies as st
 from tl_entangle.diagrams import (
     PlanarDiagram,
     TLElement,
+    _is_zero,
+    _product_halves,
     all_matchings,
     close_trace,
     glue_network,
     noncrossing_matchings,
     tl_basis,
 )
+from tl_entangle.entanglement import _state_view
 from tl_entangle.scalars import EvalPoint, LaurentPoly, d_param, evaluate
+from tl_entangle.spaces import qudit_space
 
 D = d_param()
 
@@ -158,3 +162,141 @@ def test_glue_network_rejects_bad_wiring():
         glue_network([x, x], [((0, 1), (1, 1))], D)
     with pytest.raises(ValueError):
         glue_network([x], [((0, 1), (0, 1)), ((0, 2), (0, 3))], D)
+
+
+def reference_glue_network(tiles, bonds, d):
+    """glue_network as it was before product tiles were split: every tile is
+    attached whole, walking each (frontier state, term) pair."""
+    point_bond = {}
+    for b, (end1, end2) in enumerate(bonds):
+        for end in (end1, end2):
+            point_bond[end] = b
+    states = {frozenset(): 1}
+    for t, tile in enumerate(tiles):
+        new_states = {}
+        for diag, dcoeff in tile.terms.items():
+            tile_edges = [(point_bond[(t, a)], point_bond[(t, b)]) for a, b in diag.pairs]
+            for state, scoeff in states.items():
+                adj = {}
+                for pr in state:
+                    x, y = tuple(pr) if len(pr) == 2 else (next(iter(pr)), next(iter(pr)))
+                    adj.setdefault(x, []).append(y)
+                    adj.setdefault(y, []).append(x)
+                loops = 0
+                for x, y in tile_edges:
+                    if x == y:
+                        loops += 1
+                        continue
+                    adj.setdefault(x, []).append(y)
+                    adj.setdefault(y, []).append(x)
+                endpoints = [n for n, nb_ in adj.items() if len(nb_) == 1]
+                visited = set()
+                new_pairs = []
+                for start in endpoints:
+                    if start in visited:
+                        continue
+                    visited.add(start)
+                    prev, cur = start, adj[start][0]
+                    while len(adj[cur]) == 2:
+                        nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
+                        visited.add(cur)
+                        prev, cur = cur, nxt
+                    visited.add(cur)
+                    new_pairs.append(frozenset((start, cur)))
+                for n in adj:
+                    if n in visited:
+                        continue
+                    loops += 1
+                    prev, cur = n, adj[n][0]
+                    visited.add(n)
+                    while cur != n:
+                        visited.add(cur)
+                        nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
+                        prev, cur = cur, nxt
+                c = scoeff * dcoeff
+                for _ in range(loops):
+                    c = c * d
+                key = frozenset(new_pairs)
+                s = new_states.get(key, 0) + c
+                if _is_zero(s):
+                    new_states.pop(key, None)
+                else:
+                    new_states[key] = s
+        states = new_states
+    return states.get(frozenset(), 0)
+
+
+def _laurent(data):
+    """A nonzero Laurent polynomial with one or two terms."""
+    exps = data.draw(st.lists(st.integers(-4, 4), min_size=1, max_size=2, unique=True))
+    return LaurentPoly({e: data.draw(st.sampled_from((-3, -2, -1, 1, 2, 3))) for e in exps})
+
+
+def _product_tile(data, nx, ny):
+    """sum C[u,v] u (x) v with u on points 1..nx and v on the ny points after:
+    three or four distinct pairings on each half and every entry of C nonzero,
+    so the tile has more terms than |U| + |V| and must split."""
+    us = data.draw(st.lists(st.sampled_from(all_matchings(range(1, nx + 1))),
+                            min_size=3, max_size=4, unique=True))
+    vs = data.draw(st.lists(st.sampled_from(all_matchings(range(nx + 1, nx + ny + 1))),
+                            min_size=3, max_size=4, unique=True))
+    return TLElement({PlanarDiagram(0, nx + ny, u + v): _laurent(data)
+                      for u in us for v in vs})
+
+
+def _plain_tile(data):
+    n = data.draw(st.sampled_from((2, 4, 6)))
+    pairings = data.draw(st.lists(st.sampled_from(all_matchings(range(1, n + 1))),
+                                  min_size=1, max_size=3, unique=True))
+    return TLElement({PlanarDiagram(0, n, m): _laurent(data) for m in pairings})
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_glue_network_product_tiles_match_reference(data):
+    tiles = [_plain_tile(data)]
+    for _ in range(data.draw(st.integers(1, 2))):
+        tiles.append(_product_tile(data, 4, data.draw(st.sampled_from((4, 6)))))
+    assert all(_product_halves(tile, lambda p: False) for tile in tiles[1:])
+    tiles.append(_plain_tile(data))
+    order = data.draw(st.permutations(range(len(tiles))))
+    tiles = [tiles[i] for i in order]
+    ends = [(t, p) for t, tile in enumerate(tiles) for p in range(1, tile.shape()[1] + 1)]
+    ends = data.draw(st.permutations(ends))
+    bonds = [(ends[i], ends[i + 1]) for i in range(0, len(ends), 2)]
+    assert glue_network(tiles, bonds, D) == reference_glue_network(tiles, bonds, D)
+
+
+@pytest.mark.parametrize("closing_half", [range(1, 5), range(5, 9)])
+def test_glue_network_split_either_half_first(closing_half):
+    # an 8-point product tile between two different 4-point states:
+    # closing_half bonds to the tile before it, the other half to the tile
+    # after.  C is not symmetric, so a transposed C gives a different value.
+    us = all_matchings(range(1, 5))
+    vs = all_matchings(range(5, 9))
+    tile = TLElement({PlanarDiagram(0, 8, u + v): LaurentPoly({i: 1, 4 + j: 2})
+                      for i, u in enumerate(us) for j, v in enumerate(vs)})
+    before = TLElement({PlanarDiagram(0, 4, [(1, 4), (2, 3)]): 1,
+                        PlanarDiagram(0, 4, [(1, 2), (3, 4)]): LaurentPoly.A_power(3)})
+    after = TLElement({PlanarDiagram(0, 4, [(1, 3), (2, 4)]): LaurentPoly.A_power(-2),
+                       PlanarDiagram(0, 4, [(1, 2), (3, 4)]): 1})
+    other_half = [p for p in range(1, 9) if p not in closing_half]
+    bonds = [((0, q), (1, p)) for q, p in enumerate(closing_half, 1)]
+    bonds += [((1, p), (2, q)) for q, p in enumerate(other_half, 1)]
+    first, _, _ = _product_halves(tile, lambda p: p in closing_half)
+    assert {p for u in first for pr in u for p in pr} == set(closing_half)
+    tiles = [before, tile, after]
+    assert glue_network(tiles, bonds, D) == reference_glue_network(tiles, bonds, D)
+
+
+def test_qutrit_projector_tile_attaches_closing_half_first():
+    tile = _state_view(qudit_space(3).projector_element(EvalPoint.from_level(4)))
+    low, high = set(range(1, 9)), set(range(9, 17))
+    for closing in (low, high):
+        us, vs, rows = _product_halves(tile, lambda p: p in closing)
+        assert len(us) == len(vs) == 14
+        assert {p for u in us for pr in u for p in pr} == closing
+        assert sum(len(r) for r in rows) == len(tile.terms) == 196
+    # a qubit projector (2 x 2 terms) is attached whole
+    qubit = _state_view(qudit_space(2).projector_element(EvalPoint.from_level(4)))
+    assert _product_halves(qubit, lambda p: p > 4) is None

@@ -5,6 +5,7 @@ from tl_entangle.diagrams import PlanarDiagram
 from tl_entangle.scalars import EvalPoint
 from tl_entangle.skein import SliceWord
 from tl_entangle.spaces import DiagramState, PartyLayout
+from tl_entangle.tangle_dsl import corpus_names, load_corpus
 from tl_entangle.entanglement import (
     conversion_probability,
     entanglement_entropy,
@@ -24,6 +25,7 @@ from tl_entangle.entanglement import (
 from test_spaces import SEVEN_TRIPARTITE, expected_tripartite
 
 K4 = EvalPoint.from_level(4)
+K6 = EvalPoint.from_level(6)
 
 GHZ = np.zeros((2, 2, 2), complex)
 GHZ[0, 0, 0] = GHZ[1, 1, 1] = 1 / np.sqrt(2)
@@ -117,6 +119,20 @@ def test_replica_tripartite_agreement():
                 for n in (2, 3):
                     numeric, glued = replica_check(t, st, pt, n, keep=keep)
                     assert abs(numeric - glued) < 1e-8, (key, keep, n)
+
+
+def test_replica_corpus_agreement_k6():
+    # the acceptance suite checks k = 4; qutrit projector tiles are attached
+    # in two halves, so a second level point guards that contraction too
+    for name in corpus_names():
+        doc = load_corpus(name)
+        if not doc.parties:
+            continue
+        st = doc.state()
+        t = st.amplitudes(K6)
+        for n in (2, 3):
+            numeric, glued = replica_check(t, st, K6, n)
+            assert abs(numeric - glued) < 1e-8, (name, n)
 
 
 def test_replica_order_validation():
