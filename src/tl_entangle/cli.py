@@ -488,10 +488,26 @@ def _build_parser():
     return parser
 
 
+def _angle_flag_values(argv):
+    """Rewrite 'flag value' as 'flag=value' for the angle flags.
+
+    argparse reads a word that starts with '-' and is not a plain number,
+    such as -pi/12 or -0.05pi, as an option; joined to its flag it is the
+    flag's value.  A following word that starts with '--' stays an option.
+    """
+    out = list(argv)
+    i = 0
+    while i < len(out) - 1:
+        if out[i] in ("--theta", "--theta-min", "--theta-max") and not out[i + 1].startswith("--"):
+            out[i:i + 2] = [f"{out[i]}={out[i + 1]}"]
+        i += 1
+    return out
+
+
 def main(argv=None):
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_angle_flag_values(sys.argv[1:] if argv is None else argv))
         if not getattr(args, "command", None):
             raise UsageError("missing command (try --help)")
         if args.mode == "exact" and args.command not in ("bracket", "reduce"):

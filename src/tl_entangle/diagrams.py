@@ -394,24 +394,10 @@ def close_trace(element, d):
         raise ValueError("trace closure needs equal top and bottom point counts")
     total = 0
     for dg, c in element.terms.items():
-        pair = {a: b for a, b in dg.pairs}
-        pair.update({b: a for a, b in dg.pairs})
-        closure = {}
-        for j in range(1, nt + 1):
-            closure[j] = dg.bottom_label(j)
-            closure[dg.bottom_label(j)] = j
-        visited = set()
-        loops = 0
-        for p in range(1, 2 * nt + 1):
-            if p in visited:
-                continue
-            loops += 1
-            cur = p
-            while cur not in visited:
-                visited.add(cur)
-                nxt = pair[cur]
-                visited.add(nxt)
-                cur = closure[nxt]
+        # column j's top and bottom points are the two ends of bond j
+        column = {j: j for j in range(1, nt + 1)}
+        column.update({dg.bottom_label(j): j for j in range(1, nt + 1)})
+        loops = _join({}, [(column[a], column[b]) for a, b in dg.pairs])
         term = c
         for _ in range(loops):
             term = term * d
@@ -424,57 +410,59 @@ def _accumulate(out, key, c, loops=0, d=None):
     for _ in range(loops):
         c = c * d
     s = out.get(key, 0) + c
-    if _is_zero(s):
+    # s == 0 tests every coefficient type exactly, and costs less than
+    # _is_zero on the complex coefficients of a numeric network
+    if s == 0:
         out.pop(key, None)
     else:
         out[key] = s
 
 
-def _join(state, tile_edges):
-    """Attach tile arcs, given as pairs of bonds, to one frontier state.
+def _join(mate, arcs):
+    """Attach arcs, given as pairs of bonds, to a frontier; return closed loops.
 
-    A bond is open exactly while one of its ends is placed, so the same walk
-    serves a whole tile and a part of one.  Returns the new frontier (pairs of
-    open bonds joined through placed strands) and the number of closed loops.
+    mate maps each open bond to the open bond at the other end of its strand
+    and is updated in place.  A bond is open exactly while one of its ends is
+    placed, so an arc end at an open bond closes it and extends that strand,
+    and an arc end at any other bond opens it.  An arc closes a loop when it
+    joins the two ends of one bond, or the two open ends of one strand.
     """
-    adj = {}
-    for pr in state:
-        x, y = tuple(pr) if len(pr) == 2 else (next(iter(pr)), next(iter(pr)))
-        adj.setdefault(x, []).append(y)
-        adj.setdefault(y, []).append(x)
     loops = 0
-    for x, y in tile_edges:
+    for x, y in arcs:
         if x == y:
-            # both endpoints of one bond joined by a single arc
             loops += 1
             continue
-        adj.setdefault(x, []).append(y)
-        adj.setdefault(y, []).append(x)
-    endpoints = [n for n, nb_ in adj.items() if len(nb_) == 1]
-    visited = set()
-    new_pairs = []
-    for start in endpoints:
-        if start in visited:
-            continue
-        visited.add(start)
-        prev, cur = start, adj[start][0]
-        while len(adj[cur]) == 2:
-            nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
-            visited.add(cur)
-            prev, cur = cur, nxt
-        visited.add(cur)
-        new_pairs.append(frozenset((start, cur)))
-    for n in adj:
-        if n in visited:
-            continue
-        loops += 1
-        prev, cur = n, adj[n][0]
-        visited.add(n)
-        while cur != n:
-            visited.add(cur)
-            nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
-            prev, cur = cur, nxt
-    return frozenset(new_pairs), loops
+        a = mate.pop(x, x)
+        if a == y:
+            del mate[y]
+            loops += 1
+        else:
+            b = mate.pop(y, y)
+            mate[a] = b
+            mate[b] = a
+    return loops
+
+
+def _opened(open_bonds, arcs):
+    """The sorted open bonds once arcs are attached: each arc end toggles its bond."""
+    out = set(open_bonds)
+    for arc in arcs:
+        for b in arc:
+            out ^= {b}
+    return tuple(sorted(out))
+
+
+def _attach(out, states, open_bonds, arcs, new_open, coeff, d):
+    """Attach arcs to every frontier state, adding each result times coeff to out.
+
+    states maps frontier keys over open_bonds to coefficients; new_open are
+    the open bonds once the arcs are attached.  Returns out.
+    """
+    for key, scoeff in states.items():
+        mate = dict(zip(open_bonds, key))
+        loops = _join(mate, arcs)
+        _accumulate(out, tuple(map(mate.__getitem__, new_open)), scoeff * coeff, loops, d)
+    return out
 
 
 def _product_halves(tile, closes):
@@ -526,12 +514,16 @@ def glue_network(tiles, bonds, d):
 
     Tiles are processed in order, keeping a frontier of partially connected
     bonds, so the cost is driven by frontier width rather than by the product
-    of term counts.  A product tile, sum C[u,v] u (x) v with no strand between
-    the halves, is attached in two halves when that walks fewer terms: first
-    the half closing more open bonds, each intermediate frontier carrying a
-    coefficient vector over v, then the other half.  That is about |U| + |V|
-    walks per frontier state instead of one per term; a qutrit projector tile
-    has 14 + 14 against 196.
+    of term counts.  A bond is open while one of its ends is placed; every
+    frontier state pairs the same open bonds through the strands placed so
+    far, and is keyed by the tuple of partners over the sorted open bonds.
+    Attaching a term joins its arcs onto those strands (_join, a few dict
+    operations per arc) and counts the loops they close.  A product tile,
+    sum C[u,v] u (x) v with no strand between the halves, is attached in two
+    halves when that walks fewer terms: first the half closing more open
+    bonds, whose results are folded through C into one frontier per v, then
+    the other half.  That is about |U| + |V| walks per frontier state instead
+    of one per term; a qutrit projector tile has 14 + 14 against 196.
     """
     point_bond = {}
     for b, (end1, end2) in enumerate(bonds):
@@ -549,44 +541,39 @@ def glue_network(tiles, bonds, d):
             if (t, p) not in point_bond:
                 raise ValueError(f"unbonded point ({t}, {p})")
 
-    # states: frozenset of frozenset({bond, bond}) partial pairings -> coefficient
-    states = {frozenset(): 1}
+    # states: tuple of each open bond's partner, over the sorted open bonds,
+    # which are the same for every frontier state -> coefficient
+    states = {(): 1}
+    open_bonds = ()
     for t, tile in enumerate(tiles):
         if not states:
             return 0
-        # every frontier state pairs up the same open bonds
-        open_bonds = frozenset().union(*next(iter(states)))
 
         def edges(pairs):
             return [(point_bond[(t, a)], point_bond[(t, b)]) for a, b in pairs]
 
-        halves = _product_halves(tile, lambda p: point_bond[(t, p)] in open_bonds)
+        open_set = set(open_bonds)
+        halves = _product_halves(tile, lambda p: point_bond[(t, p)] in open_set)
         new_states = {}
         if halves is None:
-            for diag, dcoeff in tile.terms.items():
-                tile_edges = edges(diag.pairs)
-                for state, scoeff in states.items():
-                    key, loops = _join(state, tile_edges)
-                    _accumulate(new_states, key, scoeff * dcoeff, loops, d)
-            states = new_states
-            continue
-        us, vs, rows = halves
-        # first half: the weight of each intermediate frontier, per u
-        mid = {}
-        for i, u in enumerate(us):
-            u_edges = edges(u)
-            for state, scoeff in states.items():
-                key, loops = _join(state, u_edges)
-                _accumulate(mid.setdefault(key, {}), i, scoeff, loops, d)
-        # second half: fold the weights through C into a vector over v
-        v_edges = [edges(v) for v in vs]
-        for key, weights in mid.items():
-            vec = {}
-            for i, w in weights.items():
-                for j, c in rows[i].items():
-                    _accumulate(vec, j, w * c)
-            for j, cv in vec.items():
-                key2, loops = _join(key, v_edges[j])
-                _accumulate(new_states, key2, cv, loops, d)
-        states = new_states
-    return states.get(frozenset(), 0)
+            terms = [(edges(diag.pairs), dcoeff) for diag, dcoeff in tile.terms.items()]
+            new_open = _opened(open_bonds, terms[0][0])
+            for arcs, dcoeff in terms:
+                _attach(new_states, states, open_bonds, arcs, new_open, dcoeff, d)
+        else:
+            us, vs, rows = halves
+            # first half, per u; fold each intermediate frontier through C
+            # into one frontier per v
+            mid_open = _opened(open_bonds, edges(us[0]))
+            by_v = [{} for _ in vs]
+            for i, u in enumerate(us):
+                mid = _attach({}, states, open_bonds, edges(u), mid_open, 1, d)
+                for key, w in mid.items():
+                    for j, c in rows[i].items():
+                        _accumulate(by_v[j], key, w * c)
+            # second half
+            new_open = _opened(mid_open, edges(vs[0]))
+            for v, mid in zip(vs, by_v):
+                _attach(new_states, mid, mid_open, edges(v), new_open, 1, d)
+        states, open_bonds = new_states, new_open
+    return states.get((), 0)

@@ -505,9 +505,10 @@ def squarefree_split_d(p):
 
 
 def _dpoly_eval(p, d):
+    """Horner evaluation of a float coefficient list (low->high) at d."""
     out = 0.0
     for c in reversed(p):
-        out = out * d + float(c)
+        out = out * d + c
     return out
 
 
@@ -532,6 +533,48 @@ def _as_d_ratio(fn):
     return num_d, den_d
 
 
+class SplitNorm:
+    """An exact squared norm, split once for repeated square roots.
+
+    The conversion to polynomials in d and the square-free splits do not
+    depend on the evaluation point, so each point only evaluates the four
+    d-polynomials of norm_sq = (rn/rd)^2 * sn/sd.
+    """
+
+    __slots__ = ("norm_sq", "parts")
+
+    def __init__(self, norm_sq):
+        self.norm_sq = RationalFn.from_scalar(norm_sq)
+        ratio = _as_d_ratio(self.norm_sq)
+        if ratio is None:
+            self.parts = None
+        else:
+            num_d, den_d = ratio
+            self.parts = tuple([float(c) for c in poly] for poly in
+                               squarefree_split_d(num_d) + squarefree_split_d(den_d))
+
+    def sqrt_at(self, point, tol=1e-10):
+        """sqrt_normalizer(norm_sq, point, tol) from the stored split."""
+        if self.parts is None:
+            # not a function of d alone; fall back to the principal root
+            val = self.norm_sq.evaluate(point.A)
+            if not (val.real > tol and abs(val.imag) < tol):
+                raise DegeneratePointError(
+                    f"squared norm {val!r} not positive at theta={point.theta}")
+            return complex(math.sqrt(val.real))
+        d = point.d
+        rn, sn, rd, sd = (_dpoly_eval(poly, d) for poly in self.parts)
+        if abs(rd) < tol or abs(sd) < tol:
+            raise DegeneratePointError(f"squared norm singular at theta={point.theta}")
+        r_val = rn / rd
+        s_val = sn / sd
+        if abs(r_val) < tol or s_val < tol:
+            raise DegeneratePointError(
+                f"squared norm degenerate at theta={point.theta} "
+                f"(square part {r_val}, squarefree part {s_val})")
+        return complex(r_val * math.sqrt(s_val))
+
+
 def sqrt_normalizer(norm_sq, point, tol=1e-10):
     """Principal square root of an exact squared norm, with the sign convention
     matching the projector-basis formulas: norm_sq is a rational function of d,
@@ -540,26 +583,7 @@ def sqrt_normalizer(norm_sq, point, tol=1e-10):
 
     Returns a complex number (real positive when the rational part is positive).
     Raises DegeneratePointError when the squared norm is not strictly positive.
+    To take roots of one squared norm at many points, split it once with
+    SplitNorm.
     """
-    norm_sq = RationalFn.from_scalar(norm_sq)
-    ratio = _as_d_ratio(norm_sq)
-    d = point.d
-    if ratio is None:
-        # not a function of d alone; fall back to the principal root
-        val = norm_sq.evaluate(point.A)
-        if not (val.real > tol and abs(val.imag) < tol):
-            raise DegeneratePointError(f"squared norm {val!r} not positive at theta={point.theta}")
-        return complex(math.sqrt(val.real))
-    num_d, den_d = ratio
-    rn, sn = squarefree_split_d(num_d)
-    rd, sd = squarefree_split_d(den_d)
-    rd_val = _dpoly_eval(rd, d)
-    sd_val = _dpoly_eval(sd, d)
-    if abs(rd_val) < tol or abs(sd_val) < tol:
-        raise DegeneratePointError(f"squared norm singular at theta={point.theta}")
-    r_val = _dpoly_eval(rn, d) / rd_val
-    s_val = _dpoly_eval(sn, d) / sd_val
-    if abs(r_val) < tol or s_val < tol:
-        raise DegeneratePointError(
-            f"squared norm degenerate at theta={point.theta} (square part {r_val}, squarefree part {s_val})")
-    return complex(r_val * math.sqrt(s_val))
+    return SplitNorm(norm_sq).sqrt_at(point, tol)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .diagrams import PlanarDiagram, TLElement, conj_scalar
 from .jones_wenzl import jones_wenzl
-from .scalars import RationalFn, d_param, evaluate, sqrt_normalizer
+from .scalars import RationalFn, SplitNorm, d_param, evaluate
 
 _D = d_param()
 
@@ -60,7 +60,7 @@ class QuditSpace:
         self.gram = [[RationalFn.from_scalar(self.basis[i].inner(self.dressed[j], _D))
                       for j in range(n)] for i in range(n)]
         self._gs_coeffs, self.gs_norms_sq = self._orthogonalize()
-        self._transform_cache = {}
+        self._gs_roots = [SplitNorm(nu) for nu in self.gs_norms_sq]
         self._projector_cache = {}
 
     def _dress(self, state):
@@ -103,16 +103,17 @@ class QuditSpace:
         return coeffs, norms_sq
 
     def ortho_transform(self, point):
-        """Lower triangular T with orthonormal vectors u_i = sum_j T[i,j] b_j."""
-        if point in self._transform_cache:
-            return self._transform_cache[point]
+        """Lower triangular T with orthonormal vectors u_i = sum_j T[i,j] b_j.
+
+        Each norm is split once at construction (sqrt_normalizer's
+        convention), so a fresh point costs only numeric evaluations.
+        """
         n = self.n
         T = np.zeros((n, n), dtype=complex)
         for i in range(n):
-            nrm = sqrt_normalizer(self.gs_norms_sq[i], point)
+            nrm = self._gs_roots[i].sqrt_at(point)
             for j in range(i + 1):
                 T[i, j] = complex(evaluate(self._gs_coeffs[i][j], point)) / nrm
-        self._transform_cache[point] = T
         return T
 
     def gram_numeric(self, point):

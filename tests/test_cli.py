@@ -14,6 +14,7 @@ import sys
 import numpy as np
 import pytest
 
+import tl_entangle
 from tl_entangle.cli import main
 
 
@@ -244,6 +245,30 @@ def test_theta_spellings(capsys):
     _, out_glyph, _ = run(capsys, ["tangle3", "tripartite_7", "--theta", "0.1π"])
     assert json.loads(out_pi)["tau3"] == json.loads(out_rad)["tau3"]
     assert out_glyph == out_pi
+
+
+SCAN = ["scan-tangle3", "quasiw", "--steps", "5"]
+
+
+@pytest.mark.parametrize("words, joined", [
+    (["state", "maxent", "--theta", "-pi/12"], ["state", "maxent", "--theta=-pi/12"]),
+    (SCAN + ["--theta-min", "-0.05pi", "--theta-max", "0.12pi"],
+     SCAN + ["--theta-min=-0.05pi", "--theta-max", "0.12pi"]),
+    (SCAN + ["--theta-min", "-0.12pi", "--theta-max", "-0.02pi"],
+     SCAN + ["--theta-min=-0.12pi", "--theta-max=-0.02pi"]),
+])
+def test_negative_angle_as_separate_word(capsys, words, joined):
+    code, out, err = run(capsys, words)
+    assert code == 0, err
+    assert (code, out) == run(capsys, joined)[:2]
+
+
+def test_negative_angle_in_subprocess(capsys):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tl_entangle.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "tl_entangle.cli", "state", "maxent",
+                           "--theta", "-pi/12"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run(capsys, ["state", "maxent", "--theta=-pi/12"])[1]
 
 
 @pytest.mark.skipif(shutil.which("tl-entangle") is None,

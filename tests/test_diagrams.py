@@ -300,3 +300,75 @@ def test_qutrit_projector_tile_attaches_closing_half_first():
     # a qubit projector (2 x 2 terms) is attached whole
     qubit = _state_view(qudit_space(2).projector_element(EvalPoint.from_level(4)))
     assert _product_halves(qubit, lambda p: p > 4) is None
+
+
+def reference_close_trace(element, d):
+    """close_trace as it was before it shared glue_network's kernel: walk the
+    loops of each diagram joined to its own trace closure."""
+    nt = element.shape()[0]
+    total = 0
+    for dg, c in element.terms.items():
+        pair = {a: b for a, b in dg.pairs}
+        pair.update({b: a for a, b in dg.pairs})
+        closure = {}
+        for j in range(1, nt + 1):
+            closure[j] = dg.bottom_label(j)
+            closure[dg.bottom_label(j)] = j
+        visited = set()
+        loops = 0
+        for p in range(1, 2 * nt + 1):
+            if p in visited:
+                continue
+            loops += 1
+            cur = p
+            while cur not in visited:
+                visited.add(cur)
+                nxt = pair[cur]
+                visited.add(nxt)
+                cur = closure[nxt]
+        term = c
+        for _ in range(loops):
+            term = term * d
+        total = total + term
+    return total
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_close_trace_matches_reference(n):
+    basis = tl_basis(n, n)
+    for k, dg in enumerate(basis):
+        el = TLElement.from_diagram(dg, LaurentPoly({k - 3: k + 1}))
+        assert close_trace(el, D) == reference_close_trace(el, D)
+    whole = TLElement({dg: LaurentPoly({k % 5 - 2: 1, 3: -k}) for k, dg in enumerate(basis)})
+    assert close_trace(whole, D) == reference_close_trace(whole, D)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_glue_network_plain_tiles_match_reference(data):
+    # random tiles of 2-8 points with random wiring, in random order
+    tiles = []
+    for _ in range(data.draw(st.integers(2, 4))):
+        n = data.draw(st.sampled_from((2, 4, 6, 8)))
+        pairings = data.draw(st.lists(st.sampled_from(all_matchings(range(1, n + 1))),
+                                      min_size=1, max_size=3, unique=True))
+        tiles.append(TLElement({PlanarDiagram(0, n, m): _laurent(data) for m in pairings}))
+    # a ring of three 2-point tiles always closes a loop through three tiles
+    ring = len(tiles)
+    tiles += [TLElement.from_diagram(PlanarDiagram(0, 2, [(1, 2)]), _laurent(data))
+              for _ in range(3)]
+    ends = [(t, p) for t in range(ring) for p in range(1, tiles[t].shape()[1] + 1)]
+    ends = data.draw(st.permutations(ends))
+    # the ends of one arc of the widest tile form a bond within that tile
+    wide = max(range(ring), key=lambda t: tiles[t].shape()[1])
+    a, b = next(iter(tiles[wide].terms)).pairs[0]
+    ends.remove((wide, a))
+    ends.remove((wide, b))
+    ends = [(wide, a), (wide, b)] + ends
+    bonds = [(ends[i], ends[i + 1]) for i in range(0, len(ends), 2)]
+    bonds += [((ring + r, 2), (ring + (r + 1) % 3, 1)) for r in range(3)]
+    order = data.draw(st.permutations(range(len(tiles))))
+    slot = {t: i for i, t in enumerate(order)}
+    tiles = [tiles[t] for t in order]
+    bonds = [((slot[t1], p1), (slot[t2], p2)) for (t1, p1), (t2, p2) in bonds]
+    assert glue_network(tiles, bonds, D) == reference_glue_network(tiles, bonds, D)

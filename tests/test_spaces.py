@@ -3,7 +3,7 @@ import pytest
 
 from tl_entangle.diagrams import PlanarDiagram, TLElement
 from tl_entangle.scalars import (DegeneratePointError, EvalPoint, RationalFn,
-                                 d_param, delta)
+                                 d_param, delta, evaluate, sqrt_normalizer)
 from tl_entangle.skein import SliceWord
 from tl_entangle.spaces import (DiagramState, PartyLayout, crossed_triple_residual,
                                 local_basis_matchings, qudit_space,
@@ -241,6 +241,42 @@ def test_degenerate_point_raises():
     # theta = pi/4 gives d = 0, where the qubit frame collapses
     with pytest.raises(DegeneratePointError):
         qudit_space(2).ortho_transform(EvalPoint(np.pi / 4))
+
+
+def reference_ortho_transform(space, point):
+    """ortho_transform as it was before the norms were split once: every
+    point redoes sqrt_normalizer's exact conversion and square-free split."""
+    n = space.n
+    T = np.zeros((n, n), dtype=complex)
+    for i in range(n):
+        nrm = sqrt_normalizer(space.gs_norms_sq[i], point)
+        for j in range(i + 1):
+            T[i, j] = complex(evaluate(space._gs_coeffs[i][j], point)) / nrm
+    return T
+
+
+@pytest.mark.parametrize("n, limit", [(2, np.pi / 6), (3, np.pi / 10)])
+def test_ortho_transform_matches_reference(n, limit):
+    q = qudit_space(n)
+    for theta in np.linspace(-0.95 * limit, 0.95 * limit, 50):
+        pt = EvalPoint(theta)
+        assert np.array_equal(q.ortho_transform(pt), reference_ortho_transform(q, pt))
+    with pytest.raises(DegeneratePointError):
+        q.ortho_transform(EvalPoint(np.pi / 4))
+
+
+def test_ortho_transform_keeps_no_per_point_state():
+    q = qudit_space(2)
+    q.ortho_transform(K4)
+
+    def sizes():
+        return {name: len(v) if hasattr(v, "__len__") else v
+                for name, v in vars(q).items()}
+
+    before = sizes()
+    for theta in np.linspace(-0.5, 0.5, 500):
+        q.ortho_transform(EvalPoint(theta))
+    assert sizes() == before
 
 
 def test_state_shape_validation():
