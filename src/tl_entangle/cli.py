@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -51,24 +50,24 @@ def _c12(z):
     return {"re": _g12(z.real), "im": _g12(z.imag)}
 
 
+def _pi_multiple(head):
+    """The factor written before 'pi': empty, '+', '-', or a number with an optional '*'."""
+    head = head.rstrip("*")
+    if head in ("", "+"):
+        return 1.0
+    if head == "-":
+        return -1.0
+    return float(head)
+
+
 def _angle(text):
-    """Angle in radians, with an optional 'pi' suffix like 0.5pi or -pi/12."""
+    """Angle in radians, with an optional 'pi' suffix like 0.5pi, -pi/12 or 2pi/3."""
     s = str(text).strip().lower().replace(" ", "").replace("π", "pi")
-    if s in ("pi", "+pi"):
-        return math.pi
-    if s == "-pi":
-        return -math.pi
     if s.endswith("pi"):
-        head = s[:-2].rstrip("*")
-        if head in ("", "+"):
-            return math.pi
-        if head == "-":
-            return -math.pi
-        return float(head) * math.pi
+        return _pi_multiple(s[:-2]) * math.pi
     if "pi/" in s:
-        sign = -1.0 if s.startswith("-") else 1.0
-        den = float(s.split("pi/", 1)[1])
-        return sign * math.pi / den
+        head, den = s.split("pi/", 1)
+        return _pi_multiple(head) * math.pi / float(den)
     return float(s)
 
 
@@ -265,18 +264,6 @@ def _tau3_at(state, theta):
     return three_tangle(amp / norm)
 
 
-def _tau3_chunk(payload):
-    text, thetas = payload
-    state = parse_tangle(text).state()
-    out = []
-    for t in thetas:
-        try:
-            out.append(_tau3_at(state, t))
-        except DegeneratePointError:
-            out.append(None)
-    return out
-
-
 def _golden_min(f, a, b, tol=1e-12):
     """Golden-section minimum of f on [a, b]."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -295,13 +282,6 @@ def _golden_min(f, a, b, tol=1e-12):
     return (a + b) / 2.0
 
 
-def _scan_workers():
-    env = os.environ.get("TL_ENTANGLE_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
-
-
 def _cmd_scan_tangle3(args):
     doc = _load_document(args.file)
     _require_three_qubits(doc)
@@ -313,19 +293,13 @@ def _cmd_scan_tangle3(args):
     if not hi > lo:
         raise UsageError("--theta-max must exceed --theta-min")
     grid = [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
-    workers = _scan_workers()
-    text = doc.pretty()
-    if workers > 1 and steps >= 64:
-        chunks = [grid[i::workers] for i in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_tau3_chunk, [(text, ch) for ch in chunks]))
-        values = [None] * steps
-        for w, chunk_vals in enumerate(results):
-            for j, v in enumerate(chunk_vals):
-                values[w + j * workers] = v
-    else:
-        values = _tau3_chunk((text, grid))
     state = doc.state()
+    values = []
+    for t in grid:
+        try:
+            values.append(_tau3_at(state, t))
+        except DegeneratePointError:
+            values.append(None)
     zeros = []
     for i in range(1, steps - 1):
         v = values[i]

@@ -13,7 +13,7 @@ import itertools
 import json
 import math
 
-from .diagrams import PlanarDiagram, TLElement
+from .diagrams import PlanarDiagram, TLElement, _join
 from .scalars import LaurentPoly, d_param
 from .spaces import DiagramState, PartyLayout
 
@@ -301,30 +301,10 @@ def _resolve_crossings(pairs, n_points):
             else:
                 joins.append(((idx, p, "in"), (idx, q, "in")))
                 joins.append(((idx, p, "out"), (idx, q, "out")))
-        parent = {}
-
-        def find(x):
-            parent.setdefault(x, x)
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for u, v in joins:
-            parent[find(u)] = find(v)
-        comps = {}
-        for u, _ in joins:
-            comps.setdefault(find(u), set()).add(u)
-        for _, v in joins:
-            comps.setdefault(find(v), set()).add(v)
-        new_pairs, loops = [], 0
-        for members in comps.values():
-            ends = sorted(lbl for kind, lbl in
-                          (x for x in members if x[0] == "end"))
-            if not ends:
-                loops += 1
-            else:
-                new_pairs.append(tuple(ends))
+        # every port but a chord end is placed twice, so only the ends stay open
+        mate = {}
+        loops = _join(mate, joins)
+        new_pairs = [(x[1], y[1]) for x, y in mate.items() if x[1] < y[1]]
         na = sum(choice)
         coeff = (A ** na) * (Ainv ** (len(crossings) - na)) * d ** loops
         dg = PlanarDiagram(0, n_points, new_pairs)

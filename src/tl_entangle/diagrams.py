@@ -11,8 +11,6 @@ model where only connectivity matters).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .scalars import LaurentPoly, RationalFn
 
 
@@ -44,14 +42,6 @@ class PlanarDiagram:
     @property
     def n_points(self):
         return self.n_top + self.n_bottom
-
-    def partner(self, p):
-        for a, b in self.pairs:
-            if a == p:
-                return b
-            if b == p:
-                return a
-        raise KeyError(p)
 
     # -- constructors -----------------------------------------------------
 
@@ -139,64 +129,26 @@ class PlanarDiagram:
     def compose_with(self, lower):
         """Stack self on top of lower, gluing self's bottom to lower's top.
 
-        Returns (diagram, n_loops)."""
+        Returns (diagram, n_loops).  Every point is one end of a bond for
+        _join.  The result's labels 1..nt+nb (nt = self.n_top, nb =
+        lower.n_bottom) are bonds placed once, so they stay open and end up
+        paired in mate; glued column j is bond nt+nb+j, placed from each side."""
         m = self.n_bottom
         if lower.n_top != m:
             raise ValueError(f"cannot glue {m} bottom points to {lower.n_top} top points")
-        pair_u = {}
-        for a, b in self.pairs:
-            pair_u[("u", a)] = ("u", b)
-            pair_u[("u", b)] = ("u", a)
-        for a, b in lower.pairs:
-            pair_u[("l", a)] = ("l", b)
-            pair_u[("l", b)] = ("l", a)
-        glue = {}
-        for j in range(1, m + 1):
-            un = ("u", self.bottom_label(j))
-            ln = ("l", j)
-            glue[un] = ln
-            glue[ln] = un
-
-        new_nt, new_nb = self.n_top, lower.n_bottom
-
-        def boundary_new_label(node):
-            side, p = node
-            if side == "u" and p <= self.n_top:
-                return p
-            if side == "l" and p > lower.n_top:
-                # lower bottom L->R position j keeps its position in the result
-                j = lower.n_top + lower.n_bottom + 1 - p
-                return new_nt + new_nb + 1 - j
-            return None
-
-        boundary = [n for n in pair_u if boundary_new_label(n) is not None]
-        new_pairs = []
-        seen = set()
-        for start in boundary:
-            if start in seen:
-                continue
-            seen.add(start)
-            cur = pair_u[start]
-            while boundary_new_label(cur) is None:
-                seen.add(cur)
-                mate = glue[cur]
-                seen.add(mate)
-                cur = pair_u[mate]
-            seen.add(cur)
-            new_pairs.append((boundary_new_label(start), boundary_new_label(cur)))
-        # remaining interior nodes form closed loops alternating pair and glue edges
-        loops = 0
-        for node in pair_u:
-            if node in seen:
-                continue
-            loops += 1
-            cur = node
-            while cur not in seen:
-                seen.add(cur)
-                nxt = pair_u[cur]
-                seen.add(nxt)
-                cur = glue[nxt]
-        return PlanarDiagram(new_nt, new_nb, new_pairs), loops
+        nt, nb = self.n_top, lower.n_bottom
+        # glued column j is self's bottom label up - nt - nb - j and lower's
+        # top label j; lower's bottom label p is result label p + shift
+        up = 2 * nt + nb + m + 1
+        glued = nt + nb
+        shift = nt - m
+        arcs = [(a if a <= nt else up - a, b if b <= nt else up - b)
+                for a, b in self.pairs]
+        arcs += [(a + glued if a <= m else a + shift, b + glued if b <= m else b + shift)
+                 for a, b in lower.pairs]
+        mate = {}
+        loops = _join(mate, arcs)
+        return PlanarDiagram(nt, nb, [(a, b) for a, b in mate.items() if a < b]), loops
 
 
 def noncrossing_matchings(labels):
@@ -294,11 +246,7 @@ class TLElement:
             return NotImplemented
         out = dict(self.terms)
         for dg, c in other.terms.items():
-            s = out.get(dg, 0) + c
-            if _is_zero(s):
-                out.pop(dg, None)
-            else:
-                out[dg] = s
+            _accumulate(out, dg, c)
         return TLElement(out)
 
     def __sub__(self, other):
@@ -334,12 +282,7 @@ class TLElement:
         out = {}
         for d1, c1 in self.terms.items():
             for d2, c2 in other.terms.items():
-                dg = d1.tensor(d2)
-                s = out.get(dg, 0) + c1 * c2
-                if _is_zero(s):
-                    out.pop(dg, None)
-                else:
-                    out[dg] = s
+                _accumulate(out, d1.tensor(d2), c1 * c2)
         return TLElement(out)
 
     def compose(self, lower, d):
@@ -348,14 +291,7 @@ class TLElement:
         for d1, c1 in self.terms.items():
             for d2, c2 in lower.terms.items():
                 dg, loops = d1.compose_with(d2)
-                c = c1 * c2
-                for _ in range(loops):
-                    c = c * d
-                s = out.get(dg, 0) + c
-                if _is_zero(s):
-                    out.pop(dg, None)
-                else:
-                    out[dg] = s
+                _accumulate(out, dg, c1 * c2, loops, d)
         return TLElement(out)
 
     def scalar(self):
@@ -426,6 +362,9 @@ def _join(mate, arcs):
     placed, so an arc end at an open bond closes it and extends that strand,
     and an arc end at any other bond opens it.  An arc closes a loop when it
     joins the two ends of one bond, or the two open ends of one strand.
+    A bond placed only once stays open: compose_with and
+    connectomes._resolve_crossings give each boundary point such a bond and
+    read the boundary pairs off mate once every arc is attached.
     """
     loops = 0
     for x, y in arcs:

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .diagrams import PlanarDiagram, TLElement, conj_scalar
+from .diagrams import PlanarDiagram, TLElement
 from .jones_wenzl import jones_wenzl
 from .scalars import RationalFn, SplitNorm, d_param, evaluate
 
@@ -56,24 +56,15 @@ class QuditSpace:
         self.matchings = local_basis_matchings(n)
         self.basis = [TLElement.from_diagram(PlanarDiagram(0, self.n_points, m))
                       for m in self.matchings]
-        self.dressed = [self._dress(b) for b in self.basis]
+        w = self.width
+        starts = [t * w for t in range(4)]
+        self.dressed = [b if w <= 1 else _dress(b, self.n_points, starts, jones_wenzl(w), _D)
+                        for b in self.basis]
         self.gram = [[RationalFn.from_scalar(self.basis[i].inner(self.dressed[j], _D))
                       for j in range(n)] for i in range(n)]
         self._gs_coeffs, self.gs_norms_sq = self._orthogonalize()
         self._gs_roots = [SplitNorm(nu) for nu in self.gs_norms_sq]
         self._projector_cache = {}
-
-    def _dress(self, state):
-        w = self.width
-        if w <= 1:
-            return state
-        proj = jones_wenzl(w)
-        out = state
-        for t in range(4):
-            gate = _identity_element(t * w).tensor(proj)
-            gate = gate.tensor(_identity_element((3 - t) * w))
-            out = out.compose(gate, _D)
-        return out
 
     def _orthogonalize(self):
         """Unnormalized Gram-Schmidt over rational functions of A.
@@ -147,6 +138,20 @@ def qudit_space(n):
 
 def _identity_element(k):
     return TLElement.from_diagram(PlanarDiagram.identity(k))
+
+
+def _dress(element, n_points, starts, proj, d):
+    """Compose element with proj under bottom positions a+1..a+w for each a in starts.
+
+    element has n_points bottom points and proj is w points wide; the gate
+    for a is id(a) (x) proj (x) id(n_points - a - w), applied in the order of
+    starts, which fixes the order of the sums.
+    """
+    w = proj.shape()[0]
+    for a in starts:
+        gate = _identity_element(a).tensor(proj).tensor(_identity_element(n_points - a - w))
+        element = element.compose(gate, d)
+    return element
 
 
 class PartyLayout:
@@ -235,21 +240,16 @@ class DiagramState:
     def dressed_numeric(self, point):
         """The state with every puncture of every party projector-dressed."""
         el = self.element.evaluate(point)
-        dval = complex(point.d)
         N = self.layout.n_points
         for k, (_, nk) in enumerate(self.layout.parties):
             w = nk - 1
             if w < 2:
                 continue
             o = self.layout.offsets[k]
-            proj = jones_wenzl(w).evaluate(point)
-            for t in range(4):
-                # party labels o+tw+1 .. o+(t+1)w sit at bottom positions
-                # N-o-(t+1)w+1 .. N-o-tw (labels run right to left)
-                a = N - o - (t + 1) * w
-                gate = _identity_element(a).tensor(proj)
-                gate = gate.tensor(_identity_element(N - a - w))
-                el = el.compose(gate, dval)
+            # party labels o+tw+1 .. o+(t+1)w sit at bottom positions
+            # N-o-(t+1)w+1 .. N-o-tw (labels run right to left)
+            starts = [N - o - (t + 1) * w for t in range(4)]
+            el = _dress(el, N, starts, jones_wenzl(w).evaluate(point), complex(point.d))
         return el
 
     def raw_overlaps(self, point):

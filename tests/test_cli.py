@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import tl_entangle
-from tl_entangle.cli import main
+from tl_entangle.cli import _angle, main
 
 
 def run(capsys, args):
@@ -245,6 +245,34 @@ def test_theta_spellings(capsys):
     _, out_glyph, _ = run(capsys, ["tangle3", "tripartite_7", "--theta", "0.1π"])
     assert json.loads(out_pi)["tau3"] == json.loads(out_rad)["tau3"]
     assert out_glyph == out_pi
+
+
+@pytest.mark.parametrize("text, value", [
+    ("2pi/3", 2 * math.pi / 3),
+    ("-2pi/3", -2 * math.pi / 3),
+    ("3*pi/4", 3 * math.pi / 4),
+    ("-pi/12", -math.pi / 12),
+    ("+pi/2", math.pi / 2),
+])
+def test_angle_keeps_coefficient_before_pi_over(text, value):
+    assert _angle(text) == value
+
+
+def test_angle_rejects_garbage_before_pi_over(capsys):
+    with pytest.raises(ValueError):
+        _angle("xpi/3")
+    code, out, err = run(capsys, ["state", "maxent", "--theta", "xpi/3"])
+    assert code == 1 and out == ""
+    assert err.startswith("usage error")
+
+
+def test_theta_coefficient_before_pi_over_changes_output(capsys):
+    _, out_two, _ = run(capsys, ["tangle3", "tripartite_7", "--theta", "2pi/27"])
+    _, out_one, _ = run(capsys, ["tangle3", "tripartite_7", "--theta", "pi/27"])
+    _, out_rad, _ = run(capsys, ["tangle3", "tripartite_7",
+                                 "--theta", repr(2 * math.pi / 27)])
+    assert out_two != out_one
+    assert out_two == out_rad
 
 
 SCAN = ["scan-tangle3", "quasiw", "--steps", "5"]

@@ -1,8 +1,14 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from tl_entangle.connectomes import (
     Connectome,
+    _chords_cross,
+    _party_slots,
+    _resolve_crossings,
     classify,
     class_signature,
     enumerate_connectomes,
@@ -11,7 +17,8 @@ from tl_entangle.connectomes import (
     representative_state,
 )
 from tl_entangle.entanglement import slocc_tripartite_class, schmidt_rank
-from tl_entangle.scalars import EvalPoint
+from tl_entangle.diagrams import PlanarDiagram, TLElement
+from tl_entangle.scalars import EvalPoint, LaurentPoly, d_param
 from tl_entangle.spaces import PartyLayout
 
 THETA = EvalPoint(-0.23)
@@ -158,3 +165,88 @@ def test_representative_layout_mismatch():
     with pytest.raises(ValueError):
         representative_state(Connectome([[0, 4], [4, 0]]),
                              layout=PartyLayout.qubits("A"))
+
+
+def reference_resolve_crossings(pairs, n_points):
+    """_resolve_crossings as it was before it shared glue_network's kernel:
+    the same chord drawing, with each smoothing's loops and boundary pairs
+    read off a union-find over its ports."""
+    crossings = [(p, q) for p, q in itertools.combinations(pairs, 2)
+                 if _chords_cross(*sorted((p, q)))]
+    if not crossings:
+        return TLElement({PlanarDiagram(0, n_points, pairs): LaurentPoly({0: 1})})
+
+    def pos(label):
+        ang = 2 * math.pi * (label + 0.13 * math.sin(2.7 * label)) / n_points
+        return math.cos(ang), math.sin(ang)
+
+    def cross_param(p, q):
+        (x1, y1), (x2, y2) = pos(p[0]), pos(p[1])
+        (x3, y3), (x4, y4) = pos(q[0]), pos(q[1])
+        den = (x2 - x1) * (y4 - y3) - (y2 - y1) * (x4 - x3)
+        return ((x3 - x1) * (y4 - y3) - (y3 - y1) * (x4 - x3)) / den
+
+    base_joins = []
+    chord_crossings = {p: [] for p in pairs}
+    for idx, (p, q) in enumerate(crossings):
+        chord_crossings[p].append((cross_param(p, q), idx))
+        chord_crossings[q].append((cross_param(q, p), idx))
+    for p in pairs:
+        prev = ("end", p[0])
+        for _, idx in sorted(chord_crossings[p]):
+            base_joins.append((prev, (idx, p, "in")))
+            prev = (idx, p, "out")
+        base_joins.append((prev, ("end", p[1])))
+
+    A = LaurentPoly({1: 1})
+    Ainv = LaurentPoly({-1: 1})
+    d = d_param()
+    total = {}
+    for choice in itertools.product((0, 1), repeat=len(crossings)):
+        joins = list(base_joins)
+        for idx, (p, q) in enumerate(crossings):
+            if choice[idx]:
+                joins.append(((idx, p, "in"), (idx, q, "out")))
+                joins.append(((idx, p, "out"), (idx, q, "in")))
+            else:
+                joins.append(((idx, p, "in"), (idx, q, "in")))
+                joins.append(((idx, p, "out"), (idx, q, "out")))
+        parent = {}
+
+        def find(x):
+            parent.setdefault(x, x)
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for u, v in joins:
+            parent[find(u)] = find(v)
+        comps = {}
+        for u, v in joins:
+            comps.setdefault(find(u), set()).update((u, v))
+        new_pairs, loops = [], 0
+        for members in comps.values():
+            ends = sorted(x[1] for x in members if x[0] == "end")
+            if not ends:
+                loops += 1
+            else:
+                new_pairs.append(tuple(ends))
+        na = sum(choice)
+        coeff = (A ** na) * (Ainv ** (len(crossings) - na)) * d ** loops
+        dg = PlanarDiagram(0, n_points, new_pairs)
+        total[dg] = total.get(dg, LaurentPoly({})) + coeff
+    return TLElement(total)
+
+
+@pytest.mark.parametrize("m,punctures", [(2, 4), (3, 4), (4, 4), (2, 8), (3, 8)])
+def test_resolve_crossings_matches_reference(m, punctures):
+    crossed = 0
+    for c in enumerate_connectomes(m, punctures):
+        pairs = _party_slots(c)
+        got = _resolve_crossings(pairs, m * punctures)
+        ref = reference_resolve_crossings(pairs, m * punctures)
+        assert list(got.terms.items()) == list(ref.terms.items()), c
+        crossed += len(ref.terms) > 1
+    # only four parties force crossed bundles: 8 of the 20 connectomes
+    assert crossed == (8 if (m, punctures) == (4, 4) else 0)

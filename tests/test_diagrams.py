@@ -372,3 +372,99 @@ def test_glue_network_plain_tiles_match_reference(data):
     tiles = [tiles[t] for t in order]
     bonds = [((slot[t1], p1), (slot[t2], p2)) for (t1, p1), (t2, p2) in bonds]
     assert glue_network(tiles, bonds, D) == reference_glue_network(tiles, bonds, D)
+
+
+def reference_compose_with(upper, lower):
+    """compose_with as it was before it shared glue_network's kernel: walk
+    from each boundary point through pair and glue edges, then count the
+    closed loops left among the glued points."""
+    m = upper.n_bottom
+    pair_u = {}
+    for a, b in upper.pairs:
+        pair_u[("u", a)] = ("u", b)
+        pair_u[("u", b)] = ("u", a)
+    for a, b in lower.pairs:
+        pair_u[("l", a)] = ("l", b)
+        pair_u[("l", b)] = ("l", a)
+    glue = {}
+    for j in range(1, m + 1):
+        un = ("u", upper.bottom_label(j))
+        ln = ("l", j)
+        glue[un] = ln
+        glue[ln] = un
+    new_nt, new_nb = upper.n_top, lower.n_bottom
+
+    def boundary_new_label(node):
+        side, p = node
+        if side == "u" and p <= upper.n_top:
+            return p
+        if side == "l" and p > lower.n_top:
+            j = lower.n_top + lower.n_bottom + 1 - p
+            return new_nt + new_nb + 1 - j
+        return None
+
+    boundary = [n for n in pair_u if boundary_new_label(n) is not None]
+    new_pairs = []
+    seen = set()
+    for start in boundary:
+        if start in seen:
+            continue
+        seen.add(start)
+        cur = pair_u[start]
+        while boundary_new_label(cur) is None:
+            seen.add(cur)
+            mate = glue[cur]
+            seen.add(mate)
+            cur = pair_u[mate]
+        seen.add(cur)
+        new_pairs.append((boundary_new_label(start), boundary_new_label(cur)))
+    loops = 0
+    for node in pair_u:
+        if node in seen:
+            continue
+        loops += 1
+        cur = node
+        while cur not in seen:
+            seen.add(cur)
+            nxt = pair_u[cur]
+            seen.add(nxt)
+            cur = glue[nxt]
+    return PlanarDiagram(new_nt, new_nb, new_pairs), loops
+
+
+def _assert_compose_matches_reference(upper, lower):
+    dg, loops = upper.compose_with(lower)
+    ref, ref_loops = reference_compose_with(upper, lower)
+    assert (dg.n_top, dg.n_bottom, dg.pairs, loops) == \
+        (ref.n_top, ref.n_bottom, ref.pairs, ref_loops)
+
+
+def test_compose_with_matches_reference_exhaustively():
+    # every pair of matchings, crossings included, for up to 3 points a side
+    shapes = 0
+    for nt in range(4):
+        for m in range(4):
+            for nb in range(4):
+                if (nt + m) % 2 or (m + nb) % 2:
+                    continue
+                shapes += 1
+                for u in all_matchings(range(1, nt + m + 1)):
+                    for v in all_matchings(range(1, m + nb + 1)):
+                        _assert_compose_matches_reference(
+                            PlanarDiagram(nt, m, u), PlanarDiagram(m, nb, v))
+    assert shapes == 16
+
+
+def _random_matching(data, n):
+    points = data.draw(st.permutations(range(1, n + 1)))
+    return [(points[i], points[i + 1]) for i in range(0, n, 2)]
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_compose_with_matches_reference_random(data):
+    m = data.draw(st.integers(0, 6))
+    nt = data.draw(st.sampled_from([n for n in range(7) if (n + m) % 2 == 0]))
+    nb = data.draw(st.sampled_from([n for n in range(7) if (n + m) % 2 == 0]))
+    _assert_compose_matches_reference(PlanarDiagram(nt, m, _random_matching(data, nt + m)),
+                                      PlanarDiagram(m, nb, _random_matching(data, m + nb)))
