@@ -72,11 +72,15 @@ def _angle(text):
 
 
 def _parse_theta(text, flag):
-    """The angle given to flag; nan, inf and a division by zero are usage errors."""
+    """The angle given to flag; text that is not an angle, nan, inf and a
+    division by zero are usage errors."""
     try:
         theta = _angle(text)
     except ZeroDivisionError:
         theta = math.inf
+    except ValueError:
+        raise UsageError(f"{flag} must be an angle such as 0.3, pi/12 or 2pi/3, "
+                         f"got {text!r}") from None
     if not math.isfinite(theta):
         raise UsageError(f"{flag} must be a finite angle, got {text!r}")
     return theta

@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 
-from .diagrams import PlanarDiagram, TLElement, _join
-from .scalars import LaurentPoly, d_param
+from .skein import word_from_pairing
 from .spaces import DiagramState, PartyLayout
 
 _NAMES = "ABCDEFGH"
@@ -243,81 +241,14 @@ def _party_slots(c):
     return sorted(tuple(sorted(pr)) for pr in pairs)
 
 
-def _chords_cross(p, q):
-    a, b = p
-    c_, d = q
-    return (a < c_ < b < d) or (c_ < a < d < b)
-
-
-def _resolve_crossings(pairs, n_points):
-    """Kauffman state sum of a chord drawing with uniformly chosen crossings.
-
-    Straight chords between circle points; every interleaved pair meets once.
-    Each crossing is smoothed both ways: joining each strand's incoming side
-    to the other's outgoing side weighs A, the parallel reconnection weighs
-    1/A.  Closed loops contribute the loop value.
-    """
-    crossings = [(p, q) for p, q in itertools.combinations(pairs, 2)
-                 if _chords_cross(*sorted((p, q)))]
-    if not crossings:
-        dg = PlanarDiagram(0, n_points, pairs)
-        return TLElement({dg: LaurentPoly({0: 1})})
-
-    def pos(label):
-        ang = 2 * math.pi * (label + 0.13 * math.sin(2.7 * label)) / n_points
-        return math.cos(ang), math.sin(ang)
-
-    def cross_param(p, q):
-        (x1, y1), (x2, y2) = pos(p[0]), pos(p[1])
-        (x3, y3), (x4, y4) = pos(q[0]), pos(q[1])
-        den = (x2 - x1) * (y4 - y3) - (y2 - y1) * (x4 - x3)
-        t = ((x3 - x1) * (y4 - y3) - (y3 - y1) * (x4 - x3)) / den
-        return t
-
-    # ports: ("end", label) or (crossing index, chord, "in"/"out")
-    base_joins = []
-    chord_crossings = {p: [] for p in pairs}
-    for idx, (p, q) in enumerate(crossings):
-        chord_crossings[p].append((cross_param(p, q), idx))
-        chord_crossings[q].append((cross_param(q, p), idx))
-    for p in pairs:
-        stops = sorted(chord_crossings[p])
-        prev = ("end", p[0])
-        for _, idx in stops:
-            base_joins.append((prev, (idx, p, "in")))
-            prev = (idx, p, "out")
-        base_joins.append((prev, ("end", p[1])))
-
-    A = LaurentPoly({1: 1})
-    Ainv = LaurentPoly({-1: 1})
-    d = d_param()
-    total = {}
-    for choice in itertools.product((0, 1), repeat=len(crossings)):
-        joins = list(base_joins)
-        for idx, (p, q) in enumerate(crossings):
-            if choice[idx]:
-                joins.append(((idx, p, "in"), (idx, q, "out")))
-                joins.append(((idx, p, "out"), (idx, q, "in")))
-            else:
-                joins.append(((idx, p, "in"), (idx, q, "in")))
-                joins.append(((idx, p, "out"), (idx, q, "out")))
-        # every port but a chord end is placed twice, so only the ends stay open
-        mate = {}
-        loops = _join(mate, joins)
-        new_pairs = [(x[1], y[1]) for x, y in mate.items() if x[1] < y[1]]
-        na = sum(choice)
-        coeff = (A ** na) * (Ainv ** (len(crossings) - na)) * d ** loops
-        dg = PlanarDiagram(0, n_points, new_pairs)
-        total[dg] = total.get(dg, LaurentPoly({})) + coeff
-    return TLElement(total)
-
-
 def representative_state(c, layout=None):
     """Canonical diagram state wiring the connectome's line counts.
 
     Parties sit in cyclic order; bundles run as parallel nested lines.
     Wirings that cannot avoid crossings (distant parties both bridged at
-    four or more points) are expanded by the bracket state sum.
+    four or more points) are built as a slice word in which every
+    interleaved pair of lines meets at one under-crossing, expanded by
+    skein's crossing rule.
     """
     if layout is None:
         if c.punctures % 4:
@@ -329,6 +260,5 @@ def representative_state(c, layout=None):
         raise ValueError("layout party count disagrees with connectome")
     if any(4 * (n - 1) != c.punctures for _, n in layout.parties):
         raise ValueError("layout puncture counts disagree with connectome")
-    pairs = _party_slots(c)
-    element = _resolve_crossings(pairs, c.m * c.punctures)
-    return DiagramState(element, layout)
+    word = word_from_pairing(_party_slots(c), c.m * c.punctures)
+    return DiagramState(word.to_element(), layout)

@@ -362,9 +362,9 @@ def _join(mate, arcs):
     placed, so an arc end at an open bond closes it and extends that strand,
     and an arc end at any other bond opens it.  An arc closes a loop when it
     joins the two ends of one bond, or the two open ends of one strand.
-    A bond placed only once stays open: compose_with and
-    connectomes._resolve_crossings give each boundary point such a bond and
-    read the boundary pairs off mate once every arc is attached.
+    A bond placed only once stays open: compose_with gives each boundary
+    point such a bond and reads the boundary pairs off mate once every arc
+    is attached.
     """
     loops = 0
     for x, y in arcs:

@@ -73,6 +73,29 @@ def crossing_element(width, i, kind, mode="kauffman"):
     raise ValueError(f"unknown crossing kind {kind!r}")
 
 
+_WIDTH_CHANGE = {"cup": 2, "cap": -2, "e": 0, "over": 0, "under": 0}
+
+
+def slice_width(op, width):
+    """Width below slice op when it acts on width strands.
+
+    op is (kind, position) or ("jw", position, strands); a slice that does
+    not fit the width, or an unknown kind, is a ValueError.
+    """
+    kind = op[0]
+    if kind == "jw":
+        _, i, k = op
+        if k < 1 or not 1 <= i <= width - k + 1:
+            raise ValueError(f"jw {i} {k} out of range at width {width}")
+        return width
+    if kind not in _WIDTH_CHANGE:
+        raise ValueError(f"unknown slice kind {kind!r}")
+    _, i = op
+    if not 1 <= i <= (width + 1 if kind == "cup" else width - 1):
+        raise ValueError(f"{kind} {i} out of range at width {width}")
+    return width + _WIDTH_CHANGE[kind]
+
+
 class SliceWord:
     """A validated sequence of slices below n_top starting endpoints.
 
@@ -88,27 +111,7 @@ class SliceWord:
         clean = []
         width = self.n_top
         for op in ops:
-            kind = op[0]
-            if kind == "cup":
-                _, i = op
-                if not 1 <= i <= width + 1:
-                    raise ValueError(f"cup {i} invalid at width {width}")
-                width += 2
-            elif kind == "cap":
-                _, i = op
-                if not 1 <= i <= width - 1:
-                    raise ValueError(f"cap {i} invalid at width {width}")
-                width -= 2
-            elif kind in ("over", "under", "e"):
-                _, i = op
-                if not 1 <= i <= width - 1:
-                    raise ValueError(f"{kind} {i} invalid at width {width}")
-            elif kind == "jw":
-                _, i, k = op
-                if k < 1 or not 1 <= i <= width - k + 1:
-                    raise ValueError(f"jw {i} {k} invalid at width {width}")
-            else:
-                raise ValueError(f"unknown slice kind {kind!r}")
+            width = slice_width(op, width)
             clean.append(tuple(op))
         self.ops = tuple(clean)
 
@@ -116,10 +119,7 @@ class SliceWord:
     def final_width(self):
         width = self.n_top
         for op in self.ops:
-            if op[0] == "cup":
-                width += 2
-            elif op[0] == "cap":
-                width -= 2
+            width = slice_width(op, width)
         return width
 
     def is_closed(self):
@@ -167,25 +167,40 @@ def bracket(word, mode="kauffman"):
     return word.to_element(mode).scalar()
 
 
+def word_from_pairing(pairs, n_points):
+    """Word of cups and under-crossings whose state has the given label pairing.
+
+    Bottom column j carries label n_points + 1 - j.  Read from the bottom up,
+    the last slice is a cup on the leftmost pair of adjacent partners, or, if
+    no partners are adjacent, an under-crossing of two adjacent strands that
+    head toward each other's side.  Partners never pass each other, so every
+    interleaved pair of chords crosses exactly once and no other pair does.
+    """
+    mate = [0] * n_points  # 0-based column -> partner column
+    for a, b in pairs:
+        mate[n_points - a], mate[n_points - b] = n_points - b, n_points - a
+    ops = []
+    while mate:
+        i = next((i for i in range(len(mate) - 1) if mate[i] == i + 1), None)
+        if i is not None:
+            ops.append(("cup", i + 1))
+            mate = [x if x < i else x - 2 for x in mate[:i] + mate[i + 2:]]
+            continue
+        i = next(i for i in range(len(mate) - 1) if mate[i] > i + 1 > mate[i + 1])
+        ops.append(("under", i + 1))
+        x, y = mate[i], mate[i + 1]
+        mate[i], mate[i + 1], mate[x], mate[y] = y, x, i + 1, i
+    return SliceWord(0, reversed(ops))
+
+
 def word_from_matching(pairs, n_points=None):
     """Cups-only slice word whose state diagram has the given label pairing.
 
     Labels are circular, so bottom column j carries label n_points + 1 - j;
     the pairing must be noncrossing in that ordering.
     """
-    pairs = [tuple(sorted(p)) for p in pairs]
     if n_points is None:
         n_points = 2 * len(pairs)
-    cols = sorted((n_points + 1 - b, n_points + 1 - a) for a, b in pairs)
-    removals = []
-    while cols:
-        for idx, (a, b) in enumerate(cols):
-            if b == a + 1:
-                removals.append(a)
-                del cols[idx]
-                cols = [(x if x < a else x - 2, y if y < a else y - 2)
-                        for x, y in cols]
-                break
-        else:
-            raise ValueError("pairing is not noncrossing")
-    return SliceWord(0, [("cup", i) for i in reversed(removals)])
+    if not PlanarDiagram(0, n_points, pairs).is_noncrossing():
+        raise ValueError("pairing is not noncrossing")
+    return word_from_pairing(pairs, n_points)

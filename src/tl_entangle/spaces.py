@@ -312,11 +312,5 @@ def crossed_triple_residual(dval):
     els = [TLElement.from_diagram(PlanarDiagram(0, 4, m)) for m in pairings]
     G = np.array([[complex(els[i].inner(els[j], dval)) for j in range(3)]
                   for i in range(3)])
-    C = np.eye(3, dtype=complex)
-    nus = []
-    for i in range(3):
-        for j in range(i):
-            ov = np.conj(C[j]) @ G @ C[i]
-            C[i] = C[i] - (ov / nus[j]) * C[j]
-        nus.append(np.conj(C[i]) @ G @ C[i])
-    return nus[2]
+    # the last Gram-Schmidt norm is the ratio of consecutive Gram minors
+    return np.linalg.det(G) / np.linalg.det(G[:2, :2])

@@ -23,7 +23,7 @@ from __future__ import annotations
 import os
 import re
 
-from .skein import MODES, SliceWord
+from .skein import MODES, SliceWord, slice_width
 from .spaces import DiagramState, PartyLayout
 
 _CORPUS_DIR = os.path.join(os.path.dirname(__file__), "tangles")
@@ -102,7 +102,7 @@ class TangleDocument:
         return "\n".join(lines) + "\n"
 
 
-_SLICES = ("cup", "cap", "e", "over", "under")
+_SLICES = ("cup", "cap", "e", "over", "under", "jw")
 
 
 def parse_tangle(text):
@@ -143,35 +143,15 @@ def parse_tangle(text):
             width = top
         elif kw == "bottom":
             (bottom_decl,) = args(1)
-        elif kw in _SLICES or kw == "jw":
+        elif kw in _SLICES:
             if width is None:
                 raise TangleParseError(ln, "slice before top declaration")
-            if kw == "cup":
-                (i,) = args(1)
-                if not 1 <= i <= width + 1:
-                    raise TangleParseError(
-                        ln, f"cup {i} out of range at width {width}")
-                ops.append(("cup", i))
-                width += 2
-            elif kw == "cap":
-                (i,) = args(1)
-                if not 1 <= i <= width - 1:
-                    raise TangleParseError(
-                        ln, f"cap {i} out of range at width {width}")
-                ops.append(("cap", i))
-                width -= 2
-            elif kw == "jw":
-                i, k = args(2)
-                if k < 1 or not 1 <= i <= width - k + 1:
-                    raise TangleParseError(
-                        ln, f"jw {i} {k} out of range at width {width}")
-                ops.append(("jw", i, k))
-            else:
-                (i,) = args(1)
-                if not 1 <= i <= width - 1:
-                    raise TangleParseError(
-                        ln, f"{kw} {i} out of range at width {width}")
-                ops.append((kw, i))
+            op = (kw, *args(2 if kw == "jw" else 1))
+            try:
+                width = slice_width(op, width)
+            except ValueError as exc:
+                raise TangleParseError(ln, str(exc))
+            ops.append(op)
         elif kw == "party":
             if len(parts) != 3:
                 raise TangleParseError(ln, "party takes a name and a range")

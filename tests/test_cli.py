@@ -227,6 +227,21 @@ def test_non_finite_scan_bounds_rejected(capsys, flag, value):
     assert f"{flag} must be a finite angle" in err
 
 
+@pytest.mark.parametrize("argv,flag,text", [
+    (["state", "maxent", "--theta", "abc"], "--theta", "abc"),
+    (["state", "maxent", "--theta", "pi/x"], "--theta", "pi/x"),
+    (["scan-tangle3", "quasiw", "--steps", "5", "--theta-min", "xpi/3",
+      "--theta-max", "0.45"], "--theta-min", "xpi/3"),
+    (["scan-tangle3", "quasiw", "--steps", "5", "--theta-min", "0.05",
+      "--theta-max", "0.4q"], "--theta-max", "0.4q"),
+])
+def test_unparsable_angle_names_its_flag(capsys, argv, flag, text):
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"usage error: {flag} must be an angle")
+    assert repr(text) in err
+
+
 def test_linalg_failure_is_internal_error(capsys, monkeypatch):
     # LinAlgError subclasses ValueError, yet it is a numeric failure, not bad input
     def failing_svd(*args, **kwargs):

@@ -3,12 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tl_entangle.connectomes import (
     Connectome,
-    _chords_cross,
     _party_slots,
-    _resolve_crossings,
     classify,
     class_signature,
     enumerate_connectomes,
@@ -19,6 +18,7 @@ from tl_entangle.connectomes import (
 from tl_entangle.entanglement import slocc_tripartite_class, schmidt_rank
 from tl_entangle.diagrams import PlanarDiagram, TLElement
 from tl_entangle.scalars import EvalPoint, LaurentPoly, d_param
+from tl_entangle.skein import word_from_pairing
 from tl_entangle.spaces import PartyLayout
 
 THETA = EvalPoint(-0.23)
@@ -167,9 +167,20 @@ def test_representative_layout_mismatch():
                              layout=PartyLayout.qubits("A"))
 
 
+def _chords_cross(p, q):
+    a, b = p
+    c_, d = q
+    return (a < c_ < b < d) or (c_ < a < d < b)
+
+
 def reference_resolve_crossings(pairs, n_points):
-    """_resolve_crossings as it was before it shared glue_network's kernel:
-    the same chord drawing, with each smoothing's loops and boundary pairs
+    """Kauffman state sum of a chord drawing, the resolver representative_state
+    used before it built its wiring as a slice word.
+
+    Straight chords join circle points (nudged off symmetric positions); every
+    interleaved pair meets once.  Each crossing is smoothed both ways: joining
+    each strand's incoming side to the other's outgoing side weighs A, the
+    parallel reconnection 1/A.  Each smoothing's loops and boundary pairs are
     read off a union-find over its ports."""
     crossings = [(p, q) for p, q in itertools.combinations(pairs, 2)
                  if _chords_cross(*sorted((p, q)))]
@@ -239,14 +250,33 @@ def reference_resolve_crossings(pairs, n_points):
     return TLElement(total)
 
 
-@pytest.mark.parametrize("m,punctures", [(2, 4), (3, 4), (4, 4), (2, 8), (3, 8)])
+@pytest.mark.parametrize("m,punctures",
+                         [(2, 4), (3, 4), (4, 4), (5, 4), (2, 8), (3, 8)])
 def test_resolve_crossings_matches_reference(m, punctures):
     crossed = 0
     for c in enumerate_connectomes(m, punctures):
-        pairs = _party_slots(c)
-        got = _resolve_crossings(pairs, m * punctures)
-        ref = reference_resolve_crossings(pairs, m * punctures)
-        assert list(got.terms.items()) == list(ref.terms.items()), c
+        got = representative_state(c).element
+        ref = reference_resolve_crossings(_party_slots(c), m * punctures)
+        # exact coefficients; the term order follows the expansion and differs
+        assert got.terms == ref.terms, c
         crossed += len(ref.terms) > 1
-    # only four parties force crossed bundles: 8 of the 20 connectomes
-    assert crossed == (8 if (m, punctures) == (4, 4) else 0)
+    # only four or more parties force crossed bundles
+    assert crossed == {(4, 4): 8, (5, 4): 33}.get((m, punctures), 0)
+
+
+@st.composite
+def _pairings(draw):
+    labels = draw(st.permutations(range(1, 2 * draw(st.integers(1, 5)) + 1)))
+    return [tuple(sorted(labels[i:i + 2])) for i in range(0, len(labels), 2)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pairings())
+def test_word_from_pairing_matches_reference(pairs):
+    n = 2 * len(pairs)
+    word = word_from_pairing(pairs, n)
+    assert word.to_element().terms == reference_resolve_crossings(pairs, n).terms
+    interleaved = sum(_chords_cross(*sorted((p, q)))
+                      for p, q in itertools.combinations(pairs, 2))
+    assert sum(op[0] == "under" for op in word.ops) == interleaved
+    assert {op[0] for op in word.ops} <= {"cup", "under"}

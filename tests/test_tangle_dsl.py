@@ -6,7 +6,7 @@ import pytest
 from tl_entangle.diagrams import PlanarDiagram, TLElement, noncrossing_matchings
 from tl_entangle.entanglement import local_ranks, slocc_tripartite_class, three_tangle
 from tl_entangle.scalars import EvalPoint
-from tl_entangle.skein import word_from_matching
+from tl_entangle.skein import SliceWord, word_from_matching
 from tl_entangle.tangle_dsl import (TangleParseError, corpus_names, load_corpus,
                                     parse_tangle)
 
@@ -92,6 +92,20 @@ def test_parse_errors_carry_line_numbers():
         with pytest.raises(TangleParseError) as err:
             parse_tangle(text)
         assert err.value.line == line, text
+
+
+@pytest.mark.parametrize("top,line", [
+    (0, "cup 2"), (2, "cap 2"), (2, "e 0"), (2, "over 2"), (1, "under 1"),
+    (2, "jw 2 2"), (2, "jw 1 0"),
+])
+def test_slice_range_errors_match_slice_word(top, line):
+    kind, *nums = line.split()
+    with pytest.raises(ValueError) as direct:
+        SliceWord(top, [(kind, *map(int, nums))])
+    with pytest.raises(TangleParseError) as parsed:
+        parse_tangle(f"top {top}\n{line}\n")
+    assert str(direct.value) == f"{line} out of range at width {top}"
+    assert str(parsed.value) == f"line 2: {direct.value}"
 
 
 def test_document_level_errors():
