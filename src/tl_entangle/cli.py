@@ -50,6 +50,24 @@ def _c12(z):
     return {"re": _g12(z.real), "im": _g12(z.imag)}
 
 
+def _amplitude_rows(amp):
+    """(JSON entries, CSV rows) of an amplitude tensor, one per index.
+
+    A real or imaginary part below 1e-12 of the largest |amplitude| is
+    printed as 0.0: such parts are rounding noise of exact zeros, and their
+    digits would follow the order of the state's terms.
+    """
+    floor = 1e-12 * float(np.max(np.abs(amp), initial=0.0))
+    entries = []
+    rows = []
+    for idx in np.ndindex(*amp.shape):
+        z = amp[idx]
+        re, im = (0.0 if abs(x) < floor else _g12(x) for x in (z.real, z.imag))
+        entries.append({"index": list(idx), "re": re, "im": im})
+        rows.append(list(idx) + [re, im])
+    return entries, rows
+
+
 def _pi_multiple(head):
     """The factor written before 'pi': empty, '+', '-', or a number with an optional '*'."""
     head = head.rstrip("*")
@@ -190,12 +208,7 @@ def _cmd_state(args):
     point = _eval_point(args)
     state = _state_of(doc)
     amp = state.amplitudes(point)
-    entries = []
-    rows = []
-    for idx in np.ndindex(*amp.shape):
-        z = amp[idx]
-        entries.append({"index": list(idx), "re": _g12(z.real), "im": _g12(z.imag)})
-        rows.append(list(idx) + [_g12(z.real), _g12(z.imag)])
+    entries, rows = _amplitude_rows(amp)
     payload = {
         "name": doc.name,
         "theta": _g12(point.theta),
@@ -268,6 +281,16 @@ def _tau3_at(state, theta):
     return three_tangle(amp / norm)
 
 
+def _tau3_or_inf(state, theta):
+    """tau3 at theta, or +inf where the state vanishes or the point is
+    degenerate, so that a minimum search never settles there."""
+    try:
+        tau = _tau3_at(state, theta)
+    except DegeneratePointError:
+        return math.inf
+    return math.inf if tau is None else tau
+
+
 def _golden_min(f, a, b, tol=1e-12):
     """Golden-section minimum of f on [a, b]."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -310,10 +333,9 @@ def _cmd_scan_tangle3(args):
         if v is None or values[i - 1] is None or values[i + 1] is None:
             continue
         if v <= values[i - 1] and v <= values[i + 1]:
-            x = _golden_min(lambda t: _tau3_at(state, t) or 0.0,
-                            grid[i - 1], grid[i + 1])
-            tau = _tau3_at(state, x)
-            if tau is not None and tau < args.tol:
+            x = _golden_min(lambda t: _tau3_or_inf(state, t), grid[i - 1], grid[i + 1])
+            tau = _tau3_or_inf(state, x)
+            if tau < args.tol:
                 zeros.append((x, tau))
     rows = [[_g12(t), None if v is None else _g12(v), "grid"]
             for t, v in zip(grid, values)]
@@ -370,12 +392,7 @@ def _cmd_connectome(args):
     point = _eval_point(args)
     state = representative_state(c)
     amp = state.amplitudes(point)
-    entries = []
-    rows = []
-    for idx in np.ndindex(*amp.shape):
-        z = amp[idx]
-        entries.append({"index": list(idx), "re": _g12(z.real), "im": _g12(z.imag)})
-        rows.append(list(idx) + [_g12(z.real), _g12(z.imag)])
+    entries, rows = _amplitude_rows(amp)
     payload["theta"] = _g12(point.theta)
     payload["party_names"] = [nm for nm, _ in state.layout.parties]
     payload["amplitudes"] = entries

@@ -404,7 +404,7 @@ def _attach(out, states, open_bonds, arcs, new_open, coeff, d):
     return out
 
 
-def _product_halves(tile, closes):
+def _product_halves(tile, closes, memo=None):
     """Write a state tile as sum_{u,v} C[u,v] u (x) v over two halves.
 
     One half is the set X of points that the tile's arcs link to point 1, the
@@ -413,7 +413,27 @@ def _product_halves(tile, closes):
     closes more of them is u, the half attached first.  Returns (us, vs, rows)
     with rows[i] = {j: C[us[i], vs[j]]}, or None when the tile is one piece or
     when |U| + |V| walks per frontier state are no fewer than its T terms.
+    memo, a dict kept by the caller while tile lives, holds the halves and
+    each split already made for tile, so a tile met again is not regrouped.
     """
+    if memo is None:
+        memo = {}
+    key = id(tile)
+    if key not in memo:
+        memo[key] = _point_halves(tile)
+    halves = memo[key]
+    if halves is None:
+        return None
+    x, y = halves
+    first = y if sum(map(closes, y)) > sum(map(closes, x)) else x
+    if (key, first) not in memo:
+        memo[key, first] = _split(tile, first)
+    return memo[key, first]
+
+
+def _point_halves(tile):
+    """(X, Y): the points linked to point 1 by the tile's arcs, and the rest;
+    None when Y is empty or the tile has at most 4 terms."""
     if len(tile.terms) <= 4:
         # T <= |U|*|V| gives |U| + |V| >= 2 sqrt(T) >= T: qubit projectors stay whole
         return None
@@ -426,10 +446,14 @@ def _product_halves(tile, closes):
             if (a in x) != (b in x):
                 x.update((a, b))
                 grown = True
-    y = set(range(1, tile.shape()[1] + 1)) - x
+    y = frozenset(range(1, tile.shape()[1] + 1)) - x
     if not y:
         return None
-    first = y if sum(map(closes, y)) > sum(map(closes, x)) else x
+    return frozenset(x), y
+
+
+def _split(tile, first):
+    """(us, vs, rows) of _product_halves with u on the points of first."""
     halves = [(tuple(pr for pr in dg.pairs if pr[0] in first),
                tuple(pr for pr in dg.pairs if pr[0] not in first), c)
               for dg, c in tile.terms.items()]
@@ -462,7 +486,9 @@ def glue_network(tiles, bonds, d):
     halves when that walks fewer terms: first the half closing more open
     bonds, whose results are folded through C into one frontier per v, then
     the other half.  That is about |U| + |V| walks per frontier state instead
-    of one per term; a qutrit projector tile has 14 + 14 against 196.
+    of one per term; a qutrit projector tile has 14 + 14 against 196.  A
+    tile object that occurs several times, as a projector does in a replica
+    ring, is split once per first half within the call.
     """
     point_bond = {}
     for b, (end1, end2) in enumerate(bonds):
@@ -484,6 +510,9 @@ def glue_network(tiles, bonds, d):
     # which are the same for every frontier state -> coefficient
     states = {(): 1}
     open_bonds = ()
+    # splits of the product tiles; tiles keeps each tile alive, so a tile
+    # object that occurs several times is split once per first half
+    splits = {}
     for t, tile in enumerate(tiles):
         if not states:
             return 0
@@ -492,7 +521,7 @@ def glue_network(tiles, bonds, d):
             return [(point_bond[(t, a)], point_bond[(t, b)]) for a, b in pairs]
 
         open_set = set(open_bonds)
-        halves = _product_halves(tile, lambda p: point_bond[(t, p)] in open_set)
+        halves = _product_halves(tile, lambda p: point_bond[(t, p)] in open_set, splits)
         new_states = {}
         if halves is None:
             terms = [(edges(diag.pairs), dcoeff) for diag, dcoeff in tile.terms.items()]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .diagrams import PlanarDiagram, TLElement, conj_scalar, glue_network
+from .diagrams import conj_scalar, glue_network
 from .spaces import qudit_space
 
 
@@ -71,12 +71,6 @@ def trace_power(t, n, keep=(0,)):
     return float(np.sum(ev ** n).real)
 
 
-def _state_view(element):
-    """Reindex a map element as a state on the same circularly labeled points."""
-    return TLElement({PlanarDiagram(0, dg.n_points, dg.pairs): c
-                      for dg, c in element.terms.items()})
-
-
 def _glued_power(state, n, keep, point):
     """Tr of the n-th power of the unnormalized reduced density by gluing.
 
@@ -93,8 +87,7 @@ def _glued_power(state, n, keep, point):
     keep = set(keep)
     traced = [k for k in nontrivial if k not in keep]
     kept = [k for k in nontrivial if k in keep]
-    projs = {k: _state_view(qudit_space(layout.dims[k]).projector_element(point))
-             for k in nontrivial}
+    projs = {k: qudit_space(layout.dims[k]).projector_element(point) for k in nontrivial}
 
     order = []
     for r in range(n):
@@ -125,11 +118,17 @@ def _glued_power(state, n, keep, point):
 
 
 def replica_check(t, state, point, n, keep=(0,)):
-    """Tr rho^n two ways: from the tensor and by gluing 2n diagram copies."""
+    """Tr rho^n two ways: from the tensor and by gluing 2n diagram copies.
+
+    The n = 1 contraction that normalizes the glued value is kept on the
+    state, per kept parties and point (DiagramState.replica_norms); the n-th
+    power network is contracted on every call.
+    """
     if not 2 <= n <= 4:
         raise ValueError("replica order must be between 2 and 4")
     numeric = trace_power(t, n, keep)
-    norm = _glued_power(state, 1, keep, point)
+    norm = state.replica_norms.get((frozenset(keep), point),
+                                   lambda: _glued_power(state, 1, keep, point))
     glued = _glued_power(state, n, keep, point) / norm ** n
     return numeric, complex(glued)
 

@@ -14,7 +14,20 @@ from fractions import Fraction
 
 
 class DegeneratePointError(ValueError):
-    """Raised when a quantity is evaluated at a point where it is singular."""
+    """Raised when a quantity is evaluated at a point where it is singular.
+
+    factor names what vanished: "denominator" (a denominator, or the
+    denominator of a split norm), "square" or "squarefree" (that part of a
+    split squared norm, see SplitNorm).  QuditSpace.ortho_transform sets
+    vector, the index of the frame vector, and DiagramState.amplitudes sets
+    party, the name of the party whose frame failed.  Unknown fields are None.
+    """
+
+    def __init__(self, message, factor=None):
+        super().__init__(message)
+        self.factor = factor
+        self.vector = None
+        self.party = None
 
 
 def _coerce(value):
@@ -337,7 +350,7 @@ class RationalFn:
     def evaluate(self, a, tol=1e-12):
         dv = self.den.evaluate(a)
         if abs(dv) < tol:
-            raise DegeneratePointError(f"denominator vanishes at A={a!r}")
+            raise DegeneratePointError(f"denominator vanishes at A={a!r}", "denominator")
         return self.num.evaluate(a) / dv
 
     def __repr__(self):
@@ -565,13 +578,15 @@ class SplitNorm:
         d = point.d
         rn, sn, rd, sd = (_dpoly_eval(poly, d) for poly in self.parts)
         if abs(rd) < tol or abs(sd) < tol:
-            raise DegeneratePointError(f"squared norm singular at theta={point.theta}")
+            raise DegeneratePointError(f"squared norm singular at theta={point.theta}",
+                                       "denominator")
         r_val = rn / rd
         s_val = sn / sd
         if abs(r_val) < tol or s_val < tol:
             raise DegeneratePointError(
                 f"squared norm degenerate at theta={point.theta} "
-                f"(square part {r_val}, squarefree part {s_val})")
+                f"(square part {r_val}, squarefree part {s_val})",
+                "square" if abs(r_val) < tol else "squarefree")
         return complex(r_val * math.sqrt(s_val))
 
 

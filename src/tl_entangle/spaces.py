@@ -16,9 +16,37 @@ import numpy as np
 
 from .diagrams import PlanarDiagram, TLElement
 from .jones_wenzl import jones_wenzl
-from .scalars import RationalFn, SplitNorm, d_param, evaluate
+from .scalars import DegeneratePointError, RationalFn, SplitNorm, d_param, evaluate
 
 _D = d_param()
+
+# Entries per per-point cache: a sweep over many points keeps constant memory,
+# while a few repeated points (as in a replica benchmark) stay cached.
+POINT_CACHE_SIZE = 8
+
+
+class PointCache:
+    """At most POINT_CACHE_SIZE values by key; the oldest entry leaves first."""
+
+    __slots__ = ("_values",)
+
+    def __init__(self):
+        self._values = {}
+
+    def get(self, key, build):
+        """The value stored under key, made by build() and stored on a miss."""
+        try:
+            return self._values[key]
+        except KeyError:
+            pass
+        value = build()
+        if len(self._values) >= POINT_CACHE_SIZE:
+            del self._values[next(iter(self._values))]
+        self._values[key] = value
+        return value
+
+    def __len__(self):
+        return len(self._values)
 
 
 def local_basis_matchings(n):
@@ -64,7 +92,7 @@ class QuditSpace:
                       for j in range(n)] for i in range(n)]
         self._gs_coeffs, self.gs_norms_sq = self._orthogonalize()
         self._gs_roots = [SplitNorm(nu) for nu in self.gs_norms_sq]
-        self._projector_cache = {}
+        self._projector_cache = PointCache()
 
     def _orthogonalize(self):
         """Unnormalized Gram-Schmidt over rational functions of A.
@@ -102,9 +130,13 @@ class QuditSpace:
         n = self.n
         T = np.zeros((n, n), dtype=complex)
         for i in range(n):
-            nrm = self._gs_roots[i].sqrt_at(point)
-            for j in range(i + 1):
-                T[i, j] = complex(evaluate(self._gs_coeffs[i][j], point)) / nrm
+            try:
+                nrm = self._gs_roots[i].sqrt_at(point)
+                for j in range(i + 1):
+                    T[i, j] = complex(evaluate(self._gs_coeffs[i][j], point)) / nrm
+            except DegeneratePointError as exc:
+                exc.vector = i
+                raise
         return T
 
     def gram_numeric(self, point):
@@ -113,13 +145,18 @@ class QuditSpace:
                           for j in range(n)] for i in range(n)])
 
     def projector_element(self, point):
-        """Numeric resolution of identity on the local span, as a 4w -> 4w map.
+        """Numeric resolution of identity on the local span, as an 8w-point state.
 
-        Composing a state with this element from below replaces it by its
-        orthogonal projection onto the dressed local basis span.
+        As a 4w -> 4w map, composing a state with it from below replaces the
+        state by its orthogonal projection onto the dressed local basis span.
+        The result holds that map's diagrams as states on the same circularly
+        labeled points (its top 1..4w, then its bottom 4w+1..8w), the form
+        glue_network takes.  It is built once per point while the point stays
+        among the last POINT_CACHE_SIZE, and the same object is returned.
         """
-        if point in self._projector_cache:
-            return self._projector_cache[point]
+        return self._projector_cache.get(point, lambda: self._projector_state(point))
+
+    def _projector_state(self, point):
         ginv = np.linalg.inv(self.gram_numeric(point))
         dressed_num = [v.evaluate(point) for v in self.dressed]
         out = TLElement.zero()
@@ -127,8 +164,8 @@ class QuditSpace:
             for b in range(self.n):
                 op = dressed_num[b].adjoint().tensor(dressed_num[a])
                 out = out + complex(ginv[a, b]) * op
-        self._projector_cache[point] = out
-        return out
+        return TLElement({PlanarDiagram(0, dg.n_points, dg.pairs): c
+                          for dg, c in out.terms.items()})
 
 
 @lru_cache(maxsize=None)
@@ -231,6 +268,9 @@ class DiagramState:
                              f"with {layout.n_points} bottom points")
         self.element = element
         self.layout = layout
+        # n = 1 replica contractions by (kept parties, point), filled by
+        # entanglement.replica_check; element and layout are never reassigned
+        self.replica_norms = PointCache()
 
     def norm_sq(self, point):
         """Raw pairing of the diagram with itself (no projection)."""
@@ -266,8 +306,12 @@ class DiagramState:
     def amplitudes(self, point):
         """Amplitude tensor in the orthonormal local frames, one axis per party."""
         amp = self.raw_overlaps(point)
-        for k, (_, nk) in enumerate(self.layout.parties):
-            T = qudit_space(nk).ortho_transform(point)
+        for k, (name, nk) in enumerate(self.layout.parties):
+            try:
+                T = qudit_space(nk).ortho_transform(point)
+            except DegeneratePointError as exc:
+                exc.party = name
+                raise
             amp = np.moveaxis(np.tensordot(np.conj(T), amp, axes=(1, k)), 0, k)
         return amp
 

@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 
 import tl_entangle
+from tl_entangle import cli
 from tl_entangle.cli import _angle, main
+from tl_entangle.scalars import DegeneratePointError
 
 
 def run(capsys, args):
@@ -115,6 +117,43 @@ def test_scan_finds_quasiw_zero(capsys):
     assert zero["tau3"] < 1e-8
 
 
+@pytest.mark.parametrize("failure, lo, hi, finds_zero", [
+    ("vanished", 0.0955, 0.097, True),
+    ("degenerate", 0.0955, 0.097, True),
+    ("degenerate", 0.0926, 0.0974, False),
+])
+def test_scan_refinement_steps_over_bad_points(capsys, monkeypatch, failure, lo, hi,
+                                               finds_zero):
+    # the quasiw zero is bracketed by the grid points 0.0925pi and 0.0975pi;
+    # the golden search's first probes sit near 0.0944pi and 0.0956pi.  Points
+    # of (lo, hi) pi other than grid points vanish or are degenerate.
+    args = ["scan-tangle3", "quasiw", "--theta-min", "0.02pi", "--theta-max", "0.12pi",
+            "--steps", "41", "--tol", "1e-8"]
+    _, clean, _ = run(capsys, args)
+    a, b = 0.02 * math.pi, 0.12 * math.pi
+    grid = {a + (b - a) * i / 40 for i in range(41)}
+    real = cli._tau3_at
+
+    def patched(state, theta):
+        if lo * math.pi < theta < hi * math.pi and theta not in grid:
+            if failure == "vanished":
+                return None
+            raise DegeneratePointError("patched")
+        return real(state, theta)
+
+    monkeypatch.setattr(cli, "_tau3_at", patched)
+    code, out, err = run(capsys, args)
+    assert code == 0, err
+    payload, expected = json.loads(out), json.loads(clean)
+    assert payload["rows"] == expected["rows"]
+    if finds_zero:
+        assert len(payload["zeros"]) == 1
+        assert abs(payload["zeros"][0]["theta"] - expected["zeros"][0]["theta"]) < 1e-10
+        assert payload["zeros"][0]["tau3"] < 1e-8
+    else:
+        assert payload["zeros"] == []
+
+
 def test_scan_output_is_deterministic(capsys, monkeypatch):
     args = ["scan-tangle3", "quasiw", "--theta-min", "0.05", "--theta-max", "0.45",
             "--steps", "81"]
@@ -126,6 +165,27 @@ def test_scan_output_is_deterministic(capsys, monkeypatch):
     code3, out3, _ = run(capsys, args)
     assert code3 == 0
     assert out3 == out1
+
+
+@pytest.mark.parametrize("argv, index", [
+    (["state", "two_qutrit_rank2", "--k", "4"], [0, 1]),
+    (["connectome", "state", "--k", "4", "--adj",
+      "[[0,0,1,1,2],[0,0,1,2,1],[1,1,0,1,1],[1,2,1,0,0],[2,1,1,0,0]]"], [0, 0, 0, 0, 1]),
+])
+def test_amplitude_noise_prints_as_zero(capsys, argv, index):
+    # these amplitudes are exactly zero; evaluation leaves parts near 1e-16
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    amps = json.loads(out)["amplitudes"]
+    entry = next(e for e in amps if e["index"] == index)
+    assert entry["re"] == entry["im"] == 0.0
+    top = max(abs(complex(e["re"], e["im"])) for e in amps)
+    assert all(e[part] == 0.0 or abs(e[part]) >= 1e-12 * top
+               for e in amps for part in ("re", "im"))
+    code, csv_out, _ = run(capsys, argv + ["--format", "csv"])
+    row = next(line for line in csv_out.splitlines()
+               if line.startswith(",".join(map(str, index)) + ","))
+    assert row.endswith(",0.0,0.0")
 
 
 def test_connectome_enumerate_three_parties(capsys):

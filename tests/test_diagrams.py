@@ -15,7 +15,6 @@ from tl_entangle.diagrams import (
     noncrossing_matchings,
     tl_basis,
 )
-from tl_entangle.entanglement import _state_view
 from tl_entangle.scalars import EvalPoint, LaurentPoly, d_param, evaluate
 from tl_entangle.spaces import qudit_space
 
@@ -258,6 +257,9 @@ def test_glue_network_product_tiles_match_reference(data):
     for _ in range(data.draw(st.integers(1, 2))):
         tiles.append(_product_tile(data, 4, data.draw(st.sampled_from((4, 6)))))
     assert all(_product_halves(tile, lambda p: False) for tile in tiles[1:])
+    if data.draw(st.booleans()):
+        # one tile object twice, as a projector occurs in a replica ring
+        tiles.append(tiles[1])
     tiles.append(_plain_tile(data))
     order = data.draw(st.permutations(range(len(tiles))))
     tiles = [tiles[i] for i in order]
@@ -290,7 +292,7 @@ def test_glue_network_split_either_half_first(closing_half):
 
 
 def test_qutrit_projector_tile_attaches_closing_half_first():
-    tile = _state_view(qudit_space(3).projector_element(EvalPoint.from_level(4)))
+    tile = qudit_space(3).projector_element(EvalPoint.from_level(4))
     low, high = set(range(1, 9)), set(range(9, 17))
     for closing in (low, high):
         us, vs, rows = _product_halves(tile, lambda p: p in closing)
@@ -298,7 +300,7 @@ def test_qutrit_projector_tile_attaches_closing_half_first():
         assert {p for u in us for pr in u for p in pr} == closing
         assert sum(len(r) for r in rows) == len(tile.terms) == 196
     # a qubit projector (2 x 2 terms) is attached whole
-    qubit = _state_view(qudit_space(2).projector_element(EvalPoint.from_level(4)))
+    qubit = qudit_space(2).projector_element(EvalPoint.from_level(4))
     assert _product_halves(qubit, lambda p: p > 4) is None
 
 

@@ -1,10 +1,13 @@
+import gc
+
 import numpy as np
 import pytest
 
-from tl_entangle.diagrams import PlanarDiagram
+from tl_entangle import entanglement, spaces
+from tl_entangle.diagrams import PlanarDiagram, TLElement, conj_scalar, glue_network
 from tl_entangle.scalars import EvalPoint
 from tl_entangle.skein import SliceWord
-from tl_entangle.spaces import DiagramState, PartyLayout
+from tl_entangle.spaces import POINT_CACHE_SIZE, DiagramState, PartyLayout, qudit_space
 from tl_entangle.tangle_dsl import corpus_names, load_corpus
 from tl_entangle.entanglement import (
     conversion_probability,
@@ -133,6 +136,146 @@ def test_replica_corpus_agreement_k6():
         for n in (2, 3):
             numeric, glued = replica_check(t, st, K6, n)
             assert abs(numeric - glued) < 1e-8, (name, n)
+
+
+def reference_projector_tile(space, point):
+    """The projector tile as replica_check glued it before tiles were kept per
+    point: the 4w -> 4w map built afresh, then read as a state on the same
+    labels."""
+    ginv = np.linalg.inv(space.gram_numeric(point))
+    dressed_num = [v.evaluate(point) for v in space.dressed]
+    out = TLElement.zero()
+    for a in range(space.n):
+        for b in range(space.n):
+            op = dressed_num[b].adjoint().tensor(dressed_num[a])
+            out = out + complex(ginv[a, b]) * op
+    return TLElement({PlanarDiagram(0, dg.n_points, dg.pairs): c
+                      for dg, c in out.terms.items()})
+
+
+def reference_glued_power(state, n, keep, point):
+    """_glued_power as it was before its theta-fixed parts were reused: every
+    projector tile is rebuilt, and every tile object is split afresh."""
+    layout = state.layout
+    ket = state.element.evaluate(point)
+    bra = ket.map_coefficients(conj_scalar)
+    nontrivial = [k for k, (_, nk) in enumerate(layout.parties) if nk > 1]
+    keep = set(keep)
+    traced = [k for k in nontrivial if k not in keep]
+    kept = [k for k in nontrivial if k in keep]
+    order = []
+    for r in range(n):
+        order.append(("ket", r))
+        order += [("pi", r, p, "T") for p in traced]
+        order.append(("bra", r))
+        order += [("pi", r, p, "K") for p in kept]
+    index = {tag: i for i, tag in enumerate(order)}
+    tiles = [ket if tag[0] == "ket" else bra if tag[0] == "bra" else
+             reference_projector_tile(qudit_space(layout.dims[tag[2]]), point)
+             for tag in order]
+    bonds = []
+
+    def wire(ket_tile, pi_tile, bra_tile, party):
+        o = layout.offsets[party]
+        w4 = 4 * (layout.dims[party] - 1)
+        for l in range(1, w4 + 1):
+            bonds.append(((ket_tile, o + l), (pi_tile, w4 + 1 - l)))
+            bonds.append(((pi_tile, w4 + l), (bra_tile, o + l)))
+
+    for r in range(n):
+        for p in traced:
+            wire(index[("ket", r)], index[("pi", r, p, "T")], index[("bra", r)], p)
+        for p in kept:
+            wire(index[("ket", (r + 1) % n)], index[("pi", r, p, "K")],
+                 index[("bra", r)], p)
+    return glue_network(tiles, bonds, complex(point.d))
+
+
+def reference_replica_check(t, state, point, n, keep=(0,)):
+    norm = reference_glued_power(state, 1, keep, point)
+    glued = reference_glued_power(state, n, keep, point) / norm ** n
+    return trace_power(t, n, keep), complex(glued)
+
+
+@pytest.mark.parametrize("point", [K4, K6], ids=["k4", "k6"])
+def test_replica_check_matches_reference(point):
+    for name in corpus_names():
+        doc = load_corpus(name)
+        if not doc.parties:
+            continue
+        st = doc.state()
+        t = st.amplitudes(point)
+        for keep in ((0,), (1,))[:len(st.layout.parties)]:
+            for n in (2, 3, 4):
+                assert (replica_check(t, st, point, n, keep=keep)
+                        == reference_replica_check(t, st, point, n, keep=keep)), \
+                    (name, keep, n)
+
+
+def test_replica_norm_belongs_to_its_state():
+    # crit 12's loop, three times over: every state is built, checked and
+    # dropped, so a later state may reuse a dropped state's id(); the n = 1
+    # norm kept for the dropped state must never serve the new one
+    names = [name for name in corpus_names() if load_corpus(name).parties]
+    for _ in range(3):
+        for name in names:
+            st = load_corpus(name).state()
+            numeric, glued = replica_check(st.amplitudes(K4), st, K4, 2)
+            assert abs(numeric - glued) < 1e-8, name
+            del st
+            gc.collect()
+
+
+def test_replica_check_contracts_power_each_call(monkeypatch):
+    calls = []
+
+    def counting(tiles, bonds, d):
+        calls.append(len(tiles))
+        return glue_network(tiles, bonds, d)
+
+    monkeypatch.setattr(entanglement, "glue_network", counting)
+    st = load_corpus("two_qutrit_rank1").state()
+    t = st.amplitudes(K6)
+    first = replica_check(t, st, K6, 3)
+    assert calls == [4, 12]
+    second = replica_check(t, st, K6, 3)
+    assert calls == [4, 12, 12]
+    assert second == first
+    replica_check(t, st, K6, 3, keep=(1,))
+    assert calls == [4, 12, 12, 4, 12]
+
+
+def test_projector_tile_built_once_per_point(monkeypatch):
+    built = []
+    original = spaces.QuditSpace._projector_state
+
+    def counting(space, point):
+        built.append((space.n, point))
+        return original(space, point)
+
+    monkeypatch.setattr(spaces.QuditSpace, "_projector_state", counting)
+    pt = EvalPoint(-0.1234567)
+    for name in ("two_qutrit_rank1", "two_qutrit_rank3", "tripartite_2", "maxent"):
+        st = load_corpus(name).state()
+        t = st.amplitudes(pt)
+        for keep in ((0,), (1,)):
+            for n in (2, 3):
+                replica_check(t, st, pt, n, keep=keep)
+    assert sorted(built, key=lambda b: b[0]) == [(2, pt), (3, pt)]
+    assert qudit_space(3).projector_element(pt) is qudit_space(3).projector_element(pt)
+
+
+def test_point_caches_stay_bounded():
+    st = DiagramState(MAXENT, QUBIT_PAIR)
+    t = st.amplitudes(K4)
+    space = qudit_space(2)
+    points = [EvalPoint(theta) for theta in np.linspace(-0.45, -0.05, 200)]
+    for pt in points:
+        replica_check(t, st, pt, 2)
+        assert len(st.replica_norms) <= POINT_CACHE_SIZE
+        assert len(space._projector_cache) <= POINT_CACHE_SIZE
+    assert space.projector_element(points[-1]) is space.projector_element(points[-1])
+    assert len(space._projector_cache) == len(st.replica_norms) == POINT_CACHE_SIZE
 
 
 def test_replica_order_validation():

@@ -238,9 +238,20 @@ def test_crossed_triple_residual():
 
 
 def test_degenerate_point_raises():
-    # theta = pi/4 gives d = 0, where the qubit frame collapses
-    with pytest.raises(DegeneratePointError):
-        qudit_space(2).ortho_transform(EvalPoint(np.pi / 4))
+    # theta = pi/4 gives d = 0: the first qubit norm d^2 loses its square
+    # part, and the second qutrit norm its denominator
+    pt = EvalPoint(np.pi / 4)
+    for n, vector, factor in ((2, 0, "square"), (3, 1, "denominator")):
+        with pytest.raises(DegeneratePointError) as info:
+            qudit_space(n).ortho_transform(pt)
+        assert (info.value.party, info.value.vector, info.value.factor) == (None, vector, factor)
+    # the same error, with the party attached, from the amplitudes; its
+    # message is the one the command line prints
+    st = DiagramState(reduced_diagram(2, 1).element, PartyLayout.qubits("L", "R"))
+    with pytest.raises(DegeneratePointError) as info:
+        st.amplitudes(pt)
+    assert (info.value.party, info.value.vector, info.value.factor) == ("L", 0, "square")
+    assert str(info.value).startswith(f"squared norm degenerate at theta={pt.theta} (")
 
 
 def reference_ortho_transform(space, point):
