@@ -105,11 +105,9 @@ def _parse_theta(text, flag):
 
 
 def _eval_point(args):
-    if getattr(args, "theta", None) is not None and getattr(args, "k", None) is not None:
-        raise UsageError("give either --theta or --k, not both")
-    if getattr(args, "theta", None) is not None:
+    if args.theta is not None:
         return EvalPoint(_parse_theta(args.theta, "--theta"))
-    if getattr(args, "k", None) is not None:
+    if args.k is not None:
         return EvalPoint.from_level(args.k)
     return EvalPoint.from_level(4)
 
@@ -127,9 +125,14 @@ def _load_document(source):
             f"(shipped names: {', '.join(corpus_names())})")
 
 
-def _state_of(doc):
+def _layout_of(doc):
     if not doc.parties:
         raise UsageError("this command needs a document with party declarations")
+    return doc.layout()
+
+
+def _state_of(doc):
+    _layout_of(doc)
     return doc.state()
 
 
@@ -142,8 +145,7 @@ def _normalized_amplitudes(doc, point):
 
 
 def _require_three_qubits(doc):
-    layout = _state_of(doc).layout
-    if layout.dims != (2, 2, 2):
+    if _layout_of(doc).dims != (2, 2, 2):
         raise UsageError("this command needs exactly three qubit parties")
 
 
@@ -273,6 +275,10 @@ def _cmd_tangle3(args):
     return payload, [[_g12(point.theta), _g12(tau)]], ["theta", "tau3"]
 
 
+# width of the bracket at which a golden-section search stops
+_GOLDEN_TOL = 1e-12
+
+
 def _tau3_at(state, theta):
     amp = state.amplitudes(EvalPoint(theta))
     norm = np.linalg.norm(amp.ravel())
@@ -291,13 +297,13 @@ def _tau3_or_inf(state, theta):
     return math.inf if tau is None else tau
 
 
-def _golden_min(f, a, b, tol=1e-12):
-    """Golden-section minimum of f on [a, b]."""
+def _golden_min(f, a, b):
+    """Golden-section minimum of f on [a, b], to within _GOLDEN_TOL."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    while abs(b - a) > tol:
+    while abs(b - a) > _GOLDEN_TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -372,8 +378,6 @@ def _cmd_connectome(args):
         header = ["index"] + [f"a{i}{j}" for i in range(args.parties)
                               for j in range(args.parties)]
         return payload, rows, header
-    if args.adj is None:
-        raise UsageError(f"connectome {args.action} needs --adj")
     c = _connectome_from_args(args)
     blocks = classify_connectome(c)
     payload = {
@@ -439,28 +443,34 @@ def _cmd_rep(args):
 
 
 def _build_parser():
+    """The parser; every command accepts exactly the flags its handler reads."""
+    fmt, point, mode, tol = (_Parser(add_help=False) for _ in range(4))
+    fmt.add_argument("--format", choices=("json", "csv"), default="json")
+    angle = point.add_mutually_exclusive_group()
+    angle.add_argument("--theta", help="evaluation angle in radians; accepts 0.5pi")
+    angle.add_argument("--k", type=int, help="root-of-unity level (default 4)")
+    mode.add_argument("--mode", choices=("exact", "numeric"), default="numeric")
+    tol.add_argument("--tol", type=float, default=1e-8)
+
     parser = _Parser(prog="tl-entangle",
                      description="Evaluate and classify tangle diagram states.")
-    common = _Parser(add_help=False)
-    common.add_argument("--mode", choices=("exact", "numeric"), default="numeric")
-    common.add_argument("--theta", help="evaluation angle in radians; accepts 0.5pi")
-    common.add_argument("--k", type=int, help="root-of-unity level (default 4)")
-    common.add_argument("--tol", type=float, default=1e-8)
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, handler, needs_file in (
-            ("bracket", _cmd_bracket, True),
-            ("reduce", _cmd_reduce, True),
-            ("state", _cmd_state, True),
-            ("classify", _cmd_classify, True),
-            ("entropy", _cmd_entropy, True),
-            ("tangle3", _cmd_tangle3, True),
-            ("scan-tangle3", _cmd_scan_tangle3, True)):
-        p = sub.add_parser(name, parents=[common])
+    def command(subparsers, name, handler, *parents):
+        p = subparsers.add_parser(name, parents=[*parents, fmt])
         p.set_defaults(handler=handler)
-        if needs_file:
-            p.add_argument("file", help="path to a .tl file or a shipped tangle name")
+        return p
+
+    for name, handler, parents in (
+            ("bracket", _cmd_bracket, (mode, point)),
+            ("reduce", _cmd_reduce, (mode, point)),
+            ("state", _cmd_state, (point,)),
+            ("classify", _cmd_classify, (point, tol)),
+            ("entropy", _cmd_entropy, (point, tol)),
+            ("tangle3", _cmd_tangle3, (point,)),
+            ("scan-tangle3", _cmd_scan_tangle3, (tol,))):
+        p = command(sub, name, handler, *parents)
+        p.add_argument("file", help="path to a .tl file or a shipped tangle name")
         if name == "entropy":
             p.add_argument("--party", required=True)
         if name == "scan-tangle3":
@@ -468,18 +478,19 @@ def _build_parser():
             p.add_argument("--theta-max", dest="theta_max", required=True)
             p.add_argument("--steps", type=int, default=200)
 
-    p = sub.add_parser("connectome", parents=[common])
-    p.add_argument("action", choices=("enumerate", "classify", "state"))
+    actions = sub.add_parser("connectome").add_subparsers(dest="action", required=True)
+    p = command(actions, "enumerate", _cmd_connectome)
     p.add_argument("--parties", type=int, default=3)
     p.add_argument("--punctures", type=int, default=4)
-    p.add_argument("--adj", help="adjacency matrix as JSON, or a connectome JSON object")
-    p.set_defaults(handler=_cmd_connectome)
+    for name, parents in (("classify", ()), ("state", (point,))):
+        p = command(actions, name, _cmd_connectome, *parents)
+        p.add_argument("--adj", required=True,
+                       help="adjacency matrix as JSON, or a connectome JSON object")
 
-    p = sub.add_parser("rep", parents=[common])
-    p.add_argument("action", choices=("hw",))
+    actions = sub.add_parser("rep").add_subparsers(dest="action", required=True)
+    p = command(actions, "hw", _cmd_rep)
     p.add_argument("--spins", required=True,
                    help="comma-separated spins, e.g. 1/2,1/2 or 1,2")
-    p.set_defaults(handler=_cmd_rep)
     return parser
 
 
@@ -503,10 +514,6 @@ def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(_angle_flag_values(sys.argv[1:] if argv is None else argv))
-        if not getattr(args, "command", None):
-            raise UsageError("missing command (try --help)")
-        if args.mode == "exact" and args.command not in ("bracket", "reduce"):
-            raise UsageError("--mode exact is only available for bracket and reduce")
         payload, rows, header = args.handler(args)
         _emit(args, payload, rows, header)
         return 0

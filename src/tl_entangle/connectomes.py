@@ -51,11 +51,6 @@ class Connectome:
     def __repr__(self):
         return f"Connectome({[list(r) for r in self.adj]})"
 
-    def permuted(self, perm):
-        adj = tuple(tuple(self.adj[perm[i]][perm[j]] for j in range(self.m))
-                    for i in range(self.m))
-        return Connectome(adj, self.punctures)
-
     def canonical(self):
         best = min(tuple(tuple(self.adj[p[i]][p[j]] for j in range(self.m))
                          for i in range(self.m))

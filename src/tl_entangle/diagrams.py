@@ -31,10 +31,6 @@ class PlanarDiagram:
 
     # -- point labeling helpers ------------------------------------------
 
-    def top_label(self, j):
-        """Label of the top point at left-to-right position j (1-based)."""
-        return j
-
     def bottom_label(self, j):
         """Label of the bottom point at left-to-right position j (1-based)."""
         return self.n_top + self.n_bottom + 1 - j
@@ -211,12 +207,14 @@ class TLElement:
 
     Coefficients may be exact (LaurentPoly / RationalFn / Fraction) or numeric
     (complex); operations that close loops take the loop value d explicitly so
-    the same element type serves both modes.
+    the same element type serves both modes.  terms is never written after
+    __init__, so splits, filled by _product_halves on first use, stays valid.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "splits")
 
     def __init__(self, terms=None):
+        self.splits = None
         self.terms = {}
         for diag, c in (terms or {}).items():
             if not _is_zero(c):
@@ -307,14 +305,11 @@ class TLElement:
         """Hermitian pairing <self|other> of two states (conjugate linear on self)."""
         return other.compose(self.adjoint(), d).scalar()
 
-    def norm_sq(self, d):
-        return self.inner(self, d)
-
-    def evaluate(self, point, tol=1e-12):
+    def evaluate(self, point):
         from .scalars import evaluate as _ev
         out = {}
         for dg, c in self.terms.items():
-            val = _ev(c, point, tol=tol) if not isinstance(c, complex) else c
+            val = _ev(c, point) if not isinstance(c, complex) else c
             if val != 0:
                 out[dg] = out.get(dg, 0j) + val
         return TLElement(out)
@@ -404,7 +399,7 @@ def _attach(out, states, open_bonds, arcs, new_open, coeff, d):
     return out
 
 
-def _product_halves(tile, closes, memo=None):
+def _product_halves(tile, closes):
     """Write a state tile as sum_{u,v} C[u,v] u (x) v over two halves.
 
     One half is the set X of points that the tile's arcs link to point 1, the
@@ -413,22 +408,19 @@ def _product_halves(tile, closes, memo=None):
     closes more of them is u, the half attached first.  Returns (us, vs, rows)
     with rows[i] = {j: C[us[i], vs[j]]}, or None when the tile is one piece or
     when |U| + |V| walks per frontier state are no fewer than its T terms.
-    memo, a dict kept by the caller while tile lives, holds the halves and
-    each split already made for tile, so a tile met again is not regrouped.
+    The halves and each split are kept in tile.splits, so a tile is split
+    once per first half for its lifetime.
     """
-    if memo is None:
-        memo = {}
-    key = id(tile)
-    if key not in memo:
-        memo[key] = _point_halves(tile)
-    halves = memo[key]
+    if tile.splits is None:
+        tile.splits = (_point_halves(tile), {})
+    halves, splits = tile.splits
     if halves is None:
         return None
     x, y = halves
     first = y if sum(map(closes, y)) > sum(map(closes, x)) else x
-    if (key, first) not in memo:
-        memo[key, first] = _split(tile, first)
-    return memo[key, first]
+    if first not in splits:
+        splits[first] = _split(tile, first)
+    return splits[first]
 
 
 def _point_halves(tile):
@@ -487,8 +479,9 @@ def glue_network(tiles, bonds, d):
     bonds, whose results are folded through C into one frontier per v, then
     the other half.  That is about |U| + |V| walks per frontier state instead
     of one per term; a qutrit projector tile has 14 + 14 against 196.  A
-    tile object that occurs several times, as a projector does in a replica
-    ring, is split once per first half within the call.
+    tile is split once per first half for its lifetime (_product_halves), so
+    a projector that occurs around a replica ring, and again in later calls
+    at the same point, is regrouped at most twice.
     """
     point_bond = {}
     for b, (end1, end2) in enumerate(bonds):
@@ -510,9 +503,6 @@ def glue_network(tiles, bonds, d):
     # which are the same for every frontier state -> coefficient
     states = {(): 1}
     open_bonds = ()
-    # splits of the product tiles; tiles keeps each tile alive, so a tile
-    # object that occurs several times is split once per first half
-    splits = {}
     for t, tile in enumerate(tiles):
         if not states:
             return 0
@@ -521,7 +511,7 @@ def glue_network(tiles, bonds, d):
             return [(point_bond[(t, a)], point_bond[(t, b)]) for a, b in pairs]
 
         open_set = set(open_bonds)
-        halves = _product_halves(tile, lambda p: point_bond[(t, p)] in open_set, splits)
+        halves = _product_halves(tile, lambda p: point_bond[(t, p)] in open_set)
         new_states = {}
         if halves is None:
             terms = [(edges(diag.pairs), dcoeff) for diag, dcoeff in tile.terms.items()]

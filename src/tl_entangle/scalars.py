@@ -12,6 +12,11 @@ import cmath
 import math
 from fractions import Fraction
 
+# |denominator| below which RationalFn.evaluate raises DegeneratePointError
+DENOMINATOR_TOL = 1e-12
+# magnitude below which SplitNorm.sqrt_at treats a part of a norm as vanished
+NORM_TOL = 1e-10
+
 
 class DegeneratePointError(ValueError):
     """Raised when a quantity is evaluated at a point where it is singular.
@@ -19,8 +24,10 @@ class DegeneratePointError(ValueError):
     factor names what vanished: "denominator" (a denominator, or the
     denominator of a split norm), "square" or "squarefree" (that part of a
     split squared norm, see SplitNorm).  QuditSpace.ortho_transform sets
-    vector, the index of the frame vector, and DiagramState.amplitudes sets
-    party, the name of the party whose frame failed.  Unknown fields are None.
+    vector, the index of the frame vector; DiagramState.amplitudes sets
+    party, the name of the party whose frame failed, and
+    DiagramState.dressed_numeric the party whose projector dressing failed.
+    Unknown fields are None.
     """
 
     def __init__(self, message, factor=None):
@@ -60,23 +67,11 @@ class LaurentPoly:
         return cls({0: 1})
 
     @classmethod
-    def const(cls, value):
-        return cls({0: Fraction(value)})
-
-    @classmethod
     def A_power(cls, k):
         return cls({k: 1})
 
     def is_zero(self):
         return not self.coeffs
-
-    def is_constant(self):
-        return not self.coeffs or set(self.coeffs) == {0}
-
-    def constant_value(self):
-        if not self.is_constant():
-            raise ValueError("not a constant polynomial")
-        return self.coeffs.get(0, Fraction(0))
 
     def min_exp(self):
         return min(self.coeffs) if self.coeffs else 0
@@ -347,9 +342,9 @@ class RationalFn:
     def bar(self):
         return RationalFn(self.num.bar(), self.den.bar())
 
-    def evaluate(self, a, tol=1e-12):
+    def evaluate(self, a):
         dv = self.den.evaluate(a)
-        if abs(dv) < tol:
+        if abs(dv) < DENOMINATOR_TOL:
             raise DegeneratePointError(f"denominator vanishes at A={a!r}", "denominator")
         return self.num.evaluate(a) / dv
 
@@ -421,11 +416,9 @@ class EvalPoint:
         return hash(self.theta)
 
 
-def evaluate(x, point, tol=1e-12):
+def evaluate(x, point):
     """Evaluate an exact scalar (or plain number) at an EvalPoint."""
-    if isinstance(x, RationalFn):
-        return x.evaluate(point.A, tol=tol)
-    if isinstance(x, LaurentPoly):
+    if isinstance(x, (RationalFn, LaurentPoly)):
         return x.evaluate(point.A)
     return complex(x)
 
@@ -566,39 +559,40 @@ class SplitNorm:
             self.parts = tuple([float(c) for c in poly] for poly in
                                squarefree_split_d(num_d) + squarefree_split_d(den_d))
 
-    def sqrt_at(self, point, tol=1e-10):
-        """sqrt_normalizer(norm_sq, point, tol) from the stored split."""
+    def sqrt_at(self, point):
+        """sqrt_normalizer(norm_sq, point) from the stored split."""
         if self.parts is None:
             # not a function of d alone; fall back to the principal root
             val = self.norm_sq.evaluate(point.A)
-            if not (val.real > tol and abs(val.imag) < tol):
+            if not (val.real > NORM_TOL and abs(val.imag) < NORM_TOL):
                 raise DegeneratePointError(
                     f"squared norm {val!r} not positive at theta={point.theta}")
             return complex(math.sqrt(val.real))
         d = point.d
         rn, sn, rd, sd = (_dpoly_eval(poly, d) for poly in self.parts)
-        if abs(rd) < tol or abs(sd) < tol:
+        if abs(rd) < NORM_TOL or abs(sd) < NORM_TOL:
             raise DegeneratePointError(f"squared norm singular at theta={point.theta}",
                                        "denominator")
         r_val = rn / rd
         s_val = sn / sd
-        if abs(r_val) < tol or s_val < tol:
+        if abs(r_val) < NORM_TOL or s_val < NORM_TOL:
             raise DegeneratePointError(
                 f"squared norm degenerate at theta={point.theta} "
                 f"(square part {r_val}, squarefree part {s_val})",
-                "square" if abs(r_val) < tol else "squarefree")
+                "square" if abs(r_val) < NORM_TOL else "squarefree")
         return complex(r_val * math.sqrt(s_val))
 
 
-def sqrt_normalizer(norm_sq, point, tol=1e-10):
+def sqrt_normalizer(norm_sq, point):
     """Principal square root of an exact squared norm, with the sign convention
     matching the projector-basis formulas: norm_sq is a rational function of d,
     factored as (r/d-part)^2 * squarefree; the perfect-square part keeps its
     polynomial sign at the evaluation point.
 
     Returns a complex number (real positive when the rational part is positive).
-    Raises DegeneratePointError when the squared norm is not strictly positive.
+    Raises DegeneratePointError when the squared norm is not strictly positive
+    (a part below NORM_TOL in magnitude).
     To take roots of one squared norm at many points, split it once with
     SplitNorm.
     """
-    return SplitNorm(norm_sq).sqrt_at(point, tol)
+    return SplitNorm(norm_sq).sqrt_at(point)

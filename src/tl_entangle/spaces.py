@@ -278,10 +278,13 @@ class DiagramState:
         return el.inner(el, complex(point.d))
 
     def dressed_numeric(self, point):
-        """The state with every puncture of every party projector-dressed."""
+        """The state with every puncture of every party projector-dressed.
+
+        A DegeneratePointError raised by a party's projector names that party.
+        """
         el = self.element.evaluate(point)
         N = self.layout.n_points
-        for k, (_, nk) in enumerate(self.layout.parties):
+        for k, (name, nk) in enumerate(self.layout.parties):
             w = nk - 1
             if w < 2:
                 continue
@@ -289,7 +292,11 @@ class DiagramState:
             # party labels o+tw+1 .. o+(t+1)w sit at bottom positions
             # N-o-(t+1)w+1 .. N-o-tw (labels run right to left)
             starts = [N - o - (t + 1) * w for t in range(4)]
-            el = _dress(el, N, starts, jones_wenzl(w).evaluate(point), complex(point.d))
+            try:
+                el = _dress(el, N, starts, jones_wenzl(w).evaluate(point), complex(point.d))
+            except DegeneratePointError as exc:
+                exc.party = name
+                raise
         return el
 
     def raw_overlaps(self, point):

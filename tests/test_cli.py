@@ -18,6 +18,7 @@ import tl_entangle
 from tl_entangle import cli
 from tl_entangle.cli import _angle, main
 from tl_entangle.scalars import DegeneratePointError
+from tl_entangle.skein import SliceWord
 
 
 def run(capsys, args):
@@ -102,6 +103,22 @@ def test_entropy_party_selection(capsys):
     assert payload["party"] == "B"
     assert abs(payload["entropy"] - math.log(2)) < 1e-8
     assert payload["schmidt_rank"] == 2
+
+
+def test_tangle3_expands_the_tangle_once(capsys, monkeypatch):
+    expansions = []
+    original = SliceWord.to_element
+
+    def counting(word, *args, **kwargs):
+        expansions.append(word)
+        return original(word, *args, **kwargs)
+
+    monkeypatch.setattr(SliceWord, "to_element", counting)
+    code, _, _ = run(capsys, ["tangle3", "tripartite_7", "--k", "4"])
+    assert code == 0 and len(expansions) == 1
+    code, _, err = run(capsys, ["tangle3", "hopf"])
+    assert code == 1 and "party declarations" in err
+    assert len(expansions) == 1
 
 
 def test_scan_finds_quasiw_zero(capsys):
@@ -261,6 +278,13 @@ def test_degenerate_point_exit_code(tmp_path, capsys):
     assert code_ok == 0
 
 
+def test_dressing_failure_message_unchanged(capsys):
+    # the width-2 projector's denominator vanishes at theta = pi/4 (d = 0)
+    code, out, err = run(capsys, ["state", "two_qutrit_rank1", "--theta=pi/4"])
+    assert code == 3 and out == ""
+    assert err.startswith("degenerate evaluation point: denominator vanishes at A=")
+
+
 def test_usage_errors_exit_code(capsys):
     assert run(capsys, [])[0] == 1
     assert run(capsys, ["state", "no_such_tangle"])[0] == 1
@@ -268,6 +292,44 @@ def test_usage_errors_exit_code(capsys):
     assert run(capsys, ["tangle3", "maxent"])[0] == 1
     assert run(capsys, ["state", "maxent", "--theta=0.1", "--k", "4"])[0] == 1
     assert run(capsys, ["rep", "hw", "--spins", "banana"])[0] == 1
+
+
+# A valid invocation of each command, and the flags that command does not read
+RING = "[[0,2,2],[2,0,2],[2,2,0]]"
+UNREAD_FLAGS = [
+    (["bracket", "hopf"], ["--tol"]),
+    (["reduce", "maxent"], ["--tol"]),
+    (["state", "maxent"], ["--mode", "--tol"]),
+    (["classify", "maxent"], ["--mode"]),
+    (["entropy", "maxent", "--party", "A"], ["--mode"]),
+    (["tangle3", "tripartite_7"], ["--mode", "--tol"]),
+    (["scan-tangle3", "quasiw", "--steps", "5", "--theta-min", "0.05",
+      "--theta-max", "0.45"], ["--mode", "--theta", "--k"]),
+    (["connectome", "enumerate"], ["--mode", "--theta", "--k", "--tol", "--adj"]),
+    (["connectome", "classify", "--adj", RING],
+     ["--mode", "--theta", "--k", "--tol", "--parties", "--punctures"]),
+    (["connectome", "state", "--adj", RING], ["--mode", "--tol", "--parties", "--punctures"]),
+    (["rep", "hw", "--spins", "1,1"], ["--mode", "--theta", "--k", "--tol"]),
+]
+FLAG_VALUES = {"--mode": "numeric", "--theta": "0.1", "--k": "6", "--tol": "1e-3",
+               "--parties": "3", "--punctures": "4", "--adj": RING}
+
+
+@pytest.mark.parametrize("argv, flag", [
+    pytest.param(argv, flag, id=" ".join(argv[:2 if argv[0] in ("connectome", "rep") else 1]
+                                         + [flag]))
+    for argv, flags in UNREAD_FLAGS for flag in flags])
+def test_unread_flag_rejected(capsys, argv, flag):
+    code, out, err = run(capsys, argv + [flag, FLAG_VALUES[flag]])
+    assert code == 1 and out == ""
+    assert err.startswith("usage error") and flag in err
+    assert run(capsys, argv)[0] == 0
+
+
+def test_flags_come_after_the_action(capsys):
+    code, out, _ = run(capsys, ["connectome", "--parties", "3", "enumerate"])
+    assert code == 1 and out == ""
+    assert run(capsys, ["connectome", "enumerate", "--parties", "3"])[0] == 0
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "infpi", "pi/0"])

@@ -3,7 +3,7 @@ import gc
 import numpy as np
 import pytest
 
-from tl_entangle import entanglement, spaces
+from tl_entangle import diagrams, entanglement, spaces
 from tl_entangle.diagrams import PlanarDiagram, TLElement, conj_scalar, glue_network
 from tl_entangle.scalars import EvalPoint
 from tl_entangle.skein import SliceWord
@@ -243,6 +243,25 @@ def test_replica_check_contracts_power_each_call(monkeypatch):
     assert second == first
     replica_check(t, st, K6, 3, keep=(1,))
     assert calls == [4, 12, 12, 4, 12]
+
+
+def test_projector_tile_split_once_for_its_lifetime(monkeypatch):
+    splits = []
+    original = diagrams._split
+
+    def counting(tile, first):
+        splits.append(len(tile.terms))
+        return original(tile, first)
+
+    monkeypatch.setattr(diagrams, "_split", counting)
+    pt = EvalPoint(-0.2345678)
+    st = load_corpus("two_qutrit_rank1").state()
+    t = st.amplitudes(pt)
+    first = replica_check(t, st, pt, 3)
+    # the tile is kept per point and split once per first half
+    assert splits == [196, 196]
+    assert replica_check(t, st, pt, 3) == first
+    assert splits == [196, 196]
 
 
 def test_projector_tile_built_once_per_point(monkeypatch):

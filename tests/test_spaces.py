@@ -8,6 +8,7 @@ from tl_entangle.skein import SliceWord
 from tl_entangle.spaces import (DiagramState, PartyLayout, crossed_triple_residual,
                                 local_basis_matchings, qudit_space,
                                 reduced_diagram, tuple_basis_diagram)
+from tl_entangle.tangle_dsl import load_corpus
 
 D = d_param()
 K4 = EvalPoint.from_level(4)
@@ -252,6 +253,22 @@ def test_degenerate_point_raises():
         st.amplitudes(pt)
     assert (info.value.party, info.value.vector, info.value.factor) == ("L", 0, "square")
     assert str(info.value).startswith(f"squared norm degenerate at theta={pt.theta} (")
+
+
+@pytest.mark.parametrize("name, party", [
+    ("two_qutrit_rank1", "L"),
+    ("two_qutrit_rank3", "L"),
+    # rank2's own diagram coefficients hold the width-2 projector's
+    # denominator, so it fails before any party is dressed
+    ("two_qutrit_rank2", None),
+])
+def test_dressing_failure_names_its_party(name, party):
+    # theta = pi/4 gives d = 0, where the width-2 projector's denominator vanishes
+    st = load_corpus(name).state()
+    with pytest.raises(DegeneratePointError) as info:
+        st.amplitudes(EvalPoint(np.pi / 4))
+    assert (info.value.party, info.value.vector, info.value.factor) == \
+        (party, None, "denominator")
 
 
 def reference_ortho_transform(space, point):
