@@ -236,7 +236,7 @@ def _party_slots(c):
     return sorted(tuple(sorted(pr)) for pr in pairs)
 
 
-def representative_state(c, layout=None):
+def representative_state(c):
     """Canonical diagram state wiring the connectome's line counts.
 
     Parties sit in cyclic order; bundles run as parallel nested lines.
@@ -245,15 +245,10 @@ def representative_state(c, layout=None):
     interleaved pair of lines meets at one under-crossing, expanded by
     skein's crossing rule.
     """
-    if layout is None:
-        if c.punctures % 4:
-            raise ValueError("default layout needs punctures divisible by 4")
-        dim = c.punctures // 4 + 1
-        names = [_NAMES[i] if i < len(_NAMES) else f"P{i}" for i in range(c.m)]
-        layout = PartyLayout(tuple((nm, dim) for nm in names))
-    if len(layout.parties) != c.m:
-        raise ValueError("layout party count disagrees with connectome")
-    if any(4 * (n - 1) != c.punctures for _, n in layout.parties):
-        raise ValueError("layout puncture counts disagree with connectome")
+    if c.punctures % 4:
+        raise ValueError("default layout needs punctures divisible by 4")
+    dim = c.punctures // 4 + 1
+    names = [_NAMES[i] if i < len(_NAMES) else f"P{i}" for i in range(c.m)]
+    layout = PartyLayout(tuple((nm, dim) for nm in names))
     word = word_from_pairing(_party_slots(c), c.m * c.punctures)
     return DiagramState(word.to_element(), layout)

@@ -302,8 +302,17 @@ class TLElement:
         return self.terms.get(PlanarDiagram.empty(), 0)
 
     def inner(self, other, d):
-        """Hermitian pairing <self|other> of two states (conjugate linear on self)."""
-        return other.compose(self.adjoint(), d).scalar()
+        """Hermitian pairing <self|other> of two elements of one shape
+        (conjugate linear on self): each pair of diagrams closes into the
+        loops of the union of their matchings, each loop worth d."""
+        if self.terms and other.terms and self.shape() != other.shape():
+            raise ValueError(f"cannot pair shapes {self.shape()} and {other.shape()}")
+        mine = [(dg.pairs, conj_scalar(c)) for dg, c in self.terms.items()]
+        out = {}
+        for dg, c in other.terms.items():
+            for pairs, cs in mine:
+                _accumulate(out, None, c * cs, _join({}, dg.pairs + pairs), d)
+        return out.get(None, 0)
 
     def evaluate(self, point):
         from .scalars import evaluate as _ev
@@ -316,24 +325,12 @@ class TLElement:
 
 
 def close_trace(element, d):
-    """Markov trace closure: join each top point to the bottom point below it."""
+    """Markov trace closure of an n -> n element: its pairing with the
+    identity, which joins each top point to the bottom point below it."""
     shape = element.shape()
     if shape is None:
         return 0
-    nt, nb = shape
-    if nt != nb:
-        raise ValueError("trace closure needs equal top and bottom point counts")
-    total = 0
-    for dg, c in element.terms.items():
-        # column j's top and bottom points are the two ends of bond j
-        column = {j: j for j in range(1, nt + 1)}
-        column.update({dg.bottom_label(j): j for j in range(1, nt + 1)})
-        loops = _join({}, [(column[a], column[b]) for a, b in dg.pairs])
-        term = c
-        for _ in range(loops):
-            term = term * d
-        total = total + term
-    return total
+    return TLElement.from_diagram(PlanarDiagram.identity(shape[0])).inner(element, d)
 
 
 def _accumulate(out, key, c, loops=0, d=None):

@@ -9,9 +9,9 @@ Crossings are resolved immediately:
     over  = A * id + A^(-1) * e_i
     under = A^(-1) * id + A * e_i
 
-so a fully expanded word is a combination of pair diagrams.  In permutation
-mode both smoothings carry coefficient 1 and loops count -2, which is the
-A = 1 specialization; connectivity is all that survives there.
+so a fully expanded word is a combination of pair diagrams.  Permutation
+mode is the same expansion specialized at A = 1: both smoothings carry
+coefficient 1, loops count -2, and connectivity is all that survives.
 """
 
 from __future__ import annotations
@@ -20,17 +20,16 @@ from fractions import Fraction
 
 from .diagrams import PlanarDiagram, TLElement
 from .jones_wenzl import jones_wenzl
-from .scalars import LaurentPoly, d_param
+from .scalars import LaurentPoly, RationalFn, d_param
 
 MODES = ("kauffman", "permutation")
+_D = d_param()
 
 
-def loop_value(mode):
-    if mode == "kauffman":
-        return d_param()
-    if mode == "permutation":
-        return Fraction(-2)
-    raise ValueError(f"unknown mode {mode!r}")
+def _at_one(c):
+    """Exact value of a coefficient at A = 1."""
+    c = RationalFn.from_scalar(c)
+    return sum(c.num.coeffs.values(), Fraction(0)) / sum(c.den.coeffs.values())
 
 
 def cup_slice(width, i):
@@ -60,12 +59,10 @@ def cap_slice(width, i):
     return PlanarDiagram(width, nb, pairs)
 
 
-def crossing_element(width, i, kind, mode="kauffman"):
+def crossing_element(width, i, kind):
     """Resolve one crossing of strands i, i+1 into a two-term combination."""
     ident = TLElement.from_diagram(PlanarDiagram.identity(width))
     hook = TLElement.from_diagram(PlanarDiagram.generator(width, i))
-    if mode == "permutation":
-        return ident + hook
     if kind == "over":
         return LaurentPoly.A_power(1) * ident + LaurentPoly.A_power(-1) * hook
     if kind == "under":
@@ -126,10 +123,10 @@ class SliceWord:
         return self.n_top == 0 and self.final_width == 0
 
     def to_element(self, mode="kauffman"):
-        """Expand the word into a combination of pair diagrams."""
-        d = loop_value(mode)
-        element = TLElement.from_diagram(PlanarDiagram.identity(self.n_top)
-                                         if self.n_top else PlanarDiagram.empty())
+        """Expand the word into a combination of pair diagrams (at A = 1 in permutation mode)."""
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}")
+        element = TLElement.from_diagram(PlanarDiagram.identity(self.n_top))
         width = self.n_top
         for op in self.ops:
             kind = op[0]
@@ -140,7 +137,7 @@ class SliceWord:
                 layer = TLElement.from_diagram(cap_slice(width, op[1]))
                 width -= 2
             elif kind in ("over", "under"):
-                layer = crossing_element(width, op[1], kind, mode)
+                layer = crossing_element(width, op[1], kind)
             elif kind == "e":
                 layer = TLElement.from_diagram(
                     PlanarDiagram.generator(width, op[1]))
@@ -152,7 +149,9 @@ class SliceWord:
                 if i + k - 1 < width:
                     layer = layer.tensor(
                         TLElement.from_diagram(PlanarDiagram.identity(width - i - k + 1)))
-            element = element.compose(layer, d)
+            element = element.compose(layer, _D)
+        if mode == "permutation":
+            return element.map_coefficients(_at_one)
         return element
 
     def __repr__(self):

@@ -243,8 +243,11 @@ class PartyLayout:
         return hash(self.parties)
 
 
+@lru_cache(maxsize=None)
 def tuple_basis_diagram(layout, indices):
-    """Product of local basis pairings, offset into each party's label block."""
+    """Product of local basis pairings, offset into each party's label block.
+
+    indices is a tuple; each diagram is built once per (layout, indices)."""
     if len(indices) != len(layout.parties):
         raise ValueError("one basis index per party required")
     arcs = []

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import tl_entangle
-from tl_entangle import cli
+from tl_entangle import cli, spaces
 from tl_entangle.cli import _angle, main
 from tl_entangle.scalars import DegeneratePointError
 from tl_entangle.skein import SliceWord
@@ -169,6 +169,15 @@ def test_scan_refinement_steps_over_bad_points(capsys, monkeypatch, failure, lo,
         assert payload["zeros"][0]["tau3"] < 1e-8
     else:
         assert payload["zeros"] == []
+
+
+def test_scan_builds_each_basis_diagram_once(capsys):
+    spaces.tuple_basis_diagram.cache_clear()
+    code, _, _ = run(capsys, ["scan-tangle3", "quasiw", "--theta-min", "0.02pi",
+                              "--theta-max", "0.12pi", "--steps", "200"])
+    assert code == 0
+    info = spaces.tuple_basis_diagram.cache_info()
+    assert info.misses == 8 and info.hits > 1900
 
 
 def test_scan_output_is_deterministic(capsys, monkeypatch):
@@ -330,6 +339,17 @@ def test_flags_come_after_the_action(capsys):
     code, out, _ = run(capsys, ["connectome", "--parties", "3", "enumerate"])
     assert code == 1 and out == ""
     assert run(capsys, ["connectome", "enumerate", "--parties", "3"])[0] == 0
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["state", "maxent", "--t", "0.1"], "--t"),
+    (["classify", "maxent", "--to", "0.1"], "--to"),
+    (["connectome", "enumerate", "--par", "2", "--form", "csv"], "--par"),
+])
+def test_abbreviated_flag_rejected(capsys, argv, flag):
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("usage error") and flag in err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "infpi", "pi/0"])

@@ -19,7 +19,6 @@ from tl_entangle.entanglement import slocc_tripartite_class, schmidt_rank
 from tl_entangle.diagrams import PlanarDiagram, TLElement
 from tl_entangle.scalars import EvalPoint, LaurentPoly, d_param
 from tl_entangle.skein import word_from_pairing
-from tl_entangle.spaces import PartyLayout
 
 THETA = EvalPoint(-0.23)
 
@@ -159,12 +158,6 @@ def test_double_ring_is_planar_and_connected():
     amp = representative_state(ring).amplitudes(THETA)
     for ax in range(4):
         assert schmidt_rank(amp, keep=(ax,)) == 2
-
-
-def test_representative_layout_mismatch():
-    with pytest.raises(ValueError):
-        representative_state(Connectome([[0, 4], [4, 0]]),
-                             layout=PartyLayout.qubits("A"))
 
 
 def _chords_cross(p, q):

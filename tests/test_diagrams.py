@@ -1,3 +1,4 @@
+import cmath
 import math
 from fractions import Fraction
 
@@ -470,3 +471,46 @@ def test_compose_with_matches_reference_random(data):
     nb = data.draw(st.sampled_from([n for n in range(7) if (n + m) % 2 == 0]))
     _assert_compose_matches_reference(PlanarDiagram(nt, m, _random_matching(data, nt + m)),
                                       PlanarDiagram(m, nb, _random_matching(data, m + nb)))
+
+
+def reference_inner(a, b, d):
+    """TLElement.inner as it was before it counted the loops of two matchings
+    directly: compose b with the adjoint of a and read off the coefficient."""
+    return b.compose(a.adjoint(), d).scalar()
+
+
+def _random_state(data, n):
+    """A state on n points: one to four matchings, crossings allowed."""
+    count = data.draw(st.integers(1, 4))
+    return TLElement({PlanarDiagram(0, n, _random_matching(data, n)): _laurent(data)
+                      for _ in range(count)})
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_inner_matches_reference(data):
+    n = data.draw(st.sampled_from((0, 2, 4, 6, 8, 10)))
+    a, b = _random_state(data, n), _random_state(data, n)
+    assert a.inner(b, D) == reference_inner(a, b, D)
+    assert b.inner(a, D) == reference_inner(b, a, D)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_exact_inner_evaluates_to_numeric_inner(data):
+    n = data.draw(st.sampled_from((2, 4, 6, 8, 10)))
+    a, b = _random_state(data, n), _random_state(data, n)
+    pt = EvalPoint(data.draw(st.floats(-math.pi / 6, math.pi / 6)))
+    exact = evaluate(a.inner(b, D), pt)
+    numeric = a.evaluate(pt).inner(b.evaluate(pt), complex(pt.d))
+    assert cmath.isclose(numeric, exact, rel_tol=1e-12, abs_tol=1e-12)
+
+
+def test_inner_rejects_different_shapes():
+    cups = TLElement.from_diagram(PlanarDiagram.cups(4))
+    with pytest.raises(ValueError):
+        cups.inner(TLElement.from_diagram(PlanarDiagram.cups(2)), D)
+    with pytest.raises(ValueError):
+        cups.inner(TLElement.from_diagram(PlanarDiagram.identity(2)), D)
+    assert cups.inner(TLElement.zero(), D) == 0
+    assert TLElement.zero().inner(cups, D) == 0

@@ -1,10 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from tl_entangle.diagrams import PlanarDiagram, TLElement
 from tl_entangle.scalars import LaurentPoly, d_param
-from tl_entangle.skein import SliceWord, bracket, cap_slice, crossing_element, cup_slice
+from tl_entangle.skein import (SliceWord, bracket, cap_slice, crossing_element, cup_slice,
+                               slice_width)
+from tl_entangle.tangle_dsl import corpus_names, load_corpus
 
 D = d_param()
 A = LaurentPoly.A_power
@@ -28,7 +31,7 @@ def test_crossing_resolution():
     y = crossing_element(2, 1, "under")
     # over on top of under cancels to the identity
     assert x.compose(y, D) == TLElement.from_diagram(PlanarDiagram.identity(2))
-    p = crossing_element(2, 1, "over", mode="permutation")
+    p = SliceWord(2, [("over", 1)]).to_element("permutation")
     assert p.terms[PlanarDiagram.identity(2)] == 1
     assert p.compose(p, Fraction(-2)) == TLElement.from_diagram(PlanarDiagram.identity(2))
 
@@ -102,3 +105,97 @@ def test_jw_slice_matches_projector():
     # projector slice in the middle is killed by a hook under it
     hook = TLElement.from_diagram(PlanarDiagram.generator(4, 2))
     assert el.compose(hook, D).is_zero()
+
+
+def reference_permutation_element(word):
+    """to_element("permutation") as it was for words without jw slices: every
+    crossing resolved as id + e, and every loop worth -2."""
+    element = TLElement.from_diagram(PlanarDiagram.identity(word.n_top))
+    width = word.n_top
+    for kind, i in word.ops:
+        if kind == "cup":
+            layer = TLElement.from_diagram(cup_slice(width, i))
+        elif kind == "cap":
+            layer = TLElement.from_diagram(cap_slice(width, i))
+        elif kind == "e":
+            layer = TLElement.from_diagram(PlanarDiagram.generator(width, i))
+        else:
+            layer = (TLElement.from_diagram(PlanarDiagram.identity(width))
+                     + TLElement.from_diagram(PlanarDiagram.generator(width, i)))
+        width = slice_width((kind, i), width)
+        element = element.compose(layer, Fraction(-2))
+    return element
+
+
+@st.composite
+def slice_words(draw, min_top=0, jw=True):
+    """A random valid word of up to 8 slices, at most 6 strands wide."""
+    width = n_top = draw(st.integers(min_top, 3))
+    ops = []
+    for _ in range(draw(st.integers(0, 8))):
+        choices = [("cup", i) for i in range(1, width + 2) if width < 6]
+        choices += [(kind, i) for kind in ("cap", "e", "over", "under")
+                    for i in range(1, width)]
+        if jw:
+            choices += [("jw", i, 2) for i in range(1, width)]
+        op = draw(st.sampled_from(choices))
+        width = slice_width(op, width)
+        ops.append(op)
+    return SliceWord(n_top, ops)
+
+
+def _widths(word):
+    """Strand count at each cut of the word, from above the first slice down."""
+    widths = [word.n_top]
+    for op in word.ops:
+        widths.append(slice_width(op, widths[-1]))
+    return widths
+
+
+def test_permutation_mode_matches_reference_on_corpus():
+    checked = 0
+    for name in corpus_names():
+        word = load_corpus(name).word
+        if any(op[0] == "jw" for op in word.ops):
+            continue
+        assert word.to_element("permutation") == reference_permutation_element(word), name
+        checked += 1
+    assert checked == 22
+
+
+@given(slice_words(jw=False))
+@settings(max_examples=300, deadline=None)
+def test_permutation_mode_matches_reference_on_random_words(word):
+    assert word.to_element("permutation") == reference_permutation_element(word)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_permutation_mode_closed_projector(k):
+    """A closed jw(k) loop is the quantum integer Delta_k at d = -2."""
+    word = SliceWord(0, [("cup", j) for j in range(1, k + 1)] + [("jw", 1, k)]
+                     + [("cap", j) for j in range(k, 0, -1)])
+    assert bracket(word, "permutation") == (-1) ** k * (k + 1)
+
+
+@given(slice_words(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_reidemeister_two(word, data):
+    cuts = [c for c, w in enumerate(_widths(word)) if w >= 2]
+    assume(cuts)
+    cut = data.draw(st.sampled_from(cuts))
+    i = data.draw(st.integers(1, _widths(word)[cut] - 1))
+    ops = list(word.ops)
+    moved = SliceWord(word.n_top, ops[:cut] + [("over", i), ("under", i)] + ops[cut:])
+    assert moved.to_element() == word.to_element()
+
+
+@given(slice_words(min_top=3), st.sampled_from(("over", "under")), st.data())
+@settings(max_examples=100, deadline=None)
+def test_reidemeister_three(word, kind, data):
+    cuts = [c for c, w in enumerate(_widths(word)) if w >= 3]
+    cut = data.draw(st.sampled_from(cuts))
+    i = data.draw(st.integers(1, _widths(word)[cut] - 2))
+    ops = list(word.ops)
+    left = SliceWord(word.n_top, ops[:cut] + [(kind, i), (kind, i + 1), (kind, i)] + ops[cut:])
+    right = SliceWord(word.n_top, ops[:cut] + [(kind, i + 1), (kind, i), (kind, i + 1)] + ops[cut:])
+    assert left.to_element() == right.to_element()

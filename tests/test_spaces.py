@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,9 @@ from tl_entangle.skein import SliceWord
 from tl_entangle.spaces import (DiagramState, PartyLayout, crossed_triple_residual,
                                 local_basis_matchings, qudit_space,
                                 reduced_diagram, tuple_basis_diagram)
-from tl_entangle.tangle_dsl import load_corpus
+from tl_entangle.tangle_dsl import corpus_names, load_corpus
+
+from test_diagrams import reference_inner
 
 D = d_param()
 K4 = EvalPoint.from_level(4)
@@ -313,3 +317,23 @@ def test_state_shape_validation():
         DiagramState(PlanarDiagram(0, 4, [(1, 2), (3, 4)]), lay)
     with pytest.raises(ValueError):
         reduced_diagram(3, 3)
+
+
+def test_basis_pairings_match_reference_inner():
+    """Every dressed corpus state pairs with every tuple basis diagram exactly
+    as the composed-adjoint pairing did, at k = 4, k = 6 and 20 random angles
+    inside the frame window."""
+    rng = random.Random(8)
+    for name in corpus_names():
+        doc = load_corpus(name)
+        if not doc.parties:
+            continue
+        state = doc.state()
+        window = np.pi / 10 if 3 in state.layout.dims else np.pi / 6
+        points = [K4, K6] + [EvalPoint(rng.uniform(-window, window)) for _ in range(20)]
+        for pt in points:
+            dval = complex(pt.d)
+            dressed = state.dressed_numeric(pt)
+            for idx in np.ndindex(*state.layout.dims):
+                b = TLElement.from_diagram(tuple_basis_diagram(state.layout, idx))
+                assert b.inner(dressed, dval) == reference_inner(b, dressed, dval), (name, pt)
