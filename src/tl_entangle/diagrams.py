@@ -29,12 +29,6 @@ class PlanarDiagram:
         self.n_bottom = n_bottom
         self.pairs = norm
 
-    # -- point labeling helpers ------------------------------------------
-
-    def bottom_label(self, j):
-        """Label of the bottom point at left-to-right position j (1-based)."""
-        return self.n_top + self.n_bottom + 1 - j
-
     @property
     def n_points(self):
         return self.n_top + self.n_bottom

@@ -4,6 +4,20 @@ Coefficients live in the ring of Laurent polynomials in the bracket variable A
 over exact rationals, or in its fraction field.  Numeric evaluation sends A to
 exp(i*theta) on the unit circle, where the loop value becomes
 d = -A^2 - A^(-2) = -2*cos(2*theta).
+
+Laurent polynomials hold integral coefficients as ints and the others as
+Fractions.  Every denominator the package builds is a product of cyclotomic
+polynomials Phi_m(A): up to a unit +-A^k, each quantum integer delta(n) is
+one, and the Jones-Wenzl recursion and Gram-Schmidt divide only by what they
+build from those.  So a RationalFn holds a Laurent polynomial numerator over
+a multiset {m: e} of Phi_m exponents.  A sum brings both numerators to the
+larger multiset, a product adds the multisets, bar uses
+Phi_m(1/A) = A^-phi(m) Phi_m(A) (m > 1), and equality cross-multiplies; none
+of them computes a gcd.  A division finds the Phi_m factors of the divisor's
+numerator by exact trial division.  Only a denominator with an irreducible
+factor that is no Phi_m takes the general path, a Euclidean gcd over the
+rationals.  The canonical (numerator, denominator) pair, which evaluation,
+printing and hashing read, is built once per value by exact division.
 """
 
 from __future__ import annotations
@@ -11,6 +25,9 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from functools import lru_cache
+
+import numpy as np
 
 # |denominator| below which RationalFn.evaluate raises DegeneratePointError
 DENOMINATOR_TOL = 1e-12
@@ -37,26 +54,46 @@ class DegeneratePointError(ValueError):
         self.party = None
 
 
+def _exact(c):
+    """A rational coefficient as an int when it is integral, else a Fraction."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def _coerce(value):
     if isinstance(value, LaurentPoly):
         return value
     if isinstance(value, (int, Fraction)):
-        return LaurentPoly({0: Fraction(value)} if value else {})
+        return LaurentPoly({0: value} if value else {})
     return NotImplemented
 
 
 class LaurentPoly:
-    """Laurent polynomial in A with Fraction coefficients, zero terms dropped."""
+    """Laurent polynomial in A with rational coefficients, zero terms dropped.
+
+    Integral coefficients are held as ints and the others as Fractions, so
+    polynomials with integer coefficients never pay for Fraction arithmetic.
+    """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
         clean = {}
         for exp, c in (coeffs or {}).items():
-            c = Fraction(c)
+            c = _exact(c)
             if c:
                 clean[int(exp)] = c
         self.coeffs = clean
+
+    @classmethod
+    def _wrap(cls, coeffs):
+        """A polynomial around a dict that is already clean (no zeros, exact)."""
+        res = cls.__new__(cls)
+        res.coeffs = coeffs
+        return res
 
     @classmethod
     def zero(cls):
@@ -97,21 +134,17 @@ class LaurentPoly:
             return NotImplemented
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            s = out.get(e, Fraction(0)) + c
+            s = out.get(e, 0) + c
             if s:
-                out[e] = s
+                out[e] = s if type(s) is int else _exact(s)
             else:
                 out.pop(e, None)
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.coeffs = out
-        return res
+        return LaurentPoly._wrap(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.coeffs = {e: -c for e, c in self.coeffs.items()}
-        return res
+        return LaurentPoly._wrap({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -133,14 +166,15 @@ class LaurentPoly:
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = e1 + e2
-                s = out.get(e, Fraction(0)) + c1 * c2
+                s = out.get(e, 0) + c1 * c2
                 if s:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.coeffs = out
-        return res
+        for e, c in out.items():
+            if type(c) is not int:
+                out[e] = _exact(c)
+        return LaurentPoly._wrap(out)
 
     __rmul__ = __mul__
 
@@ -158,19 +192,27 @@ class LaurentPoly:
 
     def bar(self):
         """The involution A -> A^(-1) (diagram adjoint on coefficients)."""
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.coeffs = {-e: c for e, c in self.coeffs.items()}
-        return res
+        return LaurentPoly._wrap({-e: c for e, c in self.coeffs.items()})
 
-    def shifted_coeff_list(self):
-        """Return (shift, dense ordinary-poly coefficients low->high)."""
+    def dense(self):
+        """Return (shift, dense coefficients low->high), 0 in the gaps."""
         if not self.coeffs:
-            return 0, [Fraction(0)]
+            return 0, [0]
         lo, hi = self.min_exp(), self.max_exp()
-        dense = [Fraction(0)] * (hi - lo + 1)
+        dense = [0] * (hi - lo + 1)
         for e, c in self.coeffs.items():
             dense[e - lo] = c
         return lo, dense
+
+    @classmethod
+    def from_dense(cls, shift, dense):
+        """Inverse of dense(): exponents ascending, zero terms dropped."""
+        return cls({shift + i: c for i, c in enumerate(dense) if c})
+
+    def shifted_coeff_list(self):
+        """dense() with Fraction coefficients, as the gcd code takes them."""
+        lo, dense = self.dense()
+        return lo, [Fraction(c) for c in dense]
 
     def evaluate(self, a):
         """Evaluate at a numeric value of A (complex)."""
@@ -233,35 +275,187 @@ def _poly_gcd(a, b):
     return a
 
 
-class RationalFn:
-    """Ratio of Laurent polynomials, kept gcd-reduced and canonically normalized.
+# ---------------------------------------------------------------------------
+# cyclotomic factors
 
-    Canonical form: the denominator is an ordinary polynomial in A with nonzero
-    constant term and leading coefficient 1; any A-power shift is absorbed into
-    the numerator.
+def _exact_quotient(num, den):
+    """num / den for dense coefficient lists (low->high) and a monic den, or
+    None when den does not divide num."""
+    k = len(den) - 1
+    rem = list(num)
+    q = [0] * (len(num) - k)
+    if not q:
+        return None
+    for i in range(len(q) - 1, -1, -1):
+        c = rem[i + k]
+        if c:
+            q[i] = c
+            for j in range(k):
+                if den[j]:
+                    rem[i + j] -= c * den[j]
+    return None if any(rem[:k]) else q
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic(m):
+    """Dense integer coefficients (low->high) of the cyclotomic polynomial Phi_m."""
+    out = [-1] + [0] * (m - 1) + [1]  # A^m - 1 = prod over k | m of Phi_k
+    for k in range(1, m):
+        if m % k == 0:
+            out = _exact_quotient(out, _cyclotomic(k))
+    return tuple(out)
+
+
+def _totient(m):
+    out, rest, p = m, m, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            while rest % p == 0:
+                rest //= p
+            out -= out // p
+        p += 1
+    if rest > 1:
+        out -= out // rest
+    return out
+
+
+@lru_cache(maxsize=None)
+def _orders_up_to(degree):
+    """Every m whose Phi_m has degree phi(m) <= degree, in increasing order.
+
+    m < 6*phi(m) for every m below 2*10^8, so no m above 6*degree qualifies.
+    """
+    return tuple(m for m in range(1, 6 * degree + 1) if _totient(m) <= degree)
+
+
+def _candidate_orders(dense):
+    """The m for which Phi_m may divide a dense polynomial: those where its
+    value at exp(2*pi*i/m) is zero up to rounding.  Exact division decides."""
+    orders = _orders_up_to(len(dense) - 1)
+    if not orders:
+        return orders
+    try:
+        coeffs = np.array([float(c) for c in reversed(dense)])
+    except OverflowError:
+        return orders
+    tol = 1e-6 * np.abs(coeffs).sum()
+    values = np.abs(np.polyval(coeffs, np.exp(2j * np.pi / np.array(orders))))
+    # a NaN value is kept: exact division decides
+    return [m for m, v in zip(orders, values) if not v > tol]
+
+
+def _divide_out(dense, m, limit):
+    """Divide Phi_m out of a dense polynomial as often as it goes, at most
+    limit times; returns (quotient, times)."""
+    phi = _cyclotomic(m)
+    times = 0
+    while times < limit:
+        q = _exact_quotient(dense, phi)
+        if q is None:
+            break
+        dense, times = q, times + 1
+    return dense, times
+
+
+def _cyclotomic_split(poly):
+    """Factor a nonzero LaurentPoly as c * A^k * prod Phi_m^e.
+
+    Returns (c, k, {m: e}), or None when poly has an irreducible factor that
+    is no Phi_m.
+    """
+    shift, dense = poly.dense()
+    exps = {}
+    for m in _candidate_orders(dense):
+        dense, e = _divide_out(dense, m, len(dense))
+        if e:
+            exps[m] = e
+    if len(dense) > 1:
+        return None
+    return dense[0], shift, exps
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_product(key):
+    """prod Phi_m^e over the sorted (m, e) pairs of key, exponents ascending."""
+    out = LaurentPoly.one()
+    for m, e in key:
+        out = out * LaurentPoly.from_dense(0, _cyclotomic(m)) ** e
+    return LaurentPoly.from_dense(*out.dense())
+
+
+def _over_common(x, y):
+    """The numerators of x and y over the multiset max of their Phi_m
+    exponents, and that multiset."""
+    common = dict(x._phis)
+    for m, e in y._phis.items():
+        if e > common.get(m, 0):
+            common[m] = e
+
+    def top(fn):
+        extra = ((m, e - fn._phis.get(m, 0)) for m, e in common.items())
+        return fn._top * _cyclotomic_product(tuple(sorted(p for p in extra if p[1])))
+
+    return top(x), top(y), common
+
+
+def _gcd_reduce(num, den):
+    """Canonical (num, den) of num/den by a Euclidean gcd over the rationals.
+
+    The general path, for a denominator with an irreducible factor that is no
+    cyclotomic polynomial; nothing the package builds takes it.
+    """
+    nlo, ncoeffs = num.shifted_coeff_list()
+    dlo, dcoeffs = den.shifted_coeff_list()
+    g = _poly_gcd(ncoeffs, dcoeffs)
+    if len(g) > 1:
+        ncoeffs, _ = _poly_divmod(ncoeffs, g)
+        dcoeffs, _ = _poly_divmod(dcoeffs, g)
+    lead = dcoeffs[-1]
+    return (LaurentPoly.from_dense(nlo - dlo, [c / lead for c in ncoeffs]),
+            LaurentPoly.from_dense(0, [c / lead for c in dcoeffs]))
+
+
+def _fn(top, phis):
+    """The RationalFn top / prod Phi_m^e for phis = {m: e}, with no checks."""
+    out = RationalFn.__new__(RationalFn)
+    out._top = top
+    out._phis = phis if top else {}
+    out._canon = None
+    return out
+
+
+class RationalFn:
+    """Ratio of Laurent polynomials over a product of cyclotomic polynomials.
+
+    The value is _top / prod Phi_m(A)^e over _phis = {m: e}; arithmetic keeps
+    that form and computes no gcd.  A value whose denominator has another
+    irreducible factor has _phis None and is held by its canonical pair only.
+
+    The canonical pair (num, den), which evaluation, printing and hashing
+    read, is gcd-reduced with den an ordinary polynomial in A of nonzero
+    constant term and leading coefficient 1; any A-power shift is absorbed
+    into num.  Both have ascending exponents.  It is built on first use, by
+    exact division of _top by the Phi_m of _phis, and kept.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_top", "_phis", "_canon")
 
     def __init__(self, num, den=None):
         num = _coerce(num)
         den = LaurentPoly.one() if den is None else _coerce(den)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
+        self._canon = None
         if num.is_zero():
-            self.num, self.den = LaurentPoly.zero(), LaurentPoly.one()
+            self._top, self._phis = num, {}
             return
-        nlo, ncoeffs = num.shifted_coeff_list()
-        dlo, dcoeffs = den.shifted_coeff_list()
-        g = _poly_gcd(ncoeffs, dcoeffs)
-        if len(g) > 1:
-            ncoeffs, _ = _poly_divmod(ncoeffs, g)
-            dcoeffs, _ = _poly_divmod(dcoeffs, g)
-        lead = dcoeffs[-1]
-        ncoeffs = [c / lead for c in ncoeffs]
-        dcoeffs = [c / lead for c in dcoeffs]
-        self.num = LaurentPoly({nlo - dlo + i: c for i, c in enumerate(ncoeffs)})
-        self.den = LaurentPoly({i: c for i, c in enumerate(dcoeffs)})
+        split = _cyclotomic_split(den)
+        if split is None:
+            self._canon = _gcd_reduce(num, den)
+            self._top, self._phis = self._canon[0], None
+            return
+        c, shift, self._phis = split
+        self._top = num * LaurentPoly({-shift: Fraction(1) / c})
 
     @classmethod
     def from_scalar(cls, value):
@@ -278,31 +472,75 @@ class RationalFn:
         lp = _coerce(value)
         if lp is NotImplemented:
             return NotImplemented
-        return cls(lp)
+        return _fn(lp, {})
+
+    def _cancelled(self):
+        """The numerator and {m: e} of this value with every Phi_m that
+        divides _top cancelled."""
+        shift, dense = self._top.dense()
+        left = {}
+        for m, e in self._phis.items():
+            dense, times = _divide_out(dense, m, e)
+            if times < e:
+                left[m] = e - times
+        return LaurentPoly.from_dense(shift, dense), left
+
+    def _pair(self):
+        if self._canon is None:
+            num, left = self._cancelled()
+            self._canon = (num, _cyclotomic_product(tuple(sorted(left.items()))))
+        return self._canon
+
+    @property
+    def num(self):
+        return self._pair()[0]
+
+    @property
+    def den(self):
+        return self._pair()[1]
 
     def is_zero(self):
-        return self.num.is_zero()
+        return not self._top
 
     def __eq__(self, other):
         other = RationalFn._try_coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        a, b = self._phis, other._phis
+        if a is None or b is None:
+            return self._pair() == other._pair()
+        if a == b or not (self._top and other._top):
+            return self._top == other._top
+        top, other_top, _ = _over_common(self, other)
+        return top == other_top
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash(self._pair())
 
     def __add__(self, other):
         other = RationalFn._try_coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return RationalFn(self.num * other.den + other.num * self.den, self.den * other.den)
+        a, b = self._phis, other._phis
+        if a is None or b is None:
+            return RationalFn(self.num * other.den + other.num * self.den,
+                              self.den * other.den)
+        if a == b:
+            return _fn(self._top + other._top, a)
+        if not other._top:
+            return self
+        if not self._top:
+            return other
+        top, other_top, common = _over_common(self, other)
+        return _fn(top + other_top, common)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = RationalFn.__new__(RationalFn)
-        out.num, out.den = -self.num, self.den
+        out = _fn(-self._top, self._phis)
+        if self._canon is not None:
+            num, den = self._canon
+            out._canon = (-num, den)
         return out
 
     def __sub__(self, other):
@@ -321,7 +559,14 @@ class RationalFn:
         other = RationalFn._try_coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return RationalFn(self.num * other.num, self.den * other.den)
+        a, b = self._phis, other._phis
+        if a is None or b is None:
+            return RationalFn(self.num * other.num, self.den * other.den)
+        if a and b:
+            a = dict(a)
+            for m, e in b.items():
+                a[m] = a.get(m, 0) + e
+        return _fn(self._top * other._top, a or b)
 
     __rmul__ = __mul__
 
@@ -331,7 +576,13 @@ class RationalFn:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return RationalFn(self.num * other.den, self.den * other.num)
+        quotient = self * RationalFn(other.den, other.num)
+        if quotient._phis is None:
+            return quotient
+        # a quotient is cancelled at once: Gram-Schmidt divides by norms whose
+        # factors recur in the dividend, and uncancelled numerators would grow
+        # with every step
+        return _fn(*quotient._cancelled())
 
     def __rtruediv__(self, other):
         other = RationalFn._try_coerce(other)
@@ -340,18 +591,27 @@ class RationalFn:
         return other / self
 
     def bar(self):
-        return RationalFn(self.num.bar(), self.den.bar())
+        """A -> 1/A, by Phi_m(1/A) = A^-phi(m) Phi_m(A) for m > 1 and
+        Phi_1(1/A) = -A^-1 Phi_1(A)."""
+        phis = self._phis
+        if phis is None:
+            return RationalFn(self.num.bar(), self.den.bar())
+        shift = sum(_totient(m) * e for m, e in phis.items())
+        sign = -1 if phis.get(1, 0) % 2 else 1
+        return _fn(self._top.bar() * LaurentPoly._wrap({shift: sign}), phis)
 
     def evaluate(self, a):
-        dv = self.den.evaluate(a)
+        num, den = self._pair()
+        dv = den.evaluate(a)
         if abs(dv) < DENOMINATOR_TOL:
             raise DegeneratePointError(f"denominator vanishes at A={a!r}", "denominator")
-        return self.num.evaluate(a) / dv
+        return num.evaluate(a) / dv
 
     def __repr__(self):
-        if self.den == LaurentPoly.one():
-            return repr(self.num)
-        return f"({self.num!r})/({self.den!r})"
+        num, den = self._pair()
+        if den == LaurentPoly.one():
+            return repr(num)
+        return f"({num!r})/({den!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +704,7 @@ def as_poly_in_d(x):
         c = work[hi]
         dm = (_D ** m).coeffs
         lead = dm[2 * m]
-        scale = c / lead
+        scale = Fraction(c) / lead
         while len(out) <= m:
             out.append(Fraction(0))
         out[m] = scale

@@ -180,17 +180,23 @@ def test_scan_builds_each_basis_diagram_once(capsys):
     assert info.misses == 8 and info.hits > 1900
 
 
-def test_scan_output_is_deterministic(capsys, monkeypatch):
+def test_scan_output_is_deterministic(capsys):
     args = ["scan-tangle3", "quasiw", "--theta-min", "0.05", "--theta-max", "0.45",
             "--steps", "81"]
     code1, out1, _ = run(capsys, args)
     code2, out2, _ = run(capsys, args)
     assert code1 == code2 == 0
     assert out1 == out2
-    monkeypatch.setenv("TL_ENTANGLE_THREADS", "1")
-    code3, out3, _ = run(capsys, args)
-    assert code3 == 0
-    assert out3 == out1
+    # fresh processes with different string hashing print the same bytes
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(tl_entangle.__file__)))
+        proc = subprocess.run([sys.executable, "-m", "tl_entangle.cli", *args],
+                              capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("argv, index", [

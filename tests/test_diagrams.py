@@ -305,6 +305,11 @@ def test_qutrit_projector_tile_attaches_closing_half_first():
     assert _product_halves(qubit, lambda p: p > 4) is None
 
 
+def bottom_label(dg, j):
+    """Label of dg's bottom point at left-to-right position j (1-based)."""
+    return dg.n_top + dg.n_bottom + 1 - j
+
+
 def reference_close_trace(element, d):
     """close_trace as it was before it shared glue_network's kernel: walk the
     loops of each diagram joined to its own trace closure."""
@@ -315,8 +320,8 @@ def reference_close_trace(element, d):
         pair.update({b: a for a, b in dg.pairs})
         closure = {}
         for j in range(1, nt + 1):
-            closure[j] = dg.bottom_label(j)
-            closure[dg.bottom_label(j)] = j
+            closure[j] = bottom_label(dg, j)
+            closure[bottom_label(dg, j)] = j
         visited = set()
         loops = 0
         for p in range(1, 2 * nt + 1):
@@ -391,7 +396,7 @@ def reference_compose_with(upper, lower):
         pair_u[("l", b)] = ("l", a)
     glue = {}
     for j in range(1, m + 1):
-        un = ("u", upper.bottom_label(j))
+        un = ("u", bottom_label(upper, j))
         ln = ("l", j)
         glue[un] = ln
         glue[ln] = un
