@@ -4,6 +4,16 @@ Exit codes: 0 success, 1 usage problem, 2 tangle parse error, 3 degenerate
 evaluation point, 4 internal invariant violation.  Output is JSON (default)
 or CSV with floats printed to 12 significant digits, so identical inputs
 produce byte-identical output.
+
+Input bounds, each a usage error (exit 1) before any array or grid is built:
+an angle must be finite; --tol must be finite and above 0; scan-tangle3
+--steps runs from 3 to MAX_STEPS (10,000); rep hw takes product spaces of
+dimension prod(2j+1) up to su2.MAX_PRODUCT_DIM (4,096); a connectome needs
+at least one party, and --punctures cannot be negative.
+
+The exact commands (bracket, reduce, connectome enumerate and classify)
+never import numpy: the numeric modules are imported inside the handlers
+that evaluate.
 """
 
 from __future__ import annotations
@@ -17,16 +27,14 @@ import os
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from .connectomes import Connectome, classify as classify_connectome, \
     enumerate_connectomes, is_biseparable, reduce_connectome, representative_state
-from .entanglement import entanglement_entropy, local_ranks, schmidt_rank, \
-    slocc_tripartite_class, three_tangle
 from .scalars import DegeneratePointError, EvalPoint, evaluate
 from .skein import bracket
-from .su2 import classify_hw_tripartite, highest_weight_vectors, hw_rank_table
 from .tangle_dsl import TangleParseError, corpus_names, load_corpus, parse_tangle
+
+# upper bound of scan-tangle3 --steps
+MAX_STEPS = 10_000
 
 
 class UsageError(Exception):
@@ -60,6 +68,8 @@ def _amplitude_rows(amp):
     printed as 0.0: such parts are rounding noise of exact zeros, and their
     digits would follow the order of the state's terms.
     """
+    import numpy as np
+
     floor = 1e-12 * float(np.max(np.abs(amp), initial=0.0))
     entries = []
     rows = []
@@ -107,6 +117,13 @@ def _parse_theta(text, flag):
     return theta
 
 
+def _checked_tol(tol):
+    """The --tol value; nan, inf and a tolerance <= 0 are usage errors."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise UsageError(f"--tol must be a finite number above 0, got {tol}")
+    return tol
+
+
 def _eval_point(args):
     if args.theta is not None:
         return EvalPoint(_parse_theta(args.theta, "--theta"))
@@ -140,6 +157,8 @@ def _state_of(doc):
 
 
 def _normalized_amplitudes(doc, point):
+    import numpy as np
+
     amp = _state_of(doc).amplitudes(point)
     norm = np.linalg.norm(amp.ravel())
     if norm < 1e-14:
@@ -209,6 +228,8 @@ def _cmd_reduce(args):
 
 
 def _cmd_state(args):
+    import numpy as np
+
     doc = _load_document(args.file)
     point = _eval_point(args)
     state = _state_of(doc)
@@ -226,6 +247,9 @@ def _cmd_state(args):
 
 
 def _cmd_classify(args):
+    from . import entanglement
+
+    tol = _checked_tol(args.tol)
     doc = _load_document(args.file)
     point = _eval_point(args)
     amp = _normalized_amplitudes(doc, point)
@@ -234,15 +258,15 @@ def _cmd_classify(args):
     payload = {"name": doc.name, "theta": _g12(point.theta),
                "parties": names, "dims": list(layout.dims)}
     if amp.ndim == 2:
-        rank = schmidt_rank(amp, tol=args.tol)
+        rank = entanglement.schmidt_rank(amp, tol=tol)
         payload["schmidt_rank"] = int(rank)
-        payload["entropy"] = _g12(entanglement_entropy(amp))
+        payload["entropy"] = _g12(entanglement.entanglement_entropy(amp))
         rows = [[payload["schmidt_rank"], payload["entropy"]]]
         return payload, rows, ["schmidt_rank", "entropy"]
-    payload["local_ranks"] = [int(r) for r in local_ranks(amp)]
+    payload["local_ranks"] = [int(r) for r in entanglement.local_ranks(amp)]
     if amp.shape == (2, 2, 2):
-        payload["class"] = slocc_tripartite_class(amp, tol=args.tol)
-        payload["tau3"] = _g12(three_tangle(amp))
+        payload["class"] = entanglement.slocc_tripartite_class(amp, tol=tol)
+        payload["tau3"] = _g12(entanglement.three_tangle(amp))
         rows = [[payload["class"], payload["tau3"],
                  " ".join(str(r) for r in payload["local_ranks"])]]
         return payload, rows, ["class", "tau3", "local_ranks"]
@@ -251,6 +275,9 @@ def _cmd_classify(args):
 
 
 def _cmd_entropy(args):
+    from . import entanglement
+
+    tol = _checked_tol(args.tol)
     doc = _load_document(args.file)
     point = _eval_point(args)
     amp = _normalized_amplitudes(doc, point)
@@ -259,8 +286,8 @@ def _cmd_entropy(args):
     if args.party not in names:
         raise UsageError(f"unknown party {args.party!r}; have {', '.join(names)}")
     k = names.index(args.party)
-    entropy = entanglement_entropy(amp, keep=(k,))
-    rank = schmidt_rank(amp, keep=(k,), tol=args.tol)
+    entropy = entanglement.entanglement_entropy(amp, keep=(k,))
+    rank = entanglement.schmidt_rank(amp, keep=(k,), tol=tol)
     payload = {"name": doc.name, "theta": _g12(point.theta),
                "party": args.party, "entropy": _g12(entropy),
                "schmidt_rank": int(rank)}
@@ -269,11 +296,13 @@ def _cmd_entropy(args):
 
 
 def _cmd_tangle3(args):
+    from . import entanglement
+
     doc = _load_document(args.file)
     _require_three_qubits(doc)
     point = _eval_point(args)
     amp = _normalized_amplitudes(doc, point)
-    tau = three_tangle(amp)
+    tau = entanglement.three_tangle(amp)
     payload = {"name": doc.name, "theta": _g12(point.theta), "tau3": _g12(tau)}
     return payload, [[_g12(point.theta), _g12(tau)]], ["theta", "tau3"]
 
@@ -283,11 +312,15 @@ _GOLDEN_TOL = 1e-12
 
 
 def _tau3_at(state, theta):
+    import numpy as np
+
+    from . import entanglement
+
     amp = state.amplitudes(EvalPoint(theta))
     norm = np.linalg.norm(amp.ravel())
     if norm < 1e-14:
         return None
-    return three_tangle(amp / norm)
+    return entanglement.three_tangle(amp / norm)
 
 
 def _tau3_or_inf(state, theta):
@@ -319,6 +352,7 @@ def _golden_min(f, a, b):
 
 
 def _cmd_scan_tangle3(args):
+    tol = _checked_tol(args.tol)
     doc = _load_document(args.file)
     _require_three_qubits(doc)
     lo = _parse_theta(args.theta_min, "--theta-min")
@@ -326,6 +360,8 @@ def _cmd_scan_tangle3(args):
     steps = args.steps
     if steps < 3:
         raise UsageError("--steps must be at least 3")
+    if steps > MAX_STEPS:
+        raise UsageError(f"--steps must be at most {MAX_STEPS}")
     if not hi > lo:
         raise UsageError("--theta-max must exceed --theta-min")
     grid = [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
@@ -344,7 +380,7 @@ def _cmd_scan_tangle3(args):
         if v <= values[i - 1] and v <= values[i + 1]:
             x = _golden_min(lambda t: _tau3_or_inf(state, t), grid[i - 1], grid[i + 1])
             tau = _tau3_or_inf(state, x)
-            if tau < args.tol:
+            if tau < tol:
                 zeros.append((x, tau))
     rows = [[_g12(t), None if v is None else _g12(v), "grid"]
             for t, v in zip(grid, values)]
@@ -352,7 +388,7 @@ def _cmd_scan_tangle3(args):
     payload = {
         "name": doc.name,
         "theta_min": _g12(lo), "theta_max": _g12(hi),
-        "steps": steps, "tol": _g12(args.tol),
+        "steps": steps, "tol": _g12(tol),
         "rows": [{"theta": _g12(t), "tau3": None if v is None else _g12(v)}
                  for t, v in zip(grid, values)],
         "zeros": [{"theta": _g12(x), "tau3": _g12(v)} for x, v in zeros],
@@ -419,17 +455,19 @@ def _parse_spins(text):
 
 
 def _cmd_rep(args):
+    from . import su2
+
     spins = _parse_spins(args.spins)
     if len(spins) not in (2, 3):
         raise UsageError("--spins needs two or three comma-separated values")
     payload = {"spins": [str(j) for j in spins]}
     if len(spins) == 2:
-        table = hw_rank_table(*spins)
+        table = su2.hw_rank_table(*spins)
         payload["table"] = [{"J": str(J), "schmidt_rank": int(r)}
                             for J, r in table]
         rows = [[str(J), int(r)] for J, r in table]
         return payload, rows, ["J", "schmidt_rank"]
-    vectors = highest_weight_vectors(spins)
+    vectors = su2.highest_weight_vectors(spins)
     sectors = {}
     for J, _, _ in vectors:
         sectors[J] = sectors.get(J, 0) + 1
@@ -437,7 +475,7 @@ def _cmd_rep(args):
                           for J in sorted(sectors, reverse=True)]
     rows = [[str(J), sectors[J]] for J in sorted(sectors, reverse=True)]
     if all(j == Fraction(1, 2) for j in spins):
-        classes = classify_hw_tripartite()
+        classes = su2.classify_hw_tripartite()
         payload["classes"] = [{"J": str(J), "index": k, "class": cls}
                               for J, k, cls in classes]
         rows = [[str(J), k, cls] for J, k, cls in classes]
@@ -513,6 +551,13 @@ def _angle_flag_values(argv):
     return out
 
 
+def _linalg_error():
+    """numpy's LinAlgError, or () while numpy is not loaded and nothing can
+    have raised it."""
+    numpy = sys.modules.get("numpy")
+    return () if numpy is None else numpy.linalg.LinAlgError
+
+
 def main(argv=None):
     parser = _build_parser()
     try:
@@ -529,7 +574,7 @@ def main(argv=None):
     except DegeneratePointError as exc:
         print(f"degenerate evaluation point: {exc}", file=sys.stderr)
         return 3
-    except np.linalg.LinAlgError as exc:
+    except _linalg_error() as exc:
         # a ValueError subclass, but a numeric failure rather than bad input
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 4

@@ -13,7 +13,6 @@ import itertools
 import json
 
 from .skein import word_from_pairing
-from .spaces import DiagramState, PartyLayout
 
 _NAMES = "ABCDEFGH"
 
@@ -22,6 +21,8 @@ class Connectome:
     def __init__(self, adj, punctures=None):
         adj = tuple(tuple(int(v) for v in row) for row in adj)
         m = len(adj)
+        if m < 1:
+            raise ValueError("need at least one party")
         if any(len(row) != m for row in adj):
             raise ValueError("adjacency matrix must be square")
         if any(adj[i][j] != adj[j][i] for i in range(m) for j in range(m)):
@@ -32,7 +33,7 @@ class Connectome:
             raise ValueError("diagonal endpoint counts must be even")
         sums = [sum(row) for row in adj]
         if punctures is None:
-            punctures = sums[0] if sums else 0
+            punctures = sums[0]
         if punctures % 2:
             raise ValueError("punctures per party must be even")
         if any(s != punctures for s in sums):
@@ -74,6 +75,8 @@ def enumerate_connectomes(m, punctures=4):
     """All connectomes on m parties up to party relabeling, in canonical order."""
     if m < 1:
         raise ValueError("need at least one party")
+    if punctures < 0:
+        raise ValueError("punctures per party cannot be negative")
     if punctures % 2:
         raise ValueError("punctures per party must be even")
     found = set()
@@ -245,6 +248,8 @@ def representative_state(c):
     interleaved pair of lines meets at one under-crossing, expanded by
     skein's crossing rule.
     """
+    from .spaces import DiagramState, PartyLayout  # the numeric layer
+
     if c.punctures % 4:
         raise ValueError("default layout needs punctures divisible by 4")
     dim = c.punctures // 4 + 1

@@ -27,8 +27,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 # |denominator| below which RationalFn.evaluate raises DegeneratePointError
 DENOMINATOR_TOL = 1e-12
 # magnitude below which SplitNorm.sqrt_at treats a part of a norm as vanished
@@ -335,13 +333,21 @@ def _candidate_orders(dense):
     if not orders:
         return orders
     try:
-        coeffs = np.array([float(c) for c in reversed(dense)])
+        coeffs = [float(c) for c in reversed(dense)]
     except OverflowError:
         return orders
-    tol = 1e-6 * np.abs(coeffs).sum()
-    values = np.abs(np.polyval(coeffs, np.exp(2j * np.pi / np.array(orders))))
-    # a NaN value is kept: exact division decides
-    return [m for m, v in zip(orders, values) if not v > tol]
+    tol = 1e-6 * sum(abs(c) for c in coeffs)
+    out = []
+    for m in orders:
+        root = cmath.exp(2j * math.pi / m)
+        value = 0j
+        for c in coeffs:  # Horner, highest coefficient first
+            value = value * root + c
+        # hypot gives inf where abs() would raise; a NaN value is kept:
+        # exact division decides
+        if not math.hypot(value.real, value.imag) > tol:
+            out.append(m)
+    return out
 
 
 def _divide_out(dense, m, limit):

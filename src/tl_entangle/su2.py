@@ -7,11 +7,15 @@ m=+1 -> 0, m=0 -> 1, m=-1 -> 2 used in all printed tables.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from .entanglement import schmidt_rank, slocc_tripartite_class
+
+# largest product dimension prod(2j+1) whose dense raising matrix is built
+MAX_PRODUCT_DIM = 4096
 
 
 def _spin(j):
@@ -33,7 +37,11 @@ def _raising_matrix(j):
 def total_raising(spins):
     spins = [_spin(j) for j in spins]
     dims = [int(2 * j) + 1 for j in spins]
-    total = np.zeros((int(np.prod(dims)), int(np.prod(dims))))
+    dim = math.prod(dims)
+    if dim > MAX_PRODUCT_DIM:
+        raise ValueError(f"spins {', '.join(str(j) for j in spins)} span a product "
+                         f"space of dimension {dim}, above the limit {MAX_PRODUCT_DIM}")
+    total = np.zeros((dim, dim))
     for k, j in enumerate(spins):
         factors = [np.eye(d) for d in dims]
         factors[k] = _raising_matrix(j)

@@ -24,7 +24,6 @@ import os
 import re
 
 from .skein import MODES, SliceWord, slice_width
-from .spaces import DiagramState, PartyLayout
 
 _CORPUS_DIR = os.path.join(os.path.dirname(__file__), "tangles")
 
@@ -65,6 +64,7 @@ class TangleDocument:
     def layout(self):
         if not self.parties:
             return None
+        from .spaces import PartyLayout  # the numeric layer, loaded on first use
         return PartyLayout(tuple((nm, (last - first + 1) // 4 + 1)
                                  for nm, first, last in self.parties))
 
@@ -77,6 +77,7 @@ class TangleDocument:
             raise ValueError("document declares no parties")
         if self.top != 0:
             raise ValueError("state documents must have top 0")
+        from .spaces import DiagramState
         return DiagramState(self.element(), layout)
 
     def _key(self):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import tl_entangle
-from tl_entangle import cli, spaces
+from tl_entangle import cli, spaces, su2
 from tl_entangle.cli import _angle, main
 from tl_entangle.scalars import DegeneratePointError
 from tl_entangle.skein import SliceWord
@@ -395,7 +395,7 @@ def test_linalg_failure_is_internal_error(capsys, monkeypatch):
     def failing_svd(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
-    monkeypatch.setattr("tl_entangle.cli.schmidt_rank", failing_svd)
+    monkeypatch.setattr("tl_entangle.entanglement.schmidt_rank", failing_svd)
     code, out, err = run(capsys, ["classify", "maxent"])
     assert code == 4 and out == ""
     assert "internal error" in err and "SVD did not converge" in err
@@ -470,3 +470,84 @@ def test_console_script_roundtrip():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == "A^7 + A^3 + A^-1 - A^-9"
+
+
+@pytest.mark.parametrize("command", ["classify", "entropy", "scan-tangle3"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_bad_tol_rejected(capsys, command, value):
+    argv = {"classify": ["classify", "maxent"],
+            "entropy": ["entropy", "maxent", "--party", "A"],
+            "scan-tangle3": ["scan-tangle3", "quasiw", "--steps", "5",
+                             "--theta-min", "0.05", "--theta-max", "0.45"]}[command]
+    code, out, err = run(capsys, argv + [f"--tol={value}"])
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: --tol must be a finite number above 0")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["connectome", "enumerate", "--punctures=-2"], "punctures per party cannot be negative"),
+    (["connectome", "classify", "--adj", "[]"], "need at least one party"),
+    (["connectome", "state", "--adj", "[]"], "need at least one party"),
+    (["connectome", "classify", "--adj", '{"adj": []}'], "need at least one party"),
+])
+def test_empty_connectome_inputs_rejected(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err == f"usage error: {message}\n"
+
+
+@pytest.mark.parametrize("spins, dim", [("15/2,15/2,8", 4352), ("2047/2,1", 6144),
+                                        ("10,10,10", 9261)])
+def test_rep_hw_rejects_large_product_space(capsys, monkeypatch, spins, dim):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an array was built for a rejected product space")
+
+    monkeypatch.setattr(su2.np, "zeros", refuse)
+    code, out, err = run(capsys, ["rep", "hw", "--spins", spins])
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: spins ") and f"dimension {dim}, above" in err
+
+
+def test_scan_rejects_too_many_steps(capsys, monkeypatch):
+    def refuse(state, theta):
+        raise AssertionError("a grid point was evaluated for rejected --steps")
+
+    monkeypatch.setattr(cli, "_tau3_at", refuse)
+    code, out, err = run(capsys, ["scan-tangle3", "quasiw", "--steps", "10001",
+                                  "--theta-min", "0.05", "--theta-max", "0.45"])
+    assert code == 1 and out == ""
+    assert err == "usage error: --steps must be at most 10000\n"
+
+
+def _imported_modules(argv):
+    """Run `python -m tl_entangle.cli argv` with -X importtime; returns
+    (exit code, stdout, names of the modules the process imported)."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tl_entangle.__file__)))
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "tl_entangle.cli",
+                           *argv], capture_output=True, text=True, env=env)
+    modules = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+               if line.startswith("import time:") and "|" in line}
+    return proc.returncode, proc.stdout, modules
+
+
+@pytest.mark.parametrize("argv", [
+    ["bracket", "trefoil", "--mode", "exact"],
+    ["bracket", "hopf", "--theta=0.3"],
+    ["reduce", "two_qutrit_rank2", "--mode", "exact"],
+    ["reduce", "maxent", "--k", "6", "--format", "csv"],
+    ["connectome", "enumerate", "--parties", "3"],
+    ["connectome", "classify", "--adj", RING],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_exact_commands_never_import_numpy(capsys, argv):
+    code, out, modules = _imported_modules(argv)
+    assert code == 0
+    assert {"tl_entangle.scalars", "tl_entangle.connectomes"} <= modules
+    assert not {m for m in modules if m.split(".")[0] == "numpy"}
+    assert not modules & {"tl_entangle.spaces", "tl_entangle.entanglement", "tl_entangle.su2"}
+    assert out == run(capsys, argv)[1]
+
+
+def test_numeric_command_imports_numpy():
+    code, _, modules = _imported_modules(["state", "maxent"])
+    assert code == 0
+    assert {"numpy", "tl_entangle.spaces"} <= modules

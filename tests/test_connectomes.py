@@ -36,6 +36,8 @@ def test_validation():
         Connectome([[0, 1], [1, 0]])  # one puncture per party
     with pytest.raises(ValueError):
         Connectome([[2, 1], [1, 2]], punctures=3)
+    with pytest.raises(ValueError, match="need at least one party"):
+        Connectome([])
 
 
 def test_json_round_trip():
@@ -57,6 +59,9 @@ def test_enumerate_counts():
     assert len(enumerate_connectomes(3, 4)) == 7
     with pytest.raises(ValueError):
         enumerate_connectomes(2, 3)
+    with pytest.raises(ValueError, match="cannot be negative"):
+        enumerate_connectomes(2, -2)
+    assert [c.adj for c in enumerate_connectomes(2, 0)] == [((0, 0), (0, 0))]
 
 
 def test_reduce_examples():

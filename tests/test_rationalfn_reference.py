@@ -9,6 +9,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -251,3 +252,66 @@ def test_shipped_inputs_never_take_the_gcd_path(monkeypatch):
         values += load_corpus(name).element().terms.values()
     # printing reads each value's canonical pair
     assert all(repr(c) for c in values)
+
+
+# --- the Phi_m prefilter against the numpy prefilter it replaced ---------------
+
+def numpy_candidate_orders(dense):
+    """scalars._candidate_orders as it was, evaluating through numpy."""
+    orders = scalars._orders_up_to(len(dense) - 1)
+    if not orders:
+        return orders
+    try:
+        coeffs = np.array([float(c) for c in reversed(dense)])
+    except OverflowError:
+        return orders
+    tol = 1e-6 * np.abs(coeffs).sum()
+    values = np.abs(np.polyval(coeffs, np.exp(2j * np.pi / np.array(orders))))
+    return [m for m, v in zip(orders, values) if not v > tol]
+
+
+def test_candidate_orders_match_numpy_on_shipped_numerators(monkeypatch):
+    met = []
+    original = scalars._candidate_orders
+
+    def recording(dense):
+        met.append(tuple(dense))
+        return original(dense)
+
+    monkeypatch.setattr(scalars, "_candidate_orders", recording)
+    jones_wenzl.cache_clear()
+    qudit_space.cache_clear()
+    values = []
+    for n in range(6):
+        values += jones_wenzl(n).terms.values()
+    for n in range(1, 5):
+        space = qudit_space(n)
+        values += [c for row in space.gram + space._gs_coeffs for c in row]
+        values += space.gs_norms_sq
+    assert all(repr(c) for c in values)
+    assert len(set(met)) >= 10
+    for dense in set(met):
+        assert original(dense) == numpy_candidate_orders(dense)
+
+
+def _dense_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-5, 5), min_size=1, max_size=6).filter(any),
+       st.lists(st.tuples(st.integers(1, 36), st.integers(1, 3)), max_size=4))
+def test_candidate_orders_match_numpy_on_cyclotomic_products(cofactor, factors):
+    dense = list(cofactor)
+    for m, e in factors:
+        for _ in range(e):
+            dense = _dense_mul(dense, scalars._cyclotomic(m))
+    while len(dense) > 1 and dense[-1] == 0:
+        dense.pop()
+    got = scalars._candidate_orders(dense)
+    assert got == numpy_candidate_orders(dense)
+    assert {m for m, _ in factors} <= set(got)

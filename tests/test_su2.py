@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tl_entangle.su2 import (
+    MAX_PRODUCT_DIM,
     classify_hw_tripartite,
     highest_weight_vectors,
     hw_rank_table,
@@ -92,3 +93,14 @@ def test_w_like_vector_in_half_cubed():
 def test_bad_spin_rejected():
     with pytest.raises(ValueError):
         highest_weight_vectors([0.3])
+
+
+def test_product_dimension_bound():
+    # 16^3 = 4096 is the largest product space that is built; check only the
+    # rejections, which fail before any array is allocated
+    assert MAX_PRODUCT_DIM == 16 ** 3
+    for spins in ([Fraction(15, 2), Fraction(15, 2), 8], [Fraction(4095, 2), 1], [10, 10, 10]):
+        with pytest.raises(ValueError, match="above the limit 4096"):
+            total_raising(spins)
+        with pytest.raises(ValueError, match="above the limit 4096"):
+            highest_weight_vectors(spins)
