@@ -6,7 +6,7 @@ or CSV with floats printed to 12 significant digits, so identical inputs
 produce byte-identical output.
 
 Input bounds, each a usage error (exit 1) before any array or grid is built:
-an angle must be finite; --tol must be finite and above 0; scan-tangle3
+an angle must be finite; --tol must lie above 0 and below 1; scan-tangle3
 --steps runs from 3 to MAX_STEPS (10,000); rep hw takes product spaces of
 dimension prod(2j+1) up to su2.MAX_PRODUCT_DIM (4,096); a connectome needs
 at least one party, and --punctures cannot be negative.
@@ -118,9 +118,11 @@ def _parse_theta(text, flag):
 
 
 def _checked_tol(tol):
-    """The --tol value; nan, inf and a tolerance <= 0 are usage errors."""
-    if not (math.isfinite(tol) and tol > 0):
-        raise UsageError(f"--tol must be a finite number above 0, got {tol}")
+    """The --tol value, which must lie in (0, 1); anything else, nan and inf
+    included, is a usage error.  A tolerance of 1 or more counts no singular
+    value in a rank and no three-tangle as GHZ."""
+    if not 0 < tol < 1:
+        raise UsageError(f"--tol must be a finite number above 0 and below 1, got {tol}")
     return tol
 
 
@@ -263,7 +265,7 @@ def _cmd_classify(args):
         payload["entropy"] = _g12(entanglement.entanglement_entropy(amp))
         rows = [[payload["schmidt_rank"], payload["entropy"]]]
         return payload, rows, ["schmidt_rank", "entropy"]
-    payload["local_ranks"] = [int(r) for r in entanglement.local_ranks(amp)]
+    payload["local_ranks"] = [int(r) for r in entanglement.local_ranks(amp, tol)]
     if amp.shape == (2, 2, 2):
         payload["class"] = entanglement.slocc_tripartite_class(amp, tol=tol)
         payload["tau3"] = _g12(entanglement.three_tangle(amp))

@@ -170,7 +170,7 @@ def slocc_tripartite_class(t, tol=1e-8):
     t = _normalized(t)
     if t.shape != (2, 2, 2):
         raise ValueError("tripartite classifier needs a 2x2x2 tensor")
-    ranks = local_ranks(t)
+    ranks = local_ranks(t, tol)
     ones = [ax for ax, r in enumerate(ranks) if r == 1]
     if len(ones) == 3:
         return "separable"

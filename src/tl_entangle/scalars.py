@@ -10,14 +10,18 @@ Fractions.  Every denominator the package builds is a product of cyclotomic
 polynomials Phi_m(A): up to a unit +-A^k, each quantum integer delta(n) is
 one, and the Jones-Wenzl recursion and Gram-Schmidt divide only by what they
 build from those.  So a RationalFn holds a Laurent polynomial numerator over
-a multiset {m: e} of Phi_m exponents.  A sum brings both numerators to the
-larger multiset, a product adds the multisets, bar uses
-Phi_m(1/A) = A^-phi(m) Phi_m(A) (m > 1), and equality cross-multiplies; none
-of them computes a gcd.  A division finds the Phi_m factors of the divisor's
-numerator by exact trial division.  Only a denominator with an irreducible
-factor that is no Phi_m takes the general path, a Euclidean gcd over the
-rationals.  The canonical (numerator, denominator) pair, which evaluation,
+a multiset {m: e} of Phi_m exponents, and a denominator of any other form
+raises InvariantError.  A sum brings both numerators to the larger multiset,
+a product adds the multisets, bar uses Phi_m(1/A) = A^-phi(m) Phi_m(A)
+(m > 1), and equality cross-multiplies; none of them computes a gcd.  A
+division finds the Phi_m factors of the divisor's numerator by exact trial
+division.  The canonical (numerator, denominator) pair, which evaluation,
 printing and hashing read, is built once per value by exact division.
+
+SplitNorm splits a squared norm that is a function of d as (r/r')^2 * s/s'
+for its square roots.  Each irreducible polynomial in d is, up to a unit,
+one group of Phi_m in A (see _d_group), so the Phi_m exponents of the norm's
+numerator and denominator give each group's share of r and of s.
 """
 
 from __future__ import annotations
@@ -50,6 +54,11 @@ class DegeneratePointError(ValueError):
         self.factor = factor
         self.vector = None
         self.party = None
+
+
+class InvariantError(RuntimeError):
+    """Raised when an internal invariant of the exact algebra fails, such as
+    a denominator that is no product of cyclotomic polynomials."""
 
 
 def _exact(c):
@@ -207,11 +216,6 @@ class LaurentPoly:
         """Inverse of dense(): exponents ascending, zero terms dropped."""
         return cls({shift + i: c for i, c in enumerate(dense) if c})
 
-    def shifted_coeff_list(self):
-        """dense() with Fraction coefficients, as the gcd code takes them."""
-        lo, dense = self.dense()
-        return lo, [Fraction(c) for c in dense]
-
     def evaluate(self, a):
         """Evaluate at a numeric value of A (complex)."""
         return sum(complex(c) * a ** e for e, c in self.coeffs.items()) if self.coeffs else 0j
@@ -235,42 +239,6 @@ class LaurentPoly:
             parts.append(term)
         text = " + ".join(parts).replace("+ -", "- ")
         return text
-
-
-def _poly_divmod(num, den):
-    """Divmod for dense Fraction coefficient lists (low->high order)."""
-    num = list(num)
-    dn = len(den) - 1
-    while dn > 0 and den[dn] == 0:
-        dn -= 1
-    if dn == 0 and den[0] == 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    lead = den[dn]
-    q = [Fraction(0)] * max(len(num) - dn, 1)
-    for k in range(len(num) - dn - 1, -1, -1):
-        c = num[k + dn] / lead
-        if c:
-            q[k] = c
-            for j in range(dn + 1):
-                num[k + j] -= c * den[j]
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return q, num
-
-
-def _poly_gcd(a, b):
-    """Monic gcd of dense Fraction coefficient lists."""
-    a = list(a)
-    b = list(b)
-    while len(b) > 1 or b[0] != 0:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    lead = a[-1]
-    if lead and lead != 1:
-        a = [c / lead for c in a]
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -404,23 +372,6 @@ def _over_common(x, y):
     return top(x), top(y), common
 
 
-def _gcd_reduce(num, den):
-    """Canonical (num, den) of num/den by a Euclidean gcd over the rationals.
-
-    The general path, for a denominator with an irreducible factor that is no
-    cyclotomic polynomial; nothing the package builds takes it.
-    """
-    nlo, ncoeffs = num.shifted_coeff_list()
-    dlo, dcoeffs = den.shifted_coeff_list()
-    g = _poly_gcd(ncoeffs, dcoeffs)
-    if len(g) > 1:
-        ncoeffs, _ = _poly_divmod(ncoeffs, g)
-        dcoeffs, _ = _poly_divmod(dcoeffs, g)
-    lead = dcoeffs[-1]
-    return (LaurentPoly.from_dense(nlo - dlo, [c / lead for c in ncoeffs]),
-            LaurentPoly.from_dense(0, [c / lead for c in dcoeffs]))
-
-
 def _fn(top, phis):
     """The RationalFn top / prod Phi_m^e for phis = {m: e}, with no checks."""
     out = RationalFn.__new__(RationalFn)
@@ -434,11 +385,11 @@ class RationalFn:
     """Ratio of Laurent polynomials over a product of cyclotomic polynomials.
 
     The value is _top / prod Phi_m(A)^e over _phis = {m: e}; arithmetic keeps
-    that form and computes no gcd.  A value whose denominator has another
-    irreducible factor has _phis None and is held by its canonical pair only.
+    that form and computes no gcd.  A denominator that is not
+    c * A^k * prod Phi_m^e for a rational c raises InvariantError.
 
     The canonical pair (num, den), which evaluation, printing and hashing
-    read, is gcd-reduced with den an ordinary polynomial in A of nonzero
+    read, is in lowest terms with den an ordinary polynomial in A of nonzero
     constant term and leading coefficient 1; any A-power shift is absorbed
     into num.  Both have ascending exponents.  It is built on first use, by
     exact division of _top by the Phi_m of _phis, and kept.
@@ -451,17 +402,13 @@ class RationalFn:
         den = LaurentPoly.one() if den is None else _coerce(den)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        self._canon = None
-        if num.is_zero():
-            self._top, self._phis = num, {}
-            return
         split = _cyclotomic_split(den)
         if split is None:
-            self._canon = _gcd_reduce(num, den)
-            self._top, self._phis = self._canon[0], None
-            return
-        c, shift, self._phis = split
+            raise InvariantError(f"denominator {den!r} is no product of cyclotomic polynomials")
+        c, shift, phis = split
         self._top = num * LaurentPoly({-shift: Fraction(1) / c})
+        self._phis = phis if self._top else {}
+        self._canon = None
 
     @classmethod
     def from_scalar(cls, value):
@@ -512,10 +459,7 @@ class RationalFn:
         other = RationalFn._try_coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._phis, other._phis
-        if a is None or b is None:
-            return self._pair() == other._pair()
-        if a == b or not (self._top and other._top):
+        if self._phis == other._phis or not (self._top and other._top):
             return self._top == other._top
         top, other_top, _ = _over_common(self, other)
         return top == other_top
@@ -527,12 +471,8 @@ class RationalFn:
         other = RationalFn._try_coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._phis, other._phis
-        if a is None or b is None:
-            return RationalFn(self.num * other.den + other.num * self.den,
-                              self.den * other.den)
-        if a == b:
-            return _fn(self._top + other._top, a)
+        if self._phis == other._phis:
+            return _fn(self._top + other._top, self._phis)
         if not other._top:
             return self
         if not self._top:
@@ -543,11 +483,7 @@ class RationalFn:
     __radd__ = __add__
 
     def __neg__(self):
-        out = _fn(-self._top, self._phis)
-        if self._canon is not None:
-            num, den = self._canon
-            out._canon = (-num, den)
-        return out
+        return _fn(-self._top, self._phis)
 
     def __sub__(self, other):
         other = RationalFn._try_coerce(other)
@@ -566,8 +502,6 @@ class RationalFn:
         if other is NotImplemented:
             return NotImplemented
         a, b = self._phis, other._phis
-        if a is None or b is None:
-            return RationalFn(self.num * other.num, self.den * other.den)
         if a and b:
             a = dict(a)
             for m, e in b.items():
@@ -583,8 +517,6 @@ class RationalFn:
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
         quotient = self * RationalFn(other.den, other.num)
-        if quotient._phis is None:
-            return quotient
         # a quotient is cancelled at once: Gram-Schmidt divides by norms whose
         # factors recur in the dividend, and uncancelled numerators would grow
         # with every step
@@ -600,8 +532,6 @@ class RationalFn:
         """A -> 1/A, by Phi_m(1/A) = A^-phi(m) Phi_m(A) for m > 1 and
         Phi_1(1/A) = -A^-1 Phi_1(A)."""
         phis = self._phis
-        if phis is None:
-            return RationalFn(self.num.bar(), self.den.bar())
         shift = sum(_totient(m) * e for m, e in phis.items())
         sign = -1 if phis.get(1, 0) % 2 else 1
         return _fn(self._top.bar() * LaurentPoly._wrap({shift: sign}), phis)
@@ -725,10 +655,6 @@ def as_poly_in_d(x):
     return out
 
 
-def _dpoly_derivative(p):
-    return [c * i for i, c in enumerate(p)][1:] or [Fraction(0)]
-
-
 def _dpoly_mul(a, b):
     out = [Fraction(0)] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
@@ -740,42 +666,6 @@ def _dpoly_mul(a, b):
     return out
 
 
-def squarefree_split_d(p):
-    """Split a polynomial-in-d coefficient list as p = r^2 * s with s squarefree.
-
-    r is monic times a positive rational, so its sign convention is "positive
-    leading coefficient"; the content (including sign) of p goes into s.
-    """
-    p = list(p)
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    if p == [Fraction(0)]:
-        return [Fraction(0)], [Fraction(1)]
-    content = p[-1]
-    mon = [c / content for c in p]
-    r = [Fraction(1)]
-    s = [content]
-    # Yun's square-free decomposition on the monic part
-    dp = _dpoly_derivative(mon)
-    a = _poly_gcd(mon, dp)
-    b, _ = _poly_divmod(mon, a)
-    c, _ = _poly_divmod(dp, a)
-    i = 1
-    while len(b) > 1:
-        diff = [x - y for x, y in zip(c + [Fraction(0)] * len(b), _dpoly_derivative(b) + [Fraction(0)] * len(c))]
-        while len(diff) > 1 and diff[-1] == 0:
-            diff.pop()
-        g = _poly_gcd(b, diff)
-        for _ in range(i // 2):
-            r = _dpoly_mul(r, g)
-        if i % 2:
-            s = _dpoly_mul(s, g)
-        b, _ = _poly_divmod(b, g)
-        c, _ = _poly_divmod(diff, g)
-        i += 1
-    return r, s
-
-
 def _dpoly_eval(p, d):
     """Horner evaluation of a float coefficient list (low->high) at d."""
     out = 0.0
@@ -784,51 +674,105 @@ def _dpoly_eval(p, d):
     return out
 
 
-def _as_d_ratio(fn):
-    """Rewrite a RationalFn as a pair of dense d-polynomials (num, den), or None.
+def _d_group(m):
+    """{m: e} of the group of Phi_m that holds Phi_m, keyed by its smallest m.
 
-    Canonicalization makes the denominator an ordinary polynomial in A, which
-    shifts both parts by a common power of A; undo that by re-centering before
-    converting, since only bar-symmetric Laurent polynomials live in Q[d].
+    A group's product is +-A^k times one irreducible polynomial in d:
+    Phi_m Phi_2m for odd m > 1, Phi_1^2 Phi_2^2 for d + 2, Phi_4^2 for d - 2,
+    and Phi_m alone for the other m divisible by 4.
     """
-    if fn.num.is_zero():
-        return [Fraction(0)], [Fraction(1)]
-    cn = fn.num.min_exp() + fn.num.max_exp()
-    cd = fn.den.min_exp() + fn.den.max_exp()
-    if cn != cd or cn % 2:
+    if m <= 2:
+        return {1: 2, 2: 2}
+    if m == 4:
+        return {4: 2}
+    if m % 2:
+        return {m: 1, 2 * m: 1}
+    if m % 4 == 2:
+        return {m // 2: 1, m: 1}
+    return {m: 1}
+
+
+@lru_cache(maxsize=None)
+def _d_factor(key):
+    """(f, sign) with the product of the group keyed key equal to
+    sign * A^k * f(d), f monic."""
+    product = _cyclotomic_product(tuple(sorted(_d_group(key).items())))
+    f = as_poly_in_d(product * LaurentPoly.A_power(-product.max_exp() // 2))
+    return [c * f[-1] for c in f], f[-1]
+
+
+def _d_groups(phis):
+    """{key: n} with prod Phi_m^e over phis = {m: e} the product of each
+    group to the power n, or None when the exponents make no whole groups."""
+    groups = {}
+    for m, e in phis.items():
+        group = _d_group(m)
+        groups[min(group)] = e // group[m]
+    if any(phis.get(m, 0) != n * e for key, n in groups.items()
+           for m, e in _d_group(key).items()):
         return None
-    shift = LaurentPoly.A_power(-cn // 2)
-    num_d = as_poly_in_d(shift * fn.num)
-    den_d = as_poly_in_d(shift * fn.den)
-    if num_d is None or den_d is None:
+    return groups
+
+
+def _square_split(content, groups):
+    """(r, s) with content * prod (sign f)^n = r^2 * s over the groups'
+    factors: r = prod f^(n // 2) is monic, and s takes the content, the signs
+    and every f of odd n."""
+    r, s = [Fraction(1)], [content]
+    for key, n in groups.items():
+        f, sign = _d_factor(key)
+        for _ in range(n // 2):
+            r = _dpoly_mul(r, f)
+        if n % 2:
+            s = _dpoly_mul(s, f)
+        s = [c * sign ** n for c in s]
+    return r, s
+
+
+def _d_parts(fn):
+    """The float coefficient lists (rn, sn, rd, sd) of polynomials in d with
+    fn = (rn/rd)^2 * sn/sd, as _square_split makes them; None when fn is no
+    function of d or its numerator is no product of cyclotomic polynomials."""
+    if fn.is_zero():
+        return [0.0], [1.0], [1.0], [1.0]
+    num, den_phis = fn._cancelled()
+    split = _cyclotomic_split(num)
+    if split is None:
         return None
-    return num_d, den_d
+    c, _, num_phis = split
+    num_groups, den_groups = _d_groups(num_phis), _d_groups(den_phis)
+    if num_groups is None or den_groups is None:
+        return None
+    # only a ratio of two Laurent polynomials centred on the same power of A,
+    # each a polynomial in d, is a function of d
+    if num.min_exp() + num.max_exp() != sum(_totient(m) * e for m, e in den_phis.items()):
+        return None
+    parts = _square_split(c, num_groups) + _square_split(1, den_groups)
+    return tuple([float(x) for x in part] for part in parts)
 
 
 class SplitNorm:
     """An exact squared norm, split once for repeated square roots.
 
-    The conversion to polynomials in d and the square-free splits do not
-    depend on the evaluation point, so each point only evaluates the four
-    d-polynomials of norm_sq = (rn/rd)^2 * sn/sd.
+    norm_sq = (rn/rd)^2 * sn/sd with rn, rd monic and sn, sd square-free
+    polynomials in d.  The split is read off the Phi_m exponents of the
+    norm's numerator and denominator (see _d_parts) and does not depend on
+    the evaluation point, so each point only evaluates the four
+    d-polynomials.  parts is None for a norm that is no function of d, or
+    whose numerator is no product of cyclotomic polynomials; sqrt_at then
+    takes the principal root.
     """
 
     __slots__ = ("norm_sq", "parts")
 
     def __init__(self, norm_sq):
         self.norm_sq = RationalFn.from_scalar(norm_sq)
-        ratio = _as_d_ratio(self.norm_sq)
-        if ratio is None:
-            self.parts = None
-        else:
-            num_d, den_d = ratio
-            self.parts = tuple([float(c) for c in poly] for poly in
-                               squarefree_split_d(num_d) + squarefree_split_d(den_d))
+        self.parts = _d_parts(self.norm_sq)
 
     def sqrt_at(self, point):
         """sqrt_normalizer(norm_sq, point) from the stored split."""
         if self.parts is None:
-            # not a function of d alone; fall back to the principal root
+            # no split (see the class docstring): the principal root
             val = self.norm_sq.evaluate(point.A)
             if not (val.real > NORM_TOL and abs(val.imag) < NORM_TOL):
                 raise DegeneratePointError(

@@ -16,7 +16,8 @@ import numpy as np
 
 from .diagrams import PlanarDiagram, TLElement
 from .jones_wenzl import jones_wenzl
-from .scalars import DegeneratePointError, RationalFn, SplitNorm, d_param, evaluate
+from .scalars import (DegeneratePointError, InvariantError, RationalFn, SplitNorm, d_param,
+                      evaluate)
 
 _D = d_param()
 
@@ -117,7 +118,7 @@ class QuditSpace:
                 for b in range(i + 1):
                     nu = nu + coeffs[i][a].bar() * G[a][b] * coeffs[i][b]
             if nu.is_zero():
-                raise ValueError(f"basis vector {i} has identically zero norm")
+                raise InvariantError(f"basis vector {i} has identically zero norm")
             norms_sq.append(nu)
         return coeffs, norms_sq
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .entanglement import schmidt_rank, slocc_tripartite_class
 
-# largest product dimension prod(2j+1) whose dense raising matrix is built
+# largest product dimension prod(2j+1) that highest_weight_vectors decomposes
 MAX_PRODUCT_DIM = 4096
 
 
@@ -25,31 +25,10 @@ def _spin(j):
     return Fraction(j)
 
 
-def _raising_matrix(j):
-    n = int(2 * j) + 1
-    op = np.zeros((n, n))
-    for a in range(1, n):
-        m = j - a
-        op[a - 1, a] = np.sqrt(float(j * (j + 1) - m * (m + 1)))
-    return op
-
-
-def total_raising(spins):
-    spins = [_spin(j) for j in spins]
-    dims = [int(2 * j) + 1 for j in spins]
-    dim = math.prod(dims)
-    if dim > MAX_PRODUCT_DIM:
-        raise ValueError(f"spins {', '.join(str(j) for j in spins)} span a product "
-                         f"space of dimension {dim}, above the limit {MAX_PRODUCT_DIM}")
-    total = np.zeros((dim, dim))
-    for k, j in enumerate(spins):
-        factors = [np.eye(d) for d in dims]
-        factors[k] = _raising_matrix(j)
-        term = factors[0]
-        for f in factors[1:]:
-            term = np.kron(term, f)
-        total += term
-    return total
+def _raising_coefficients(j):
+    """[c_a] with J+ |j, m = j - a> = c_a |j, m + 1>, for a = 0..2j (c_0 = 0)."""
+    return [0.0] + [math.sqrt(j * (j + 1) - m * (m + 1))
+                    for m in (j - a for a in range(1, int(2 * j) + 1))]
 
 
 def _null_basis(block, dim):
@@ -90,25 +69,37 @@ def highest_weight_vectors(spins):
 
     Vectors are unit-norm numpy arrays shaped by the factor dimensions and
     are annihilated by the total raising operator; each sits at magnetic
-    weight M = J.
+    weight M = J.  Only the operator's blocks between neighbouring weights
+    are built.  A product dimension above MAX_PRODUCT_DIM is a ValueError.
     """
     spins = [_spin(j) for j in spins]
     dims = tuple(int(2 * j) + 1 for j in spins)
-    raising = total_raising(spins)
+    dim = math.prod(dims)
+    if dim > MAX_PRODUCT_DIM:
+        raise ValueError(f"spins {', '.join(str(j) for j in spins)} span a product "
+                         f"space of dimension {dim}, above the limit {MAX_PRODUCT_DIM}")
+    coeffs = [_raising_coefficients(j) for j in spins]
+    strides = [math.prod(dims[k + 1:]) for k in range(len(dims))]
     weights = {}
     for flat, idx in enumerate(np.ndindex(dims)):
         w = sum(j - a for j, a in zip(spins, idx))
-        weights.setdefault(w, []).append(flat)
+        weights.setdefault(w, []).append((flat, idx))
     out = []
     for M in sorted(weights, reverse=True):
         if M < 0:
             break
         cols = weights[M]
-        rows = weights.get(M + 1, [])
-        block = raising[np.ix_(rows, cols)] if rows else np.zeros((0, len(cols)))
+        rows = {flat: r for r, (flat, _) in enumerate(weights.get(M + 1, []))}
+        # the block of the total raising operator from weight M to M + 1: a
+        # product state steps up by one factor at a time
+        block = np.zeros((len(rows), len(cols)))
+        for c, (flat, idx) in enumerate(cols):
+            for k, a in enumerate(idx):
+                if a:
+                    block[rows[flat - strides[k]], c] = coeffs[k][a]
         for k, vec in enumerate(_null_basis(block, len(cols))):
-            full = np.zeros(int(np.prod(dims)))
-            full[cols] = vec
+            full = np.zeros(dim)
+            full[[flat for flat, _ in cols]] = vec
             out.append((M, full.reshape(dims), k))
     return out
 

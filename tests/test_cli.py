@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 import tl_entangle
-from tl_entangle import cli, spaces, su2
+from tl_entangle import cli, scalars, spaces, su2
 from tl_entangle.cli import _angle, main
+from tl_entangle.jones_wenzl import jones_wenzl
 from tl_entangle.scalars import DegeneratePointError
 from tl_entangle.skein import SliceWord
 
@@ -473,7 +474,7 @@ def test_console_script_roundtrip():
 
 
 @pytest.mark.parametrize("command", ["classify", "entropy", "scan-tangle3"])
-@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "1", "2"])
 def test_bad_tol_rejected(capsys, command, value):
     argv = {"classify": ["classify", "maxent"],
             "entropy": ["entropy", "maxent", "--party", "A"],
@@ -482,6 +483,38 @@ def test_bad_tol_rejected(capsys, command, value):
     code, out, err = run(capsys, argv + [f"--tol={value}"])
     assert code == 1 and out == ""
     assert err.startswith("usage error: --tol must be a finite number above 0")
+
+
+def test_tol_reaches_every_rank_count(capsys):
+    # at a coarse tolerance the local ranks and the class count the same
+    # singular values: no class next to ranks that contradict it
+    code, out, _ = run(capsys, ["classify", "tripartite_7", "--tol", "0.9"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["local_ranks"] == [1, 1, 1]
+    assert payload["class"] == "separable"
+
+
+@pytest.mark.parametrize("failure", ["zero norm", "denominator"])
+def test_invariant_failure_is_internal_error(capsys, monkeypatch, failure):
+    # a broken invariant of the exact algebra is no usage error: exit 4
+    if failure == "zero norm":
+        # every Gram entry, and so every Gram-Schmidt norm, is zero
+        monkeypatch.setattr(spaces.TLElement, "inner", lambda self, other, d: 0)
+        message = "InvariantError('basis vector 0 has identically zero norm')"
+    else:
+        monkeypatch.setattr(scalars, "_cyclotomic_split", lambda poly: None)
+        message = "is no product of cyclotomic polynomials"
+    jones_wenzl.cache_clear()
+    spaces.qudit_space.cache_clear()
+    try:
+        code, out, err = run(capsys, ["state", "two_qutrit_rank2"])
+    finally:
+        monkeypatch.undo()
+        jones_wenzl.cache_clear()
+        spaces.qudit_space.cache_clear()
+    assert code == 4 and out == ""
+    assert err.startswith("internal error: InvariantError(") and message in err
 
 
 @pytest.mark.parametrize("argv, message", [

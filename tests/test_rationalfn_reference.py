@@ -1,23 +1,26 @@
 """Differential tests of scalars.RationalFn (a numerator over cyclotomic
-factors, no gcd) against the gcd-reduced class it replaced, kept in
-reference_rationalfn.  Equal means the same canonical pair, with the same
-coefficients in the same order, the same repr and hash, and bit-identical
-floats from evaluate."""
+factors, no gcd) against the gcd-reduced class it replaced, and of
+scalars.SplitNorm (read off Phi_m exponents) against Yun's square-free split,
+both kept in reference_rationalfn.  Equal means the same canonical pair, with
+the same coefficients in the same order, the same repr and hash, and
+bit-identical floats from evaluate; for a split, the same float lists."""
 
 import cmath
+import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from reference_rationalfn import RationalFn as ReferenceFn
+from reference_rationalfn import RationalFn as ReferenceFn, split_norm_parts
 from tl_entangle import scalars, spaces
 from tl_entangle.diagrams import PlanarDiagram, TLElement, _join
 from tl_entangle.jones_wenzl import jones_wenzl
-from tl_entangle.scalars import DegeneratePointError, LaurentPoly, RationalFn, d_param, delta
+from tl_entangle.scalars import (DegeneratePointError, EvalPoint, InvariantError, LaurentPoly,
+                                 RationalFn, SplitNorm, d_param, delta)
 from tl_entangle.spaces import qudit_space
 from tl_entangle.tangle_dsl import corpus_names, load_corpus
 
@@ -123,25 +126,35 @@ def _A(k):
 # has its own sign under bar), as are d and the quantum integers
 CYCLOTOMIC_FACTORS = ([_A(m) - 1 for m in range(1, 7)] + [_A(m) + 1 for m in range(1, 5)]
                       + [D, delta(2), delta(3), delta(4), D + 1])
-# factors that are no product of cyclotomic polynomials take the gcd path
+# factors that are no product of cyclotomic polynomials, which no denominator
+# may hold
 OTHER_FACTORS = [D + 3, _A(2) + 2, 2 * _A(1) - 1]
 
 coefficients = st.one_of(st.integers(-4, 4),
                          st.fractions(min_value=-3, max_value=3, max_denominator=6))
 laurent = st.dictionaries(st.integers(-6, 6), coefficients, max_size=4).map(LaurentPoly)
+# numerators that are products of the cyclotomic factors, which a value may be
+# divided by
+cyclotomic_laurent = st.lists(st.sampled_from(CYCLOTOMIC_FACTORS), min_size=1, max_size=3).map(
+    lambda factors: math.prod(factors[1:], start=factors[0]))
 
 
 @st.composite
-def fractions_over_cyclotomics(draw, other=False):
-    num = draw(laurent)
+def fractions_over_cyclotomics(draw):
+    num = draw(st.one_of(laurent, cyclotomic_laurent))
     den = draw(st.sampled_from([1, 2, -3, Fraction(1, 2)])) * _A(draw(st.integers(-3, 3)))
-    pool = CYCLOTOMIC_FACTORS + (OTHER_FACTORS if other else [])
-    for factor in draw(st.lists(st.sampled_from(pool), max_size=3)):
+    for factor in draw(st.lists(st.sampled_from(CYCLOTOMIC_FACTORS), max_size=3)):
         den = den * factor
     return num, den
 
 
 OPS = ("add", "sub", "mul", "div", "bar")
+
+
+def _divides(y):
+    """Whether x / y is defined: y's numerator becomes the denominator, which
+    must be a product of cyclotomic polynomials."""
+    return not y.is_zero() and scalars._cyclotomic_split(y.num) is not None
 
 
 def _apply(op, x, y):
@@ -167,7 +180,10 @@ def test_cyclotomic_fraction_arithmetic_matches_reference(operands, ops):
     x, y = new[0], ref[0]
     for k, op in enumerate(ops):
         other = k % len(new)
-        if op == "div" and new[other].is_zero():
+        if op == "div" and not _divides(new[other]):
+            if not new[other].is_zero():
+                with pytest.raises(InvariantError):
+                    x / new[other]
             continue
         x, y = _apply(op, x, new[other]), _apply(op, y, ref[other])
         assert_same(x, y)
@@ -175,19 +191,22 @@ def test_cyclotomic_fraction_arithmetic_matches_reference(operands, ops):
 
 
 @settings(max_examples=100, deadline=None)
-@given(fractions_over_cyclotomics(other=True), fractions_over_cyclotomics(other=True),
-       st.sampled_from(OPS))
-def test_general_denominators_match_reference(a, b, op):
-    x, y = RationalFn(*a), RationalFn(*b)
-    assume(op != "div" or not y.is_zero())
-    assert_same(_apply(op, x, y), _apply(op, ReferenceFn(*a), ReferenceFn(*b)))
+@given(fractions_over_cyclotomics(), st.sampled_from(OTHER_FACTORS))
+def test_general_denominators_raise(a, other):
+    num, den = a
+    with pytest.raises(InvariantError, match="no product of cyclotomic polynomials"):
+        RationalFn(num, den * other)
+    # a division by a value whose numerator holds the factor builds that denominator
+    divisor = RationalFn(other, den)
+    with pytest.raises(InvariantError):
+        RationalFn(num) / divisor
 
 
 @settings(max_examples=100, deadline=None)
-@given(fractions_over_cyclotomics(other=True), fractions_over_cyclotomics())
+@given(fractions_over_cyclotomics(), fractions_over_cyclotomics())
 def test_equal_values_hash_equal(a, b):
     x, z = RationalFn(*a), RationalFn(*b)
-    for y in (x + z - z, (x * z) / z if not z.is_zero() else x, x.bar().bar()):
+    for y in (x + z - z, (x * z) / z if _divides(z) else x, x.bar().bar()):
         assert y == x and x == y
         assert hash(y) == hash(x)
     assert (x == z) == (ReferenceFn(*a) == ReferenceFn(*b))
@@ -232,13 +251,9 @@ def test_laurent_int_coefficients_keep_order_and_values(a, b):
             assert got.evaluate(z) == LaurentPoly._wrap(want).evaluate(z)
 
 
-# --- the gcd path stays off the package's own inputs --------------------------
+# --- the package's own inputs ------------------------------------------------
 
-def test_shipped_inputs_never_take_the_gcd_path(monkeypatch):
-    def refuse(num, den):
-        raise AssertionError(f"gcd path taken for ({num!r})/({den!r})")
-
-    monkeypatch.setattr(scalars, "_gcd_reduce", refuse)
+def test_shipped_inputs_build_with_cyclotomic_denominators():
     jones_wenzl.cache_clear()
     qudit_space.cache_clear()
     values = []
@@ -250,8 +265,85 @@ def test_shipped_inputs_never_take_the_gcd_path(monkeypatch):
         values += space.gs_norms_sq
     for name in corpus_names():
         values += load_corpus(name).element().terms.values()
-    # printing reads each value's canonical pair
-    assert all(repr(c) for c in values)
+    for c in map(RationalFn.from_scalar, values):
+        # the canonical denominator is a monic product of Phi_m, constant term +-1
+        unit, shift, _ = scalars._cyclotomic_split(c.den)
+        assert (unit, shift) == (1, 0)
+        assert repr(c)
+
+
+# --- SplitNorm against Yun's square-free split --------------------------------
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_split_norm_matches_yun_on_qudit_norms(n):
+    for nu in qudit_space(n).gs_norms_sq:
+        parts = SplitNorm(nu).parts
+        assert parts is not None
+        assert repr(parts) == repr(split_norm_parts(nu))
+
+
+# each group of Phi_m is +-A^k times one irreducible polynomial in d: d + 2 and
+# d - 2 (the squared groups), Phi_m Phi_2m for odd m and Phi_m for 4 | m
+PHI_GROUPS = [{1: 2, 2: 2}, {4: 2}, {3: 1, 6: 1}, {5: 1, 10: 1}, {9: 1, 18: 1}, {8: 1},
+              {12: 1}, {16: 1}, {20: 1}]
+# lone Phi_m, which no polynomial in d is made of
+LONE_PHIS = [{1: 1}, {2: 1}, {4: 1}, {3: 1}, {6: 1}, {1: 1, 2: 1}]
+
+
+def _phi_power(shape, n):
+    return scalars._cyclotomic_product(tuple(sorted((m, e * n) for m, e in shape.items())))
+
+
+@st.composite
+def signed_group_products(draw):
+    """A RationalFn c * A^k * prod group^n / prod group^n', mostly a function
+    of d, sometimes shifted off centre or holding a lone Phi_m."""
+    num = draw(st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3)]))
+    num = num * _A(draw(st.integers(-6, 6)))
+    den = LaurentPoly.one()
+    for shape, n, below in draw(st.lists(st.tuples(st.sampled_from(PHI_GROUPS),
+                                                   st.integers(1, 5), st.booleans()),
+                                         max_size=4)):
+        if below:
+            den = den * _phi_power(shape, n)
+        else:
+            num = num * _phi_power(shape, n)
+    if draw(st.integers(0, 4)) == 0:
+        num = num * _phi_power(draw(st.sampled_from(LONE_PHIS)), 1)
+    return RationalFn(num, den)
+
+
+@settings(max_examples=300, deadline=None)
+@given(signed_group_products())
+def test_split_norm_matches_yun_on_signed_group_products(norm):
+    # centre it most of the time, so that it is a function of d
+    lo, hi = norm.num.min_exp(), norm.num.max_exp()
+    centred = norm * RationalFn(_A(-(lo + hi - norm.den.max_exp()) // 2))
+    for x in (norm, centred):
+        assert repr(SplitNorm(x).parts) == repr(split_norm_parts(x))
+
+
+def test_split_norm_of_a_d_function_is_found():
+    # (d - 1)^3 (d + 2)^2 / (d^2 (d - 2)^3), a function of d with odd exponents
+    x = RationalFn((D - 1) ** 3 * (D + 2) ** 2, D * D * (D - 2) ** 3)
+    parts = SplitNorm(x).parts
+    assert parts == split_norm_parts(x)
+    # the canonical denominator is monic in A, -d^2 (d - 2)^3 in d, so both
+    # square-free parts carry the sign -1
+    assert parts == ([-2.0, 1.0, 1.0], [1.0, -1.0], [0.0, -2.0, 1.0], [2.0, -1.0])
+
+
+def test_non_cyclotomic_norm_takes_the_principal_root():
+    # d + 3 is no product of Phi_m; Yun's split would read (d + 3)^2 * d^2 as a
+    # square, the split by Phi_m exponents leaves it to the principal root
+    x = RationalFn((D + 3) ** 2 * D * D)
+    assert split_norm_parts(x) is not None
+    split = SplitNorm(x)
+    assert split.parts is None
+    for theta in (0.1, 0.3, -0.2617993877991494):
+        pt = EvalPoint(theta)
+        want = abs((pt.d + 3) * pt.d)
+        assert abs(split.sqrt_at(pt) - want) < 1e-12 * want
 
 
 # --- the Phi_m prefilter against the numpy prefilter it replaced ---------------

@@ -8,14 +8,15 @@ import pytest
 from tl_entangle.scalars import (
     DegeneratePointError,
     EvalPoint,
+    InvariantError,
     LaurentPoly,
     RationalFn,
+    SplitNorm,
     as_poly_in_d,
     d_param,
     delta,
     evaluate,
     sqrt_normalizer,
-    squarefree_split_d,
 )
 
 np_rng = np.random.default_rng(233)
@@ -73,8 +74,13 @@ def test_delta_recursion_and_sine_form():
 
 def test_rationalfn_reduction_and_equality():
     d = d_param()
-    x = RationalFn(delta(2) * (d + 3), d * (d + 3))
+    # d + 1 = -A^-2 Phi_12(A) cancels
+    x = RationalFn(delta(2) * (d + 1), d * (d + 1))
     assert x == RationalFn(delta(2), d)
+    assert (x.num, x.den) == (RationalFn(delta(2), d).num, RationalFn(delta(2), d).den)
+    # d + 3 is no product of cyclotomic polynomials
+    with pytest.raises(InvariantError):
+        RationalFn(delta(2) * (d + 3), d * (d + 3))
     assert x * d == RationalFn(delta(2))
     y = RationalFn(1, d)
     assert y + y == RationalFn(2, d)
@@ -102,15 +108,13 @@ def test_as_poly_in_d():
 
 
 def test_squarefree_split():
+    # SplitNorm.parts = (rn, sn, rd, sd) with norm = (rn/rd)^2 * sn/sd in d
+    d = d_param()
     # (d-1)^2 (d+2) = d^3 - 3d + 2
-    r, s = squarefree_split_d([Fraction(2), Fraction(-3), Fraction(0), Fraction(1)])
-    assert r == [-1, 1]
-    assert s == [2, 1]
+    assert SplitNorm(RationalFn((d - 1) ** 2 * (d + 2))).parts == ([-1, 1], [2, 1], [1], [1])
     # constant and pure-square cases
-    r, s = squarefree_split_d([Fraction(-5)])
-    assert r == [1] and s == [-5]
-    r, s = squarefree_split_d([Fraction(0), Fraction(0), Fraction(4)])  # 4 d^2
-    assert r == [0, 1] and s == [4]
+    assert SplitNorm(RationalFn(-5)).parts == ([1], [-5], [1], [1])
+    assert SplitNorm(RationalFn(4 * d * d)).parts == ([0, 1], [4], [1], [1])
 
 
 def test_sqrt_normalizer_sign_convention():

@@ -3,15 +3,34 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from tl_entangle import su2
 from tl_entangle.su2 import (
     MAX_PRODUCT_DIM,
     classify_hw_tripartite,
     highest_weight_vectors,
     hw_rank_table,
-    total_raising,
 )
 
 HALF = Fraction(1, 2)
+
+
+def dense_total_raising(spins):
+    """The total raising operator as one dense matrix: the sum over factors
+    of J+ on that factor, Kronecker-multiplied with identities elsewhere."""
+    dims = [int(2 * Fraction(j)) + 1 for j in spins]
+    total = np.zeros((int(np.prod(dims)),) * 2)
+    for k, j in enumerate(spins):
+        j = Fraction(j)
+        factors = [np.eye(d) for d in dims]
+        factors[k] = np.zeros((dims[k], dims[k]))
+        for a in range(1, dims[k]):
+            m = j - a
+            factors[k][a - 1, a] = np.sqrt(float(j * (j + 1) - m * (m + 1)))
+        term = factors[0]
+        for f in factors[1:]:
+            term = np.kron(term, f)
+        total += term
+    return total
 
 
 def test_two_halves_table():
@@ -62,12 +81,45 @@ def test_dimension_count():
 
 
 def test_vectors_are_annihilated_and_normalized():
-    for spins in ([HALF, HALF, HALF], [1, 1], [Fraction(3, 2), HALF]):
-        raising = total_raising(spins)
+    for spins in ([HALF, HALF, HALF], [1, 1], [Fraction(3, 2), HALF], [1, 2, 2],
+                  [Fraction(3, 2), 1, HALF]):
+        raising = dense_total_raising(spins)
         for J, vec, _ in highest_weight_vectors(spins):
             flat = vec.reshape(-1)
             assert abs(np.linalg.norm(flat) - 1) < 1e-10
             assert np.max(np.abs(raising @ flat)) < 1e-10
+
+
+def reference_highest_weight_vectors(spins):
+    """highest_weight_vectors as it was, cutting each weight block out of the
+    dense total raising operator."""
+    dims = tuple(int(2 * Fraction(j)) + 1 for j in spins)
+    raising = dense_total_raising(spins)
+    weights = {}
+    for flat, idx in enumerate(np.ndindex(dims)):
+        weights.setdefault(sum(Fraction(j) - a for j, a in zip(spins, idx)), []).append(flat)
+    out = []
+    for M in sorted(weights, reverse=True):
+        if M < 0:
+            break
+        cols, rows = weights[M], weights.get(M + 1, [])
+        block = raising[np.ix_(rows, cols)] if rows else np.zeros((0, len(cols)))
+        for k, vec in enumerate(su2._null_basis(block, len(cols))):
+            full = np.zeros(int(np.prod(dims)))
+            full[cols] = vec
+            out.append((M, full.reshape(dims), k))
+    return out
+
+
+@pytest.mark.parametrize("spins", ["1/2,1/2", "1,1", "1,2", "1/2,1/2,1/2", "1,2,2",
+                                   "3/2,1,1/2", "5/2,2,3/2"])
+def test_weight_blocks_match_dense_reference(spins):
+    spins = [Fraction(j) for j in spins.split(",")]
+    got, want = highest_weight_vectors(spins), reference_highest_weight_vectors(spins)
+    assert len(got) == len(want)
+    for (J, vec, k), (J_ref, vec_ref, k_ref) in zip(got, want):
+        assert (J, k) == (J_ref, k_ref)
+        assert np.array_equal(vec, vec_ref)
 
 
 def test_tripartite_hw_classes():
@@ -96,11 +148,9 @@ def test_bad_spin_rejected():
 
 
 def test_product_dimension_bound():
-    # 16^3 = 4096 is the largest product space that is built; check only the
-    # rejections, which fail before any array is allocated
+    # 16^3 = 4096 is the largest product space that is decomposed; check only
+    # the rejections, which fail before any array is allocated
     assert MAX_PRODUCT_DIM == 16 ** 3
     for spins in ([Fraction(15, 2), Fraction(15, 2), 8], [Fraction(4095, 2), 1], [10, 10, 10]):
-        with pytest.raises(ValueError, match="above the limit 4096"):
-            total_raising(spins)
         with pytest.raises(ValueError, match="above the limit 4096"):
             highest_weight_vectors(spins)
