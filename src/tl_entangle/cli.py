@@ -5,11 +5,13 @@ evaluation point, 4 internal invariant violation.  Output is JSON (default)
 or CSV with floats printed to 12 significant digits, so identical inputs
 produce byte-identical output.
 
-Input bounds, each a usage error (exit 1) before any array or grid is built:
-an angle must be finite; --tol must lie above 0 and below 1; scan-tangle3
---steps runs from 3 to MAX_STEPS (10,000); rep hw takes product spaces of
-dimension prod(2j+1) up to su2.MAX_PRODUCT_DIM (4,096); a connectome needs
-at least one party, and --punctures cannot be negative.
+Input bounds, each a usage error (exit 1) before any array, grid or search
+is built: an angle and its double must be finite; --tol must lie above 0 and
+below 1; scan-tangle3 --steps runs from 3 to MAX_STEPS (10,000), over a range
+that splits into finite steps; rep hw takes product spaces of dimension
+prod(2j+1) up to su2.MAX_PRODUCT_DIM (4,096); a connectome needs at least one
+party, and --punctures cannot be negative; connectome enumerate takes at most
+6 parties and at most ENUMERATE_MAX_PUNCTURES[parties] punctures.
 
 The exact commands (bracket, reduce, connectome enumerate and classify)
 never import numpy: the numeric modules are imported inside the handlers
@@ -35,6 +37,12 @@ from .tangle_dsl import TangleParseError, corpus_names, load_corpus, parse_tangl
 
 # upper bound of scan-tangle3 --steps
 MAX_STEPS = 10_000
+
+# The largest --punctures that connectome enumerate searches, by --parties.
+# Each of these takes under 4 s on two cores, while 3 parties at 128
+# punctures take 8 s, 4 at 14 take 7.5 s, 5 at 6 take 26 s, 6 at 4 more than
+# 150 s, 7 at 2 more than 40 s, and 9 parties at none 6.3 s.
+ENUMERATE_MAX_PUNCTURES = {1: 100_000, 2: 100_000, 3: 96, 4: 12, 5: 4, 6: 2}
 
 
 class UsageError(Exception):
@@ -103,7 +111,8 @@ def _angle(text):
 
 
 def _parse_theta(text, flag):
-    """The angle given to flag; text that is not an angle, nan, inf and a
+    """The angle given to flag; text that is not an angle, nan, inf, an angle
+    whose double overflows (EvalPoint.d takes the cosine of 2 theta) and a
     division by zero are usage errors."""
     try:
         theta = _angle(text)
@@ -112,8 +121,9 @@ def _parse_theta(text, flag):
     except ValueError:
         raise UsageError(f"{flag} must be an angle such as 0.3, pi/12 or 2pi/3, "
                          f"got {text!r}") from None
-    if not math.isfinite(theta):
-        raise UsageError(f"{flag} must be a finite angle, got {text!r}")
+    if not math.isfinite(2.0 * theta):
+        raise UsageError(f"{flag} must be a finite angle whose double is finite, "
+                         f"got {text!r}")
     return theta
 
 
@@ -366,6 +376,9 @@ def _cmd_scan_tangle3(args):
         raise UsageError(f"--steps must be at most {MAX_STEPS}")
     if not hi > lo:
         raise UsageError("--theta-max must exceed --theta-min")
+    if not math.isfinite((hi - lo) * (steps - 1)):
+        raise UsageError("--theta-min and --theta-max lie too far apart "
+                         "to be split into --steps points")
     grid = [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
     state = doc.state()
     values = []
@@ -408,8 +421,20 @@ def _connectome_from_args(args):
     return Connectome(adj)
 
 
+def _check_enumerate_size(parties, punctures):
+    """Reject an enumeration beyond ENUMERATE_MAX_PUNCTURES before it starts."""
+    top = max(ENUMERATE_MAX_PUNCTURES)
+    if parties > top:
+        raise UsageError(f"connectome enumerate takes --parties up to {top}, got {parties}")
+    limit = ENUMERATE_MAX_PUNCTURES.get(parties)
+    if limit is not None and punctures > limit:
+        raise UsageError(f"connectome enumerate takes --punctures up to {limit} "
+                         f"with --parties {parties}, got {punctures}")
+
+
 def _cmd_connectome(args):
     if args.action == "enumerate":
+        _check_enumerate_size(args.parties, args.punctures)
         found = enumerate_connectomes(args.parties, args.punctures)
         payload = {"parties": args.parties, "punctures": args.punctures,
                    "count": len(found),

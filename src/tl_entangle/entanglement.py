@@ -7,6 +7,8 @@ normalizations only matter for amplitude output, never for the measures.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .diagrams import conj_scalar, glue_network
@@ -27,7 +29,7 @@ def reduced_density(t, keep=(0,)):
     keep = tuple(keep)
     rest = [a for a in range(t.ndim) if a not in keep]
     tt = np.transpose(t, list(keep) + rest)
-    dk = int(np.prod([t.shape[a] for a in keep], dtype=np.int64)) if keep else 1
+    dk = math.prod(t.shape[a] for a in keep)
     tt = tt.reshape(dk, -1)
     return tt @ tt.conj().T
 
@@ -42,7 +44,7 @@ def schmidt_rank(t, keep=None, tol=1e-9):
     else:
         keep = tuple(keep)
         rest = [a for a in range(t.ndim) if a not in keep]
-        dk = int(np.prod([t.shape[a] for a in keep], dtype=np.int64))
+        dk = math.prod(t.shape[a] for a in keep)
         m = np.transpose(t, list(keep) + rest).reshape(dk, -1)
     sv = np.linalg.svd(m, compute_uv=False)
     if sv.size == 0 or sv[0] == 0:

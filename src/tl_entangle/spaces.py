@@ -6,15 +6,22 @@ projector.  The n non-null noncrossing pairings of those points form the local
 basis; exact Gram-Schmidt over rational functions of A produces the lower
 triangular transform to an orthonormal frame, with one square root per vector
 taken at the evaluation point (sign fixed by the square part of the norm).
+
+A state's pairing with a tuple basis diagram depends on theta only through
+the coefficients: its loop counts are topological.  Each DiagramState keeps
+them per diagram it has paired (basis_loops), a table bounded by the state's
+distinct dressed diagrams and independent of theta, so raw overlaps at a new
+angle re-walk no loop; amplitudes builds one frame per party dimension.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
-from .diagrams import PlanarDiagram, TLElement
+from .diagrams import PlanarDiagram, TLElement, _join
 from .jones_wenzl import jones_wenzl
 from .scalars import (DegeneratePointError, InvariantError, RationalFn, SplitNorm, d_param,
                       evaluate)
@@ -261,7 +268,15 @@ def tuple_basis_diagram(layout, indices):
 
 
 class DiagramState:
-    """A boundary pairing state together with its party layout."""
+    """A boundary pairing state together with its party layout.
+
+    basis_loops maps each diagram that raw_overlaps has paired (each term of
+    the dressed state) to its loop counts against the tuple basis diagrams.
+    It holds at most one entry per distinct dressed diagram, whatever the
+    number of points, so a new angle re-walks no loop; only the dressing
+    and the sums of c * d**loops run per point.  amplitudes builds one
+    frame per distinct party dimension per call.
+    """
 
     def __init__(self, element, layout):
         if isinstance(element, PlanarDiagram):
@@ -275,6 +290,9 @@ class DiagramState:
         # n = 1 replica contractions by (kept parties, point), filled by
         # entanglement.replica_check; element and layout are never reassigned
         self.replica_norms = PointCache()
+        # loop counts by paired diagram, in np.ndindex order of the tuple
+        # basis; filled by raw_overlaps, never keyed by point
+        self.basis_loops = {}
 
     def norm_sq(self, point):
         """Raw pairing of the diagram with itself (no projection)."""
@@ -304,26 +322,50 @@ class DiagramState:
         return el
 
     def raw_overlaps(self, point):
-        """Tensor of pairings of the dressed state with tuple basis pairings."""
+        """Tensor of pairings of the dressed state with tuple basis pairings.
+
+        Each entry is TLElement.inner of its basis diagram with the dressed
+        state: c * d**loops summed over the dressed terms in order, d applied
+        one factor at a time and a sum that reaches exactly 0 restarted from
+        0.  The loop counts come from basis_loops, so a diagram is walked
+        with _join once per state, at the first point where it appears.
+        inner's factor 1 (the basis coefficient) is left out: it can only
+        flip the sign of a zero part, which a sum started from 0 drops.
+        """
         dval = complex(point.d)
-        dressed = self.dressed_numeric(point)
+        table = self.basis_loops
         dims = self.layout.dims
-        M = np.zeros(dims, dtype=complex)
-        for idx in np.ndindex(*dims):
-            b = TLElement.from_diagram(tuple_basis_diagram(self.layout, idx))
-            M[idx] = b.inner(dressed, dval)
-        return M
+        sums = [0] * math.prod(dims)
+        for dg, c in self.dressed_numeric(point).terms.items():
+            loops = table.get(dg)
+            if loops is None:
+                loops = table[dg] = tuple(
+                    _join({}, dg.pairs + tuple_basis_diagram(self.layout, idx).pairs)
+                    for idx in np.ndindex(*dims))
+            powers = [c]
+            for _ in range(max(loops)):
+                powers.append(powers[-1] * dval)
+            for i, n in enumerate(loops):
+                s = sums[i] + powers[n]
+                sums[i] = s if s != 0 else 0
+        return np.array(sums, dtype=complex).reshape(dims)
 
     def amplitudes(self, point):
-        """Amplitude tensor in the orthonormal local frames, one axis per party."""
+        """Amplitude tensor in the orthonormal local frames, one axis per party.
+
+        Each dimension's frame is built once per call; a DegeneratePointError
+        from it names the first party of that dimension.
+        """
         amp = self.raw_overlaps(point)
+        frames = {}
         for k, (name, nk) in enumerate(self.layout.parties):
-            try:
-                T = qudit_space(nk).ortho_transform(point)
-            except DegeneratePointError as exc:
-                exc.party = name
-                raise
-            amp = np.moveaxis(np.tensordot(np.conj(T), amp, axes=(1, k)), 0, k)
+            if nk not in frames:
+                try:
+                    frames[nk] = np.conj(qudit_space(nk).ortho_transform(point))
+                except DegeneratePointError as exc:
+                    exc.party = name
+                    raise
+            amp = np.moveaxis(np.tensordot(frames[nk], amp, axes=(1, k)), 0, k)
         return amp
 
     def projected_norm_sq(self, point):

@@ -20,6 +20,7 @@ from tl_entangle.cli import _angle, main
 from tl_entangle.jones_wenzl import jones_wenzl
 from tl_entangle.scalars import DegeneratePointError
 from tl_entangle.skein import SliceWord
+from tl_entangle.tangle_dsl import load_corpus
 
 
 def run(capsys, args):
@@ -178,7 +179,10 @@ def test_scan_builds_each_basis_diagram_once(capsys):
                               "--theta-max", "0.12pi", "--steps", "200"])
     assert code == 0
     info = spaces.tuple_basis_diagram.cache_info()
-    assert info.misses == 8 and info.hits > 1900
+    # the 8 basis diagrams are built once, and looked up only while each of
+    # quasiw's 5 diagrams is paired for the first time, not at every point
+    terms = len(load_corpus("quasiw").state().element.terms)
+    assert info.misses == 8 and info.hits + info.misses == 8 * terms == 40
 
 
 def test_scan_output_is_deterministic(capsys):
@@ -364,6 +368,49 @@ def test_non_finite_theta_rejected(capsys, value):
     code, out, err = run(capsys, ["state", "maxent", f"--theta={value}"])
     assert code == 1 and out == ""
     assert "--theta must be a finite angle" in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["state", "maxent", "--theta=1e308"], "--theta"),
+    (["state", "maxent", "--theta=-9e307"], "--theta"),
+    (["scan-tangle3", "quasiw", "--theta-min=1e308", "--theta-max=2e308"], "--theta-min"),
+    (["scan-tangle3", "quasiw", "--theta-min=0.05", "--theta-max=1e308"], "--theta-max"),
+])
+def test_angle_with_overflowing_double_rejected(capsys, argv, flag):
+    # EvalPoint.d takes the cosine of 2 theta, which is inf for these angles
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"usage error: {flag} must be a finite angle whose double is finite")
+    # the largest angle whose double is finite is accepted
+    assert run(capsys, ["state", "maxent", f"--theta={sys.float_info.max / 2!r}"])[0] == 0
+
+
+def test_scan_range_too_wide_for_its_steps_rejected(capsys):
+    code, out, err = run(capsys, ["scan-tangle3", "quasiw", "--theta-min=-1e306",
+                                  "--theta-max=1e306", "--steps", "200"])
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: --theta-min and --theta-max lie too far apart")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--parties", "9"], "--parties up to 6, got 9"),
+    (["--parties", "7", "--punctures", "0"], "--parties up to 6, got 7"),
+    (["--parties", "6"], "--punctures up to 2 with --parties 6, got 4"),
+    (["--parties", "5", "--punctures", "6"], "--punctures up to 4 with --parties 5, got 6"),
+    (["--parties", "5", "--punctures", "8"], "--punctures up to 4 with --parties 5, got 8"),
+    (["--parties", "4", "--punctures", "14"], "--punctures up to 12 with --parties 4, got 14"),
+    (["--parties", "3", "--punctures", "98"], "--punctures up to 96 with --parties 3, got 98"),
+    (["--parties", "2", "--punctures", "100002"],
+     "--punctures up to 100000 with --parties 2, got 100002"),
+])
+def test_connectome_enumerate_beyond_bound_rejected(capsys, monkeypatch, argv, message):
+    def no_search(*args):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(cli, "enumerate_connectomes", no_search)
+    code, out, err = run(capsys, ["connectome", "enumerate"] + argv)
+    assert code == 1 and out == ""
+    assert err == f"usage error: connectome enumerate takes {message}\n"
 
 
 @pytest.mark.parametrize("flag", ["--theta-min", "--theta-max"])

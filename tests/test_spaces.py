@@ -3,13 +3,15 @@ import random
 import numpy as np
 import pytest
 
+from tl_entangle import diagrams, spaces
+from tl_entangle.connectomes import enumerate_connectomes, representative_state
 from tl_entangle.diagrams import PlanarDiagram, TLElement
 from tl_entangle.scalars import (DegeneratePointError, EvalPoint, RationalFn,
                                  d_param, delta, evaluate, sqrt_normalizer)
 from tl_entangle.skein import SliceWord
-from tl_entangle.spaces import (DiagramState, PartyLayout, crossed_triple_residual,
-                                local_basis_matchings, qudit_space,
-                                reduced_diagram, tuple_basis_diagram)
+from tl_entangle.spaces import (DiagramState, PartyLayout, QuditSpace,
+                                crossed_triple_residual, local_basis_matchings,
+                                qudit_space, reduced_diagram, tuple_basis_diagram)
 from tl_entangle.tangle_dsl import corpus_names, load_corpus
 
 from test_diagrams import reference_inner
@@ -337,3 +339,112 @@ def test_basis_pairings_match_reference_inner():
             for idx in np.ndindex(*state.layout.dims):
                 b = TLElement.from_diagram(tuple_basis_diagram(state.layout, idx))
                 assert b.inner(dressed, dval) == reference_inner(b, dressed, dval), (name, pt)
+
+
+def reference_raw_overlaps(state, point):
+    """raw_overlaps as it was before loop counts were kept on the state: one
+    TLElement.inner per tuple basis diagram, walking every loop at every point."""
+    dval = complex(point.d)
+    dressed = state.dressed_numeric(point)
+    dims = state.layout.dims
+    M = np.zeros(dims, dtype=complex)
+    for idx in np.ndindex(*dims):
+        b = TLElement.from_diagram(tuple_basis_diagram(state.layout, idx))
+        M[idx] = b.inner(dressed, dval)
+    return M
+
+
+def reference_amplitudes(state, point):
+    """amplitudes as it was before frames were shared: reference_raw_overlaps
+    taken into one frame built per party."""
+    amp = reference_raw_overlaps(state, point)
+    for k, (_, nk) in enumerate(state.layout.parties):
+        T = qudit_space(nk).ortho_transform(point)
+        amp = np.moveaxis(np.tensordot(np.conj(T), amp, axes=(1, k)), 0, k)
+    return amp
+
+
+def assert_matches_reference(state, points):
+    for pt in points:
+        assert np.array_equal(state.raw_overlaps(pt), reference_raw_overlaps(state, pt)), pt
+        assert np.array_equal(state.amplitudes(pt), reference_amplitudes(state, pt)), pt
+
+
+PARTY_STATES = [name for name in corpus_names() if load_corpus(name).parties]
+QUBIT_STATES = [name for name in PARTY_STATES
+                if set(load_corpus(name).state().layout.dims) == {2}]
+
+
+@pytest.mark.parametrize("name", PARTY_STATES)
+def test_raw_overlaps_match_reference_on_corpus(name):
+    """Each corpus state at k = 4, k = 6 and 50 seeded angles inside its
+    frame window."""
+    state = load_corpus(name).state()
+    window = np.pi / 10 if 3 in state.layout.dims else np.pi / 6
+    rng = random.Random(name)
+    thetas = [rng.uniform(-0.95 * window, 0.95 * window) for _ in range(50)]
+    assert_matches_reference(state, [K4, K6] + [EvalPoint(t) for t in thetas])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_raw_overlaps_match_reference_on_reduced_diagrams(n):
+    points = [K4, K6, EvalPoint(-0.05), EvalPoint(0.11)]
+    for j in range(n):
+        assert_matches_reference(reduced_diagram(n, j), points)
+
+
+def test_raw_overlaps_match_reference_on_connectomes():
+    # the canonical 3- and 4-party connectomes, the benchmark's 17 among them
+    found = enumerate_connectomes(3) + enumerate_connectomes(4)
+    assert len(found) == 27
+    for c in found:
+        assert_matches_reference(representative_state(c), [K4])
+
+
+def _counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that counts its calls; returns the count list."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("name", QUBIT_STATES)
+def test_fresh_point_walks_no_loops(name, monkeypatch):
+    joins = _counting(monkeypatch, spaces, "_join")
+    diag_joins = _counting(monkeypatch, diagrams, "_join")
+    state = load_corpus(name).state()
+    state.raw_overlaps(K4)
+    assert len(joins) == len(state.basis_loops) * 2 ** len(state.layout.dims)
+    joins.clear()
+    diag_joins.clear()
+    state.raw_overlaps(EvalPoint(0.123))
+    assert joins == [] and diag_joins == []
+
+
+def test_three_qubit_amplitudes_build_one_frame(monkeypatch):
+    frames = _counting(monkeypatch, QuditSpace, "ortho_transform")
+    load_corpus("quasiw").state().amplitudes(EvalPoint(0.123))
+    assert len(frames) == 1
+
+
+@pytest.mark.parametrize("name", ["quasiw", "two_qutrit_rank1"])
+def test_basis_loops_keep_no_per_point_state(name):
+    state = load_corpus(name).state()
+    window = np.pi / 10 if 3 in state.layout.dims else np.pi / 6
+    state.raw_overlaps(K4)
+
+    def sizes():
+        return {key: len(v) if hasattr(v, "__len__") else v
+                for key, v in vars(state).items()}
+
+    before = sizes()
+    assert before["basis_loops"] > 0
+    for theta in np.linspace(-0.95 * window, 0.95 * window, 500):
+        state.raw_overlaps(EvalPoint(theta))
+    assert sizes() == before
