@@ -9,9 +9,13 @@ Input bounds, each a usage error (exit 1) before any array, grid or search
 is built: an angle and its double must be finite; --tol must lie above 0 and
 below 1; scan-tangle3 --steps runs from 3 to MAX_STEPS (10,000), over a range
 that splits into finite steps; rep hw takes product spaces of dimension
-prod(2j+1) up to su2.MAX_PRODUCT_DIM (4,096); a connectome needs at least one
-party, and --punctures cannot be negative; connectome enumerate takes at most
-6 parties and at most ENUMERATE_MAX_PUNCTURES[parties] punctures.
+prod(2j+1) up to su2.MAX_PRODUCT_DIM (4,096); --adj takes rows of JSON
+integers, bare or as the "adj" of an object whose "punctures" and "parties"
+are integers; a connectome needs at least one party, and --punctures cannot be
+negative; connectome enumerate takes at most 6 parties and at most
+ENUMERATE_MAX_PUNCTURES[parties] punctures; a party evaluated by a command
+has dimension at most MAX_PARTY_DIM (4).  A jw slice wider than
+skein.MAX_JW_WIDTH (6) strands is a parse error (exit 2).
 
 The exact commands (bracket, reduce, connectome enumerate and classify)
 never import numpy: the numeric modules are imported inside the handlers
@@ -43,6 +47,10 @@ MAX_STEPS = 10_000
 # punctures take 8 s, 4 at 14 take 7.5 s, 5 at 6 take 26 s, 6 at 4 more than
 # 150 s, 7 at 2 more than 40 s, and 9 parties at none 6.3 s.
 ENUMERATE_MAX_PUNCTURES = {1: 100_000, 2: 100_000, 3: 96, 4: 12, 5: 4, 6: 2}
+
+# The largest party dimension a command evaluates, checked before exact set-up:
+# on two cores two dimension-4 parties take about 1 s, two of dimension 5 55 s.
+MAX_PARTY_DIM = 4
 
 
 class UsageError(Exception):
@@ -164,7 +172,9 @@ def _layout_of(doc):
 
 
 def _state_of(doc):
-    _layout_of(doc)
+    for name, n in _layout_of(doc).parties:
+        if n > MAX_PARTY_DIM:
+            raise UsageError(f"party {name} has dimension {n}, above {MAX_PARTY_DIM}")
     return doc.state()
 
 
@@ -412,13 +422,20 @@ def _cmd_scan_tangle3(args):
 
 
 def _connectome_from_args(args):
+    """The connectome given to --adj; the module docstring gives its forms."""
     try:
-        adj = json.loads(args.adj)
+        data = json.loads(args.adj)
     except json.JSONDecodeError as exc:
         raise UsageError(f"--adj is not valid JSON: {exc}")
-    if isinstance(adj, dict):
-        return Connectome.from_json(args.adj)
-    return Connectome(adj)
+    fields = data if isinstance(data, dict) else {"adj": data}
+    rows = fields.get("adj")
+    table = isinstance(rows, list) and all(isinstance(row, list) for row in rows)
+    values = [x for row in rows for x in row] if table else [None]
+    values += [fields[k] for k in ("punctures", "parties") if k in fields]
+    if not all(type(x) is int for x in values):
+        raise UsageError('--adj must be a list of rows of integers, or an object with '
+                         'such rows under "adj" and integer "punctures" and "parties"')
+    return Connectome.from_json(args.adj) if isinstance(data, dict) else Connectome(rows)
 
 
 def _check_enumerate_size(parties, punctures):
@@ -445,6 +462,9 @@ def _cmd_connectome(args):
                               for j in range(args.parties)]
         return payload, rows, header
     c = _connectome_from_args(args)
+    if args.action == "state" and c.punctures > 4 * (MAX_PARTY_DIM - 1):
+        raise UsageError(f"connectome state takes at most {4 * (MAX_PARTY_DIM - 1)} punctures "
+                         f"per party (party dimension {MAX_PARTY_DIM}), got {c.punctures}")
     blocks = classify_connectome(c)
     payload = {
         "parties": c.m, "punctures": c.punctures,

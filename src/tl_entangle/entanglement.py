@@ -23,29 +23,25 @@ def _normalized(t):
     return t / nrm
 
 
-def reduced_density(t, keep=(0,)):
-    """Density matrix of the kept parties, traced over the rest."""
-    t = _normalized(t)
+def _matricized(t, keep):
+    """t as a matrix whose rows run over the kept axes."""
     keep = tuple(keep)
     rest = [a for a in range(t.ndim) if a not in keep]
-    tt = np.transpose(t, list(keep) + rest)
-    dk = math.prod(t.shape[a] for a in keep)
-    tt = tt.reshape(dk, -1)
+    return np.transpose(t, list(keep) + rest).reshape(math.prod(t.shape[a] for a in keep), -1)
+
+
+def reduced_density(t, keep=(0,)):
+    """Density matrix of the kept parties, traced over the rest."""
+    tt = _matricized(_normalized(t), keep)
     return tt @ tt.conj().T
 
 
 def schmidt_rank(t, keep=None, tol=1e-9):
     """Rank across a bipartition (or of a plain matrix) at relative tolerance."""
     t = np.asarray(t, dtype=complex)
-    if keep is None:
-        if t.ndim != 2:
-            raise ValueError("schmidt_rank needs a bipartition for tensors")
-        m = t
-    else:
-        keep = tuple(keep)
-        rest = [a for a in range(t.ndim) if a not in keep]
-        dk = math.prod(t.shape[a] for a in keep)
-        m = np.transpose(t, list(keep) + rest).reshape(dk, -1)
+    if keep is None and t.ndim != 2:
+        raise ValueError("schmidt_rank needs a bipartition for tensors")
+    m = t if keep is None else _matricized(t, keep)
     sv = np.linalg.svd(m, compute_uv=False)
     if sv.size == 0 or sv[0] == 0:
         return 0

@@ -21,7 +21,9 @@ printing and hashing read, is built once per value by exact division.
 SplitNorm splits a squared norm that is a function of d as (r/r')^2 * s/s'
 for its square roots.  Each irreducible polynomial in d is, up to a unit,
 one group of Phi_m in A (see _d_group), so the Phi_m exponents of the norm's
-numerator and denominator give each group's share of r and of s.
+numerator and denominator give each group's share of r and of s.  Frame
+norms are ratios of quantum-integer products; any other norm raises
+InvariantError.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ class DegeneratePointError(ValueError):
 
 class InvariantError(RuntimeError):
     """Raised when an internal invariant of the exact algebra fails, such as
-    a denominator that is no product of cyclotomic polynomials."""
+    a non-cyclotomic denominator or a squared norm that is no function of d."""
 
 
 def _exact(c):
@@ -626,32 +628,22 @@ def as_poly_in_d(x):
     """Rewrite a LaurentPoly in A as a dense polynomial in d = -A^2 - A^(-2)
     (coefficient list, low->high).  Returns None when x is not in that subring."""
     x = _coerce(x)
-    if x is NotImplemented:
-        return None
-    if any(e % 2 for e in x.coeffs):
+    if x is NotImplemented or any(e % 2 for e in x.coeffs):
         return None
     work = dict(x.coeffs)
-    out = []
+    out = [Fraction(0)] * (max(x.max_exp(), 0) // 2 + 1)
     while work:
         hi = max(work)
         if hi < 0:
             return None
-        m = hi // 2
-        c = work[hi]
-        dm = (_D ** m).coeffs
-        lead = dm[2 * m]
-        scale = Fraction(c) / lead
-        while len(out) <= m:
-            out.append(Fraction(0))
-        out[m] = scale
-        for e, dc in dm.items():
-            s = work.get(e, Fraction(0)) - scale * dc
+        # d^m leads with (-1)^m A^(2m)
+        out[hi // 2] = scale = Fraction(work[hi]) * (-1) ** (hi // 2)
+        for e, dc in (_D ** (hi // 2)).coeffs.items():
+            s = work.get(e, 0) - scale * dc
             if s:
                 work[e] = s
             else:
                 work.pop(e, None)
-    if not out:
-        out = [Fraction(0)]
     return out
 
 
@@ -661,8 +653,6 @@ def _dpoly_mul(a, b):
         if ca:
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
     return out
 
 
@@ -703,14 +693,14 @@ def _d_factor(key):
 
 def _d_groups(phis):
     """{key: n} with prod Phi_m^e over phis = {m: e} the product of each
-    group to the power n, or None when the exponents make no whole groups."""
+    group to the power n; InvariantError if the exponents make no whole groups."""
     groups = {}
     for m, e in phis.items():
         group = _d_group(m)
         groups[min(group)] = e // group[m]
     if any(phis.get(m, 0) != n * e for key, n in groups.items()
            for m, e in _d_group(key).items()):
-        return None
+        raise InvariantError(f"the product of Phi_m^e over {phis} is no function of d")
     return groups
 
 
@@ -731,23 +721,21 @@ def _square_split(content, groups):
 
 def _d_parts(fn):
     """The float coefficient lists (rn, sn, rd, sd) of polynomials in d with
-    fn = (rn/rd)^2 * sn/sd, as _square_split makes them; None when fn is no
-    function of d or its numerator is no product of cyclotomic polynomials."""
+    fn = (rn/rd)^2 * sn/sd, as _square_split makes them.  Raises
+    InvariantError when fn's numerator is no product of cyclotomic
+    polynomials or fn is no function of d."""
     if fn.is_zero():
         return [0.0], [1.0], [1.0], [1.0]
     num, den_phis = fn._cancelled()
     split = _cyclotomic_split(num)
     if split is None:
-        return None
+        raise InvariantError(f"numerator {num!r} is no product of cyclotomic polynomials")
     c, _, num_phis = split
-    num_groups, den_groups = _d_groups(num_phis), _d_groups(den_phis)
-    if num_groups is None or den_groups is None:
-        return None
     # only a ratio of two Laurent polynomials centred on the same power of A,
     # each a polynomial in d, is a function of d
     if num.min_exp() + num.max_exp() != sum(_totient(m) * e for m, e in den_phis.items()):
-        return None
-    parts = _square_split(c, num_groups) + _square_split(1, den_groups)
+        raise InvariantError(f"squared norm {fn!r} is no function of d")
+    parts = _square_split(c, _d_groups(num_phis)) + _square_split(1, _d_groups(den_phis))
     return tuple([float(x) for x in part] for part in parts)
 
 
@@ -758,26 +746,17 @@ class SplitNorm:
     polynomials in d.  The split is read off the Phi_m exponents of the
     norm's numerator and denominator (see _d_parts) and does not depend on
     the evaluation point, so each point only evaluates the four
-    d-polynomials.  parts is None for a norm that is no function of d, or
-    whose numerator is no product of cyclotomic polynomials; sqrt_at then
-    takes the principal root.
+    d-polynomials.  A norm that is no function of d, or whose numerator is
+    no product of cyclotomic polynomials, raises InvariantError.
     """
 
-    __slots__ = ("norm_sq", "parts")
+    __slots__ = ("parts",)
 
     def __init__(self, norm_sq):
-        self.norm_sq = RationalFn.from_scalar(norm_sq)
-        self.parts = _d_parts(self.norm_sq)
+        self.parts = _d_parts(RationalFn.from_scalar(norm_sq))
 
     def sqrt_at(self, point):
         """sqrt_normalizer(norm_sq, point) from the stored split."""
-        if self.parts is None:
-            # no split (see the class docstring): the principal root
-            val = self.norm_sq.evaluate(point.A)
-            if not (val.real > NORM_TOL and abs(val.imag) < NORM_TOL):
-                raise DegeneratePointError(
-                    f"squared norm {val!r} not positive at theta={point.theta}")
-            return complex(math.sqrt(val.real))
         d = point.d
         rn, sn, rd, sd = (_dpoly_eval(poly, d) for poly in self.parts)
         if abs(rd) < NORM_TOL or abs(sd) < NORM_TOL:
@@ -794,15 +773,13 @@ class SplitNorm:
 
 
 def sqrt_normalizer(norm_sq, point):
-    """Principal square root of an exact squared norm, with the sign convention
-    matching the projector-basis formulas: norm_sq is a rational function of d,
-    factored as (r/d-part)^2 * squarefree; the perfect-square part keeps its
-    polynomial sign at the evaluation point.
+    """Square root of an exact squared norm, as a complex number: split as
+    (r/r')^2 * s/s' by SplitNorm, it is r/r' * sqrt(s/s') with the sign of
+    r/r' at the point, the sign convention of the projector-basis formulas.
 
-    Returns a complex number (real positive when the rational part is positive).
-    Raises DegeneratePointError when the squared norm is not strictly positive
-    (a part below NORM_TOL in magnitude).
-    To take roots of one squared norm at many points, split it once with
-    SplitNorm.
+    Raises DegeneratePointError, with its factor set, when a part vanishes
+    or s/s' is not positive (below NORM_TOL), and InvariantError when
+    norm_sq is no function of d.  To take roots of one squared norm at many
+    points, split it once with SplitNorm.
     """
     return SplitNorm(norm_sq).sqrt_at(point)

@@ -25,6 +25,9 @@ from .scalars import LaurentPoly, RationalFn, d_param
 MODES = ("kauffman", "permutation")
 _D = d_param()
 
+# The widest jw slice slice_width accepts (2 cores: jones_wenzl(6) 0.5 s, (7) 15.6 s)
+MAX_JW_WIDTH = 6
+
 
 def _at_one(c):
     """Exact value of a coefficient at A = 1."""
@@ -84,6 +87,8 @@ def slice_width(op, width):
         _, i, k = op
         if k < 1 or not 1 <= i <= width - k + 1:
             raise ValueError(f"jw {i} {k} out of range at width {width}")
+        if k > MAX_JW_WIDTH:
+            raise ValueError(f"jw {i} {k} is wider than the bound of {MAX_JW_WIDTH} strands")
         return width
     if kind not in _WIDTH_CHANGE:
         raise ValueError(f"unknown slice kind {kind!r}")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -83,7 +84,11 @@ def local_basis_matchings(n):
 
 
 class QuditSpace:
-    """Local basis, Gram matrix, and orthonormalization data for one party."""
+    """Local basis, Gram matrix, and orthonormalization data for one party.
+
+    The Gram matrix is Hermitian: entries with i <= j are paired, the others
+    are their bars.  Gram-Schmidt takes each squared norm from its overlaps.
+    """
 
     def __init__(self, n):
         self.n = n
@@ -96,8 +101,10 @@ class QuditSpace:
         starts = [t * w for t in range(4)]
         self.dressed = [b if w <= 1 else _dress(b, self.n_points, starts, jones_wenzl(w), _D)
                         for b in self.basis]
-        self.gram = [[RationalFn.from_scalar(self.basis[i].inner(self.dressed[j], _D))
-                      for j in range(n)] for i in range(n)]
+        upper = [[RationalFn.from_scalar(self.basis[i].inner(self.dressed[j], _D)) if i <= j
+                  else None for j in range(n)] for i in range(n)]
+        self.gram = [[upper[i][j] if i <= j else upper[j][i].bar() for j in range(n)]
+                     for i in range(n)]
         self._gs_coeffs, self.gs_norms_sq = self._orthogonalize()
         self._gs_roots = [SplitNorm(nu) for nu in self.gs_norms_sq]
         self._projector_cache = PointCache()
@@ -106,13 +113,15 @@ class QuditSpace:
         """Unnormalized Gram-Schmidt over rational functions of A.
 
         Returns (coeffs, norms_sq): row i of coeffs expresses the i-th
-        orthogonal vector in the raw basis; norms_sq[i] is its squared norm.
+        orthogonal vector in the raw basis; norms_sq[i] is its squared norm,
+        G[i][i] - sum_j f * ov.bar() over the earlier vectors j.
         """
         n = self.n
         G = self.gram
         coeffs = [[RationalFn(1 if i == j else 0) for j in range(n)] for i in range(n)]
         norms_sq = []
         for i in range(n):
+            nu = G[i][i]
             for j in range(i):
                 ov = RationalFn(0)
                 for k in range(j + 1):
@@ -120,10 +129,7 @@ class QuditSpace:
                 f = ov / norms_sq[j]
                 for k in range(j + 1):
                     coeffs[i][k] = coeffs[i][k] - f * coeffs[j][k]
-            nu = RationalFn(0)
-            for a in range(i + 1):
-                for b in range(i + 1):
-                    nu = nu + coeffs[i][a].bar() * G[a][b] * coeffs[i][b]
+                nu = nu - f * ov.bar()
             if nu.is_zero():
                 raise InvariantError(f"basis vector {i} has identically zero norm")
             norms_sq.append(nu)
@@ -210,13 +216,8 @@ class PartyLayout:
         if any(n < 1 for _, n in parties):
             raise ValueError("party dimensions must be at least 1")
         self.parties = parties
-        offs = []
-        off = 0
-        for _, n in parties:
-            offs.append(off)
-            off += 4 * (n - 1)
-        self.offsets = tuple(offs)
-        self.n_points = off
+        ends = tuple(accumulate((4 * (n - 1) for _, n in parties), initial=0))
+        self.offsets, self.n_points = ends[:-1], ends[-1]
 
     @classmethod
     def qubits(cls, *names):

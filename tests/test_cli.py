@@ -576,6 +576,65 @@ def test_empty_connectome_inputs_rejected(capsys, argv, message):
     assert err == f"usage error: {message}\n"
 
 
+@pytest.mark.parametrize("action", ["classify", "state"])
+@pytest.mark.parametrize("adj", [
+    '{"parties": 2}',                                # no "adj"
+    "5", "null", '"[[0,4],[4,0]]"',                  # no rows
+    "[4, 0]", "[[0,4], 4]",                          # rows that are no lists
+    '{"adj": [[0,4],[4,0]], "punctures": "x"}',
+    '{"adj": [[0,4],[4,0]], "punctures": null}',
+    '{"adj": [[0,4],[4,0]], "parties": 2.0}',
+    "[[0.5]]", "[[0,4.0],[4.0,0]]",                  # no truncation to int
+    '[[0,"4"],["4",0]]', "[[true]]",                 # no strings or booleans
+])
+def test_malformed_adj_rejected(capsys, action, adj):
+    code, out, err = run(capsys, ["connectome", action, "--adj", adj])
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: --adj must be a list of rows of integers")
+
+
+@pytest.mark.parametrize("top", [7, 16])
+def test_wide_projector_slice_rejected(tmp_path, capsys, monkeypatch, top):
+    def refuse(n):
+        raise AssertionError("a projector was built for a rejected slice")
+
+    monkeypatch.setattr("tl_entangle.skein.jones_wenzl", refuse)
+    wide = tmp_path / "wide.tl"
+    wide.write_text(f"top {top}\njw 1 {top}\nbottom {top}\n")
+    code, out, err = run(capsys, ["reduce", str(wide), "--mode", "exact"])
+    assert code == 2 and out == ""
+    assert err == f"parse error: line 2: jw 1 {top} is wider than the bound of 6 strands\n"
+
+
+@pytest.mark.parametrize("argv", [["state"], ["classify"], ["entropy", "--party", "A"]])
+def test_party_dimension_above_bound_rejected(tmp_path, capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact set-up ran for a rejected party dimension")
+
+    monkeypatch.setattr(SliceWord, "to_element", refuse)
+    monkeypatch.setattr(spaces, "qudit_space", refuse)
+    # one dimension-5 party: 16 points
+    doc = tmp_path / "five.tl"
+    doc.write_text("top 0\n" + "".join(f"cup {i}\n" for i in range(1, 9))
+                   + "bottom 16\nparty A 1..16\n")
+    code, out, err = run(capsys, argv[:1] + [str(doc)] + argv[1:])
+    assert code == 1 and out == ""
+    assert err == "usage error: party A has dimension 5, above 4\n"
+
+
+@pytest.mark.parametrize("adj, punctures", [("[[0,16],[16,0]]", 16), ("[[8,8],[8,8]]", 16),
+                                            ("[[0,20],[20,0]]", 20)])
+def test_connectome_state_above_party_bound_rejected(capsys, monkeypatch, adj, punctures):
+    def refuse(c):
+        raise AssertionError("a state was built for a rejected party dimension")
+
+    monkeypatch.setattr(cli, "representative_state", refuse)
+    code, out, err = run(capsys, ["connectome", "state", "--adj", adj])
+    assert code == 1 and out == ""
+    assert err == ("usage error: connectome state takes at most 12 punctures per party "
+                   f"(party dimension 4), got {punctures}\n")
+
+
 @pytest.mark.parametrize("spins, dim", [("15/2,15/2,8", 4352), ("2047/2,1", 6144),
                                         ("10,10,10", 9261)])
 def test_rep_hw_rejects_large_product_space(capsys, monkeypatch, spins, dim):

@@ -320,7 +320,13 @@ def test_split_norm_matches_yun_on_signed_group_products(norm):
     lo, hi = norm.num.min_exp(), norm.num.max_exp()
     centred = norm * RationalFn(_A(-(lo + hi - norm.den.max_exp()) // 2))
     for x in (norm, centred):
-        assert repr(SplitNorm(x).parts) == repr(split_norm_parts(x))
+        want = split_norm_parts(x)
+        if want is None:
+            # no function of d: no split
+            with pytest.raises(InvariantError, match="is no function of d"):
+                SplitNorm(x)
+        else:
+            assert repr(SplitNorm(x).parts) == repr(want)
 
 
 def test_split_norm_of_a_d_function_is_found():
@@ -333,17 +339,15 @@ def test_split_norm_of_a_d_function_is_found():
     assert parts == ([-2.0, 1.0, 1.0], [1.0, -1.0], [0.0, -2.0, 1.0], [2.0, -1.0])
 
 
-def test_non_cyclotomic_norm_takes_the_principal_root():
+def test_non_cyclotomic_norm_is_an_invariant_error():
     # d + 3 is no product of Phi_m; Yun's split would read (d + 3)^2 * d^2 as a
-    # square, the split by Phi_m exponents leaves it to the principal root
+    # square, but no norm of a local frame has such a factor
     x = RationalFn((D + 3) ** 2 * D * D)
     assert split_norm_parts(x) is not None
-    split = SplitNorm(x)
-    assert split.parts is None
-    for theta in (0.1, 0.3, -0.2617993877991494):
-        pt = EvalPoint(theta)
-        want = abs((pt.d + 3) * pt.d)
-        assert abs(split.sqrt_at(pt) - want) < 1e-12 * want
+    with pytest.raises(InvariantError, match="no product of cyclotomic polynomials"):
+        SplitNorm(x)
+    with pytest.raises(InvariantError):
+        scalars.sqrt_normalizer(x, EvalPoint(0.1))
 
 
 # --- the Phi_m prefilter against the numpy prefilter it replaced ---------------

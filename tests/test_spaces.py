@@ -85,6 +85,19 @@ def test_qutrit_gram_matches_projector_algebra():
     assert q.gs_norms_sq[2] == RationalFn(d2 * d2 - d2 - 1)
 
 
+@pytest.mark.parametrize("n", range(1, 5))
+def test_gram_is_hermitian_and_rotation_invariant(n):
+    # only gram[i][j] with i <= j is paired; every entry must equal its own
+    # pairing, and rotating the punctures by one reverses the basis order
+    q = qudit_space(n)
+    G = q.gram
+    for i in range(n):
+        for j in range(n):
+            assert G[i][j] == RationalFn.from_scalar(q.basis[i].inner(q.dressed[j], D))
+            assert G[j][i] == G[i][j].bar()
+            assert G[n - 1 - i][n - 1 - j] == G[i][j]
+
+
 def test_qutrit_transform_signs_at_k4():
     # normalizers carry the sign of their polynomial square part: 1/Delta_2,
     # d/((Delta_2-1) sqrt(Delta_2)), 1/sqrt(Delta_2^2 - Delta_2 - 1)
