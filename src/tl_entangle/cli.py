@@ -14,8 +14,10 @@ integers, bare or as the "adj" of an object whose "punctures" and "parties"
 are integers; a connectome needs at least one party, and --punctures cannot be
 negative; connectome enumerate takes at most 6 parties and at most
 ENUMERATE_MAX_PUNCTURES[parties] punctures; a party evaluated by a command
-has dimension at most MAX_PARTY_DIM (4).  A jw slice wider than
-skein.MAX_JW_WIDTH (6) strands is a parse error (exit 2).
+has dimension at most MAX_PARTY_DIM (4), in a state of at most
+MAX_STATE_WORK units of evaluation work (three dimension-4 parties or six
+qutrits are beyond it).  A jw slice wider than skein.MAX_JW_WIDTH (6) strands
+is a parse error (exit 2).
 
 The exact commands (bracket, reduce, connectome enumerate and classify)
 never import numpy: the numeric modules are imported inside the handlers
@@ -34,7 +36,7 @@ import sys
 from fractions import Fraction
 
 from .connectomes import Connectome, classify as classify_connectome, \
-    enumerate_connectomes, is_biseparable, reduce_connectome, representative_state
+    enumerate_connectomes, is_biseparable, party_names, reduce_connectome, representative_state
 from .scalars import DegeneratePointError, EvalPoint, evaluate
 from .skein import bracket
 from .tangle_dsl import TangleParseError, corpus_names, load_corpus, parse_tangle
@@ -51,6 +53,14 @@ ENUMERATE_MAX_PUNCTURES = {1: 100_000, 2: 100_000, 3: 96, 4: 12, 5: 4, 6: 2}
 # The largest party dimension a command evaluates, checked before exact set-up:
 # on two cores two dimension-4 parties take about 1 s, two of dimension 5 55 s.
 MAX_PARTY_DIM = 4
+
+# A state's evaluation work, checked before exact set-up, is the product of
+# its parties' PARTY_WORK: the dimension times the most the party's dressing
+# was measured to multiply the state's terms (2, 4, about 95).  raw_overlaps
+# takes about 13 us per (dressed term, tuple basis diagram) on two cores: the
+# slowest accepted state measured (dimensions 4, 2, 4) takes 11 s at k = 6.
+PARTY_WORK = {1: 1, 2: 4, 3: 12, 4: 380}
+MAX_STATE_WORK = 600_000
 
 
 class UsageError(Exception):
@@ -171,10 +181,21 @@ def _layout_of(doc):
     return doc.layout()
 
 
-def _state_of(doc):
-    for name, n in _layout_of(doc).parties:
+def _check_state_size(parties):
+    """Reject a state of (name, dimension) parties beyond MAX_PARTY_DIM or
+    MAX_STATE_WORK, before any exact set-up."""
+    for name, n in parties:
         if n > MAX_PARTY_DIM:
             raise UsageError(f"party {name} has dimension {n}, above {MAX_PARTY_DIM}")
+    dims = [n for _, n in parties]
+    work = math.prod(PARTY_WORK[n] for n in dims)
+    if work > MAX_STATE_WORK:
+        raise UsageError(f"parties of dimensions {', '.join(map(str, dims))} take {work:,} "
+                         f"units of evaluation work, above the bound of {MAX_STATE_WORK:,}")
+
+
+def _state_of(doc):
+    _check_state_size(_layout_of(doc).parties)
     return doc.state()
 
 
@@ -462,9 +483,12 @@ def _cmd_connectome(args):
                               for j in range(args.parties)]
         return payload, rows, header
     c = _connectome_from_args(args)
-    if args.action == "state" and c.punctures > 4 * (MAX_PARTY_DIM - 1):
-        raise UsageError(f"connectome state takes at most {4 * (MAX_PARTY_DIM - 1)} punctures "
-                         f"per party (party dimension {MAX_PARTY_DIM}), got {c.punctures}")
+    if args.action == "state":
+        if c.punctures > 4 * (MAX_PARTY_DIM - 1):
+            raise UsageError(f"connectome state takes at most {4 * (MAX_PARTY_DIM - 1)} "
+                             f"punctures per party (party dimension {MAX_PARTY_DIM}), "
+                             f"got {c.punctures}")
+        _check_state_size([(name, c.punctures // 4 + 1) for name in party_names(c.m)])
     blocks = classify_connectome(c)
     payload = {
         "parties": c.m, "punctures": c.punctures,

@@ -239,6 +239,11 @@ def _party_slots(c):
     return sorted(tuple(sorted(pr)) for pr in pairs)
 
 
+def party_names(m):
+    """The names of m parties in representative_state's layout."""
+    return [_NAMES[i] if i < len(_NAMES) else f"P{i}" for i in range(m)]
+
+
 def representative_state(c):
     """Canonical diagram state wiring the connectome's line counts.
 
@@ -253,7 +258,6 @@ def representative_state(c):
     if c.punctures % 4:
         raise ValueError("default layout needs punctures divisible by 4")
     dim = c.punctures // 4 + 1
-    names = [_NAMES[i] if i < len(_NAMES) else f"P{i}" for i in range(c.m)]
-    layout = PartyLayout(tuple((nm, dim) for nm in names))
+    layout = PartyLayout(tuple((nm, dim) for nm in party_names(c.m)))
     word = word_from_pairing(_party_slots(c), c.m * c.punctures)
     return DiagramState(word.to_element(), layout)

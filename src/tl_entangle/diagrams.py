@@ -11,7 +11,7 @@ model where only connectivity matters).
 
 from __future__ import annotations
 
-from .scalars import LaurentPoly, RationalFn
+from .scalars import LaurentPoly, RationalFn, evaluate
 
 
 class PlanarDiagram:
@@ -116,25 +116,32 @@ class PlanarDiagram:
         pairs += [(a + self.n_top, b + self.n_top) for a, b in other.pairs]
         return PlanarDiagram(nt, nb, pairs)
 
-    def compose_with(self, lower):
-        """Stack self on top of lower, gluing self's bottom to lower's top.
+    def compose_with(self, lower, offset=0):
+        """Glue lower's top points under self's bottom positions offset+1 ..
+        offset+lower.n_top, counted from the left; the other bottom points of
+        self pass by on either side and stay bottom points of the result.
 
         Returns (diagram, n_loops).  Every point is one end of a bond for
-        _join.  The result's labels 1..nt+nb (nt = self.n_top, nb =
-        lower.n_bottom) are bonds placed once, so they stay open and end up
-        paired in mate; glued column j is bond nt+nb+j, placed from each side."""
-        m = self.n_bottom
-        if lower.n_top != m:
-            raise ValueError(f"cannot glue {m} bottom points to {lower.n_top} top points")
-        nt, nb = self.n_top, lower.n_bottom
-        # glued column j is self's bottom label up - nt - nb - j and lower's
-        # top label j; lower's bottom label p is result label p + shift
-        up = 2 * nt + nb + m + 1
-        glued = nt + nb
-        shift = nt - m
-        arcs = [(a if a <= nt else up - a, b if b <= nt else up - b)
+        _join.  The result's labels 1..nt+nb are bonds placed once, so they
+        stay open and end up paired in mate; glued column j is bond nt+nb+j,
+        placed from each side.  An offset outside 0 .. self.n_bottom -
+        lower.n_top is a ValueError."""
+        m, g, nt, lb = self.n_bottom, lower.n_top, self.n_top, lower.n_bottom
+        kept = m - g - offset + nt
+        if offset < 0 or kept < nt:
+            raise ValueError(f"cannot glue {g} top points under bottom positions "
+                             f"{offset + 1}..{offset + g} of {m}")
+        # self's labels up to kept (its top, then the points passing on the
+        # right) stay; glued column j is self's label up - nt - nb - j and
+        # lower's top label j; self's points passing on the left move by
+        # lb - g, and lower's bottom labels by kept - g
+        nb = m - g + lb
+        up = 2 * nt + nb + m + 1 - offset
+        left, glued, shift = kept + g, nt + nb, kept - g
+        arcs = [(a if a <= kept else up - a if a <= left else a + lb - g,
+                 b if b <= kept else up - b if b <= left else b + lb - g)
                 for a, b in self.pairs]
-        arcs += [(a + glued if a <= m else a + shift, b + glued if b <= m else b + shift)
+        arcs += [(a + glued if a <= g else a + shift, b + glued if b <= g else b + shift)
                  for a, b in lower.pairs]
         mate = {}
         loops = _join(mate, arcs)
@@ -277,12 +284,15 @@ class TLElement:
                 _accumulate(out, d1.tensor(d2), c1 * c2)
         return TLElement(out)
 
-    def compose(self, lower, d):
-        """self stacked on top of lower; each closed loop contributes d."""
+    def compose(self, lower, d, offset=0):
+        """lower glued under self's bottom positions offset+1 .. offset+w
+        (w = lower's top points), the other bottom points passing by, as in
+        PlanarDiagram.compose_with; each closed loop contributes d.  Terms
+        are summed with self's outer and lower's inner."""
         out = {}
         for d1, c1 in self.terms.items():
             for d2, c2 in lower.terms.items():
-                dg, loops = d1.compose_with(d2)
+                dg, loops = d1.compose_with(d2, offset)
                 _accumulate(out, dg, c1 * c2, loops, d)
         return TLElement(out)
 
@@ -309,10 +319,9 @@ class TLElement:
         return out.get(None, 0)
 
     def evaluate(self, point):
-        from .scalars import evaluate as _ev
         out = {}
         for dg, c in self.terms.items():
-            val = _ev(c, point) if not isinstance(c, complex) else c
+            val = evaluate(c, point) if not isinstance(c, complex) else c
             if val != 0:
                 out[dg] = out.get(dg, 0j) + val
         return TLElement(out)

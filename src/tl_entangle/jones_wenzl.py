@@ -14,6 +14,8 @@ from .diagrams import PlanarDiagram, TLElement, close_trace
 from .scalars import RationalFn, d_param, delta
 
 _D = d_param()
+# e_1 of two strands, glued under strands n-1, n as e_(n-1)
+_HOOK = TLElement.from_diagram(PlanarDiagram.generator(2, 1))
 
 
 @lru_cache(maxsize=None)
@@ -27,9 +29,8 @@ def jones_wenzl(n):
         return TLElement.from_diagram(PlanarDiagram.identity(1), RationalFn(1))
     prev = jones_wenzl(n - 1)
     wide = prev.tensor(TLElement.from_diagram(PlanarDiagram.identity(1)))
-    e_last = TLElement.from_diagram(PlanarDiagram.generator(n, n - 1))
     coeff = RationalFn(delta(n - 2), delta(n - 1))
-    correction = wide.compose(e_last, _D).compose(wide, _D)
+    correction = wide.compose(_HOOK, _D, n - 2).compose(wide, _D)
     return wide + (-1) * coeff * correction
 
 

@@ -35,33 +35,6 @@ def _at_one(c):
     return sum(c.num.coeffs.values(), Fraction(0)) / sum(c.den.coeffs.values())
 
 
-def cup_slice(width, i):
-    """Map from width strands to width+2, inserting an arc at positions i, i+1."""
-    if not 1 <= i <= width + 1:
-        raise ValueError(f"cup position {i} out of range for width {width}")
-    nb = width + 2
-    pairs = []
-    for j in range(1, width + 1):
-        pos = j if j < i else j + 2
-        pairs.append((j, width + nb + 1 - pos))
-    pairs.append((width + nb - i, width + nb + 1 - i))
-    return PlanarDiagram(width, nb, pairs)
-
-
-def cap_slice(width, i):
-    """Map from width strands to width-2, joining strands i and i+1."""
-    if not 1 <= i <= width - 1:
-        raise ValueError(f"cap position {i} out of range for width {width}")
-    nb = width - 2
-    pairs = [(i, i + 1)]
-    for j in range(1, width + 1):
-        if j in (i, i + 1):
-            continue
-        pos = j if j < i else j - 2
-        pairs.append((j, width + nb + 1 - pos))
-    return PlanarDiagram(width, nb, pairs)
-
-
 def crossing_element(width, i, kind):
     """Resolve one crossing of strands i, i+1 into a two-term combination."""
     ident = TLElement.from_diagram(PlanarDiagram.identity(width))
@@ -74,6 +47,15 @@ def crossing_element(width, i, kind):
 
 
 _WIDTH_CHANGE = {"cup": 2, "cap": -2, "e": 0, "over": 0, "under": 0}
+
+# The layer of each slice kind but jw, on the strands it acts on
+_LAYERS = {
+    "cup": TLElement.from_diagram(PlanarDiagram.cups(2)),
+    "cap": TLElement.from_diagram(PlanarDiagram.caps(2)),
+    "e": TLElement.from_diagram(PlanarDiagram.generator(2, 1)),
+    "over": crossing_element(2, 1, "over"),
+    "under": crossing_element(2, 1, "under"),
+}
 
 
 def slice_width(op, width):
@@ -104,7 +86,7 @@ class SliceWord:
     ops is a tuple of (kind, position) or ("jw", position, width) entries.
     """
 
-    __slots__ = ("n_top", "ops")
+    __slots__ = ("n_top", "ops", "final_width")
 
     def __init__(self, n_top, ops):
         if n_top < 0:
@@ -116,45 +98,22 @@ class SliceWord:
             width = slice_width(op, width)
             clean.append(tuple(op))
         self.ops = tuple(clean)
-
-    @property
-    def final_width(self):
-        width = self.n_top
-        for op in self.ops:
-            width = slice_width(op, width)
-        return width
+        self.final_width = width
 
     def is_closed(self):
         return self.n_top == 0 and self.final_width == 0
 
     def to_element(self, mode="kauffman"):
-        """Expand the word into a combination of pair diagrams (at A = 1 in permutation mode)."""
+        """Expand the word into a combination of pair diagrams (at A = 1 in
+        permutation mode).  Each slice's narrow layer, at most a few strands
+        wide, is glued under the strands it acts on (from position i), and
+        every other strand passes by."""
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
         element = TLElement.from_diagram(PlanarDiagram.identity(self.n_top))
-        width = self.n_top
         for op in self.ops:
-            kind = op[0]
-            if kind == "cup":
-                layer = TLElement.from_diagram(cup_slice(width, op[1]))
-                width += 2
-            elif kind == "cap":
-                layer = TLElement.from_diagram(cap_slice(width, op[1]))
-                width -= 2
-            elif kind in ("over", "under"):
-                layer = crossing_element(width, op[1], kind)
-            elif kind == "e":
-                layer = TLElement.from_diagram(
-                    PlanarDiagram.generator(width, op[1]))
-            else:  # jw
-                _, i, k = op
-                layer = jones_wenzl(k)
-                if i > 1:
-                    layer = TLElement.from_diagram(PlanarDiagram.identity(i - 1)).tensor(layer)
-                if i + k - 1 < width:
-                    layer = layer.tensor(
-                        TLElement.from_diagram(PlanarDiagram.identity(width - i - k + 1)))
-            element = element.compose(layer, _D)
+            layer = jones_wenzl(op[2]) if op[0] == "jw" else _LAYERS[op[0]]
+            element = element.compose(layer, _D, op[1] - 1)
         if mode == "permutation":
             return element.map_coefficients(_at_one)
         return element

@@ -99,7 +99,7 @@ class QuditSpace:
                       for m in self.matchings]
         w = self.width
         starts = [t * w for t in range(4)]
-        self.dressed = [b if w <= 1 else _dress(b, self.n_points, starts, jones_wenzl(w), _D)
+        self.dressed = [b if w <= 1 else _dress(b, starts, jones_wenzl(w), _D)
                         for b in self.basis]
         upper = [[RationalFn.from_scalar(self.basis[i].inner(self.dressed[j], _D)) if i <= j
                   else None for j in range(n)] for i in range(n)]
@@ -187,21 +187,12 @@ def qudit_space(n):
     return QuditSpace(n)
 
 
-def _identity_element(k):
-    return TLElement.from_diagram(PlanarDiagram.identity(k))
-
-
-def _dress(element, n_points, starts, proj, d):
-    """Compose element with proj under bottom positions a+1..a+w for each a in starts.
-
-    element has n_points bottom points and proj is w points wide; the gate
-    for a is id(a) (x) proj (x) id(n_points - a - w), applied in the order of
-    starts, which fixes the order of the sums.
-    """
-    w = proj.shape()[0]
+def _dress(element, starts, proj, d):
+    """Glue proj under element's bottom positions a+1 .. a+w (w = proj's
+    width) for each a in starts, in the order of starts, which fixes the
+    order of the sums; every other bottom point passes by."""
     for a in starts:
-        gate = _identity_element(a).tensor(proj).tensor(_identity_element(n_points - a - w))
-        element = element.compose(gate, d)
+        element = element.compose(proj, d, a)
     return element
 
 
@@ -276,7 +267,7 @@ class DiagramState:
     It holds at most one entry per distinct dressed diagram, whatever the
     number of points, so a new angle re-walks no loop; only the dressing
     and the sums of c * d**loops run per point.  amplitudes builds one
-    frame per distinct party dimension per call.
+    frame per distinct party dimension per call, before any dressing.
     """
 
     def __init__(self, element, layout):
@@ -316,7 +307,7 @@ class DiagramState:
             # N-o-(t+1)w+1 .. N-o-tw (labels run right to left)
             starts = [N - o - (t + 1) * w for t in range(4)]
             try:
-                el = _dress(el, N, starts, jones_wenzl(w).evaluate(point), complex(point.d))
+                el = _dress(el, starts, jones_wenzl(w).evaluate(point), complex(point.d))
             except DegeneratePointError as exc:
                 exc.party = name
                 raise
@@ -354,18 +345,21 @@ class DiagramState:
     def amplitudes(self, point):
         """Amplitude tensor in the orthonormal local frames, one axis per party.
 
-        Each dimension's frame is built once per call; a DegeneratePointError
-        from it names the first party of that dimension.
+        Each dimension's frame is built once per call, before the dressing
+        and the raw overlaps, so a degenerate frame raises before either
+        runs; its DegeneratePointError names the first party of that
+        dimension.
         """
-        amp = self.raw_overlaps(point)
         frames = {}
-        for k, (name, nk) in enumerate(self.layout.parties):
+        for name, nk in self.layout.parties:
             if nk not in frames:
                 try:
                     frames[nk] = np.conj(qudit_space(nk).ortho_transform(point))
                 except DegeneratePointError as exc:
                     exc.party = name
                     raise
+        amp = self.raw_overlaps(point)
+        for k, nk in enumerate(self.layout.dims):
             amp = np.moveaxis(np.tensordot(frames[nk], amp, axes=(1, k)), 0, k)
         return amp
 

@@ -299,10 +299,11 @@ def test_degenerate_point_exit_code(tmp_path, capsys):
 
 
 def test_dressing_failure_message_unchanged(capsys):
-    # the width-2 projector's denominator vanishes at theta = pi/4 (d = 0)
+    # at theta = pi/4 (d = 0) the width-2 projector's denominator vanishes,
+    # and so does a qutrit frame norm's; the frame is built first and speaks
     code, out, err = run(capsys, ["state", "two_qutrit_rank1", "--theta=pi/4"])
     assert code == 3 and out == ""
-    assert err.startswith("degenerate evaluation point: denominator vanishes at A=")
+    assert err == f"degenerate evaluation point: squared norm singular at theta={math.pi / 4}\n"
 
 
 def test_usage_errors_exit_code(capsys):
@@ -633,6 +634,58 @@ def test_connectome_state_above_party_bound_rejected(capsys, monkeypatch, adj, p
     assert code == 1 and out == ""
     assert err == ("usage error: connectome state takes at most 12 punctures per party "
                    f"(party dimension 4), got {punctures}\n")
+
+
+def _ring(parties, lines):
+    adj = [[0] * parties for _ in range(parties)]
+    for i in range(parties):
+        adj[i][(i + 1) % parties] += lines
+        adj[(i + 1) % parties][i] += lines
+    return json.dumps(adj)
+
+
+@pytest.mark.parametrize("adj, dims, work", [
+    # three dimension-4 parties: 6 to 21 s at k = 6
+    ("[[0,6,6],[6,0,6],[6,6,0]]", "4, 4, 4", "54,872,000"),
+    ("[[12,0,0],[0,12,0],[0,0,12]]", "4, 4, 4", "54,872,000"),
+    ("[[4,4,4],[4,4,4],[4,4,4]]", "4, 4, 4", "54,872,000"),
+    # six qutrits in a ring, 4 lines between neighbours: 40 s at k = 6
+    (_ring(6, 4), "3, 3, 3, 3, 3, 3", "2,985,984"),
+    # eleven qubits
+    (_ring(11, 2), ", ".join(["2"] * 11), "4,194,304"),
+])
+@pytest.mark.parametrize("point", [[], ["--k", "6"]])
+def test_connectome_state_above_work_bound_rejected(capsys, monkeypatch, adj, dims, work,
+                                                    point):
+    def refuse(c):
+        raise AssertionError("a state was built beyond the work bound")
+
+    monkeypatch.setattr(cli, "representative_state", refuse)
+    code, out, err = run(capsys, ["connectome", "state", "--adj", adj] + point)
+    assert code == 1 and out == ""
+    assert err == (f"usage error: parties of dimensions {dims} take {work} units of "
+                   "evaluation work, above the bound of 600,000\n")
+
+
+@pytest.mark.parametrize("dims", [(4, 2, 4, 2), (3, 2, 3, 2, 3, 2, 3, 2), (3, 3, 3, 3, 3, 2)])
+def test_document_state_above_work_bound_rejected(tmp_path, capsys, monkeypatch, dims):
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact set-up ran beyond the work bound")
+
+    monkeypatch.setattr(SliceWord, "to_element", refuse)
+    monkeypatch.setattr(spaces, "qudit_space", refuse)
+    points = sum(4 * (n - 1) for n in dims)
+    parties, first = [], 1
+    for k, n in enumerate(dims):
+        parties.append(f"party P{k} {first}..{first + 4 * (n - 1) - 1}\n")
+        first += 4 * (n - 1)
+    doc = tmp_path / "wide.tl"
+    doc.write_text("top 0\n" + "cup 1\n" * (points // 2) + f"bottom {points}\n"
+                   + "".join(parties))
+    for argv in (["state"], ["classify"], ["entropy", "--party", "P0"]):
+        code, out, err = run(capsys, argv[:1] + [str(doc)] + argv[1:])
+        assert code == 1 and out == ""
+        assert err.startswith(f"usage error: parties of dimensions {', '.join(map(str, dims))} ")
 
 
 @pytest.mark.parametrize("spins, dim", [("15/2,15/2,8", 4352), ("2047/2,1", 6144),

@@ -463,6 +463,49 @@ def test_compose_with_matches_reference_exhaustively():
     assert shapes == 16
 
 
+def _padded(lower, offset, m):
+    """lower between offset identity strands on its left and the rest of m on its right."""
+    return (PlanarDiagram.identity(offset).tensor(lower)
+            .tensor(PlanarDiagram.identity(m - lower.n_top - offset)))
+
+
+def test_offset_compose_matches_padded_compose_exhaustively():
+    # every pair of matchings, crossings included, for up to 3 points a side,
+    # glued at every offset
+    cases = 0
+    for nt in range(4):
+        for m in range(4):
+            for g in range(m + 1):
+                for lb in range(4):
+                    if (nt + m) % 2 or (g + lb) % 2:
+                        continue
+                    for u in all_matchings(range(1, nt + m + 1)):
+                        upper = PlanarDiagram(nt, m, u)
+                        for v in all_matchings(range(1, g + lb + 1)):
+                            lower = PlanarDiagram(g, lb, v)
+                            for offset in range(m - g + 1):
+                                dg, loops = upper.compose_with(lower, offset)
+                                wide = _padded(lower, offset, m)
+                                assert (dg, loops) == upper.compose_with(wide)
+                                ref, ref_loops = reference_compose_with(upper, wide)
+                                assert (dg.n_top, dg.n_bottom, dg.pairs, loops) == \
+                                    (ref.n_top, ref.n_bottom, ref.pairs, ref_loops)
+                                cases += 1
+    assert cases == 936
+
+
+def test_offset_compose_rejects_offsets_out_of_range():
+    upper = PlanarDiagram.identity(3)
+    hook = PlanarDiagram.generator(2, 1)
+    for offset in (-1, 2, 5):
+        with pytest.raises(ValueError):
+            upper.compose_with(hook, offset)
+        with pytest.raises(ValueError):
+            TLElement.from_diagram(upper).compose(TLElement.from_diagram(hook), D, offset)
+    with pytest.raises(ValueError):
+        PlanarDiagram.identity(1).compose_with(hook)
+
+
 def _random_matching(data, n):
     points = data.draw(st.permutations(range(1, n + 1)))
     return [(points[i], points[i + 1]) for i in range(0, n, 2)]

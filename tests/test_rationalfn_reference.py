@@ -46,14 +46,16 @@ def assert_same(new, ref):
 
 
 @lru_cache(maxsize=None)
-def reference_jones_wenzl(n):
-    """jones_wenzl's Wenzl recursion over reference coefficients."""
+def reference_jones_wenzl(n, fn=ReferenceFn):
+    """jones_wenzl's Wenzl recursion over coefficients of class fn (the
+    reference class by default), composing the full-width e_(n-1)."""
     if n <= 1:
         diagram = PlanarDiagram.empty() if n == 0 else PlanarDiagram.identity(1)
-        return TLElement.from_diagram(diagram, ReferenceFn(1))
-    wide = reference_jones_wenzl(n - 1).tensor(TLElement.from_diagram(PlanarDiagram.identity(1)))
+        return TLElement.from_diagram(diagram, fn(1))
+    wide = reference_jones_wenzl(n - 1, fn).tensor(
+        TLElement.from_diagram(PlanarDiagram.identity(1)))
     e_last = TLElement.from_diagram(PlanarDiagram.generator(n, n - 1))
-    coeff = ReferenceFn(delta(n - 2), delta(n - 1))
+    coeff = fn(delta(n - 2), delta(n - 1))
     return wide + (-1) * coeff * wide.compose(e_last, D).compose(wide, D)
 
 
@@ -76,8 +78,8 @@ def reference_qudit_space(n):
     diagrams = [PlanarDiagram(0, 4 * w, m) for m in spaces.local_basis_matchings(n)]
     dressed = [TLElement.from_diagram(dg, ReferenceFn(1)) for dg in diagrams]
     if w > 1:
-        dressed = [spaces._dress(b, 4 * w, [t * w for t in range(4)],
-                                 reference_jones_wenzl(w), D) for b in dressed]
+        dressed = [spaces._dress(b, [t * w for t in range(4)], reference_jones_wenzl(w), D)
+                   for b in dressed]
     G = [[reference_inner(diagrams[i], dressed[j]) for j in range(n)] for i in range(n)]
     coeffs = [[ReferenceFn(1 if i == j else 0) for j in range(n)] for i in range(n)]
     norms_sq = []
@@ -103,6 +105,15 @@ def test_jones_wenzl_coefficients_match_reference(n):
     assert list(new.terms) == list(ref.terms)
     for dg, c in new.terms.items():
         assert_same(c, ref.terms[dg])
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_jones_wenzl_matches_full_width_recursion(n):
+    """The hook glued under the last two strands gives the recursion's
+    terms, in order, with the same coefficients."""
+    new, ref = jones_wenzl(n), reference_jones_wenzl(n, RationalFn)
+    assert list(new.terms.items()) == list(ref.terms.items())
+    assert [repr(c) for c in new.terms.values()] == [repr(c) for c in ref.terms.values()]
 
 
 @pytest.mark.parametrize("n", range(2, 5))

@@ -5,23 +5,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from tl_entangle.diagrams import PlanarDiagram, TLElement
 from tl_entangle.scalars import LaurentPoly, d_param
-from tl_entangle.skein import (SliceWord, bracket, cap_slice, crossing_element, cup_slice,
-                               slice_width)
+from tl_entangle.jones_wenzl import jones_wenzl
+from tl_entangle.skein import SliceWord, _at_one, bracket, crossing_element, slice_width
 from tl_entangle.tangle_dsl import corpus_names, load_corpus
 
 D = d_param()
 A = LaurentPoly.A_power
-
-
-def test_slice_shapes():
-    c = cup_slice(2, 2)
-    assert (c.n_top, c.n_bottom) == (2, 4)
-    k = cap_slice(4, 3)
-    assert (k.n_top, k.n_bottom) == (4, 2)
-    with pytest.raises(ValueError):
-        cup_slice(2, 4)
-    with pytest.raises(ValueError):
-        cap_slice(2, 2)
 
 
 def test_crossing_resolution():
@@ -96,7 +85,6 @@ def test_permutation_mode_ignores_over_under():
 
 
 def test_jw_slice_matches_projector():
-    from tl_entangle.jones_wenzl import jones_wenzl
     w = SliceWord(2, [("jw", 1, 2)])
     assert w.to_element() == jones_wenzl(2)
     w3 = SliceWord(4, [("jw", 2, 2)])
@@ -105,6 +93,65 @@ def test_jw_slice_matches_projector():
     # projector slice in the middle is killed by a hook under it
     hook = TLElement.from_diagram(PlanarDiagram.generator(4, 2))
     assert el.compose(hook, D).is_zero()
+
+
+def cup_slice(width, i):
+    """Full-width cup slice: width strands to width+2, an arc at positions i, i+1."""
+    nb = width + 2
+    pairs = [(j, width + nb + 1 - (j if j < i else j + 2)) for j in range(1, width + 1)]
+    pairs.append((width + nb - i, width + nb + 1 - i))
+    return PlanarDiagram(width, nb, pairs)
+
+
+def cap_slice(width, i):
+    """Full-width cap slice: width strands to width-2, joining strands i and i+1."""
+    nb = width - 2
+    pairs = [(i, i + 1)]
+    pairs += [(j, width + nb + 1 - (j if j < i else j - 2))
+              for j in range(1, width + 1) if j not in (i, i + 1)]
+    return PlanarDiagram(width, nb, pairs)
+
+
+def reference_to_element(word, mode="kauffman"):
+    """to_element as it was before each slice was glued where it acts: every
+    layer padded with identity strands to the full width of its cut."""
+    element = TLElement.from_diagram(PlanarDiagram.identity(word.n_top))
+    width = word.n_top
+    for op in word.ops:
+        kind = op[0]
+        if kind == "cup":
+            layer = TLElement.from_diagram(cup_slice(width, op[1]))
+        elif kind == "cap":
+            layer = TLElement.from_diagram(cap_slice(width, op[1]))
+        elif kind in ("over", "under"):
+            layer = crossing_element(width, op[1], kind)
+        elif kind == "e":
+            layer = TLElement.from_diagram(PlanarDiagram.generator(width, op[1]))
+        else:
+            _, i, k = op
+            layer = jones_wenzl(k)
+            if i > 1:
+                layer = TLElement.from_diagram(PlanarDiagram.identity(i - 1)).tensor(layer)
+            if i + k - 1 < width:
+                layer = layer.tensor(
+                    TLElement.from_diagram(PlanarDiagram.identity(width - i - k + 1)))
+        width = slice_width(op, width)
+        element = element.compose(layer, D)
+    if mode == "permutation":
+        return element.map_coefficients(_at_one)
+    return element
+
+
+def assert_same_terms(new, ref):
+    """The same diagrams with equal coefficients, in the same order."""
+    assert list(new.terms.items()) == list(ref.terms.items())
+
+
+@pytest.mark.parametrize("mode", ["kauffman", "permutation"])
+def test_to_element_matches_full_width_reference_on_corpus(mode):
+    for name in corpus_names():
+        word = load_corpus(name).word
+        assert_same_terms(word.to_element(mode), reference_to_element(word, mode))
 
 
 def reference_permutation_element(word):
@@ -167,6 +214,12 @@ def test_permutation_mode_matches_reference_on_corpus():
 @settings(max_examples=300, deadline=None)
 def test_permutation_mode_matches_reference_on_random_words(word):
     assert word.to_element("permutation") == reference_permutation_element(word)
+
+
+@given(slice_words(), st.sampled_from(["kauffman", "permutation"]))
+@settings(max_examples=200, deadline=None)
+def test_to_element_matches_full_width_reference_on_random_words(word, mode):
+    assert_same_terms(word.to_element(mode), reference_to_element(word, mode))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from tl_entangle import diagrams, spaces
-from tl_entangle.connectomes import enumerate_connectomes, representative_state
+from tl_entangle.connectomes import Connectome, enumerate_connectomes, representative_state
 from tl_entangle.diagrams import PlanarDiagram, TLElement
+from tl_entangle.jones_wenzl import jones_wenzl
 from tl_entangle.scalars import (DegeneratePointError, EvalPoint, RationalFn,
                                  d_param, delta, evaluate, sqrt_normalizer)
 from tl_entangle.skein import SliceWord
@@ -282,12 +283,86 @@ def test_degenerate_point_raises():
     ("two_qutrit_rank2", None),
 ])
 def test_dressing_failure_names_its_party(name, party):
-    # theta = pi/4 gives d = 0, where the width-2 projector's denominator vanishes
+    # theta = pi/4 gives d = 0, where the width-2 projector's denominator
+    # vanishes; the qutrit frame fails there too, and amplitudes builds it
+    # first, so the dressing is called directly
     st = load_corpus(name).state()
     with pytest.raises(DegeneratePointError) as info:
-        st.amplitudes(EvalPoint(np.pi / 4))
+        st.dressed_numeric(EvalPoint(np.pi / 4))
     assert (info.value.party, info.value.vector, info.value.factor) == \
         (party, None, "denominator")
+
+
+def reference_dress(element, n_points, starts, proj, d):
+    """_dress as it was before proj was glued where it acts: a gate
+    id(a) (x) proj (x) id(n_points - a - w), composed at full width."""
+    w = proj.shape()[0]
+    for a in starts:
+        gate = (TLElement.from_diagram(PlanarDiagram.identity(a)).tensor(proj)
+                .tensor(TLElement.from_diagram(PlanarDiagram.identity(n_points - a - w))))
+        element = element.compose(gate, d)
+    return element
+
+
+def reference_dressed_numeric(state, point):
+    """dressed_numeric over reference_dress."""
+    el = state.element.evaluate(point)
+    N = state.layout.n_points
+    for k, nk in enumerate(state.layout.dims):
+        w, o = nk - 1, state.layout.offsets[k]
+        if w >= 2:
+            starts = [N - o - (t + 1) * w for t in range(4)]
+            el = reference_dress(el, N, starts, jones_wenzl(w).evaluate(point), complex(point.d))
+    return el
+
+
+def assert_same_terms(new, ref):
+    """The same diagrams with equal coefficients, in the same order."""
+    assert list(new.terms.items()) == list(ref.terms.items())
+
+
+def _dressing_points(seed, count=20):
+    rng = random.Random(seed)
+    return [K4, K6] + [EvalPoint(rng.uniform(-np.pi / 10, np.pi / 10)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_dressed_basis_matches_gate_dressing(n):
+    space = qudit_space(n)
+    w = n - 1
+    starts = [t * w for t in range(4)]
+    for b, dressed in zip(space.basis, space.dressed):
+        assert_same_terms(dressed, reference_dress(b, space.n_points, starts, jones_wenzl(w), D))
+
+
+@pytest.mark.parametrize("name", [name for name in corpus_names() if load_corpus(name).parties])
+def test_dressed_numeric_matches_gate_dressing_on_corpus(name):
+    state = load_corpus(name).state()
+    for pt in _dressing_points(name):
+        assert_same_terms(state.dressed_numeric(pt), reference_dressed_numeric(state, pt))
+
+
+@pytest.mark.parametrize("n, j", [(n, j) for n in range(1, 5) for j in range(n)])
+def test_dressed_numeric_matches_gate_dressing_on_reduced_diagrams(n, j):
+    # a dimension-4 pair costs about 2.5 s a point on each side: two angles
+    state = reduced_diagram(n, j)
+    for pt in _dressing_points(10 * n + j, 20 if n < 4 else 2):
+        assert_same_terms(state.dressed_numeric(pt), reference_dressed_numeric(state, pt))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: reduced_diagram(4, 1),
+    # three dimension-4 parties, whose dressing alone took 22 s
+    lambda: representative_state(Connectome([[0, 6, 6], [6, 0, 6], [6, 6, 0]])),
+], ids=["reduced_4_1", "three_dim4_ring"])
+def test_degenerate_frame_raises_before_dressing(monkeypatch, make):
+    # every dimension-4 frame degenerates at k = 4
+    dressings = _counting(monkeypatch, DiagramState, "dressed_numeric")
+    state = make()
+    with pytest.raises(DegeneratePointError) as info:
+        state.amplitudes(K4)
+    assert info.value.party == state.layout.names[0] and info.value.vector is not None
+    assert dressings == []
 
 
 def reference_ortho_transform(space, point):
