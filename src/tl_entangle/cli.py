@@ -17,11 +17,20 @@ ENUMERATE_MAX_PUNCTURES[parties] punctures; a party evaluated by a command
 has dimension at most MAX_PARTY_DIM (4), in a state of at most
 MAX_STATE_WORK units of evaluation work (three dimension-4 parties or six
 qutrits are beyond it).  A jw slice wider than skein.MAX_JW_WIDTH (6) strands
-is a parse error (exit 2).
+is a parse error (exit 2), and so are jw slices whose term counts multiply
+to more than skein.MAX_JW_TERMS (10,000).
 
 The exact commands (bracket, reduce, connectome enumerate and classify)
 never import numpy: the numeric modules are imported inside the handlers
-that evaluate.
+that evaluate, after every check of the input they can read from argv and
+the document, so a usage error costs what an exact command costs.
+
+main() sets OPENBLAS_NUM_THREADS to 1 unless the caller has set it, before
+any handler loads numpy: every array a command builds is small (amplitude
+tensors within MAX_STATE_WORK, Gram matrices of at most 4 x 4, rep hw blocks
+within 4,096), and starting OpenBLAS's thread pool costs a cold process more
+than the pool saves.  Run with OPENBLAS_NUM_THREADS=N to choose N threads.
+A process that has loaded numpy before calling main() keeps its pool.
 """
 
 from __future__ import annotations
@@ -175,10 +184,11 @@ def _load_document(source):
             f"(shipped names: {', '.join(corpus_names())})")
 
 
-def _layout_of(doc):
+def _parties_of(doc):
+    """The document's (name, dimension) parties, read without the numeric layer."""
     if not doc.parties:
         raise UsageError("this command needs a document with party declarations")
-    return doc.layout()
+    return doc.party_dims()
 
 
 def _check_state_size(parties):
@@ -195,14 +205,14 @@ def _check_state_size(parties):
 
 
 def _state_of(doc):
-    _check_state_size(_layout_of(doc).parties)
+    _check_state_size(_parties_of(doc))
     return doc.state()
 
 
-def _normalized_amplitudes(doc, point):
+def _normalized_amplitudes(state, point):
     import numpy as np
 
-    amp = _state_of(doc).amplitudes(point)
+    amp = state.amplitudes(point)
     norm = np.linalg.norm(amp.ravel())
     if norm < 1e-14:
         raise UsageError("state evaluates to the zero tensor at this point")
@@ -210,7 +220,7 @@ def _normalized_amplitudes(doc, point):
 
 
 def _require_three_qubits(doc):
-    if _layout_of(doc).dims != (2, 2, 2):
+    if [n for _, n in _parties_of(doc)] != [2, 2, 2]:
         raise UsageError("this command needs exactly three qubit parties")
 
 
@@ -271,11 +281,11 @@ def _cmd_reduce(args):
 
 
 def _cmd_state(args):
-    import numpy as np
-
     doc = _load_document(args.file)
     point = _eval_point(args)
     state = _state_of(doc)
+    import numpy as np
+
     amp = state.amplitudes(point)
     entries, rows = _amplitude_rows(amp)
     payload = {
@@ -290,16 +300,16 @@ def _cmd_state(args):
 
 
 def _cmd_classify(args):
-    from . import entanglement
-
     tol = _checked_tol(args.tol)
     doc = _load_document(args.file)
     point = _eval_point(args)
-    amp = _normalized_amplitudes(doc, point)
-    layout = doc.layout()
-    names = [nm for nm, _ in layout.parties]
+    state = _state_of(doc)
+    from . import entanglement
+
+    amp = _normalized_amplitudes(state, point)
     payload = {"name": doc.name, "theta": _g12(point.theta),
-               "parties": names, "dims": list(layout.dims)}
+               "parties": [nm for nm, _ in state.layout.parties],
+               "dims": list(state.layout.dims)}
     if amp.ndim == 2:
         rank = entanglement.schmidt_rank(amp, tol=tol)
         payload["schmidt_rank"] = int(rank)
@@ -318,16 +328,16 @@ def _cmd_classify(args):
 
 
 def _cmd_entropy(args):
-    from . import entanglement
-
     tol = _checked_tol(args.tol)
     doc = _load_document(args.file)
     point = _eval_point(args)
-    amp = _normalized_amplitudes(doc, point)
-    layout = doc.layout()
-    names = [nm for nm, _ in layout.parties]
+    names = [nm for nm, _ in _parties_of(doc)]
     if args.party not in names:
         raise UsageError(f"unknown party {args.party!r}; have {', '.join(names)}")
+    state = _state_of(doc)
+    from . import entanglement
+
+    amp = _normalized_amplitudes(state, point)
     k = names.index(args.party)
     entropy = entanglement.entanglement_entropy(amp, keep=(k,))
     rank = entanglement.schmidt_rank(amp, keep=(k,), tol=tol)
@@ -339,12 +349,13 @@ def _cmd_entropy(args):
 
 
 def _cmd_tangle3(args):
-    from . import entanglement
-
     doc = _load_document(args.file)
     _require_three_qubits(doc)
     point = _eval_point(args)
-    amp = _normalized_amplitudes(doc, point)
+    state = _state_of(doc)
+    from . import entanglement
+
+    amp = _normalized_amplitudes(state, point)
     tau = entanglement.three_tangle(amp)
     payload = {"name": doc.name, "theta": _g12(point.theta), "tau3": _g12(tau)}
     return payload, [[_g12(point.theta), _g12(tau)]], ["theta", "tau3"]
@@ -526,11 +537,11 @@ def _parse_spins(text):
 
 
 def _cmd_rep(args):
-    from . import su2
-
     spins = _parse_spins(args.spins)
     if len(spins) not in (2, 3):
         raise UsageError("--spins needs two or three comma-separated values")
+    from . import su2
+
     payload = {"spins": [str(j) for j in spins]}
     if len(spins) == 2:
         table = su2.hw_rank_table(*spins)
@@ -630,6 +641,7 @@ def _linalg_error():
 
 
 def main(argv=None):
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # see the module docstring
     parser = _build_parser()
     try:
         args = parser.parse_args(_angle_flag_values(sys.argv[1:] if argv is None else argv))

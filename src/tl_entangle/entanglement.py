@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from .diagrams import conj_scalar, glue_network
+from .scalars import InvariantError
 from .spaces import qudit_space
 
 
@@ -40,7 +41,7 @@ def schmidt_rank(t, keep=None, tol=1e-9):
     """Rank across a bipartition (or of a plain matrix) at relative tolerance."""
     t = np.asarray(t, dtype=complex)
     if keep is None and t.ndim != 2:
-        raise ValueError("schmidt_rank needs a bipartition for tensors")
+        raise InvariantError("schmidt_rank needs a bipartition for tensors")
     m = t if keep is None else _matricized(t, keep)
     sv = np.linalg.svd(m, compute_uv=False)
     if sv.size == 0 or sv[0] == 0:
@@ -202,7 +203,7 @@ def ladder_operator(t, party=0):
     lhat = lhat.reshape(q * q, q * q)
     tr = np.trace(lhat)
     if abs(tr) < 1e-14:
-        raise ValueError("ladder operator is traceless; indicator undefined")
+        raise InvariantError("ladder operator is traceless; indicator undefined")
     lhat = lhat / tr
     asym = float(np.linalg.norm(lhat - lhat.conj().T))
     return (lhat + lhat.conj().T) / 2, asym

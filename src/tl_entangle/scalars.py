@@ -59,8 +59,9 @@ class DegeneratePointError(ValueError):
 
 
 class InvariantError(RuntimeError):
-    """Raised when an internal invariant of the exact algebra fails, such as
-    a non-cyclotomic denominator or a squared norm that is no function of d."""
+    """Raised when an internal invariant fails, such as a non-cyclotomic
+    denominator, a squared norm that is no function of d, or a traceless
+    ladder operator; the CLI maps it to exit 4."""
 
 
 def _exact(c):

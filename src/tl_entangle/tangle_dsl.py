@@ -23,7 +23,7 @@ from __future__ import annotations
 import os
 import re
 
-from .skein import MODES, SliceWord, slice_width
+from .skein import MAX_JW_TERMS, MODES, SliceWord, jw_terms, slice_width
 
 _CORPUS_DIR = os.path.join(os.path.dirname(__file__), "tangles")
 
@@ -61,24 +61,26 @@ class TangleDocument:
     def top(self):
         return self.word.n_top
 
+    def party_dims(self):
+        """(name, dimension) of each party: a range of 4(n-1) endpoints is dimension n."""
+        return tuple((nm, (last - first + 1) // 4 + 1) for nm, first, last in self.parties)
+
     def layout(self):
         if not self.parties:
             return None
         from .spaces import PartyLayout  # the numeric layer, loaded on first use
-        return PartyLayout(tuple((nm, (last - first + 1) // 4 + 1)
-                                 for nm, first, last in self.parties))
+        return PartyLayout(self.party_dims())
 
     def element(self):
         return self.word.to_element(self.mode)
 
     def state(self):
-        layout = self.layout()
-        if layout is None:
+        if not self.parties:
             raise ValueError("document declares no parties")
         if self.top != 0:
             raise ValueError("state documents must have top 0")
         from .spaces import DiagramState
-        return DiagramState(self.element(), layout)
+        return DiagramState(self.element(), self.layout())
 
     def _key(self):
         return (self.name, self.mode, self.top, self.word.ops, self.parties)
@@ -114,6 +116,7 @@ def parse_tangle(text):
     ops = []
     parties = []
     width = None
+    terms = 1
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -152,6 +155,12 @@ def parse_tangle(text):
                 width = slice_width(op, width)
             except ValueError as exc:
                 raise TangleParseError(ln, str(exc))
+            if kw == "jw":
+                terms *= jw_terms(op[2])
+                if terms > MAX_JW_TERMS:
+                    raise TangleParseError(
+                        ln, f"jw slices up to this one multiply to {terms:,} terms, "
+                            f"above the bound of {MAX_JW_TERMS:,}")
             ops.append(op)
         elif kw == "party":
             if len(parts) != 3:

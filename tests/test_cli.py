@@ -10,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from tl_entangle.cli import _angle, main
 from tl_entangle.jones_wenzl import jones_wenzl
 from tl_entangle.scalars import DegeneratePointError
 from tl_entangle.skein import SliceWord
-from tl_entangle.tangle_dsl import load_corpus
+from tl_entangle.tangle_dsl import corpus_names, load_corpus
 
 
 def run(capsys, args):
@@ -607,6 +608,28 @@ def test_wide_projector_slice_rejected(tmp_path, capsys, monkeypatch, top):
     assert err == f"parse error: line 2: jw 1 {top} is wider than the bound of 6 strands\n"
 
 
+@pytest.mark.parametrize("text, line, terms", [
+    ("top 6\njw 1 6\njw 1 6\n", 3, "17,424"),                      # expands in 17.6 s
+    ("top 7\njw 1 5\njw 3 5\njw 1 5\njw 3 5\n", 4, "74,088"),       # 23.4 s
+    ("top 12\njw 1 6\njw 7 6\n", 3, "17,424"),                     # 114 s
+], ids=["jw6-on-jw6", "four-shifted-jw5", "jw6-beside-jw6"])
+def test_projector_product_above_bound_rejected(tmp_path, capsys, monkeypatch, text, line,
+                                                terms):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a word beyond the jw term bound was expanded")
+
+    monkeypatch.setattr(SliceWord, "to_element", refuse)
+    monkeypatch.setattr("tl_entangle.skein.jones_wenzl", refuse)
+    doc = tmp_path / "projectors.tl"
+    doc.write_text(text)
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["reduce", str(doc), "--mode", "exact"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == (f"parse error: line {line}: jw slices up to this one multiply to "
+                   f"{terms} terms, above the bound of 10,000\n")
+
+
 @pytest.mark.parametrize("argv", [["state"], ["classify"], ["entropy", "--party", "A"]])
 def test_party_dimension_above_bound_rejected(tmp_path, capsys, monkeypatch, argv):
     def refuse(*args, **kwargs):
@@ -667,6 +690,19 @@ def test_connectome_state_above_work_bound_rejected(capsys, monkeypatch, adj, di
                    "evaluation work, above the bound of 600,000\n")
 
 
+def _state_document(path, dims):
+    """Write a cups-only state document with parties P0, P1, ... of the given
+    dimensions to path, and return path."""
+    points = sum(4 * (n - 1) for n in dims)
+    parties, first = [], 1
+    for k, n in enumerate(dims):
+        parties.append(f"party P{k} {first}..{first + 4 * (n - 1) - 1}\n")
+        first += 4 * (n - 1)
+    path.write_text("top 0\n" + "cup 1\n" * (points // 2) + f"bottom {points}\n"
+                    + "".join(parties))
+    return path
+
+
 @pytest.mark.parametrize("dims", [(4, 2, 4, 2), (3, 2, 3, 2, 3, 2, 3, 2), (3, 3, 3, 3, 3, 2)])
 def test_document_state_above_work_bound_rejected(tmp_path, capsys, monkeypatch, dims):
     def refuse(*args, **kwargs):
@@ -674,14 +710,7 @@ def test_document_state_above_work_bound_rejected(tmp_path, capsys, monkeypatch,
 
     monkeypatch.setattr(SliceWord, "to_element", refuse)
     monkeypatch.setattr(spaces, "qudit_space", refuse)
-    points = sum(4 * (n - 1) for n in dims)
-    parties, first = [], 1
-    for k, n in enumerate(dims):
-        parties.append(f"party P{k} {first}..{first + 4 * (n - 1) - 1}\n")
-        first += 4 * (n - 1)
-    doc = tmp_path / "wide.tl"
-    doc.write_text("top 0\n" + "cup 1\n" * (points // 2) + f"bottom {points}\n"
-                   + "".join(parties))
+    doc = _state_document(tmp_path / "wide.tl", dims)
     for argv in (["state"], ["classify"], ["entropy", "--party", "P0"]):
         code, out, err = run(capsys, argv[:1] + [str(doc)] + argv[1:])
         assert code == 1 and out == ""
@@ -711,15 +740,27 @@ def test_scan_rejects_too_many_steps(capsys, monkeypatch):
     assert err == "usage error: --steps must be at most 10000\n"
 
 
+SRC = os.path.dirname(os.path.dirname(tl_entangle.__file__))
+
+
 def _imported_modules(argv):
     """Run `python -m tl_entangle.cli argv` with -X importtime; returns
-    (exit code, stdout, names of the modules the process imported)."""
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tl_entangle.__file__)))
+    (exit code, stdout, stderr without the import-time lines, names of the
+    modules the process imported)."""
+    env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "tl_entangle.cli",
                            *argv], capture_output=True, text=True, env=env)
-    modules = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+    lines = proc.stderr.splitlines(keepends=True)
+    modules = {line.rsplit("|", 1)[1].strip() for line in lines
                if line.startswith("import time:") and "|" in line}
-    return proc.returncode, proc.stdout, modules
+    err = "".join(line for line in lines if not line.startswith("import time:"))
+    return proc.returncode, proc.stdout, err, modules
+
+
+def _loads_no_numeric_layer(modules):
+    return (not {m for m in modules if m.split(".")[0] == "numpy"}
+            and not modules & {"tl_entangle.spaces", "tl_entangle.entanglement",
+                               "tl_entangle.su2"})
 
 
 @pytest.mark.parametrize("argv", [
@@ -731,15 +772,73 @@ def _imported_modules(argv):
     ["connectome", "classify", "--adj", RING],
 ], ids=lambda argv: " ".join(argv[:2]))
 def test_exact_commands_never_import_numpy(capsys, argv):
-    code, out, modules = _imported_modules(argv)
+    code, out, _, modules = _imported_modules(argv)
     assert code == 0
     assert {"tl_entangle.scalars", "tl_entangle.connectomes"} <= modules
-    assert not {m for m in modules if m.split(".")[0] == "numpy"}
-    assert not modules & {"tl_entangle.spaces", "tl_entangle.entanglement", "tl_entangle.su2"}
+    assert _loads_no_numeric_layer(modules)
     assert out == run(capsys, argv)[1]
 
 
+TOL_ERROR = "usage error: --tol must be a finite number above 0 and below 1, got 2.0\n"
+WORK_ERROR = ("usage error: parties of dimensions 4, 2, 4, 2 take 2,310,400 units of "
+              "evaluation work, above the bound of 600,000\n")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["state", "nosuch"], "usage error: no such file or shipped tangle: 'nosuch' "
+                          f"(shipped names: {', '.join(corpus_names())})\n"),
+    (["classify", "maxent", "--tol", "2"], TOL_ERROR),
+    (["entropy", "maxent", "--party", "A", "--tol", "2"], TOL_ERROR),
+    (["rep", "hw", "--spins", "1/2"],
+     "usage error: --spins needs two or three comma-separated values\n"),
+    (["state", "{big}"], WORK_ERROR),
+    (["classify", "{big}", "--k", "6"], WORK_ERROR),
+    (["entropy", "{big}", "--party", "P1"], WORK_ERROR),
+    (["entropy", "maxent", "--party", "Z"], "usage error: unknown party 'Z'; have A, B\n"),
+    (["tangle3", "maxent"], "usage error: this command needs exactly three qubit parties\n"),
+    (["classify", "trefoil"],
+     "usage error: this command needs a document with party declarations\n"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else "stderr")
+def test_usage_errors_never_import_numpy(tmp_path, capsys, argv, expected):
+    big = str(_state_document(tmp_path / "big.tl", (4, 2, 4, 2)))
+    argv = [big if a == "{big}" else a for a in argv]
+    code, out, err, modules = _imported_modules(argv)
+    assert (code, out, err) == (1, "", expected)
+    assert _loads_no_numeric_layer(modules)
+    assert run(capsys, argv) == (1, "", expected)
+
+
 def test_numeric_command_imports_numpy():
-    code, _, modules = _imported_modules(["state", "maxent"])
+    code, _, _, modules = _imported_modules(["state", "maxent"])
     assert code == 0
     assert {"numpy", "tl_entangle.spaces"} <= modules
+
+
+# Runs the CLI in-process from a fresh interpreter, then loads numpy, and
+# prints the exit code, OPENBLAS_NUM_THREADS and the process's thread count.
+_PIN_CHILD = """\
+import contextlib, io, os
+from tl_entangle import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["state", "maxent"])
+import numpy
+print(code, os.environ["OPENBLAS_NUM_THREADS"], len(os.listdir("/proc/self/task")))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts the process's threads in /proc/self/task")
+@pytest.mark.parametrize("given", [None, "2"])
+def test_cli_runs_one_blas_thread_unless_told_otherwise(given):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    proc = subprocess.run([sys.executable, "-c", _PIN_CHILD], capture_output=True,
+                          text=True, env=env, check=True)
+    code, value, threads = proc.stdout.split()
+    assert code == "0"
+    if given is None:
+        assert (value, threads) == ("1", "1")
+    else:
+        assert value == given

@@ -5,7 +5,7 @@ import pytest
 
 from tl_entangle import diagrams, entanglement, spaces
 from tl_entangle.diagrams import PlanarDiagram, TLElement, conj_scalar, glue_network
-from tl_entangle.scalars import EvalPoint
+from tl_entangle.scalars import EvalPoint, InvariantError
 from tl_entangle.skein import SliceWord
 from tl_entangle.spaces import POINT_CACHE_SIZE, DiagramState, PartyLayout, qudit_space
 from tl_entangle.tangle_dsl import corpus_names, load_corpus
@@ -65,6 +65,20 @@ def test_reduced_density_maxent():
 def test_reduced_density_rejects_zero():
     with pytest.raises(ValueError):
         reduced_density(np.zeros((2, 2)))
+
+
+def test_schmidt_rank_of_tensor_without_bipartition_is_internal_error():
+    # an internal caller's mistake, not bad input: the CLI maps it to exit 4
+    with pytest.raises(InvariantError, match="needs a bipartition"):
+        schmidt_rank(GHZ)
+
+
+def test_traceless_ladder_operator_is_internal_error(monkeypatch):
+    # the trace is Tr rho^3 of a one-party reduced density matrix, above 0
+    # for every nonzero tensor, so only a broken contraction reaches this branch
+    monkeypatch.setattr(entanglement.np, "trace", lambda m: 0.0)
+    with pytest.raises(InvariantError, match="traceless"):
+        ladder_operator(GHZ)
 
 
 def test_schmidt_rank_matrix_and_tensor():

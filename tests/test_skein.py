@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 from tl_entangle.diagrams import PlanarDiagram, TLElement
 from tl_entangle.scalars import LaurentPoly, d_param
 from tl_entangle.jones_wenzl import jones_wenzl
-from tl_entangle.skein import SliceWord, _at_one, bracket, crossing_element, slice_width
+from tl_entangle.skein import SliceWord, _at_one, bracket, crossing_element, jw_terms, slice_width
 from tl_entangle.tangle_dsl import corpus_names, load_corpus
 
 D = d_param()
@@ -82,6 +82,11 @@ def test_permutation_mode_ignores_over_under():
     assert vo == vu
     # (id + e)^2 = id at d = -2, and the plat closure of id has two loops
     assert vo == 4
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_jw_terms_counts_projector_terms(k):
+    assert jw_terms(k) == len(jones_wenzl(k).terms)
 
 
 def test_jw_slice_matches_projector():

@@ -94,6 +94,19 @@ def test_parse_errors_carry_line_numbers():
         assert err.value.line == line, text
 
 
+def test_projector_term_bound():
+    # products of Catalan numbers: 132 * 42 = 5,544 parses, 42^3 = 74,088 does not
+    doc = parse_tangle("top 8\njw 1 6\njw 3 5\nbottom 8\n")
+    assert doc.word.ops == (("jw", 1, 6), ("jw", 3, 5))
+    with pytest.raises(TangleParseError, match="multiply to 74,088 terms, above the bound "
+                                               "of 10,000") as err:
+        parse_tangle("top 15\njw 1 5\njw 6 5\nover 5\njw 11 5\n")
+    assert err.value.line == 5
+    parse_tangle("top 26\n" + "".join(f"jw {i} 2\n" for i in range(1, 26, 2)))  # 2^13
+    with pytest.raises(TangleParseError, match="16,384 terms"):
+        parse_tangle("top 28\n" + "".join(f"jw {i} 2\n" for i in range(1, 28, 2)))
+
+
 @pytest.mark.parametrize("top,line", [
     (0, "cup 2"), (2, "cap 2"), (2, "e 0"), (2, "over 2"), (1, "under 1"),
     (2, "jw 2 2"), (2, "jw 1 0"),
