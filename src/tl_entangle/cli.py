@@ -8,29 +8,33 @@ produce byte-identical output.
 Input bounds, each a usage error (exit 1) before any array, grid or search
 is built: an angle and its double must be finite; --tol must lie above 0 and
 below 1; scan-tangle3 --steps runs from 3 to MAX_STEPS (10,000), over a range
-that splits into finite steps; rep hw takes product spaces of dimension
-prod(2j+1) up to su2.MAX_PRODUCT_DIM (4,096); --adj takes rows of JSON
-integers, bare or as the "adj" of an object whose "punctures" and "parties"
-are integers; a connectome needs at least one party, and --punctures cannot be
+that splits into finite steps; rep hw takes half-integer spins whose product
+space has dimension prod(2j+1) up to spins.MAX_PRODUCT_DIM (4,096); --adj
+takes rows of JSON integers, bare or as the "adj" of an object whose
+"punctures" and "parties" are integers; a connectome needs at least one party, and --punctures cannot be
 negative; connectome enumerate takes at most 6 parties and at most
 ENUMERATE_MAX_PUNCTURES[parties] punctures; a party evaluated by a command
 has dimension at most MAX_PARTY_DIM (4), in a state of at most
 MAX_STATE_WORK units of evaluation work (three dimension-4 parties or six
 qutrits are beyond it).  A jw slice wider than skein.MAX_JW_WIDTH (6) strands
 is a parse error (exit 2), and so are jw slices whose term counts multiply
-to more than skein.MAX_JW_TERMS (10,000).
+to more than skein.MAX_JW_TERMS (10,000) and a word whose predicted
+expansion work exceeds skein.MAX_EXPANSION_WORK.
 
+Only classify, entropy and rep hw import numpy, for SVDs and eigenvalues.
 The exact commands (bracket, reduce, connectome enumerate and classify)
-never import numpy: the numeric modules are imported inside the handlers
-that evaluate, after every check of the input they can read from argv and
-the document, so a usage error costs what an exact command costs.
+never load the numeric layer, and state, tangle3, scan-tangle3 and
+connectome state print from spaces' list form of the amplitudes
+(DiagramState.amplitude_list, spaces.three_tangle_of), which loads no
+numpy.  The numeric modules are imported inside the handlers that
+evaluate, after every check of the input they can read from argv and the
+document, so a usage error costs what an exact command costs.
 
 main() sets OPENBLAS_NUM_THREADS to 1 unless the caller has set it, before
 any handler loads numpy: every array a command builds is small (amplitude
-tensors within MAX_STATE_WORK, Gram matrices of at most 4 x 4, rep hw blocks
-within 4,096), and starting OpenBLAS's thread pool costs a cold process more
-than the pool saves.  Run with OPENBLAS_NUM_THREADS=N to choose N threads.
-A process that has loaded numpy before calling main() keeps its pool.
+tensors within MAX_STATE_WORK, rep hw blocks within 4,096), and starting
+OpenBLAS's thread pool costs a cold process more than the pool saves.  Run
+with OPENBLAS_NUM_THREADS=N to choose N threads.  A process that has loaded numpy before calling main() keeps its pool.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -48,6 +53,7 @@ from .connectomes import Connectome, classify as classify_connectome, \
     enumerate_connectomes, is_biseparable, party_names, reduce_connectome, representative_state
 from .scalars import DegeneratePointError, EvalPoint, evaluate
 from .skein import bracket
+from .spins import product_dims
 from .tangle_dsl import TangleParseError, corpus_names, load_corpus, parse_tangle
 
 # upper bound of scan-tangle3 --steps
@@ -96,20 +102,24 @@ def _c12(z):
     return {"re": _g12(z.real), "im": _g12(z.imag)}
 
 
-def _amplitude_rows(amp):
-    """(JSON entries, CSV rows) of an amplitude tensor, one per index.
+def _tau12(tau):
+    """tau3 rounded for printing; below 1e-12 it prints as 0.0.  tau3 of a
+    normalized state is on scale 1, so such values are rounding noise of
+    exact zeros, and their digits would follow the order of the arithmetic."""
+    return 0.0 if abs(tau) < 1e-12 else _g12(tau)
+
+
+def _amplitude_rows(amps, dims):
+    """(JSON entries, CSV rows) of a flat amplitude list over dims, one per index.
 
     A real or imaginary part below 1e-12 of the largest |amplitude| is
     printed as 0.0: such parts are rounding noise of exact zeros, and their
     digits would follow the order of the state's terms.
     """
-    import numpy as np
-
-    floor = 1e-12 * float(np.max(np.abs(amp), initial=0.0))
+    floor = 1e-12 * max(map(abs, amps), default=0.0)
     entries = []
     rows = []
-    for idx in np.ndindex(*amp.shape):
-        z = amp[idx]
+    for idx, z in zip(itertools.product(*map(range, dims)), amps):
         re, im = (0.0 if abs(x) < floor else _g12(x) for x in (z.real, z.imag))
         entries.append({"index": list(idx), "re": re, "im": im})
         rows.append(list(idx) + [re, im])
@@ -209,13 +219,16 @@ def _state_of(doc):
     return doc.state()
 
 
+_ZERO_STATE = "state evaluates to the zero tensor at this point"
+
+
 def _normalized_amplitudes(state, point):
     import numpy as np
 
     amp = state.amplitudes(point)
     norm = np.linalg.norm(amp.ravel())
     if norm < 1e-14:
-        raise UsageError("state evaluates to the zero tensor at this point")
+        raise UsageError(_ZERO_STATE)
     return amp / norm
 
 
@@ -284,16 +297,14 @@ def _cmd_state(args):
     doc = _load_document(args.file)
     point = _eval_point(args)
     state = _state_of(doc)
-    import numpy as np
-
-    amp = state.amplitudes(point)
-    entries, rows = _amplitude_rows(amp)
+    amps = state.amplitude_list(point)
+    entries, rows = _amplitude_rows(amps, state.layout.dims)
     payload = {
         "name": doc.name,
         "theta": _g12(point.theta),
         "parties": [{"name": nm, "dim": n} for nm, n in state.layout.parties],
         "amplitudes": entries,
-        "norm_sq": _g12(float(np.sum(np.abs(amp) ** 2))),
+        "norm_sq": _g12(sum(abs(z) ** 2 for z in amps)),
     }
     header = [nm for nm, _ in state.layout.parties] + ["re", "im"]
     return payload, rows, header
@@ -319,7 +330,7 @@ def _cmd_classify(args):
     payload["local_ranks"] = [int(r) for r in entanglement.local_ranks(amp, tol)]
     if amp.shape == (2, 2, 2):
         payload["class"] = entanglement.slocc_tripartite_class(amp, tol=tol)
-        payload["tau3"] = _g12(entanglement.three_tangle(amp))
+        payload["tau3"] = _tau12(entanglement.three_tangle(amp))
         rows = [[payload["class"], payload["tau3"],
                  " ".join(str(r) for r in payload["local_ranks"])]]
         return payload, rows, ["class", "tau3", "local_ranks"]
@@ -353,28 +364,32 @@ def _cmd_tangle3(args):
     _require_three_qubits(doc)
     point = _eval_point(args)
     state = _state_of(doc)
-    from . import entanglement
-
-    amp = _normalized_amplitudes(state, point)
-    tau = entanglement.three_tangle(amp)
-    payload = {"name": doc.name, "theta": _g12(point.theta), "tau3": _g12(tau)}
-    return payload, [[_g12(point.theta), _g12(tau)]], ["theta", "tau3"]
+    tau = _tau3_of(state, point)
+    if tau is None:
+        raise UsageError(_ZERO_STATE)
+    tau = _tau12(tau)
+    payload = {"name": doc.name, "theta": _g12(point.theta), "tau3": tau}
+    return payload, [[_g12(point.theta), tau]], ["theta", "tau3"]
 
 
 # width of the bracket at which a golden-section search stops
 _GOLDEN_TOL = 1e-12
 
 
-def _tau3_at(state, theta):
-    import numpy as np
+def _tau3_of(state, point):
+    """tau3 of the normalized state at point, or None where the state
+    evaluates to zero; computed from the amplitude list, without numpy."""
+    from .spaces import three_tangle_of
 
-    from . import entanglement
-
-    amp = state.amplitudes(EvalPoint(theta))
-    norm = np.linalg.norm(amp.ravel())
+    amps = state.amplitude_list(point)
+    norm = math.sqrt(sum(abs(z) ** 2 for z in amps))
     if norm < 1e-14:
         return None
-    return entanglement.three_tangle(amp / norm)
+    return three_tangle_of([z / norm for z in amps])
+
+
+def _tau3_at(state, theta):
+    return _tau3_of(state, EvalPoint(theta))
 
 
 def _tau3_or_inf(state, theta):
@@ -439,16 +454,16 @@ def _cmd_scan_tangle3(args):
             tau = _tau3_or_inf(state, x)
             if tau < tol:
                 zeros.append((x, tau))
-    rows = [[_g12(t), None if v is None else _g12(v), "grid"]
+    rows = [[_g12(t), None if v is None else _tau12(v), "grid"]
             for t, v in zip(grid, values)]
-    rows += [[_g12(x), _g12(v), "zero"] for x, v in zeros]
+    rows += [[_g12(x), _tau12(v), "zero"] for x, v in zeros]
     payload = {
         "name": doc.name,
         "theta_min": _g12(lo), "theta_max": _g12(hi),
         "steps": steps, "tol": _g12(tol),
-        "rows": [{"theta": _g12(t), "tau3": None if v is None else _g12(v)}
+        "rows": [{"theta": _g12(t), "tau3": None if v is None else _tau12(v)}
                  for t, v in zip(grid, values)],
-        "zeros": [{"theta": _g12(x), "tau3": _g12(v)} for x, v in zeros],
+        "zeros": [{"theta": _g12(x), "tau3": _tau12(v)} for x, v in zeros],
     }
     return payload, rows, ["theta", "tau3", "kind"]
 
@@ -516,8 +531,7 @@ def _cmd_connectome(args):
     # action == "state"
     point = _eval_point(args)
     state = representative_state(c)
-    amp = state.amplitudes(point)
-    entries, rows = _amplitude_rows(amp)
+    entries, rows = _amplitude_rows(state.amplitude_list(point), state.layout.dims)
     payload["theta"] = _g12(point.theta)
     payload["party_names"] = [nm for nm, _ in state.layout.parties]
     payload["amplitudes"] = entries
@@ -540,6 +554,7 @@ def _cmd_rep(args):
     spins = _parse_spins(args.spins)
     if len(spins) not in (2, 3):
         raise UsageError("--spins needs two or three comma-separated values")
+    product_dims(spins)  # before su2 loads numpy
     from . import su2
 
     payload = {"spins": [str(j) for j in spins]}

@@ -13,7 +13,7 @@ import numpy as np
 
 from .diagrams import conj_scalar, glue_network
 from .scalars import InvariantError
-from .spaces import qudit_space
+from .spaces import qudit_space, three_tangle_of
 
 
 def _normalized(t):
@@ -143,21 +143,11 @@ def conversion_probability(t):
 
 
 def three_tangle(t):
-    """Residual tangle 4|d1 - 2 d2 + 4 d3| of a three-qubit pure state."""
+    """Residual tangle of a three-qubit pure state (spaces.three_tangle_of)."""
     p = _normalized(t)
     if p.shape != (2, 2, 2):
         raise ValueError("three_tangle needs a 2x2x2 tensor")
-    d1 = (p[0, 0, 0] ** 2 * p[1, 1, 1] ** 2 + p[0, 0, 1] ** 2 * p[1, 1, 0] ** 2
-          + p[0, 1, 0] ** 2 * p[1, 0, 1] ** 2 + p[1, 0, 0] ** 2 * p[0, 1, 1] ** 2)
-    d2 = (p[0, 0, 0] * p[1, 1, 1] * (p[0, 1, 1] * p[1, 0, 0]
-                                     + p[1, 0, 1] * p[0, 1, 0]
-                                     + p[1, 1, 0] * p[0, 0, 1])
-          + p[0, 1, 1] * p[1, 0, 0] * p[1, 0, 1] * p[0, 1, 0]
-          + p[0, 1, 1] * p[1, 0, 0] * p[1, 1, 0] * p[0, 0, 1]
-          + p[1, 0, 1] * p[0, 1, 0] * p[1, 1, 0] * p[0, 0, 1])
-    d3 = (p[0, 0, 0] * p[1, 1, 0] * p[1, 0, 1] * p[0, 1, 1]
-          + p[1, 1, 1] * p[0, 0, 1] * p[0, 1, 0] * p[1, 0, 0])
-    return float(4 * abs(d1 - 2 * d2 + 4 * d3))
+    return three_tangle_of(p.ravel().tolist())
 
 
 def local_ranks(t, tol=1e-9):

@@ -37,6 +37,18 @@ MAX_JW_WIDTH = 6
 # jw 7 6 (17,424) 114 s and top 15 / jw 1 5 / jw 6 5 / jw 11 5 (74,088) 13.6 s.
 MAX_JW_TERMS = 10_000
 
+# The most expansion work the parser accepts in a word.  Each slice adds its
+# expansion_terms times the sum of two sizes: the points of the element
+# below it (top plus width) and the number of slices so far, which bounds
+# how far a coefficient can have grown, since a crossing or a closed loop
+# widens a Laurent coefficient by a few powers of A.
+# On two cores a unit costs at most about 2.7 us.  The slowest words
+# measured within the bound take 9.1 s (top 20 with 15 over slices at
+# positions 1 + 3i mod 19, 3,538,866 units) and 9.5 s (top 2 with 2,800
+# e 1 slices); top 8 with 62 over slices takes 5.1 s and 1,630 cups 2.0 s.
+# Rejected: top 12 with 40 over slices, which ran past 60 s.
+MAX_EXPANSION_WORK = 4_000_000
+
 
 def _at_one(c):
     """Exact value of a coefficient at A = 1."""
@@ -70,6 +82,18 @@ _LAYERS = {
 def jw_terms(k):
     """Terms of the width-k Jones-Wenzl projector: the Catalan number C_k."""
     return math.comb(2 * k, k) // (k + 1)
+
+
+def expansion_terms(op, terms, n_top, width):
+    """Predicted terms of a word's element after slice op, from the terms
+    before it; width is the width below op.
+
+    A crossing at most doubles the terms and a jw k slice multiplies them by
+    jw_terms(k), but no element has more terms than there are planar
+    diagrams on its n_top + width points, the Catalan number C_(n_top+width)/2.
+    """
+    factor = 2 if op[0] in ("over", "under") else jw_terms(op[2]) if op[0] == "jw" else 1
+    return min(terms * factor, jw_terms((n_top + width) // 2))
 
 
 def slice_width(op, width):

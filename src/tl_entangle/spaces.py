@@ -12,15 +12,21 @@ the coefficients: its loop counts are topological.  Each DiagramState keeps
 them per diagram it has paired (basis_loops), a table bounded by the state's
 distinct dressed diagrams and independent of theta, so raw overlaps at a new
 angle re-walk no loop; amplitudes builds one frame per party dimension.
+
+The module loads no numpy.  Frames (frame_rows), raw overlaps
+(raw_overlap_list) and amplitudes (amplitude_list) have a list form, flat in
+index order (the last party's index runs fastest), and three_tangle_of reads
+tau3 off a list of amplitudes, so the commands that print amplitudes or tau3
+run without numpy.  The methods that return arrays import it when called and
+build each array from the list form; amplitudes keeps numpy's tensordot
+contraction, whose last bits can differ from amplitude_list's.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import accumulate
-
-import numpy as np
+from itertools import accumulate, product
 
 from .diagrams import PlanarDiagram, TLElement, _join
 from .jones_wenzl import jones_wenzl
@@ -135,25 +141,35 @@ class QuditSpace:
             norms_sq.append(nu)
         return coeffs, norms_sq
 
-    def ortho_transform(self, point):
-        """Lower triangular T with orthonormal vectors u_i = sum_j T[i,j] b_j.
+    def frame_rows(self, point):
+        """Rows of the lower triangular T with orthonormal vectors
+        u_i = sum_j T[i][j] b_j, each cut after its diagonal entry.
 
         Each norm is split once at construction (sqrt_normalizer's
         convention), so a fresh point costs only numeric evaluations.
         """
-        n = self.n
-        T = np.zeros((n, n), dtype=complex)
-        for i in range(n):
+        rows = []
+        for i in range(self.n):
             try:
                 nrm = self._gs_roots[i].sqrt_at(point)
-                for j in range(i + 1):
-                    T[i, j] = complex(evaluate(self._gs_coeffs[i][j], point)) / nrm
+                rows.append([complex(evaluate(self._gs_coeffs[i][j], point)) / nrm
+                             for j in range(i + 1)])
             except DegeneratePointError as exc:
                 exc.vector = i
                 raise
-        return T
+        return rows
+
+    def ortho_transform(self, point):
+        """frame_rows as an n x n array, zero above the diagonal."""
+        import numpy as np
+
+        n = self.n
+        return np.array([row + [0j] * (n - len(row)) for row in self.frame_rows(point)],
+                        dtype=complex)
 
     def gram_numeric(self, point):
+        import numpy as np
+
         n = self.n
         return np.array([[complex(evaluate(self.gram[i][j], point))
                           for j in range(n)] for i in range(n)])
@@ -171,6 +187,8 @@ class QuditSpace:
         return self._projector_cache.get(point, lambda: self._projector_state(point))
 
     def _projector_state(self, point):
+        import numpy as np
+
         ginv = np.linalg.inv(self.gram_numeric(point))
         dressed_num = [v.evaluate(point) for v in self.dressed]
         out = TLElement.zero()
@@ -282,8 +300,8 @@ class DiagramState:
         # n = 1 replica contractions by (kept parties, point), filled by
         # entanglement.replica_check; element and layout are never reassigned
         self.replica_norms = PointCache()
-        # loop counts by paired diagram, in np.ndindex order of the tuple
-        # basis; filled by raw_overlaps, never keyed by point
+        # loop counts by paired diagram, in index order of the tuple
+        # basis; filled by raw_overlap_list, never keyed by point
         self.basis_loops = {}
 
     def norm_sq(self, point):
@@ -313,8 +331,9 @@ class DiagramState:
                 raise
         return el
 
-    def raw_overlaps(self, point):
-        """Tensor of pairings of the dressed state with tuple basis pairings.
+    def raw_overlap_list(self, point):
+        """Pairings of the dressed state with the tuple basis pairings, flat
+        in index order.
 
         Each entry is TLElement.inner of its basis diagram with the dressed
         state: c * d**loops summed over the dressed terms in order, d applied
@@ -333,37 +352,79 @@ class DiagramState:
             if loops is None:
                 loops = table[dg] = tuple(
                     _join({}, dg.pairs + tuple_basis_diagram(self.layout, idx).pairs)
-                    for idx in np.ndindex(*dims))
+                    for idx in product(*map(range, dims)))
             powers = [c]
             for _ in range(max(loops)):
                 powers.append(powers[-1] * dval)
             for i, n in enumerate(loops):
                 s = sums[i] + powers[n]
                 sums[i] = s if s != 0 else 0
-        return np.array(sums, dtype=complex).reshape(dims)
+        return [complex(s) for s in sums]
 
-    def amplitudes(self, point):
-        """Amplitude tensor in the orthonormal local frames, one axis per party.
+    def raw_overlaps(self, point):
+        """raw_overlap_list as a tensor with one axis per party."""
+        import numpy as np
 
-        Each dimension's frame is built once per call, before the dressing
-        and the raw overlaps, so a degenerate frame raises before either
-        runs; its DegeneratePointError names the first party of that
-        dimension.
+        return np.array(self.raw_overlap_list(point), dtype=complex).reshape(self.layout.dims)
+
+    def _frames(self, build):
+        """build(qudit_space(n)) for each party dimension n, in party order.
+
+        Frames are built before the dressing and the raw overlaps, so a
+        degenerate frame raises before either runs; its DegeneratePointError
+        names the first party of that dimension.
         """
         frames = {}
         for name, nk in self.layout.parties:
             if nk not in frames:
                 try:
-                    frames[nk] = np.conj(qudit_space(nk).ortho_transform(point))
+                    frames[nk] = build(qudit_space(nk))
                 except DegeneratePointError as exc:
                     exc.party = name
                     raise
+        return frames
+
+    def amplitudes(self, point):
+        """Amplitude tensor in the orthonormal local frames, one axis per party.
+
+        Each dimension's frame is built once per call (see _frames).
+        """
+        import numpy as np
+
+        frames = self._frames(lambda space: np.conj(space.ortho_transform(point)))
         amp = self.raw_overlaps(point)
         for k, nk in enumerate(self.layout.dims):
             amp = np.moveaxis(np.tensordot(frames[nk], amp, axes=(1, k)), 0, k)
         return amp
 
+    def amplitude_list(self, point):
+        """amplitudes, flat in index order, contracted without numpy.
+
+        The frames and the party order of the contraction are amplitudes',
+        and each entry sums conj(T[i][j]) * v_j over j in order, but numpy's
+        tensordot may round differently: entries can differ from
+        amplitudes in their last bits.
+        """
+        frames = self._frames(lambda space: [[z.conjugate() for z in row]
+                                             for row in space.frame_rows(point)])
+        amp = self.raw_overlap_list(point)
+        block = len(amp)
+        for nk in self.layout.dims:
+            rows = frames[nk]
+            stride = block // nk
+            out = [0j] * len(amp)
+            # the party's index steps by stride inside each block of entries
+            for start in range(0, len(amp), block):
+                for r in range(start, start + stride):
+                    column = amp[r:start + block:stride]
+                    for i, row in enumerate(rows):
+                        out[r + i * stride] = sum(f * v for f, v in zip(row, column))
+            amp, block = out, stride
+        return amp
+
     def projected_norm_sq(self, point):
+        import numpy as np
+
         amp = self.amplitudes(point)
         return float(np.sum(np.abs(amp) ** 2))
 
@@ -400,9 +461,25 @@ def crossed_triple_residual(dval):
     orthogonalized in order; the returned residual vanishes exactly at d = -2,
     where the crossed pairing becomes linearly dependent on the other two.
     """
+    import numpy as np
+
     pairings = [((1, 2), (3, 4)), ((1, 4), (2, 3)), ((1, 3), (2, 4))]
     els = [TLElement.from_diagram(PlanarDiagram(0, 4, m)) for m in pairings]
     G = np.array([[complex(els[i].inner(els[j], dval)) for j in range(3)]
                   for i in range(3)])
     # the last Gram-Schmidt norm is the ratio of consecutive Gram minors
     return np.linalg.det(G) / np.linalg.det(G[:2, :2])
+
+
+def three_tangle_of(amps):
+    """Residual tangle 4|d1 - 2 d2 + 4 d3| of a normalized three-qubit state
+    given as its 8 amplitudes in index order (000, 001, ..., 111)."""
+    p000, p001, p010, p011, p100, p101, p110, p111 = amps
+    d1 = (p000 ** 2 * p111 ** 2 + p001 ** 2 * p110 ** 2
+          + p010 ** 2 * p101 ** 2 + p100 ** 2 * p011 ** 2)
+    d2 = (p000 * p111 * (p011 * p100 + p101 * p010 + p110 * p001)
+          + p011 * p100 * p101 * p010
+          + p011 * p100 * p110 * p001
+          + p101 * p010 * p110 * p001)
+    d3 = p000 * p110 * p101 * p011 + p111 * p001 * p010 * p100
+    return float(4 * abs(d1 - 2 * d2 + 4 * d3))

@@ -13,16 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from .entanglement import schmidt_rank, slocc_tripartite_class
-
-# largest product dimension prod(2j+1) that highest_weight_vectors decomposes
-MAX_PRODUCT_DIM = 4096
-
-
-def _spin(j):
-    twice = Fraction(j) * 2
-    if twice.denominator != 1 or twice < 0:
-        raise ValueError(f"not a half-integer spin: {j!r}")
-    return Fraction(j)
+from .spins import MAX_PRODUCT_DIM, product_dims
 
 
 def _raising_coefficients(j):
@@ -70,14 +61,11 @@ def highest_weight_vectors(spins):
     Vectors are unit-norm numpy arrays shaped by the factor dimensions and
     are annihilated by the total raising operator; each sits at magnetic
     weight M = J.  Only the operator's blocks between neighbouring weights
-    are built.  A product dimension above MAX_PRODUCT_DIM is a ValueError.
+    are built.  A spin that is not a half-integer, or a product dimension
+    above MAX_PRODUCT_DIM, is a ValueError (spins.product_dims).
     """
-    spins = [_spin(j) for j in spins]
-    dims = tuple(int(2 * j) + 1 for j in spins)
+    spins, dims = product_dims(spins)
     dim = math.prod(dims)
-    if dim > MAX_PRODUCT_DIM:
-        raise ValueError(f"spins {', '.join(str(j) for j in spins)} span a product "
-                         f"space of dimension {dim}, above the limit {MAX_PRODUCT_DIM}")
     coeffs = [_raising_coefficients(j) for j in spins]
     strides = [math.prod(dims[k + 1:]) for k in range(len(dims))]
     weights = {}

@@ -23,7 +23,8 @@ from __future__ import annotations
 import os
 import re
 
-from .skein import MAX_JW_TERMS, MODES, SliceWord, jw_terms, slice_width
+from .skein import (MAX_EXPANSION_WORK, MAX_JW_TERMS, MODES, SliceWord, expansion_terms,
+                    jw_terms, slice_width)
 
 _CORPUS_DIR = os.path.join(os.path.dirname(__file__), "tangles")
 
@@ -117,6 +118,7 @@ def parse_tangle(text):
     parties = []
     width = None
     terms = 1
+    predicted, work = 1, 0
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -161,6 +163,12 @@ def parse_tangle(text):
                     raise TangleParseError(
                         ln, f"jw slices up to this one multiply to {terms:,} terms, "
                             f"above the bound of {MAX_JW_TERMS:,}")
+            predicted = expansion_terms(op, predicted, top, width)
+            work += predicted * (top + width + len(ops) + 1)
+            if work > MAX_EXPANSION_WORK:
+                raise TangleParseError(
+                    ln, f"slices up to this one take {work:,} units of expansion "
+                        f"work, above the bound of {MAX_EXPANSION_WORK:,}")
             ops.append(op)
         elif kw == "party":
             if len(parts) != 3:

@@ -798,6 +798,10 @@ WORK_ERROR = ("usage error: parties of dimensions 4, 2, 4, 2 take 2,310,400 unit
     (["tangle3", "maxent"], "usage error: this command needs exactly three qubit parties\n"),
     (["classify", "trefoil"],
      "usage error: this command needs a document with party declarations\n"),
+    (["rep", "hw", "--spins", "10,10,10"],
+     "usage error: spins 10, 10, 10 span a product space of dimension 9261, above the "
+     "limit 4096\n"),
+    (["rep", "hw", "--spins", "0.3,1"], "usage error: not a half-integer spin: Fraction(3, 10)\n"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else "stderr")
 def test_usage_errors_never_import_numpy(tmp_path, capsys, argv, expected):
     big = str(_state_document(tmp_path / "big.tl", (4, 2, 4, 2)))
@@ -809,9 +813,56 @@ def test_usage_errors_never_import_numpy(tmp_path, capsys, argv, expected):
 
 
 def test_numeric_command_imports_numpy():
-    code, _, _, modules = _imported_modules(["state", "maxent"])
+    code, _, _, modules = _imported_modules(["classify", "maxent"])
     assert code == 0
-    assert {"numpy", "tl_entangle.spaces"} <= modules
+    assert {"numpy", "tl_entangle.spaces", "tl_entangle.entanglement"} <= modules
+
+
+def _zero_state_document(path):
+    """Three qubit parties whose state is zero: a width-2 projector on a cup."""
+    path.write_text("top 0\ncup 1\njw 1 2\n" + "cup 1\n" * 5 + "bottom 12\n"
+                    "party A 1..4\nparty B 5..8\nparty C 9..12\n")
+    return path
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["state", "quasiw", "--k", "4"], 0),
+    (["state", "two_qutrit_rank1", "--theta=-0.05", "--format", "csv"], 0),
+    (["tangle3", "quasiw", "--k", "6"], 0),
+    (["tangle3", "tripartite_1", "--format", "csv"], 0),
+    (["scan-tangle3", "quasiw", "--theta-min", "0.02pi", "--theta-max", "0.12pi",
+      "--steps", "40"], 0),
+    (["connectome", "state", "--adj", RING, "--k", "6"], 0),
+    (["connectome", "state", "--adj", "[[0,8],[8,0]]", "--format", "csv"], 0),
+    (["state", "two_qutrit_rank1", "--theta=pi/4"], 3),
+    (["tangle3", "{zero}"], 1),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_printing_commands_never_import_numpy(tmp_path, capsys, argv, code):
+    """state, tangle3, scan-tangle3 and connectome state print from the list
+    form of the amplitudes: no numpy, entanglement or su2 module is loaded,
+    and a fresh process prints what an in-process run prints."""
+    zero = str(_zero_state_document(tmp_path / "zero.tl"))
+    argv = [zero if a == "{zero}" else a for a in argv]
+    got = _imported_modules(argv)
+    assert got[0] == code
+    assert "tl_entangle.spaces" in got[3]
+    assert not {m for m in got[3] if m.split(".")[0] == "numpy"}
+    assert not got[3] & {"tl_entangle.entanglement", "tl_entangle.su2"}
+    assert got[:3] == run(capsys, argv)
+    if code == 1:
+        assert got[2] == "usage error: state evaluates to the zero tensor at this point\n"
+
+
+@pytest.mark.parametrize("argv", [["tangle3", "tripartite_1"], ["classify", "tripartite_1"]])
+def test_tau3_noise_prints_as_zero(capsys, argv):
+    # tripartite_1's tau3 is exactly zero; evaluation leaves about 1e-32
+    for fmt in ("json", "csv"):
+        code, out, _ = run(capsys, argv + ["--format", fmt])
+        assert code == 0
+        if fmt == "json":
+            assert json.loads(out)["tau3"] == 0.0
+        else:
+            assert "0.0" in out.splitlines()[1].split(",")
 
 
 # Runs the CLI in-process from a fresh interpreter, then loads numpy, and

@@ -6,7 +6,8 @@ from hypothesis import assume, given, settings, strategies as st
 from tl_entangle.diagrams import PlanarDiagram, TLElement
 from tl_entangle.scalars import LaurentPoly, d_param
 from tl_entangle.jones_wenzl import jones_wenzl
-from tl_entangle.skein import SliceWord, _at_one, bracket, crossing_element, jw_terms, slice_width
+from tl_entangle.skein import (SliceWord, _at_one, bracket, crossing_element, expansion_terms,
+                               jw_terms, slice_width)
 from tl_entangle.tangle_dsl import corpus_names, load_corpus
 
 D = d_param()
@@ -257,3 +258,22 @@ def test_reidemeister_three(word, kind, data):
     left = SliceWord(word.n_top, ops[:cut] + [(kind, i), (kind, i + 1), (kind, i)] + ops[cut:])
     right = SliceWord(word.n_top, ops[:cut] + [(kind, i + 1), (kind, i), (kind, i + 1)] + ops[cut:])
     assert left.to_element() == right.to_element()
+
+
+def test_expansion_terms_caps_at_planar_diagrams():
+    assert expansion_terms(("over", 1), 700, 8, 8) == 1400
+    assert expansion_terms(("under", 1), 1000, 8, 8) == 1430  # C_8 diagrams on 16 points
+    assert expansion_terms(("jw", 1, 3), 2, 0, 6) == 5  # C_3 on 6 points
+    assert expansion_terms(("cup", 1), 3, 0, 4) == 2  # C_2 on 4 points
+
+
+@given(slice_words())
+@settings(max_examples=200, deadline=None)
+def test_expansion_terms_bound_every_prefix(word):
+    """The parser's predicted term count is an upper bound on the terms of
+    each prefix of a word."""
+    predicted, width = 1, word.n_top
+    for k, op in enumerate(word.ops, 1):
+        width = slice_width(op, width)
+        predicted = expansion_terms(op, predicted, word.n_top, width)
+        assert len(SliceWord(word.n_top, word.ops[:k]).to_element().terms) <= predicted

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from tl_entangle import diagrams, spaces
+from tl_entangle.cli import _tau3_of
 from tl_entangle.connectomes import Connectome, enumerate_connectomes, representative_state
 from tl_entangle.diagrams import PlanarDiagram, TLElement
+from tl_entangle.entanglement import three_tangle
 from tl_entangle.jones_wenzl import jones_wenzl
 from tl_entangle.scalars import (DegeneratePointError, EvalPoint, RationalFn,
                                  d_param, delta, evaluate, sqrt_normalizer)
@@ -536,3 +538,69 @@ def test_basis_loops_keep_no_per_point_state(name):
     for theta in np.linspace(-0.95 * window, 0.95 * window, 500):
         state.raw_overlaps(EvalPoint(theta))
     assert sizes() == before
+
+
+def assert_list_form_matches_arrays(state, points):
+    """amplitude_list against amplitudes within 1e-14 of the largest
+    |amplitude|, and for three qubits the command line's tau3, taken from
+    the list, against three_tangle of the array within 1e-14."""
+    for pt in points:
+        amp = state.amplitudes(pt)
+        flat = state.amplitude_list(pt)
+        top = float(np.max(np.abs(amp)))
+        assert len(flat) == amp.size
+        assert max(abs(z - w) for z, w in zip(flat, amp.ravel().tolist())) <= 1e-14 * top, pt
+        if state.layout.dims == (2, 2, 2):
+            assert abs(_tau3_of(state, pt) - three_tangle(amp)) <= 1e-14, pt
+
+
+@pytest.mark.parametrize("name", PARTY_STATES)
+def test_amplitude_list_matches_amplitudes_on_corpus(name):
+    """Each corpus state at k = 4, k = 6 and 50 seeded angles inside its
+    frame window."""
+    state = load_corpus(name).state()
+    window = np.pi / 10 if 3 in state.layout.dims else np.pi / 6
+    rng = random.Random("list form " + name)
+    thetas = [rng.uniform(-0.95 * window, 0.95 * window) for _ in range(50)]
+    assert_list_form_matches_arrays(state, [K4, K6] + [EvalPoint(t) for t in thetas])
+
+
+def test_amplitude_list_matches_amplitudes_on_connectomes():
+    found = enumerate_connectomes(3) + enumerate_connectomes(4)
+    assert len(found) == 27
+    for c in found:
+        assert_list_form_matches_arrays(representative_state(c), [K4, K6])
+
+
+def test_frame_rows_are_the_transform():
+    for n in (1, 2, 3, 4):
+        for pt in (K6, EvalPoint(-0.07)):
+            rows = qudit_space(n).frame_rows(pt)
+            assert [len(r) for r in rows] == list(range(1, n + 1))
+            T = qudit_space(n).ortho_transform(pt)
+            assert np.array_equal(T, np.tril(T))
+            assert [r[:i + 1] for i, r in enumerate(T.tolist())] == rows
+
+
+@pytest.mark.parametrize("make, point", [
+    (lambda: DiagramState(reduced_diagram(2, 1).element, PartyLayout.qubits("L", "R")),
+     EvalPoint(np.pi / 4)),
+    (lambda: representative_state(Connectome([[0, 6, 6], [6, 0, 6], [6, 6, 0]])), K4),
+], ids=["qubits_d0", "three_dim4_ring"])
+def test_amplitude_list_raises_as_amplitudes(monkeypatch, make, point):
+    dressings = _counting(monkeypatch, DiagramState, "dressed_numeric")
+    state = make()
+    errors = []
+    for method in (state.amplitudes, state.amplitude_list):
+        with pytest.raises(DegeneratePointError) as info:
+            method(point)
+        errors.append((str(info.value), info.value.party, info.value.vector,
+                       info.value.factor))
+    assert errors[0] == errors[1]
+    assert dressings == []
+
+
+def test_three_qubit_amplitude_list_builds_one_frame(monkeypatch):
+    frames = _counting(monkeypatch, QuditSpace, "frame_rows")
+    load_corpus("quasiw").state().amplitude_list(EvalPoint(0.123))
+    assert len(frames) == 1

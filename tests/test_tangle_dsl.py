@@ -1,5 +1,7 @@
 """Parser and shipped-corpus checks for the tangle text format."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,27 @@ def test_projector_term_bound():
     parse_tangle("top 26\n" + "".join(f"jw {i} 2\n" for i in range(1, 26, 2)))  # 2^13
     with pytest.raises(TangleParseError, match="16,384 terms"):
         parse_tangle("top 28\n" + "".join(f"jw {i} 2\n" for i in range(1, 28, 2)))
+
+
+def _crossings(top, n):
+    """top, then n over slices at positions 1 + 3i mod (top - 1)."""
+    return f"top {top}\n" + "".join(f"over {1 + 3 * i % (top - 1)}\n" for i in range(n))
+
+
+def test_expansion_work_bound():
+    # top 12 with 40 crossings ran past 60 s; the parser stops at the 16th
+    start = time.perf_counter()
+    with pytest.raises(TangleParseError, match="take 5,111,762 units of expansion work, "
+                                               "above the bound of 4,000,000") as err:
+        parse_tangle(_crossings(12, 40))
+    assert time.perf_counter() - start < 1.0
+    assert err.value.line == 17
+    parse_tangle(_crossings(12, 15))
+    # at width 8 the terms stop doubling at C_8 = 1,430, so the slices add up
+    parse_tangle(_crossings(8, 62))
+    with pytest.raises(TangleParseError) as err:
+        parse_tangle(_crossings(8, 63))
+    assert err.value.line == 64
 
 
 @pytest.mark.parametrize("top,line", [
