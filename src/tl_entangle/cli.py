@@ -23,12 +23,13 @@ expansion work exceeds skein.MAX_EXPANSION_WORK.
 
 Only classify, entropy and rep hw import numpy, for SVDs and eigenvalues.
 The exact commands (bracket, reduce, connectome enumerate and classify)
-never load the numeric layer, and state, tangle3, scan-tangle3 and
-connectome state print from spaces' list form of the amplitudes
-(DiagramState.amplitude_list, spaces.three_tangle_of), which loads no
-numpy.  The numeric modules are imported inside the handlers that
-evaluate, after every check of the input they can read from argv and the
-document, so a usage error costs what an exact command costs.
+never load the numeric layer.  Every command that evaluates a state reads
+spaces' list form of the amplitudes (DiagramState.amplitude_list), which
+loads no numpy, and normalizes it with _unit; classify and entropy shape
+it into an array only for the measures of entanglement.  The numeric
+modules are imported inside the handlers that evaluate, after every check
+of the input they can read from argv and the document, so a usage error
+costs what an exact command costs.
 
 main() sets OPENBLAS_NUM_THREADS to 1 unless the caller has set it, before
 any handler loads numpy: every array a command builds is small (amplitude
@@ -90,9 +91,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _g12(x):
-    """Round a float to 12 significant digits for stable printing."""
-    if x == 0:
+# Magnitude below which tau3 and entropies of a normalized state, and the
+# parts of an amplitude relative to the largest |amplitude|, print as 0.0:
+# such values are rounding noise of exact zeros, and their digits would
+# follow the order of the arithmetic.
+NOISE_FLOOR = 1e-12
+
+
+def _g12(x, floor=0.0):
+    """Round a float to 12 significant digits for stable printing; a value
+    whose magnitude lies below floor prints as 0.0."""
+    if x == 0 or abs(x) < floor:
         return 0.0
     return float(f"{float(x):.12g}")
 
@@ -102,25 +111,15 @@ def _c12(z):
     return {"re": _g12(z.real), "im": _g12(z.imag)}
 
 
-def _tau12(tau):
-    """tau3 rounded for printing; below 1e-12 it prints as 0.0.  tau3 of a
-    normalized state is on scale 1, so such values are rounding noise of
-    exact zeros, and their digits would follow the order of the arithmetic."""
-    return 0.0 if abs(tau) < 1e-12 else _g12(tau)
-
-
 def _amplitude_rows(amps, dims):
-    """(JSON entries, CSV rows) of a flat amplitude list over dims, one per index.
-
-    A real or imaginary part below 1e-12 of the largest |amplitude| is
-    printed as 0.0: such parts are rounding noise of exact zeros, and their
-    digits would follow the order of the state's terms.
-    """
-    floor = 1e-12 * max(map(abs, amps), default=0.0)
+    """(JSON entries, CSV rows) of a flat amplitude list over dims, one per
+    index; a real or imaginary part below NOISE_FLOOR of the largest
+    |amplitude| prints as 0.0."""
+    floor = NOISE_FLOOR * max(map(abs, amps), default=0.0)
     entries = []
     rows = []
     for idx, z in zip(itertools.product(*map(range, dims)), amps):
-        re, im = (0.0 if abs(x) < floor else _g12(x) for x in (z.real, z.imag))
+        re, im = _g12(z.real, floor), _g12(z.imag, floor)
         entries.append({"index": list(idx), "re": re, "im": im})
         rows.append(list(idx) + [re, im])
     return entries, rows
@@ -222,14 +221,24 @@ def _state_of(doc):
 _ZERO_STATE = "state evaluates to the zero tensor at this point"
 
 
-def _normalized_amplitudes(state, point):
+def _unit(amps):
+    """A flat amplitude list divided by its norm, or None where the norm is
+    below 1e-14 and the state counts as zero."""
+    norm = math.sqrt(sum(abs(z) ** 2 for z in amps))
+    if norm < 1e-14:
+        return None
+    return [z / norm for z in amps]
+
+
+def _unit_tensor(state, point):
+    """The normalized amplitudes as a tensor with one axis per party; a
+    zero state is a usage error."""
     import numpy as np
 
-    amp = state.amplitudes(point)
-    norm = np.linalg.norm(amp.ravel())
-    if norm < 1e-14:
+    amps = _unit(state.amplitude_list(point))
+    if amps is None:
         raise UsageError(_ZERO_STATE)
-    return amp / norm
+    return np.array(amps, dtype=complex).reshape(state.layout.dims)
 
 
 def _require_three_qubits(doc):
@@ -317,20 +326,20 @@ def _cmd_classify(args):
     state = _state_of(doc)
     from . import entanglement
 
-    amp = _normalized_amplitudes(state, point)
+    amp = _unit_tensor(state, point)
     payload = {"name": doc.name, "theta": _g12(point.theta),
                "parties": [nm for nm, _ in state.layout.parties],
                "dims": list(state.layout.dims)}
     if amp.ndim == 2:
         rank = entanglement.schmidt_rank(amp, tol=tol)
         payload["schmidt_rank"] = int(rank)
-        payload["entropy"] = _g12(entanglement.entanglement_entropy(amp))
+        payload["entropy"] = _g12(entanglement.entanglement_entropy(amp), NOISE_FLOOR)
         rows = [[payload["schmidt_rank"], payload["entropy"]]]
         return payload, rows, ["schmidt_rank", "entropy"]
     payload["local_ranks"] = [int(r) for r in entanglement.local_ranks(amp, tol)]
     if amp.shape == (2, 2, 2):
         payload["class"] = entanglement.slocc_tripartite_class(amp, tol=tol)
-        payload["tau3"] = _tau12(entanglement.three_tangle(amp))
+        payload["tau3"] = _g12(entanglement.three_tangle(amp), NOISE_FLOOR)
         rows = [[payload["class"], payload["tau3"],
                  " ".join(str(r) for r in payload["local_ranks"])]]
         return payload, rows, ["class", "tau3", "local_ranks"]
@@ -348,14 +357,14 @@ def _cmd_entropy(args):
     state = _state_of(doc)
     from . import entanglement
 
-    amp = _normalized_amplitudes(state, point)
+    amp = _unit_tensor(state, point)
     k = names.index(args.party)
-    entropy = entanglement.entanglement_entropy(amp, keep=(k,))
+    entropy = _g12(entanglement.entanglement_entropy(amp, keep=(k,)), NOISE_FLOOR)
     rank = entanglement.schmidt_rank(amp, keep=(k,), tol=tol)
     payload = {"name": doc.name, "theta": _g12(point.theta),
-               "party": args.party, "entropy": _g12(entropy),
+               "party": args.party, "entropy": entropy,
                "schmidt_rank": int(rank)}
-    return payload, [[args.party, _g12(entropy), int(rank)]], \
+    return payload, [[args.party, entropy, int(rank)]], \
         ["party", "entropy", "schmidt_rank"]
 
 
@@ -367,7 +376,7 @@ def _cmd_tangle3(args):
     tau = _tau3_of(state, point)
     if tau is None:
         raise UsageError(_ZERO_STATE)
-    tau = _tau12(tau)
+    tau = _g12(tau, NOISE_FLOOR)
     payload = {"name": doc.name, "theta": _g12(point.theta), "tau3": tau}
     return payload, [[_g12(point.theta), tau]], ["theta", "tau3"]
 
@@ -381,11 +390,8 @@ def _tau3_of(state, point):
     evaluates to zero; computed from the amplitude list, without numpy."""
     from .spaces import three_tangle_of
 
-    amps = state.amplitude_list(point)
-    norm = math.sqrt(sum(abs(z) ** 2 for z in amps))
-    if norm < 1e-14:
-        return None
-    return three_tangle_of([z / norm for z in amps])
+    amps = _unit(state.amplitude_list(point))
+    return None if amps is None else three_tangle_of(amps)
 
 
 def _tau3_at(state, theta):
@@ -454,16 +460,16 @@ def _cmd_scan_tangle3(args):
             tau = _tau3_or_inf(state, x)
             if tau < tol:
                 zeros.append((x, tau))
-    rows = [[_g12(t), None if v is None else _tau12(v), "grid"]
-            for t, v in zip(grid, values)]
-    rows += [[_g12(x), _tau12(v), "zero"] for x, v in zeros]
+    grid_rows = [(_g12(t), None if v is None else _g12(v, NOISE_FLOOR))
+                 for t, v in zip(grid, values)]
+    zero_rows = [(_g12(x), _g12(v, NOISE_FLOOR)) for x, v in zeros]
+    rows = [[t, v, "grid"] for t, v in grid_rows] + [[x, v, "zero"] for x, v in zero_rows]
     payload = {
         "name": doc.name,
         "theta_min": _g12(lo), "theta_max": _g12(hi),
         "steps": steps, "tol": _g12(tol),
-        "rows": [{"theta": _g12(t), "tau3": None if v is None else _tau12(v)}
-                 for t, v in zip(grid, values)],
-        "zeros": [{"theta": _g12(x), "tau3": _tau12(v)} for x, v in zeros],
+        "rows": [{"theta": t, "tau3": v} for t, v in grid_rows],
+        "zeros": [{"theta": x, "tau3": v} for x, v in zero_rows],
     }
     return payload, rows, ["theta", "tau3", "kind"]
 

@@ -44,11 +44,10 @@ class DegeneratePointError(ValueError):
 
     factor names what vanished: "denominator" (a denominator, or the
     denominator of a split norm), "square" or "squarefree" (that part of a
-    split squared norm, see SplitNorm).  QuditSpace.ortho_transform sets
-    vector, the index of the frame vector; DiagramState.amplitudes sets
-    party, the name of the party whose frame failed, and
-    DiagramState.dressed_numeric the party whose projector dressing failed.
-    Unknown fields are None.
+    split squared norm, see SplitNorm).  QuditSpace.frame_rows sets vector,
+    the index of the frame vector; DiagramState._frames sets party, the name
+    of the party whose frame failed, and DiagramState.dressed_numeric the
+    party whose projector dressing failed.  Unknown fields are None.
     """
 
     def __init__(self, message, factor=None):

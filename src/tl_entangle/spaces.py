@@ -13,13 +13,14 @@ them per diagram it has paired (basis_loops), a table bounded by the state's
 distinct dressed diagrams and independent of theta, so raw overlaps at a new
 angle re-walk no loop; amplitudes builds one frame per party dimension.
 
-The module loads no numpy.  Frames (frame_rows), raw overlaps
-(raw_overlap_list) and amplitudes (amplitude_list) have a list form, flat in
-index order (the last party's index runs fastest), and three_tangle_of reads
-tau3 off a list of amplitudes, so the commands that print amplitudes or tau3
-run without numpy.  The methods that return arrays import it when called and
-build each array from the list form; amplitudes keeps numpy's tensordot
-contraction, whose last bits can differ from amplitude_list's.
+Every numeric use of a frame reads QuditSpace.frame_rows: amplitude_list
+contracts the raw overlaps with them, and the projector tile of the replica
+check is the sum of u_i^dagger (x) u_i over the frame's vectors.  The module
+loads no numpy.  Frames, raw overlaps (raw_overlap_list) and amplitudes
+(amplitude_list) are lists, flat in index order (the last party's index runs
+fastest), and three_tangle_of reads tau3 off a list of amplitudes.  The
+methods that return arrays import numpy when called; ortho_transform,
+raw_overlaps and amplitudes are array views of those lists.
 """
 
 from __future__ import annotations
@@ -183,19 +184,23 @@ class QuditSpace:
         labeled points (its top 1..4w, then its bottom 4w+1..8w), the form
         glue_network takes.  It is built once per point while the point stays
         among the last POINT_CACHE_SIZE, and the same object is returned.
+        Where the frame degenerates, frame_rows' DegeneratePointError is
+        raised.
         """
         return self._projector_cache.get(point, lambda: self._projector_state(point))
 
     def _projector_state(self, point):
-        import numpy as np
-
-        ginv = np.linalg.inv(self.gram_numeric(point))
+        """The sum of u_i^dagger (x) u_i over the orthonormal vectors
+        u_i = sum_j T[i][j] b_j of frame_rows; it equals
+        sum_ab Ginv[a][b] b_b^dagger (x) b_a, as Ginv = T^t conj(T)."""
+        rows = self.frame_rows(point)
         dressed_num = [v.evaluate(point) for v in self.dressed]
         out = TLElement.zero()
-        for a in range(self.n):
-            for b in range(self.n):
-                op = dressed_num[b].adjoint().tensor(dressed_num[a])
-                out = out + complex(ginv[a, b]) * op
+        for row in rows:
+            u = TLElement.zero()
+            for t, b in zip(row, dressed_num):
+                u = u + t * b
+            out = out + u.adjoint().tensor(u)
         return TLElement({PlanarDiagram(0, dg.n_points, dg.pairs): c
                           for dg, c in out.terms.items()})
 
@@ -261,11 +266,8 @@ class PartyLayout:
         return hash(self.parties)
 
 
-@lru_cache(maxsize=None)
 def tuple_basis_diagram(layout, indices):
-    """Product of local basis pairings, offset into each party's label block.
-
-    indices is a tuple; each diagram is built once per (layout, indices)."""
+    """Product of local basis pairings, offset into each party's label block."""
     if len(indices) != len(layout.parties):
         raise ValueError("one basis index per party required")
     arcs = []
@@ -347,12 +349,14 @@ class DiagramState:
         table = self.basis_loops
         dims = self.layout.dims
         sums = [0] * math.prod(dims)
+        basis_pairs = None
         for dg, c in self.dressed_numeric(point).terms.items():
             loops = table.get(dg)
             if loops is None:
-                loops = table[dg] = tuple(
-                    _join({}, dg.pairs + tuple_basis_diagram(self.layout, idx).pairs)
-                    for idx in product(*map(range, dims)))
+                if basis_pairs is None:
+                    basis_pairs = [tuple_basis_diagram(self.layout, idx).pairs
+                                   for idx in product(*map(range, dims))]
+                loops = table[dg] = tuple(_join({}, dg.pairs + pairs) for pairs in basis_pairs)
             powers = [c]
             for _ in range(max(loops)):
                 powers.append(powers[-1] * dval)
@@ -367,46 +371,37 @@ class DiagramState:
 
         return np.array(self.raw_overlap_list(point), dtype=complex).reshape(self.layout.dims)
 
-    def _frames(self, build):
-        """build(qudit_space(n)) for each party dimension n, in party order.
+    def _frames(self, point):
+        """The conjugated frame_rows at point, by party dimension.
 
-        Frames are built before the dressing and the raw overlaps, so a
-        degenerate frame raises before either runs; its DegeneratePointError
-        names the first party of that dimension.
+        Each dimension's frame is built once, before the dressing and the
+        raw overlaps, so a degenerate frame raises before either runs; its
+        DegeneratePointError names the first party of that dimension.
         """
         frames = {}
         for name, nk in self.layout.parties:
             if nk not in frames:
                 try:
-                    frames[nk] = build(qudit_space(nk))
+                    frames[nk] = [[z.conjugate() for z in row]
+                                  for row in qudit_space(nk).frame_rows(point)]
                 except DegeneratePointError as exc:
                     exc.party = name
                     raise
         return frames
 
     def amplitudes(self, point):
-        """Amplitude tensor in the orthonormal local frames, one axis per party.
-
-        Each dimension's frame is built once per call (see _frames).
-        """
+        """amplitude_list as a tensor with one axis per party."""
         import numpy as np
 
-        frames = self._frames(lambda space: np.conj(space.ortho_transform(point)))
-        amp = self.raw_overlaps(point)
-        for k, nk in enumerate(self.layout.dims):
-            amp = np.moveaxis(np.tensordot(frames[nk], amp, axes=(1, k)), 0, k)
-        return amp
+        return np.array(self.amplitude_list(point), dtype=complex).reshape(self.layout.dims)
 
     def amplitude_list(self, point):
-        """amplitudes, flat in index order, contracted without numpy.
+        """Amplitudes in the orthonormal local frames, flat in index order.
 
-        The frames and the party order of the contraction are amplitudes',
-        and each entry sums conj(T[i][j]) * v_j over j in order, but numpy's
-        tensordot may round differently: entries can differ from
-        amplitudes in their last bits.
+        The frames (see _frames) are contracted party by party, in party
+        order; each entry sums conj(T[i][j]) * v_j over j <= i in order.
         """
-        frames = self._frames(lambda space: [[z.conjugate() for z in row]
-                                             for row in space.frame_rows(point)])
+        frames = self._frames(point)
         amp = self.raw_overlap_list(point)
         block = len(amp)
         for nk in self.layout.dims:
@@ -423,10 +418,7 @@ class DiagramState:
         return amp
 
     def projected_norm_sq(self, point):
-        import numpy as np
-
-        amp = self.amplitudes(point)
-        return float(np.sum(np.abs(amp) ** 2))
+        return float(sum(abs(z) ** 2 for z in self.amplitude_list(point)))
 
     def __repr__(self):
         return f"DiagramState({self.element!r}, {self.layout!r})"
@@ -461,14 +453,15 @@ def crossed_triple_residual(dval):
     orthogonalized in order; the returned residual vanishes exactly at d = -2,
     where the crossed pairing becomes linearly dependent on the other two.
     """
-    import numpy as np
-
     pairings = [((1, 2), (3, 4)), ((1, 4), (2, 3)), ((1, 3), (2, 4))]
     els = [TLElement.from_diagram(PlanarDiagram(0, 4, m)) for m in pairings]
-    G = np.array([[complex(els[i].inner(els[j], dval)) for j in range(3)]
-                  for i in range(3)])
-    # the last Gram-Schmidt norm is the ratio of consecutive Gram minors
-    return np.linalg.det(G) / np.linalg.det(G[:2, :2])
+    G = [[complex(els[i].inner(els[j], dval)) for j in range(3)] for i in range(3)]
+    # the last Gram-Schmidt norm is the ratio of consecutive Gram minors;
+    # the 3 x 3 one expands along its first row
+    minor = G[0][0] * G[1][1] - G[0][1] * G[1][0]
+    det = sum(G[0][j] * (G[1][(j + 1) % 3] * G[2][(j + 2) % 3]
+                         - G[1][(j + 2) % 3] * G[2][(j + 1) % 3]) for j in range(3))
+    return det / minor
 
 
 def three_tangle_of(amps):

@@ -8,8 +8,9 @@ invocations and writes one JSON line per invocation: its argv, exit code,
 stdout and stderr.  The package is the one on the import path, so pointing
 PYTHONPATH at two source trees and comparing the two files shows every
 invocation whose output a change moved.  The second form prints the number
-of invocations that differ and the first few of their argv; it exits 0
-either way.  pytest does not collect this file.
+of invocations that differ and, for the first few, their argv, any change
+of exit code, and the first differing stdout and stderr line of each side;
+it exits 0 either way.  pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -87,11 +88,18 @@ def compare(base_path, head_path, shown=5):
             return [json.loads(line) for line in fh]
 
     base, head = load(base_path), load(head_path)
-    differ = [h["argv"] for b, h in zip(base, head) if b != h]
+    differ = [(b, h) for b, h in zip(base, head) if b != h]
     print(f"{len(differ)} of {len(head)} invocations differ"
           + ("" if len(base) == len(head) else f" ({len(base)} in the base sweep)"))
-    for argv in differ[:shown]:
-        print("  " + " ".join(argv))
+    for b, h in differ[:shown]:
+        print("  " + " ".join(h["argv"]))
+        if b["code"] != h["code"]:
+            print(f"    exit code: {b['code']} -> {h['code']}")
+        for stream in ("stdout", "stderr"):
+            lines = zip(b[stream].splitlines() + [""], h[stream].splitlines() + [""])
+            first = next(((x, y) for x, y in lines if x != y), None)
+            if first is not None:
+                print(f"    {stream} base: {first[0]}\n    {stream} head: {first[1]}")
 
 
 def main(args):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import tl_entangle
-from tl_entangle import cli, scalars, spaces, su2
+from tl_entangle import cli, entanglement, scalars, spaces, su2
 from tl_entangle.cli import _angle, main
 from tl_entangle.jones_wenzl import jones_wenzl
 from tl_entangle.scalars import DegeneratePointError
@@ -174,16 +174,21 @@ def test_scan_refinement_steps_over_bad_points(capsys, monkeypatch, failure, lo,
         assert payload["zeros"] == []
 
 
-def test_scan_builds_each_basis_diagram_once(capsys):
-    spaces.tuple_basis_diagram.cache_clear()
+def test_scan_builds_each_basis_diagram_once(capsys, monkeypatch):
+    built = []
+    real = spaces.tuple_basis_diagram
+
+    def counting(layout, indices):
+        built.append(indices)
+        return real(layout, indices)
+
+    monkeypatch.setattr(spaces, "tuple_basis_diagram", counting)
     code, _, _ = run(capsys, ["scan-tangle3", "quasiw", "--theta-min", "0.02pi",
                               "--theta-max", "0.12pi", "--steps", "200"])
     assert code == 0
-    info = spaces.tuple_basis_diagram.cache_info()
-    # the 8 basis diagrams are built once, and looked up only while each of
-    # quasiw's 5 diagrams is paired for the first time, not at every point
-    terms = len(load_corpus("quasiw").state().element.terms)
-    assert info.misses == 8 and info.hits + info.misses == 8 * terms == 40
+    # the 8 basis diagrams are built once per scan, at the first point, where
+    # quasiw's diagrams are paired for the first time, and not at every point
+    assert sorted(built) == [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
 
 
 def test_scan_output_is_deterministic(capsys):
@@ -863,6 +868,24 @@ def test_tau3_noise_prints_as_zero(capsys, argv):
             assert json.loads(out)["tau3"] == 0.0
         else:
             assert "0.0" in out.splitlines()[1].split(",")
+
+
+def test_entropy_noise_prints_as_zero(capsys, monkeypatch):
+    # qubit_basis1's entropy is exactly zero; evaluation leaves 1.1e-16 at k = 4
+    for point in ([], ["--k", "4"]):
+        for fmt in ("json", "csv"):
+            code, out, _ = run(capsys, ["entropy", "qubit_basis1", "--party", "A",
+                                        *point, "--format", fmt])
+            assert code == 0
+            if fmt == "json":
+                assert json.loads(out)["entropy"] == 0.0
+            else:
+                assert out.splitlines()[1] == "A,0.0,1"
+    # classify prints a two-party entropy by the same rule
+    monkeypatch.setattr(entanglement, "entanglement_entropy", lambda amp, keep=(0,): 2.2e-16)
+    code, out, _ = run(capsys, ["classify", "maxent"])
+    assert code == 0
+    assert json.loads(out)["entropy"] == 0.0
 
 
 # Runs the CLI in-process from a fresh interpreter, then loads numpy, and

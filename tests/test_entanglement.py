@@ -25,7 +25,7 @@ from tl_entangle.entanglement import (
     von_neumann_entropy,
 )
 
-from test_spaces import SEVEN_TRIPARTITE, expected_tripartite
+from test_spaces import SEVEN_TRIPARTITE, expected_tripartite, reference_ortho_transform
 
 K4 = EvalPoint.from_level(4)
 K6 = EvalPoint.from_level(6)
@@ -152,19 +152,52 @@ def test_replica_corpus_agreement_k6():
             assert abs(numeric - glued) < 1e-8, (name, n)
 
 
+def as_state(op):
+    """A 4w -> 4w map read as a state on the same labels."""
+    return TLElement({PlanarDiagram(0, dg.n_points, dg.pairs): c for dg, c in op.terms.items()})
+
+
 def reference_projector_tile(space, point):
     """The projector tile as replica_check glued it before tiles were kept per
-    point: the 4w -> 4w map built afresh, then read as a state on the same
-    labels."""
+    point, built afresh: the sum over i of u_i^dagger (x) u_i, with
+    u_i = sum_j T[i][j] b_j from reference_ortho_transform."""
+    T = reference_ortho_transform(space, point)
+    dressed_num = [v.evaluate(point) for v in space.dressed]
+    out = TLElement.zero()
+    for i in range(space.n):
+        u = TLElement.zero()
+        for j in range(i + 1):
+            u = u + complex(T[i, j]) * dressed_num[j]
+        out = out + u.adjoint().tensor(u)
+    return as_state(out)
+
+
+def gram_inverse_tile(space, point):
+    """The projector tile from the inverse of the numeric Gram matrix:
+    the sum over a, b of Ginv[a][b] b_b^dagger (x) b_a."""
     ginv = np.linalg.inv(space.gram_numeric(point))
     dressed_num = [v.evaluate(point) for v in space.dressed]
     out = TLElement.zero()
     for a in range(space.n):
         for b in range(space.n):
-            op = dressed_num[b].adjoint().tensor(dressed_num[a])
-            out = out + complex(ginv[a, b]) * op
-    return TLElement({PlanarDiagram(0, dg.n_points, dg.pairs): c
-                      for dg, c in out.terms.items()})
+            out = out + complex(ginv[a, b]) * dressed_num[b].adjoint().tensor(dressed_num[a])
+    return as_state(out)
+
+
+@pytest.mark.parametrize("n, points", [
+    (2, [K4, K6, EvalPoint(-0.3)]),
+    (3, [K4, K6, EvalPoint(-0.2)]),
+    # every dimension-4 frame degenerates at k = 4 and k = 5; a dimension-4
+    # tile has 17,424 terms and takes seconds on each side
+    (4, [K6]),
+])
+def test_projector_tile_matches_gram_inverse(n, points):
+    space = qudit_space(n)
+    for pt in points:
+        tile, ref = space.projector_element(pt), gram_inverse_tile(space, pt)
+        assert tile.terms.keys() == ref.terms.keys()
+        top = max(abs(c) for c in ref.terms.values())
+        assert max(abs(c - ref.terms[dg]) for dg, c in tile.terms.items()) <= 1e-12 * top, pt
 
 
 def reference_glued_power(state, n, keep, point):

@@ -128,6 +128,15 @@ def test_four_level_frame_degenerates_at_k4():
         qudit_space(4).ortho_transform(K4)
 
 
+def test_four_level_projector_degenerates_at_k5():
+    # the Gram matrix is singular at k = 5 (its smallest eigenvalue is
+    # rounding noise), so the tile, built from the frame, raises with it
+    space = qudit_space(4)
+    with pytest.raises(DegeneratePointError) as info:
+        space.projector_element(EvalPoint.from_level(5))
+    assert (info.value.factor, info.value.vector) == ("squarefree", 3)
+
+
 def test_dressed_basis_kills_null_pairings():
     q = qudit_space(3)
     null = TLElement.from_diagram(PlanarDiagram(0, 8, [(1, 2), (3, 4), (5, 6), (7, 8)]))
@@ -445,10 +454,28 @@ def reference_raw_overlaps(state, point):
 
 
 def reference_amplitudes(state, point):
-    """amplitudes as it was before frames were shared: reference_raw_overlaps
-    taken into one frame built per party."""
-    amp = reference_raw_overlaps(state, point)
-    for k, (_, nk) in enumerate(state.layout.parties):
+    """reference_raw_overlaps taken into one frame built per party, party by
+    party in party order, in plain Python: entry i of a party's axis sums
+    conj(T[i][j]) times entry j of the input over j <= i, starting from 0."""
+    dims = state.layout.dims
+    amp = {idx: complex(v) for idx, v in np.ndenumerate(reference_raw_overlaps(state, point))}
+    for k, nk in enumerate(dims):
+        T = qudit_space(nk).ortho_transform(point).tolist()
+        out = {}
+        for idx in np.ndindex(*dims):
+            i, total = idx[k], 0
+            for j in range(i + 1):
+                total += T[i][j].conjugate() * amp[idx[:k] + (j,) + idx[k + 1:]]
+            out[idx] = total
+        amp = out
+    return np.array([amp[idx] for idx in np.ndindex(*dims)], dtype=complex).reshape(dims)
+
+
+def tensordot_amplitudes(state, point):
+    """The raw overlaps taken into each party's frame by numpy's tensordot,
+    which may round the sums differently from amplitude_list."""
+    amp = state.raw_overlaps(point)
+    for k, nk in enumerate(state.layout.dims):
         T = qudit_space(nk).ortho_transform(point)
         amp = np.moveaxis(np.tensordot(np.conj(T), amp, axes=(1, k)), 0, k)
     return amp
@@ -488,7 +515,7 @@ def test_raw_overlaps_match_reference_on_connectomes():
     found = enumerate_connectomes(3) + enumerate_connectomes(4)
     assert len(found) == 27
     for c in found:
-        assert_matches_reference(representative_state(c), [K4])
+        assert_matches_reference(representative_state(c), [K4, K6])
 
 
 def _counting(monkeypatch, module, name):
@@ -518,7 +545,7 @@ def test_fresh_point_walks_no_loops(name, monkeypatch):
 
 
 def test_three_qubit_amplitudes_build_one_frame(monkeypatch):
-    frames = _counting(monkeypatch, QuditSpace, "ortho_transform")
+    frames = _counting(monkeypatch, QuditSpace, "frame_rows")
     load_corpus("quasiw").state().amplitudes(EvalPoint(0.123))
     assert len(frames) == 1
 
@@ -541,12 +568,13 @@ def test_basis_loops_keep_no_per_point_state(name):
 
 
 def assert_list_form_matches_arrays(state, points):
-    """amplitude_list against amplitudes within 1e-14 of the largest
-    |amplitude|, and for three qubits the command line's tau3, taken from
-    the list, against three_tangle of the array within 1e-14."""
+    """Cross-checks of the list form against numpy: amplitude_list against
+    tensordot_amplitudes within 1e-14 of the largest |amplitude|, and for
+    three qubits the command line's tau3, taken from the list, against
+    three_tangle of the tensordot array within 1e-14."""
     for pt in points:
-        amp = state.amplitudes(pt)
         flat = state.amplitude_list(pt)
+        amp = tensordot_amplitudes(state, pt)
         top = float(np.max(np.abs(amp)))
         assert len(flat) == amp.size
         assert max(abs(z - w) for z, w in zip(flat, amp.ravel().tolist())) <= 1e-14 * top, pt
