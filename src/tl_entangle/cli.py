@@ -21,21 +21,21 @@ is a parse error (exit 2), and so are jw slices whose term counts multiply
 to more than skein.MAX_JW_TERMS (10,000) and a word whose predicted
 expansion work exceeds skein.MAX_EXPANSION_WORK.
 
-Only classify, entropy and rep hw import numpy, for SVDs and eigenvalues.
-The exact commands (bracket, reduce, connectome enumerate and classify)
-never load the numeric layer.  Every command that evaluates a state reads
-spaces' list form of the amplitudes (DiagramState.amplitude_list), which
-loads no numpy, and normalizes it with _unit; classify and entropy shape
-it into an array only for the measures of entanglement.  The numeric
-modules are imported inside the handlers that evaluate, after every check
-of the input they can read from argv and the document, so a usage error
-costs what an exact command costs.
+Only rep hw imports numpy, for su2's SVDs.  The exact commands (bracket,
+reduce, connectome enumerate and classify) never load the numeric layer.
+Every command that evaluates a state reads spaces' list form of the
+amplitudes (DiagramState.amplitude_list), which loads no numpy, and
+normalizes it with _unit; classify and entropy take their singular values
+from that list with entanglement.party_singular_values, in pure Python.
+The numeric modules are imported inside the handlers that evaluate, after
+every check of the input they can read from argv and the document, so a
+usage error costs what an exact command costs.
 
 main() sets OPENBLAS_NUM_THREADS to 1 unless the caller has set it, before
-any handler loads numpy: every array a command builds is small (amplitude
-tensors within MAX_STATE_WORK, rep hw blocks within 4,096), and starting
-OpenBLAS's thread pool costs a cold process more than the pool saves.  Run
-with OPENBLAS_NUM_THREADS=N to choose N threads.  A process that has loaded numpy before calling main() keeps its pool.
+rep hw loads numpy: every array it builds is small (blocks within 4,096),
+and starting OpenBLAS's thread pool costs a cold process more than the pool
+saves.  Run with OPENBLAS_NUM_THREADS=N to choose N threads.  A process
+that has loaded numpy before calling main() keeps its pool.
 """
 
 from __future__ import annotations
@@ -230,15 +230,12 @@ def _unit(amps):
     return [z / norm for z in amps]
 
 
-def _unit_tensor(state, point):
-    """The normalized amplitudes as a tensor with one axis per party; a
-    zero state is a usage error."""
-    import numpy as np
-
+def _unit_amplitudes(state, point):
+    """The normalized amplitude list; a zero state is a usage error."""
     amps = _unit(state.amplitude_list(point))
     if amps is None:
         raise UsageError(_ZERO_STATE)
-    return np.array(amps, dtype=complex).reshape(state.layout.dims)
+    return amps
 
 
 def _require_three_qubits(doc):
@@ -325,26 +322,28 @@ def _cmd_classify(args):
     point = _eval_point(args)
     state = _state_of(doc)
     from . import entanglement
+    from .spaces import three_tangle_of
 
-    amp = _unit_tensor(state, point)
+    amps = _unit_amplitudes(state, point)
+    dims = list(state.layout.dims)
     payload = {"name": doc.name, "theta": _g12(point.theta),
-               "parties": [nm for nm, _ in state.layout.parties],
-               "dims": list(state.layout.dims)}
-    if amp.ndim == 2:
-        rank = entanglement.schmidt_rank(amp, tol=tol)
-        payload["schmidt_rank"] = int(rank)
-        payload["entropy"] = _g12(entanglement.entanglement_entropy(amp), NOISE_FLOOR)
+               "parties": [nm for nm, _ in state.layout.parties], "dims": dims}
+    if len(dims) == 2:
+        sv = entanglement.party_singular_values(amps, dims, 0)
+        payload["schmidt_rank"] = entanglement.rank_above(sv, tol)
+        payload["entropy"] = _g12(entanglement.spectrum_entropy(sv), NOISE_FLOOR)
         rows = [[payload["schmidt_rank"], payload["entropy"]]]
         return payload, rows, ["schmidt_rank", "entropy"]
-    payload["local_ranks"] = [int(r) for r in entanglement.local_ranks(amp, tol)]
-    if amp.shape == (2, 2, 2):
-        payload["class"] = entanglement.slocc_tripartite_class(amp, tol=tol)
-        payload["tau3"] = _g12(entanglement.three_tangle(amp), NOISE_FLOOR)
-        rows = [[payload["class"], payload["tau3"],
-                 " ".join(str(r) for r in payload["local_ranks"])]]
+    ranks = [entanglement.rank_above(entanglement.party_singular_values(amps, dims, k), tol)
+             for k in range(len(dims))]
+    payload["local_ranks"] = ranks
+    if dims == [2, 2, 2]:
+        tau3 = three_tangle_of(amps)
+        payload["class"] = entanglement.tripartite_class(ranks, tau3, tol)
+        payload["tau3"] = _g12(tau3, NOISE_FLOOR)
+        rows = [[payload["class"], payload["tau3"], " ".join(map(str, ranks))]]
         return payload, rows, ["class", "tau3", "local_ranks"]
-    rows = [[" ".join(str(r) for r in payload["local_ranks"])]]
-    return payload, rows, ["local_ranks"]
+    return payload, [[" ".join(map(str, ranks))]], ["local_ranks"]
 
 
 def _cmd_entropy(args):
@@ -357,15 +356,13 @@ def _cmd_entropy(args):
     state = _state_of(doc)
     from . import entanglement
 
-    amp = _unit_tensor(state, point)
-    k = names.index(args.party)
-    entropy = _g12(entanglement.entanglement_entropy(amp, keep=(k,)), NOISE_FLOOR)
-    rank = entanglement.schmidt_rank(amp, keep=(k,), tol=tol)
+    sv = entanglement.party_singular_values(_unit_amplitudes(state, point),
+                                            state.layout.dims, names.index(args.party))
+    entropy = _g12(entanglement.spectrum_entropy(sv), NOISE_FLOOR)
+    rank = entanglement.rank_above(sv, tol)
     payload = {"name": doc.name, "theta": _g12(point.theta),
-               "party": args.party, "entropy": entropy,
-               "schmidt_rank": int(rank)}
-    return payload, [[args.party, entropy, int(rank)]], \
-        ["party", "entropy", "schmidt_rank"]
+               "party": args.party, "entropy": entropy, "schmidt_rank": rank}
+    return payload, [[args.party, entropy, rank]], ["party", "entropy", "schmidt_rank"]
 
 
 def _cmd_tangle3(args):

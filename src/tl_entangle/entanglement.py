@@ -1,22 +1,125 @@
-"""Entanglement measures and SLOCC classification on amplitude tensors.
+"""Entanglement measures and SLOCC classification of amplitudes.
 
-Tensors carry one axis per party (axis order = party order of the layout that
-produced them).  Everything here normalizes internally, so raw diagram
+The measures come in two forms.  The array functions (schmidt_rank,
+entanglement_entropy, local_ranks, slocc_tripartite_class, replica_check and
+the rest) take tensors with one axis per party (axis order = party order of
+the layout that produced them) and normalize internally, so raw diagram
 normalizations only matter for amplitude output, never for the measures.
+They import numpy when called, for SVDs and eigenvalues.
+
+The list form loads no numpy: party_singular_values reads the flat amplitude
+list of DiagramState.amplitude_list.  A party has at most four levels on the
+command line, so each cut is a matrix with at most four rows, whose singular
+values one-sided Jacobi finds in pure Python; the command line reads only
+this form.  Both forms count ranks with rank_above, sum entropies with
+_entropy and name three-qubit classes with tripartite_class: they differ
+only in how they get the singular values.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-
-import numpy as np
+import sys
 
 from .diagrams import conj_scalar, glue_network
 from .scalars import InvariantError
 from .spaces import qudit_space, three_tangle_of
 
+# Sweeps of one-sided Jacobi before party_singular_values gives up; rows of
+# at most four levels take a few.
+MAX_JACOBI_SWEEPS = 30
+
+
+def __getattr__(name):
+    # entanglement.np is numpy, loaded on first use like the array functions do
+    if name == "np":
+        import numpy
+
+        return numpy
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def party_singular_values(amps, dims, k):
+    """The min(dims[k], len(amps) // dims[k]) singular values, largest first,
+    of the flat amplitude list amps over dims with party k's index as the row.
+
+    Hestenes' one-sided Jacobi on the rows, or on the columns where they are
+    fewer: rotate pairs of them until each pair is orthogonal to within
+    length * eps of the product of their norms; their norms are then the
+    singular values.  (More vectors than their length could never all be
+    orthogonal: the rounding noise left of a dependent one would keep
+    rotating.)  InvariantError after MAX_JACOBI_SWEEPS sweeps that still
+    rotate.
+    """
+    inner = math.prod(dims[k + 1:])
+    block = dims[k] * inner
+    rows = [[amps[s + i * inner + b] for s in range(0, len(amps), block) for b in range(inner)]
+            for i in range(dims[k])]
+    if len(rows) > len(rows[0]):
+        rows = [list(col) for col in zip(*rows)]
+    tol = len(rows[0]) * sys.float_info.epsilon
+    for _ in range(MAX_JACOBI_SWEEPS):
+        rotated = False
+        for i, j in itertools.combinations(range(len(rows)), 2):
+            x, y = rows[i], rows[j]
+            a, b = _norm_sq(x), _norm_sq(y)
+            c = sum(u * v.conjugate() for u, v in zip(x, y))
+            if abs(c) <= tol * math.sqrt(a) * math.sqrt(b):
+                continue
+            # with y's phase turned so that <x, y> = |c|, the real rotation
+            # by t = tan(angle) makes the pair orthogonal
+            zeta = (b - a) / (2 * abs(c))
+            t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+            cs = 1 / math.sqrt(1 + t * t)
+            sn, phase = cs * t, c / abs(c)
+            rows[i] = [cs * u - sn * phase * v for u, v in zip(x, y)]
+            rows[j] = [sn * u + cs * phase * v for u, v in zip(x, y)]
+            rotated = True
+        if not rotated:
+            return sorted((math.sqrt(_norm_sq(row)) for row in rows), reverse=True)
+    raise InvariantError(f"one-sided Jacobi did not converge in {MAX_JACOBI_SWEEPS} sweeps")
+
+
+def _norm_sq(row):
+    return sum(z.real * z.real + z.imag * z.imag for z in row)
+
+
+def rank_above(sv, tol):
+    """Number of singular values (largest first) above tol times the largest."""
+    if not sv or sv[0] == 0:
+        return 0
+    return sum(1 for s in sv if s > tol * sv[0])
+
+
+def _entropy(weights):
+    """-sum w ln w in nats over the weights above 1e-14."""
+    return float(-sum(w * math.log(w) for w in weights if w > 1e-14))
+
+
+def spectrum_entropy(sv):
+    """Entanglement entropy across a cut from its singular values."""
+    total = sum(s * s for s in sv)
+    return _entropy([s * s / total for s in reversed(sv)])
+
+
+def tripartite_class(ranks, tau3, tol):
+    """One of separable, biseparable(X|YZ), W, GHZ from the local ranks and
+    the three-tangle of a normalized three-qubit state."""
+    ones = [ax for ax, r in enumerate(ranks) if r == 1]
+    if len(ones) == 3:
+        return "separable"
+    if len(ones) == 1:
+        names = ("A", "B", "C")
+        ax = ones[0]
+        others = "".join(nm for k, nm in enumerate(names) if k != ax)
+        return f"biseparable({names[ax]}|{others})"
+    return "GHZ" if tau3 > tol else "W"
+
 
 def _normalized(t):
+    import numpy as np
+
     t = np.asarray(t, dtype=complex)
     nrm = np.linalg.norm(t)
     if nrm == 0:
@@ -28,7 +131,7 @@ def _matricized(t, keep):
     """t as a matrix whose rows run over the kept axes."""
     keep = tuple(keep)
     rest = [a for a in range(t.ndim) if a not in keep]
-    return np.transpose(t, list(keep) + rest).reshape(math.prod(t.shape[a] for a in keep), -1)
+    return t.transpose(list(keep) + rest).reshape(math.prod(t.shape[a] for a in keep), -1)
 
 
 def reduced_density(t, keep=(0,)):
@@ -39,25 +142,24 @@ def reduced_density(t, keep=(0,)):
 
 def schmidt_rank(t, keep=None, tol=1e-9):
     """Rank across a bipartition (or of a plain matrix) at relative tolerance."""
+    import numpy as np
+
     t = np.asarray(t, dtype=complex)
     if keep is None and t.ndim != 2:
         raise InvariantError("schmidt_rank needs a bipartition for tensors")
     m = t if keep is None else _matricized(t, keep)
-    sv = np.linalg.svd(m, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0:
-        return 0
-    return int(np.sum(sv > tol * sv[0]))
+    return rank_above(np.linalg.svd(m, compute_uv=False).tolist(), tol)
 
 
 def von_neumann_entropy(rho):
     """Entropy in nats of a density matrix (normalized to unit trace first)."""
+    import numpy as np
+
     rho = np.asarray(rho, dtype=complex)
     tr = np.trace(rho).real
     if tr <= 0:
         raise ValueError("density matrix with nonpositive trace")
-    ev = np.linalg.eigvalsh(rho / tr)
-    ev = ev[ev > 1e-14]
-    return float(-(ev * np.log(ev)).sum())
+    return _entropy(np.linalg.eigvalsh(rho / tr).tolist())
 
 
 def entanglement_entropy(t, keep=(0,)):
@@ -66,6 +168,8 @@ def entanglement_entropy(t, keep=(0,)):
 
 def trace_power(t, n, keep=(0,)):
     """Tr rho^n of the reduced density matrix, from the amplitude tensor."""
+    import numpy as np
+
     ev = np.linalg.eigvalsh(reduced_density(t, keep))
     return float(np.sum(ev ** n).real)
 
@@ -134,6 +238,8 @@ def replica_check(t, state, point, n, keep=(0,)):
 
 def conversion_probability(t):
     """Chance of converting a two-qubit pure state to the maximally entangled one."""
+    import numpy as np
+
     t = _normalized(t)
     if t.shape != (2, 2):
         raise ValueError("conversion probability is defined for qubit pairs")
@@ -151,6 +257,8 @@ def three_tangle(t):
 
 
 def local_ranks(t, tol=1e-9):
+    import numpy as np
+
     return tuple(schmidt_rank(t, keep=(ax,), tol=tol) for ax in range(np.ndim(t)))
 
 
@@ -159,18 +267,7 @@ def slocc_tripartite_class(t, tol=1e-8):
     t = _normalized(t)
     if t.shape != (2, 2, 2):
         raise ValueError("tripartite classifier needs a 2x2x2 tensor")
-    ranks = local_ranks(t, tol)
-    ones = [ax for ax, r in enumerate(ranks) if r == 1]
-    if len(ones) == 3:
-        return "separable"
-    if len(ones) == 1:
-        names = ("A", "B", "C")
-        ax = ones[0]
-        others = "".join(nm for k, nm in enumerate(names) if k != ax)
-        return f"biseparable({names[ax]}|{others})"
-    if three_tangle(t) > tol:
-        return "GHZ"
-    return "W"
+    return tripartite_class(local_ranks(t, tol), three_tangle(t), tol)
 
 
 def ladder_operator(t, party=0):
@@ -183,6 +280,8 @@ def ladder_operator(t, party=0):
     columns (copies 2,5).  Returns (L, asymmetry): L is trace-normalized and
     symmetrized, asymmetry is the Frobenius norm dropped by symmetrization.
     """
+    import numpy as np
+
     psi = _normalized(t)
     if psi.ndim != 3:
         raise ValueError("ladder indicator needs a tripartite tensor")
@@ -201,6 +300,8 @@ def ladder_operator(t, party=0):
 
 def ladder_indicator(t, party=0):
     """Entropy of the positive part of the normalized ladder operator."""
+    import numpy as np
+
     L, _ = ladder_operator(t, party)
     ev = np.linalg.eigvalsh(L)
     ev = ev[ev > 1e-14]
@@ -215,4 +316,4 @@ def min_ladder_indicator(t):
     unentangled gives a rank-one ladder), stays positive on genuinely
     tripartite-entangled states.
     """
-    return min(ladder_indicator(t, party=p) for p in range(np.ndim(t)))
+    return min(ladder_indicator(t, party=p) for p in range(3))

@@ -450,8 +450,9 @@ def test_linalg_failure_is_internal_error(capsys, monkeypatch):
     def failing_svd(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
-    monkeypatch.setattr("tl_entangle.entanglement.schmidt_rank", failing_svd)
-    code, out, err = run(capsys, ["classify", "maxent"])
+    # rep hw is the one command that still reaches numpy's SVD
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    code, out, err = run(capsys, ["rep", "hw", "--spins", "1/2,1/2"])
     assert code == 4 and out == ""
     assert "internal error" in err and "SVD did not converge" in err
 
@@ -818,7 +819,7 @@ def test_usage_errors_never_import_numpy(tmp_path, capsys, argv, expected):
 
 
 def test_numeric_command_imports_numpy():
-    code, _, _, modules = _imported_modules(["classify", "maxent"])
+    code, _, _, modules = _imported_modules(["rep", "hw", "--spins", "1,2"])
     assert code == 0
     assert {"numpy", "tl_entangle.spaces", "tl_entangle.entanglement"} <= modules
 
@@ -858,6 +859,46 @@ def test_printing_commands_never_import_numpy(tmp_path, capsys, argv, code):
         assert got[2] == "usage error: state evaluates to the zero tensor at this point\n"
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["classify", "maxent"], 0),
+    (["classify", "quasiw", "--k", "4"], 0),
+    (["classify", "two_qutrit_rank2", "--format", "csv"], 0),
+    (["entropy", "quasiw", "--party", "C", "--k", "6"], 0),
+    (["entropy", "quasiw", "--party", "C", "--k", "6", "--format", "csv"], 0),
+    (["entropy", "two_qutrit_rank2", "--party", "L", "--k", "4"], 0),
+    (["entropy", "two_qutrit_rank2", "--party", "L", "--k", "4", "--format", "csv"], 0),
+    (["classify", "{zero}"], 1),
+    (["entropy", "{zero}", "--party", "B"], 1),
+    (["classify", "two_qutrit_rank1", "--theta=pi/4"], 3),
+    (["entropy", "two_qutrit_rank1", "--party", "R", "--theta=pi/4"], 3),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_measure_commands_never_import_numpy(tmp_path, capsys, argv, code):
+    """classify and entropy take their singular values from the list form of
+    the amplitudes: no numpy or su2 module is loaded, and a fresh process
+    prints what an in-process run prints."""
+    zero = str(_zero_state_document(tmp_path / "zero.tl"))
+    argv = [zero if a == "{zero}" else a for a in argv]
+    got = _imported_modules(argv)
+    assert got[0] == code
+    assert {"tl_entangle.spaces", "tl_entangle.entanglement"} <= got[3]
+    assert not {m for m in got[3] if m.split(".")[0] == "numpy"}
+    assert "tl_entangle.su2" not in got[3]
+    assert got[:3] == run(capsys, argv)
+    if code == 1:
+        assert got[2] == "usage error: state evaluates to the zero tensor at this point\n"
+
+
+def test_jacobi_sweep_cap_is_internal_error(capsys, monkeypatch):
+    # quasiw's cuts are not orthogonal as given: one sweep rotates, and only
+    # a second one could find every pair orthogonal
+    monkeypatch.setattr(entanglement, "MAX_JACOBI_SWEEPS", 1)
+    for argv in (["classify", "quasiw"], ["entropy", "quasiw", "--party", "A"]):
+        code, out, err = run(capsys, argv)
+        assert code == 4 and out == ""
+        assert err == ("internal error: InvariantError('one-sided Jacobi did not "
+                       "converge in 1 sweeps')\n")
+
+
 @pytest.mark.parametrize("argv", [["tangle3", "tripartite_1"], ["classify", "tripartite_1"]])
 def test_tau3_noise_prints_as_zero(capsys, argv):
     # tripartite_1's tau3 is exactly zero; evaluation leaves about 1e-32
@@ -882,7 +923,7 @@ def test_entropy_noise_prints_as_zero(capsys, monkeypatch):
             else:
                 assert out.splitlines()[1] == "A,0.0,1"
     # classify prints a two-party entropy by the same rule
-    monkeypatch.setattr(entanglement, "entanglement_entropy", lambda amp, keep=(0,): 2.2e-16)
+    monkeypatch.setattr(entanglement, "spectrum_entropy", lambda sv: 2.2e-16)
     code, out, _ = run(capsys, ["classify", "maxent"])
     assert code == 0
     assert json.loads(out)["entropy"] == 0.0

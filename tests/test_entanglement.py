@@ -7,7 +7,8 @@ from tl_entangle import diagrams, entanglement, spaces
 from tl_entangle.diagrams import PlanarDiagram, TLElement, conj_scalar, glue_network
 from tl_entangle.scalars import EvalPoint, InvariantError
 from tl_entangle.skein import SliceWord
-from tl_entangle.spaces import POINT_CACHE_SIZE, DiagramState, PartyLayout, qudit_space
+from tl_entangle.spaces import (POINT_CACHE_SIZE, DiagramState, PartyLayout, qudit_space,
+                                three_tangle_of)
 from tl_entangle.tangle_dsl import corpus_names, load_corpus
 from tl_entangle.entanglement import (
     conversion_probability,
@@ -16,12 +17,16 @@ from tl_entangle.entanglement import (
     ladder_operator,
     local_ranks,
     min_ladder_indicator,
+    party_singular_values,
+    rank_above,
     reduced_density,
     replica_check,
     schmidt_rank,
     slocc_tripartite_class,
+    spectrum_entropy,
     three_tangle,
     trace_power,
+    tripartite_class,
     von_neumann_entropy,
 )
 
@@ -471,3 +476,76 @@ def test_ladder_asymmetry_is_small_for_symmetric_states():
 def test_ladder_rejects_zero():
     with pytest.raises(ValueError):
         ladder_indicator(np.zeros((2, 2, 2)))
+
+
+# The list rule (pure-Python one-sided Jacobi on the flat amplitude list,
+# which the command line reads) against the numpy measures it replaced there.
+
+def assert_list_measures_match(amps, dims):
+    """Singular values, entropies, ranks and the three-qubit class of the
+    normalized flat list amps over dims, from both paths."""
+    t = np.array(amps, dtype=complex).reshape(dims)
+    spectra = [party_singular_values(amps, dims, k) for k in range(len(dims))]
+    for k, sv in enumerate(spectra):
+        expect = np.linalg.svd(np.moveaxis(t, k, 0).reshape(dims[k], -1), compute_uv=False)
+        assert np.abs(np.array(sv) - expect).max() < 1e-14
+        assert abs(spectrum_entropy(sv) - entanglement_entropy(t, keep=(k,))) < 1e-13
+    for tol in (1e-8, 0.9):
+        ranks = [rank_above(sv, tol) for sv in spectra]
+        assert tuple(ranks) == local_ranks(t, tol)
+        if list(dims) == [2, 2, 2]:
+            assert tripartite_class(ranks, three_tangle_of(amps), tol) \
+                == slocc_tripartite_class(t, tol)
+
+
+@pytest.mark.parametrize("point", [K4, K6], ids=["k4", "k6"])
+def test_list_measures_match_numpy_on_corpus(point):
+    for name in corpus_names():
+        doc = load_corpus(name)
+        if not doc.parties:
+            continue
+        state = doc.state()
+        amps = state.amplitude_list(point)
+        norm = np.linalg.norm(amps)
+        assert_list_measures_match([z / norm for z in amps], state.layout.dims)
+
+
+def random_tensor(rng, dims, kind):
+    """A random complex tensor over dims: generic, a product of one vector
+    per party, or of Schmidt rank below dims[k] across a random party k."""
+    def gauss(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    if kind == "product":
+        t = np.ones((), complex)
+        for n in dims:
+            t = np.multiply.outer(t, gauss(n))
+        return t
+    if kind == "deficient" and max(dims) > 1:
+        k = int(rng.choice([j for j, n in enumerate(dims) if n > 1]))
+        rest = [n for j, n in enumerate(dims) if j != k]
+        r = int(rng.integers(1, dims[k]))
+        m = gauss(dims[k], r) @ gauss(r, int(np.prod(rest)))
+        return np.moveaxis(m.reshape([dims[k]] + rest), 0, k)
+    return gauss(*dims)
+
+
+def test_list_measures_match_numpy_on_random_tensors():
+    rng = np.random.default_rng(19)
+    for i in range(600):
+        dims = [int(n) for n in rng.integers(1, 5, size=int(rng.integers(2, 4)))]
+        t = random_tensor(rng, dims, ("generic", "product", "deficient")[i % 3])
+        amps = (t / np.linalg.norm(t)).ravel().tolist()
+        assert_list_measures_match(amps, dims)
+    for base in (GHZ, W):
+        for _ in range(20):
+            t = apply_local(base, [random_unitary(rng) for _ in range(3)])
+            assert_list_measures_match(t.ravel().tolist(), [2, 2, 2])
+
+
+def test_jacobi_sweep_cap_raises(monkeypatch):
+    amps = (W + GHZ).ravel() / np.linalg.norm(W + GHZ)
+    assert party_singular_values(amps.tolist(), [2, 2, 2], 0)
+    monkeypatch.setattr(entanglement, "MAX_JACOBI_SWEEPS", 1)
+    with pytest.raises(InvariantError, match="did not converge in 1 sweeps"):
+        party_singular_values(amps.tolist(), [2, 2, 2], 0)
