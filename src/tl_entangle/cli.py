@@ -9,7 +9,7 @@ Input bounds, each a usage error (exit 1) before any array, grid or search
 is built: an angle and its double must be finite; --tol must lie above 0 and
 below 1; scan-tangle3 --steps runs from 3 to MAX_STEPS (10,000), over a range
 that splits into finite steps; rep hw takes half-integer spins whose product
-space has dimension prod(2j+1) up to spins.MAX_PRODUCT_DIM (4,096); --adj
+space has dimension prod(2j+1) up to su2.MAX_PRODUCT_DIM (4,096); --adj
 takes rows of JSON integers, bare or as the "adj" of an object whose
 "punctures" and "parties" are integers; a connectome needs at least one party, and --punctures cannot be
 negative; connectome enumerate takes at most 6 parties and at most
@@ -21,15 +21,11 @@ is a parse error (exit 2), and so are jw slices whose term counts multiply
 to more than skein.MAX_JW_TERMS (10,000) and a word whose predicted
 expansion work exceeds skein.MAX_EXPANSION_WORK.
 
-Only rep hw imports numpy, for su2's SVDs.  The exact commands (bracket,
-reduce, connectome enumerate and classify) never load the numeric layer.
-Every command that evaluates a state reads spaces' list form of the
-amplitudes (DiagramState.amplitude_list), which loads no numpy, and
-normalizes it with _unit; classify and entropy take their singular values
-from that list with entanglement.party_singular_values, in pure Python.
-The numeric modules are imported inside the handlers that evaluate, after
-every check of the input they can read from argv and the document, so a
-usage error costs what an exact command costs.
+Only rep hw imports numpy, for su2's SVDs, and only after su2.product_dims
+has checked its spins.  Every command that evaluates a state reads spaces'
+list form of the amplitudes (DiagramState.amplitude_list) and normalizes it
+with _unit; classify and entropy take their singular values from that list
+with entanglement.party_singular_values, in pure Python.
 
 main() sets OPENBLAS_NUM_THREADS to 1 unless the caller has set it, before
 rep hw loads numpy: every array it builds is small (blocks within 4,096),
@@ -50,11 +46,11 @@ import os
 import sys
 from fractions import Fraction
 
+from . import entanglement, su2
 from .connectomes import Connectome, classify as classify_connectome, \
     enumerate_connectomes, is_biseparable, party_names, reduce_connectome, representative_state
 from .scalars import DegeneratePointError, EvalPoint, evaluate
 from .skein import bracket
-from .spins import product_dims
 from .tangle_dsl import TangleParseError, corpus_names, load_corpus, parse_tangle
 
 # upper bound of scan-tangle3 --steps
@@ -194,10 +190,10 @@ def _load_document(source):
 
 
 def _parties_of(doc):
-    """The document's (name, dimension) parties, read without the numeric layer."""
+    """The document's (name, dimension) parties."""
     if not doc.parties:
         raise UsageError("this command needs a document with party declarations")
-    return doc.party_dims()
+    return doc.layout().parties
 
 
 def _check_state_size(parties):
@@ -321,9 +317,6 @@ def _cmd_classify(args):
     doc = _load_document(args.file)
     point = _eval_point(args)
     state = _state_of(doc)
-    from . import entanglement
-    from .spaces import three_tangle_of
-
     amps = _unit_amplitudes(state, point)
     dims = list(state.layout.dims)
     payload = {"name": doc.name, "theta": _g12(point.theta),
@@ -338,7 +331,7 @@ def _cmd_classify(args):
              for k in range(len(dims))]
     payload["local_ranks"] = ranks
     if dims == [2, 2, 2]:
-        tau3 = three_tangle_of(amps)
+        tau3 = entanglement.three_tangle_of(amps)
         payload["class"] = entanglement.tripartite_class(ranks, tau3, tol)
         payload["tau3"] = _g12(tau3, NOISE_FLOOR)
         rows = [[payload["class"], payload["tau3"], " ".join(map(str, ranks))]]
@@ -354,8 +347,6 @@ def _cmd_entropy(args):
     if args.party not in names:
         raise UsageError(f"unknown party {args.party!r}; have {', '.join(names)}")
     state = _state_of(doc)
-    from . import entanglement
-
     sv = entanglement.party_singular_values(_unit_amplitudes(state, point),
                                             state.layout.dims, names.index(args.party))
     entropy = _g12(entanglement.spectrum_entropy(sv), NOISE_FLOOR)
@@ -384,11 +375,9 @@ _GOLDEN_TOL = 1e-12
 
 def _tau3_of(state, point):
     """tau3 of the normalized state at point, or None where the state
-    evaluates to zero; computed from the amplitude list, without numpy."""
-    from .spaces import three_tangle_of
-
+    evaluates to zero; computed from the amplitude list."""
     amps = _unit(state.amplitude_list(point))
-    return None if amps is None else three_tangle_of(amps)
+    return None if amps is None else entanglement.three_tangle_of(amps)
 
 
 def _tau3_at(state, theta):
@@ -557,9 +546,6 @@ def _cmd_rep(args):
     spins = _parse_spins(args.spins)
     if len(spins) not in (2, 3):
         raise UsageError("--spins needs two or three comma-separated values")
-    product_dims(spins)  # before su2 loads numpy
-    from . import su2
-
     payload = {"spins": [str(j) for j in spins]}
     if len(spins) == 2:
         table = su2.hw_rank_table(*spins)

@@ -13,6 +13,7 @@ import itertools
 import json
 
 from .skein import word_from_pairing
+from .spaces import DiagramState, PartyLayout
 
 _NAMES = "ABCDEFGH"
 
@@ -253,8 +254,6 @@ def representative_state(c):
     interleaved pair of lines meets at one under-crossing, expanded by
     skein's crossing rule.
     """
-    from .spaces import DiagramState, PartyLayout  # the numeric layer
-
     if c.punctures % 4:
         raise ValueError("default layout needs punctures divisible by 4")
     dim = c.punctures // 4 + 1

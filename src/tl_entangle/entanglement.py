@@ -7,13 +7,14 @@ the layout that produced them) and normalize internally, so raw diagram
 normalizations only matter for amplitude output, never for the measures.
 They import numpy when called, for SVDs and eigenvalues.
 
-The list form loads no numpy: party_singular_values reads the flat amplitude
-list of DiagramState.amplitude_list.  A party has at most four levels on the
-command line, so each cut is a matrix with at most four rows, whose singular
-values one-sided Jacobi finds in pure Python; the command line reads only
-this form.  Both forms count ranks with rank_above, sum entropies with
-_entropy and name three-qubit classes with tripartite_class: they differ
-only in how they get the singular values.
+The list form reads the flat amplitude list of DiagramState.amplitude_list
+in pure Python: party_singular_values finds a cut's singular values by
+one-sided Jacobi (a party has at most four levels on the command line, so
+each cut is a matrix with at most four rows), and three_tangle_of reads tau3
+off eight amplitudes; the command line reads only this form.  Both forms
+count ranks with rank_above, sum entropies with _entropy, name three-qubit
+classes with tripartite_class and take tau3 from three_tangle_of: they
+differ only in how they get the singular values.
 """
 
 from __future__ import annotations
@@ -24,20 +25,11 @@ import sys
 
 from .diagrams import conj_scalar, glue_network
 from .scalars import InvariantError
-from .spaces import qudit_space, three_tangle_of
+from .spaces import qudit_space
 
 # Sweeps of one-sided Jacobi before party_singular_values gives up; rows of
 # at most four levels take a few.
 MAX_JACOBI_SWEEPS = 30
-
-
-def __getattr__(name):
-    # entanglement.np is numpy, loaded on first use like the array functions do
-    if name == "np":
-        import numpy
-
-        return numpy
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def party_singular_values(amps, dims, k):
@@ -46,11 +38,13 @@ def party_singular_values(amps, dims, k):
 
     Hestenes' one-sided Jacobi on the rows, or on the columns where they are
     fewer: rotate pairs of them until each pair is orthogonal to within
-    length * eps of the product of their norms; their norms are then the
-    singular values.  (More vectors than their length could never all be
-    orthogonal: the rounding noise left of a dependent one would keep
-    rotating.)  InvariantError after MAX_JACOBI_SWEEPS sweeps that still
-    rotate.
+    tol = length * eps of the product of their norms, or has a vector whose
+    squared norm is at most tol^2 times the matrix's squared Frobenius norm
+    (rounding noise, which a rotation shrinks by about eps but may leave
+    parallel to the other vector); their norms are then the singular values.
+    (More vectors than their length could never all be orthogonal: the
+    rounding noise left of a dependent one would keep rotating.)
+    InvariantError after MAX_JACOBI_SWEEPS sweeps that still rotate.
     """
     inner = math.prod(dims[k + 1:])
     block = dims[k] * inner
@@ -59,13 +53,14 @@ def party_singular_values(amps, dims, k):
     if len(rows) > len(rows[0]):
         rows = [list(col) for col in zip(*rows)]
     tol = len(rows[0]) * sys.float_info.epsilon
+    noise = tol * tol * sum(map(_norm_sq, rows))
     for _ in range(MAX_JACOBI_SWEEPS):
         rotated = False
         for i, j in itertools.combinations(range(len(rows)), 2):
             x, y = rows[i], rows[j]
             a, b = _norm_sq(x), _norm_sq(y)
             c = sum(u * v.conjugate() for u, v in zip(x, y))
-            if abs(c) <= tol * math.sqrt(a) * math.sqrt(b):
+            if min(a, b) <= noise or abs(c) <= tol * math.sqrt(a) * math.sqrt(b):
                 continue
             # with y's phase turned so that <x, y> = |c|, the real rotation
             # by t = tan(angle) makes the pair orthogonal
@@ -83,6 +78,20 @@ def party_singular_values(amps, dims, k):
 
 def _norm_sq(row):
     return sum(z.real * z.real + z.imag * z.imag for z in row)
+
+
+def three_tangle_of(amps):
+    """Residual tangle 4|d1 - 2 d2 + 4 d3| of a normalized three-qubit state
+    given as its 8 amplitudes in index order (000, 001, ..., 111)."""
+    p000, p001, p010, p011, p100, p101, p110, p111 = amps
+    d1 = (p000 ** 2 * p111 ** 2 + p001 ** 2 * p110 ** 2
+          + p010 ** 2 * p101 ** 2 + p100 ** 2 * p011 ** 2)
+    d2 = (p000 * p111 * (p011 * p100 + p101 * p010 + p110 * p001)
+          + p011 * p100 * p101 * p010
+          + p011 * p100 * p110 * p001
+          + p101 * p010 * p110 * p001)
+    d3 = p000 * p110 * p101 * p011 + p111 * p001 * p010 * p100
+    return float(4 * abs(d1 - 2 * d2 + 4 * d3))
 
 
 def rank_above(sv, tol):
@@ -249,7 +258,7 @@ def conversion_probability(t):
 
 
 def three_tangle(t):
-    """Residual tangle of a three-qubit pure state (spaces.three_tangle_of)."""
+    """Residual tangle of a three-qubit pure state (three_tangle_of)."""
     p = _normalized(t)
     if p.shape != (2, 2, 2):
         raise ValueError("three_tangle needs a 2x2x2 tensor")

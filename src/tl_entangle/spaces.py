@@ -15,12 +15,11 @@ angle re-walk no loop; amplitudes builds one frame per party dimension.
 
 Every numeric use of a frame reads QuditSpace.frame_rows: amplitude_list
 contracts the raw overlaps with them, and the projector tile of the replica
-check is the sum of u_i^dagger (x) u_i over the frame's vectors.  The module
-loads no numpy.  Frames, raw overlaps (raw_overlap_list) and amplitudes
-(amplitude_list) are lists, flat in index order (the last party's index runs
-fastest), and three_tangle_of reads tau3 off a list of amplitudes.  The
-methods that return arrays import numpy when called; ortho_transform,
-raw_overlaps and amplitudes are array views of those lists.
+check is the sum of u_i^dagger (x) u_i over the frame's vectors.  Frames,
+raw overlaps (raw_overlap_list) and amplitudes (amplitude_list) are lists,
+flat in index order (the last party's index runs fastest); ortho_transform,
+raw_overlaps and amplitudes are array views of those lists, and like every
+method that returns an array they import numpy when called.
 """
 
 from __future__ import annotations
@@ -462,17 +461,3 @@ def crossed_triple_residual(dval):
     det = sum(G[0][j] * (G[1][(j + 1) % 3] * G[2][(j + 2) % 3]
                          - G[1][(j + 2) % 3] * G[2][(j + 1) % 3]) for j in range(3))
     return det / minor
-
-
-def three_tangle_of(amps):
-    """Residual tangle 4|d1 - 2 d2 + 4 d3| of a normalized three-qubit state
-    given as its 8 amplitudes in index order (000, 001, ..., 111)."""
-    p000, p001, p010, p011, p100, p101, p110, p111 = amps
-    d1 = (p000 ** 2 * p111 ** 2 + p001 ** 2 * p110 ** 2
-          + p010 ** 2 * p101 ** 2 + p100 ** 2 * p011 ** 2)
-    d2 = (p000 * p111 * (p011 * p100 + p101 * p010 + p110 * p001)
-          + p011 * p100 * p101 * p010
-          + p011 * p100 * p110 * p001
-          + p101 * p010 * p110 * p001)
-    d3 = p000 * p110 * p101 * p011 + p111 * p001 * p010 * p100
-    return float(4 * abs(d1 - 2 * d2 + 4 * d3))

@@ -25,6 +25,7 @@ import re
 
 from .skein import (MAX_EXPANSION_WORK, MAX_JW_TERMS, MODES, SliceWord, expansion_terms,
                     jw_terms, slice_width)
+from .spaces import DiagramState, PartyLayout
 
 _CORPUS_DIR = os.path.join(os.path.dirname(__file__), "tangles")
 
@@ -62,15 +63,13 @@ class TangleDocument:
     def top(self):
         return self.word.n_top
 
-    def party_dims(self):
-        """(name, dimension) of each party: a range of 4(n-1) endpoints is dimension n."""
-        return tuple((nm, (last - first + 1) // 4 + 1) for nm, first, last in self.parties)
-
     def layout(self):
+        """The parties' PartyLayout, or None without parties: a range of
+        4(n-1) endpoints is a dimension-n party."""
         if not self.parties:
             return None
-        from .spaces import PartyLayout  # the numeric layer, loaded on first use
-        return PartyLayout(self.party_dims())
+        return PartyLayout(tuple((nm, (last - first + 1) // 4 + 1)
+                                 for nm, first, last in self.parties))
 
     def element(self):
         return self.word.to_element(self.mode)
@@ -80,7 +79,6 @@ class TangleDocument:
             raise ValueError("document declares no parties")
         if self.top != 0:
             raise ValueError("state documents must have top 0")
-        from .spaces import DiagramState
         return DiagramState(self.element(), self.layout())
 
     def _key(self):

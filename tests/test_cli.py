@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 
 import tl_entangle
-from tl_entangle import cli, entanglement, scalars, spaces, su2
+from tl_entangle import cli, entanglement, scalars, spaces
 from tl_entangle.cli import _angle, main
 from tl_entangle.jones_wenzl import jones_wenzl
-from tl_entangle.scalars import DegeneratePointError
+from tl_entangle.scalars import DegeneratePointError, EvalPoint
 from tl_entangle.skein import SliceWord
 from tl_entangle.tangle_dsl import corpus_names, load_corpus
 
@@ -729,7 +729,7 @@ def test_rep_hw_rejects_large_product_space(capsys, monkeypatch, spins, dim):
     def refuse(*args, **kwargs):
         raise AssertionError("an array was built for a rejected product space")
 
-    monkeypatch.setattr(su2.np, "zeros", refuse)
+    monkeypatch.setattr(np, "zeros", refuse)
     code, out, err = run(capsys, ["rep", "hw", "--spins", spins])
     assert code == 1 and out == ""
     assert err.startswith("usage error: spins ") and f"dimension {dim}, above" in err
@@ -763,10 +763,8 @@ def _imported_modules(argv):
     return proc.returncode, proc.stdout, err, modules
 
 
-def _loads_no_numeric_layer(modules):
-    return (not {m for m in modules if m.split(".")[0] == "numpy"}
-            and not modules & {"tl_entangle.spaces", "tl_entangle.entanglement",
-                               "tl_entangle.su2"})
+def _loads_no_numpy(modules):
+    return not {m for m in modules if m.split(".")[0] == "numpy"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -781,7 +779,7 @@ def test_exact_commands_never_import_numpy(capsys, argv):
     code, out, _, modules = _imported_modules(argv)
     assert code == 0
     assert {"tl_entangle.scalars", "tl_entangle.connectomes"} <= modules
-    assert _loads_no_numeric_layer(modules)
+    assert _loads_no_numpy(modules)
     assert out == run(capsys, argv)[1]
 
 
@@ -814,7 +812,7 @@ def test_usage_errors_never_import_numpy(tmp_path, capsys, argv, expected):
     argv = [big if a == "{big}" else a for a in argv]
     code, out, err, modules = _imported_modules(argv)
     assert (code, out, err) == (1, "", expected)
-    assert _loads_no_numeric_layer(modules)
+    assert _loads_no_numpy(modules)
     assert run(capsys, argv) == (1, "", expected)
 
 
@@ -845,15 +843,14 @@ def _zero_state_document(path):
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
 def test_printing_commands_never_import_numpy(tmp_path, capsys, argv, code):
     """state, tangle3, scan-tangle3 and connectome state print from the list
-    form of the amplitudes: no numpy, entanglement or su2 module is loaded,
-    and a fresh process prints what an in-process run prints."""
+    form of the amplitudes: no numpy module is loaded, and a fresh process
+    prints what an in-process run prints."""
     zero = str(_zero_state_document(tmp_path / "zero.tl"))
     argv = [zero if a == "{zero}" else a for a in argv]
     got = _imported_modules(argv)
     assert got[0] == code
     assert "tl_entangle.spaces" in got[3]
     assert not {m for m in got[3] if m.split(".")[0] == "numpy"}
-    assert not got[3] & {"tl_entangle.entanglement", "tl_entangle.su2"}
     assert got[:3] == run(capsys, argv)
     if code == 1:
         assert got[2] == "usage error: state evaluates to the zero tensor at this point\n"
@@ -874,18 +871,35 @@ def test_printing_commands_never_import_numpy(tmp_path, capsys, argv, code):
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
 def test_measure_commands_never_import_numpy(tmp_path, capsys, argv, code):
     """classify and entropy take their singular values from the list form of
-    the amplitudes: no numpy or su2 module is loaded, and a fresh process
-    prints what an in-process run prints."""
+    the amplitudes: no numpy module is loaded, and a fresh process prints
+    what an in-process run prints."""
     zero = str(_zero_state_document(tmp_path / "zero.tl"))
     argv = [zero if a == "{zero}" else a for a in argv]
     got = _imported_modules(argv)
     assert got[0] == code
     assert {"tl_entangle.spaces", "tl_entangle.entanglement"} <= got[3]
     assert not {m for m in got[3] if m.split(".")[0] == "numpy"}
-    assert "tl_entangle.su2" not in got[3]
     assert got[:3] == run(capsys, argv)
     if code == 1:
         assert got[2] == "usage error: state evaluates to the zero tensor at this point\n"
+
+
+def test_rounding_noise_cut_measures_as_numpy_does(capsys):
+    # party C's cut has a row of rounding noise parallel to the other row
+    theta = "0.1150527216203664"
+    amps = load_corpus("tripartite_6").state().amplitudes(EvalPoint(float(theta)))
+    code, out, _ = run(capsys, ["classify", "tripartite_6", "--theta", theta])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["local_ranks"] == list(entanglement.local_ranks(amps, 1e-8)) == [2, 1, 2]
+    assert payload["class"] == entanglement.slocc_tripartite_class(amps) \
+        == "biseparable(B|AC)"
+    code, out, _ = run(capsys, ["entropy", "tripartite_6", "--party", "C", "--theta", theta])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["schmidt_rank"] == entanglement.schmidt_rank(amps, (1,), 1e-8) == 1
+    assert payload["entropy"] == 0.0
+    assert entanglement.entanglement_entropy(amps, keep=(1,)) < cli.NOISE_FLOOR
 
 
 def test_jacobi_sweep_cap_is_internal_error(capsys, monkeypatch):

@@ -7,8 +7,7 @@ from tl_entangle import diagrams, entanglement, spaces
 from tl_entangle.diagrams import PlanarDiagram, TLElement, conj_scalar, glue_network
 from tl_entangle.scalars import EvalPoint, InvariantError
 from tl_entangle.skein import SliceWord
-from tl_entangle.spaces import (POINT_CACHE_SIZE, DiagramState, PartyLayout, qudit_space,
-                                three_tangle_of)
+from tl_entangle.spaces import POINT_CACHE_SIZE, DiagramState, PartyLayout, qudit_space
 from tl_entangle.tangle_dsl import corpus_names, load_corpus
 from tl_entangle.entanglement import (
     conversion_probability,
@@ -25,6 +24,7 @@ from tl_entangle.entanglement import (
     slocc_tripartite_class,
     spectrum_entropy,
     three_tangle,
+    three_tangle_of,
     trace_power,
     tripartite_class,
     von_neumann_entropy,
@@ -81,7 +81,7 @@ def test_schmidt_rank_of_tensor_without_bipartition_is_internal_error():
 def test_traceless_ladder_operator_is_internal_error(monkeypatch):
     # the trace is Tr rho^3 of a one-party reduced density matrix, above 0
     # for every nonzero tensor, so only a broken contraction reaches this branch
-    monkeypatch.setattr(entanglement.np, "trace", lambda m: 0.0)
+    monkeypatch.setattr(np, "trace", lambda m: 0.0)
     with pytest.raises(InvariantError, match="traceless"):
         ladder_operator(GHZ)
 
@@ -512,14 +512,22 @@ def test_list_measures_match_numpy_on_corpus(point):
 
 def random_tensor(rng, dims, kind):
     """A random complex tensor over dims: generic, a product of one vector
-    per party, or of Schmidt rank below dims[k] across a random party k."""
+    per party, a noisy product whose vectors, scaled by 1e-3 to 1e3, carry
+    entries that are small multiples of eps, or of Schmidt rank below
+    dims[k] across a random party k."""
     def gauss(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    if kind == "product":
+    if kind in ("product", "noisy"):
         t = np.ones((), complex)
         for n in dims:
-            t = np.multiply.outer(t, gauss(n))
+            v = gauss(n)
+            if kind == "noisy":
+                v *= 10 ** rng.uniform(-3, 3)
+                small = rng.random(n) < 0.5
+                small[rng.integers(n)] = False
+                v[small] = rng.integers(-3, 4, size=int(small.sum())) * np.finfo(float).eps
+            t = np.multiply.outer(t, v)
         return t
     if kind == "deficient" and max(dims) > 1:
         k = int(rng.choice([j for j, n in enumerate(dims) if n > 1]))
@@ -532,15 +540,25 @@ def random_tensor(rng, dims, kind):
 
 def test_list_measures_match_numpy_on_random_tensors():
     rng = np.random.default_rng(19)
-    for i in range(600):
+    for i in range(800):
         dims = [int(n) for n in rng.integers(1, 5, size=int(rng.integers(2, 4)))]
-        t = random_tensor(rng, dims, ("generic", "product", "deficient")[i % 3])
+        t = random_tensor(rng, dims, ("generic", "product", "deficient", "noisy")[i % 4])
         amps = (t / np.linalg.norm(t)).ravel().tolist()
         assert_list_measures_match(amps, dims)
     for base in (GHZ, W):
         for _ in range(20):
             t = apply_local(base, [random_unitary(rng) for _ in range(3)])
             assert_list_measures_match(t.ravel().tolist(), [2, 2, 2])
+
+
+def test_jacobi_stops_at_rounding_noise_rows():
+    # two_qubit_two_lines' raw amplitudes at theta = 0.20547472878184958: the
+    # column cut's second row is noise parallel to the first, which every
+    # rotation shrank by about eps without making the pair orthogonal
+    amps = [-1.833483893707564, -2.220446049250313e-16, 0, 0]
+    sv = party_singular_values(amps, (2, 2), 1)
+    expect = np.linalg.svd(np.array(amps).reshape(2, 2).T, compute_uv=False)
+    assert np.abs(np.array(sv) - expect).max() < 1e-15
 
 
 def test_jacobi_sweep_cap_raises(monkeypatch):
