@@ -21,17 +21,12 @@ is a parse error (exit 2), and so are jw slices whose term counts multiply
 to more than skein.MAX_JW_TERMS (10,000) and a word whose predicted
 expansion work exceeds skein.MAX_EXPANSION_WORK.
 
-Only rep hw imports numpy, for su2's SVDs, and only after su2.product_dims
-has checked its spins.  Every command that evaluates a state reads spaces'
-list form of the amplitudes (DiagramState.amplitude_list) and normalizes it
-with _unit; classify and entropy take their singular values from that list
-with entanglement.party_singular_values, in pure Python.
-
-main() sets OPENBLAS_NUM_THREADS to 1 unless the caller has set it, before
-rep hw loads numpy: every array it builds is small (blocks within 4,096),
-and starting OpenBLAS's thread pool costs a cold process more than the pool
-saves.  Run with OPENBLAS_NUM_THREADS=N to choose N threads.  A process
-that has loaded numpy before calling main() keeps its pool.
+No command imports numpy.  Every command that evaluates a state reads
+spaces' list form of the amplitudes (DiagramState.amplitude_list) and
+normalizes it with _unit; classify and entropy take their singular values
+from that list with entanglement.party_singular_values, in pure Python.
+rep hw counts: su2 reads its ranks and multiplicities off the numbers of
+product states per weight, and the three spin-1/2 classes off exact vectors.
 """
 
 from __future__ import annotations
@@ -549,17 +544,12 @@ def _cmd_rep(args):
     payload = {"spins": [str(j) for j in spins]}
     if len(spins) == 2:
         table = su2.hw_rank_table(*spins)
-        payload["table"] = [{"J": str(J), "schmidt_rank": int(r)}
-                            for J, r in table]
-        rows = [[str(J), int(r)] for J, r in table]
+        payload["table"] = [{"J": str(J), "schmidt_rank": r} for J, r in table]
+        rows = [[str(J), r] for J, r in table]
         return payload, rows, ["J", "schmidt_rank"]
-    vectors = su2.highest_weight_vectors(spins)
-    sectors = {}
-    for J, _, _ in vectors:
-        sectors[J] = sectors.get(J, 0) + 1
-    payload["sectors"] = [{"J": str(J), "multiplicity": sectors[J]}
-                          for J in sorted(sectors, reverse=True)]
-    rows = [[str(J), sectors[J]] for J in sorted(sectors, reverse=True)]
+    sectors = su2.hw_multiplicities(spins)
+    payload["sectors"] = [{"J": str(J), "multiplicity": n} for J, n in sectors]
+    rows = [[str(J), n] for J, n in sectors]
     if all(j == Fraction(1, 2) for j in spins):
         classes = su2.classify_hw_tripartite()
         payload["classes"] = [{"J": str(J), "index": k, "class": cls}
@@ -637,15 +627,7 @@ def _angle_flag_values(argv):
     return out
 
 
-def _linalg_error():
-    """numpy's LinAlgError, or () while numpy is not loaded and nothing can
-    have raised it."""
-    numpy = sys.modules.get("numpy")
-    return () if numpy is None else numpy.linalg.LinAlgError
-
-
 def main(argv=None):
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # see the module docstring
     parser = _build_parser()
     try:
         args = parser.parse_args(_angle_flag_values(sys.argv[1:] if argv is None else argv))
@@ -661,10 +643,6 @@ def main(argv=None):
     except DegeneratePointError as exc:
         print(f"degenerate evaluation point: {exc}", file=sys.stderr)
         return 3
-    except _linalg_error() as exc:
-        # a ValueError subclass, but a numeric failure rather than bad input
-        print(f"internal error: {exc!r}", file=sys.stderr)
-        return 4
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -3,19 +3,24 @@
 Basis convention per spin-j factor: index a = 0..2j labels m = j - a, so
 index 0 is the top magnetic state.  For spin 1 this is the qutrit labeling
 m=+1 -> 0, m=0 -> 1, m=-1 -> 2 used in all printed tables.
+
+Only highest_weight_vectors uses numpy; rep hw's tables are counted off the
+number of product states per weight, or computed exactly.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
-from .entanglement import schmidt_rank, slocc_tripartite_class
+from .entanglement import three_tangle_of, tripartite_class
 
-# The largest product dimension prod(2j+1) that highest_weight_vectors
-# decomposes.  At the bound a cold rep hw takes 0.38 s and 35 MB peak RSS for
-# spins 63/2,63/2 and 0.42 s and 41 MB for 15/2,15/2,15/2, against 0.27 s and
-# 31 MB for 1,2 (medians of 9 runs on two cores).
+# The largest product dimension prod(2j+1) that su2 decomposes.  At the bound
+# a cold rep hw takes 91 ms for spins 63/2,63/2 and 87 ms for 15/2,15/2,15/2,
+# 15 MB peak RSS each, as for 1,2 (89 ms; medians of 21 byte-compiled runs
+# on two cores).
 MAX_PRODUCT_DIM = 4096
 
 
@@ -119,15 +124,65 @@ def highest_weight_vectors(spins):
     return out
 
 
+def _weight_counts(dims):
+    """{2M: number of product states of weight M} of factors of these dims."""
+    counts = Counter({0: 1})
+    for d in dims:
+        step = Counter()
+        for w, n in counts.items():
+            for m2 in range(1 - d, d, 2):
+                step[w + m2] += n
+        counts = step
+    return counts
+
+
+def hw_multiplicities(spins):
+    """(J, multiplicity) for every irrep in the spins' product, J descending:
+    the total raising operator maps the product states of weight J >= 0 onto
+    those of weight J + 1, so its kernel there has the dimension of the first
+    minus that of the second."""
+    counts = _weight_counts(product_dims(spins)[1])
+    return [(Fraction(w, 2), counts[w] - counts[w + 2]) for w in sorted(counts, reverse=True)
+            if w >= 0 and counts[w] > counts[w + 2]]
+
+
 def hw_rank_table(j1, j2):
-    """(J, Schmidt rank) for every irrep in the decomposition of j1 x j2."""
-    table = [(J, schmidt_rank(vec)) for J, vec, _ in
-             highest_weight_vectors([j1, j2])]
-    return sorted(table, key=lambda t: t[0])
+    """(J, Schmidt rank) for every irrep of j1 x j2, J ascending: |J, J> has
+    a nonzero Clebsch-Gordan coefficient on each of the j1 + j2 - J + 1
+    product states of weight J."""
+    sectors = hw_multiplicities([j1, j2])
+    top = sectors[0][0]  # j1 + j2
+    return [(J, int(top - J) + 1) for J, _ in reversed(sectors)]
+
+
+def _cut_rank(amps, k):
+    """Exact rank of party k's cut of three qubits' nonzero amplitudes: 2 if
+    a 2 x 2 minor of the cut is nonzero, else 1."""
+    rows = [[z for idx, z in zip(itertools.product((0, 1), repeat=3), amps) if idx[k] == a]
+            for a in (0, 1)]
+    return 1 + any(x * w != y * v for (x, v), (y, w) in itertools.combinations(zip(*rows), 2))
 
 
 def classify_hw_tripartite():
-    """SLOCC class of every highest-weight vector of three spin-1/2 factors."""
+    """SLOCC class of every highest-weight vector of three spin-1/2 factors.
+
+    Every spin-1/2 raising coefficient is 1, so the vectors are exact in
+    Fractions: up to norm, those of highest_weight_vectors in its order,
+    |000> at J = 3/2 and then, at J = 1/2, Gram-Schmidt on the projections
+    of |001>, |010>, |100> onto the kernel of the raising block (1, 1, 1).
+    Their local ranks and tau3 are exact, so the class takes tol 0.
+    """
     half = Fraction(1, 2)
-    return [(J, k, slocc_tripartite_class(vec.astype(complex)))
-            for J, vec, k in highest_weight_vectors([half, half, half])]
+    sector = []
+    for t in range(3):
+        v = [int(s == t) - Fraction(1, 3) for s in range(3)]
+        for b in sector:
+            f = sum(x * y for x, y in zip(b, v)) / sum(x * x for x in b)
+            v = [x - f * y for x, y in zip(v, b)]
+        if any(v):
+            sector.append(v)
+    vectors = [(3 * half, 0, [1, 0, 0, 0, 0, 0, 0, 0])]
+    vectors += [(half, k, [0, a, b, 0, c, 0, 0, 0]) for k, (a, b, c) in enumerate(sector)]
+    return [(J, k, tripartite_class([_cut_rank(amps, p) for p in range(3)],
+                                    three_tangle_of(amps), 0))
+            for J, k, amps in vectors]

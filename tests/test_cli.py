@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import tl_entangle
-from tl_entangle import cli, entanglement, scalars, spaces
+from tl_entangle import cli, entanglement, scalars, spaces, su2
 from tl_entangle.cli import _angle, main
 from tl_entangle.jones_wenzl import jones_wenzl
 from tl_entangle.scalars import DegeneratePointError, EvalPoint
@@ -445,18 +445,6 @@ def test_unparsable_angle_names_its_flag(capsys, argv, flag, text):
     assert repr(text) in err
 
 
-def test_linalg_failure_is_internal_error(capsys, monkeypatch):
-    # LinAlgError subclasses ValueError, yet it is a numeric failure, not bad input
-    def failing_svd(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
-
-    # rep hw is the one command that still reaches numpy's SVD
-    monkeypatch.setattr(np.linalg, "svd", failing_svd)
-    code, out, err = run(capsys, ["rep", "hw", "--spins", "1/2,1/2"])
-    assert code == 4 and out == ""
-    assert "internal error" in err and "SVD did not converge" in err
-
-
 def test_theta_spellings(capsys):
     _, out_pi, _ = run(capsys, ["tangle3", "tripartite_7", "--theta", "0.1pi"])
     _, out_rad, _ = run(capsys, ["tangle3", "tripartite_7",
@@ -727,9 +715,9 @@ def test_document_state_above_work_bound_rejected(tmp_path, capsys, monkeypatch,
                                         ("10,10,10", 9261)])
 def test_rep_hw_rejects_large_product_space(capsys, monkeypatch, spins, dim):
     def refuse(*args, **kwargs):
-        raise AssertionError("an array was built for a rejected product space")
+        raise AssertionError("weights were counted for a rejected product space")
 
-    monkeypatch.setattr(np, "zeros", refuse)
+    monkeypatch.setattr(su2, "_weight_counts", refuse)
     code, out, err = run(capsys, ["rep", "hw", "--spins", spins])
     assert code == 1 and out == ""
     assert err.startswith("usage error: spins ") and f"dimension {dim}, above" in err
@@ -774,6 +762,9 @@ def _loads_no_numpy(modules):
     ["reduce", "maxent", "--k", "6", "--format", "csv"],
     ["connectome", "enumerate", "--parties", "3"],
     ["connectome", "classify", "--adj", RING],
+    # rep hw counts its tables and classifies exact vectors
+    *(pytest.param(["rep", "hw", "--spins", spins], id=f"rep hw {spins}")
+      for spins in ("1,2", "1,1,1", "1/2,1/2,1/2")),
 ], ids=lambda argv: " ".join(argv[:2]))
 def test_exact_commands_never_import_numpy(capsys, argv):
     code, out, _, modules = _imported_modules(argv)
@@ -814,12 +805,6 @@ def test_usage_errors_never_import_numpy(tmp_path, capsys, argv, expected):
     assert (code, out, err) == (1, "", expected)
     assert _loads_no_numpy(modules)
     assert run(capsys, argv) == (1, "", expected)
-
-
-def test_numeric_command_imports_numpy():
-    code, _, _, modules = _imported_modules(["rep", "hw", "--spins", "1,2"])
-    assert code == 0
-    assert {"numpy", "tl_entangle.spaces", "tl_entangle.entanglement"} <= modules
 
 
 def _zero_state_document(path):
@@ -941,33 +926,3 @@ def test_entropy_noise_prints_as_zero(capsys, monkeypatch):
     code, out, _ = run(capsys, ["classify", "maxent"])
     assert code == 0
     assert json.loads(out)["entropy"] == 0.0
-
-
-# Runs the CLI in-process from a fresh interpreter, then loads numpy, and
-# prints the exit code, OPENBLAS_NUM_THREADS and the process's thread count.
-_PIN_CHILD = """\
-import contextlib, io, os
-from tl_entangle import cli
-with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(["state", "maxent"])
-import numpy
-print(code, os.environ["OPENBLAS_NUM_THREADS"], len(os.listdir("/proc/self/task")))
-"""
-
-
-@pytest.mark.skipif(not sys.platform.startswith("linux"),
-                    reason="counts the process's threads in /proc/self/task")
-@pytest.mark.parametrize("given", [None, "2"])
-def test_cli_runs_one_blas_thread_unless_told_otherwise(given):
-    env = dict(os.environ, PYTHONPATH=SRC)
-    env.pop("OPENBLAS_NUM_THREADS", None)
-    if given is not None:
-        env["OPENBLAS_NUM_THREADS"] = given
-    proc = subprocess.run([sys.executable, "-c", _PIN_CHILD], capture_output=True,
-                          text=True, env=env, check=True)
-    code, value, threads = proc.stdout.split()
-    assert code == "0"
-    if given is None:
-        assert (value, threads) == ("1", "1")
-    else:
-        assert value == given

@@ -180,7 +180,9 @@ def _apply(op, x, y):
     return x.bar()
 
 
-@settings(max_examples=150, deadline=None)
+# derandomize: a fixed example set, so one unlucky draw cannot stretch the
+# test's time (one random run took 42 s against 2 to 4 s for others)
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.lists(fractions_over_cyclotomics(), min_size=1, max_size=5),
        st.lists(st.sampled_from(OPS), max_size=5))
 def test_cyclotomic_fraction_arithmetic_matches_reference(operands, ops):

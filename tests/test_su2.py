@@ -1,13 +1,16 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from tl_entangle import su2
+from tl_entangle.entanglement import schmidt_rank, slocc_tripartite_class
 from tl_entangle.su2 import (
     MAX_PRODUCT_DIM,
     classify_hw_tripartite,
     highest_weight_vectors,
+    hw_multiplicities,
     hw_rank_table,
 )
 
@@ -154,3 +157,48 @@ def test_product_dimension_bound():
     for spins in ([Fraction(15, 2), Fraction(15, 2), 8], [Fraction(4095, 2), 1], [10, 10, 10]):
         with pytest.raises(ValueError, match="above the limit 4096"):
             highest_weight_vectors(spins)
+
+
+def reference_hw_rank_table(j1, j2):
+    """hw_rank_table as it was: the numeric Schmidt rank of every
+    highest-weight vector of j1 x j2, J ascending."""
+    table = [(J, schmidt_rank(vec)) for J, vec, _ in highest_weight_vectors([j1, j2])]
+    return sorted(table, key=lambda t: t[0])
+
+
+def reference_hw_multiplicities(spins):
+    """(J, multiplicity), J descending, counted off highest_weight_vectors,
+    as rep hw did for three spins."""
+    sectors = {}
+    for J, _, _ in highest_weight_vectors(spins):
+        sectors[J] = sectors.get(J, 0) + 1
+    return [(J, sectors[J]) for J in sorted(sectors, reverse=True)]
+
+
+def reference_classify_hw_tripartite():
+    """classify_hw_tripartite as it was: the numeric SLOCC class of each
+    highest-weight vector of three spin-1/2 factors."""
+    return [(J, k, slocc_tripartite_class(vec.astype(complex)))
+            for J, vec, k in highest_weight_vectors([HALF, HALF, HALF])]
+
+
+def test_counted_pair_tables_match_numeric_reference():
+    for a in range(13):
+        for b in range(13):
+            j1, j2 = Fraction(a, 2), Fraction(b, 2)
+            assert hw_rank_table(j1, j2) == reference_hw_rank_table(j1, j2), (j1, j2)
+            assert hw_multiplicities([j1, j2]) == reference_hw_multiplicities([j1, j2])
+
+
+def test_counted_triple_multiplicities_match_numeric_reference():
+    # the 120 spin multisets with 2j <= 7: a count does not depend on the
+    # order of the factors
+    for twice in itertools.combinations_with_replacement(range(8), 3):
+        spins = [Fraction(t, 2) for t in twice]
+        assert hw_multiplicities(spins) == reference_hw_multiplicities(spins), spins
+
+
+def test_exact_tripartite_classes_match_numeric_reference():
+    assert classify_hw_tripartite() == reference_classify_hw_tripartite()
+    assert [label for _, _, label in classify_hw_tripartite()] == [
+        "separable", "W", "biseparable(C|AB)"]
