@@ -14,12 +14,11 @@ takes rows of JSON integers, bare or as the "adj" of an object whose
 "punctures" and "parties" are integers; a connectome needs at least one party, and --punctures cannot be
 negative; connectome enumerate takes at most 6 parties and at most
 ENUMERATE_MAX_PUNCTURES[parties] punctures; a party evaluated by a command
-has dimension at most MAX_PARTY_DIM (4), in a state of at most
-MAX_STATE_WORK units of evaluation work (three dimension-4 parties or six
-qutrits are beyond it).  A jw slice wider than skein.MAX_JW_WIDTH (6) strands
-is a parse error (exit 2), and so are jw slices whose term counts multiply
-to more than skein.MAX_JW_TERMS (10,000) and a word whose predicted
-expansion work exceeds skein.MAX_EXPANSION_WORK.
+has dimension at most MAX_PARTY_DIM (4), and a jw slice wider than
+skein.MAX_JW_WIDTH (6) strands is a parse error (exit 2): qudit_space(5) and
+jones_wenzl(7) are single long steps.  All other work is charged step by step
+against diagrams.WORK_BUDGET; a document's word that would pass it is a parse
+error naming the slice's line (exit 2), any other expansion a usage error.
 
 No command imports numpy.  Every command that evaluates a state reads
 spaces' list form of the amplitudes (DiagramState.amplitude_list) and
@@ -42,10 +41,9 @@ import sys
 from fractions import Fraction
 
 from . import entanglement, su2
-from .connectomes import Connectome, classify as classify_connectome, \
-    enumerate_connectomes, is_biseparable, party_names, reduce_connectome, representative_state
+from .connectomes import (Connectome, enumerate_connectomes, label_blocks, reduce_connectome,
+                          representative_state)
 from .scalars import DegeneratePointError, EvalPoint, evaluate
-from .skein import bracket
 from .tangle_dsl import TangleParseError, corpus_names, load_corpus, parse_tangle
 
 # upper bound of scan-tangle3 --steps
@@ -57,17 +55,9 @@ MAX_STEPS = 10_000
 # 150 s, 7 at 2 more than 40 s, and 9 parties at none 6.3 s.
 ENUMERATE_MAX_PUNCTURES = {1: 100_000, 2: 100_000, 3: 96, 4: 12, 5: 4, 6: 2}
 
-# The largest party dimension a command evaluates, checked before exact set-up:
-# on two cores two dimension-4 parties take about 1 s, two of dimension 5 55 s.
+# The largest party dimension a command evaluates, checked before exact
+# set-up: qudit_space(5) is one uninterrupted 7.7 s build on two cores.
 MAX_PARTY_DIM = 4
-
-# A state's evaluation work, checked before exact set-up, is the product of
-# its parties' PARTY_WORK: the dimension times the most the party's dressing
-# was measured to multiply the state's terms (2, 4, about 95).  raw_overlaps
-# takes about 13 us per (dressed term, tuple basis diagram) on two cores: the
-# slowest accepted state measured (dimensions 4, 2, 4) takes 11 s at k = 6.
-PARTY_WORK = {1: 1, 2: 4, 3: 12, 4: 380}
-MAX_STATE_WORK = 600_000
 
 
 class UsageError(Exception):
@@ -191,21 +181,10 @@ def _parties_of(doc):
     return doc.layout().parties
 
 
-def _check_state_size(parties):
-    """Reject a state of (name, dimension) parties beyond MAX_PARTY_DIM or
-    MAX_STATE_WORK, before any exact set-up."""
-    for name, n in parties:
+def _state_of(doc):
+    for name, n in _parties_of(doc):
         if n > MAX_PARTY_DIM:
             raise UsageError(f"party {name} has dimension {n}, above {MAX_PARTY_DIM}")
-    dims = [n for _, n in parties]
-    work = math.prod(PARTY_WORK[n] for n in dims)
-    if work > MAX_STATE_WORK:
-        raise UsageError(f"parties of dimensions {', '.join(map(str, dims))} take {work:,} "
-                         f"units of evaluation work, above the bound of {MAX_STATE_WORK:,}")
-
-
-def _state_of(doc):
-    _check_state_size(_parties_of(doc))
     return doc.state()
 
 
@@ -253,7 +232,7 @@ def _cmd_bracket(args):
     doc = _load_document(args.file)
     if not doc.word.is_closed():
         raise UsageError("bracket needs a closed document (top 0, bottom 0)")
-    value = bracket(doc.word, doc.mode)
+    value = doc.element().scalar()
     if args.mode == "exact":
         payload = {"name": doc.name, "skein_mode": doc.mode, "value": str(value)}
         rows = [[str(value)]]
@@ -501,15 +480,15 @@ def _cmd_connectome(args):
             raise UsageError(f"connectome state takes at most {4 * (MAX_PARTY_DIM - 1)} "
                              f"punctures per party (party dimension {MAX_PARTY_DIM}), "
                              f"got {c.punctures}")
-        _check_state_size([(name, c.punctures // 4 + 1) for name in party_names(c.m)])
-    blocks = classify_connectome(c)
+    red = reduce_connectome(c)
+    blocks = label_blocks(red)
     payload = {
         "parties": c.m, "punctures": c.punctures,
         "adjacency": [list(r) for r in c.adj],
-        "reduced": [list(r) for r in reduce_connectome(c).adj],
+        "reduced": [list(r) for r in red.adj],
         "classes": [{"parties": list(block), "label": label}
                     for block, label in blocks],
-        "biseparable": is_biseparable(c),
+        "biseparable": len(blocks) > 1,
     }
     if args.action == "classify":
         rows = [[" ".join(str(p) for p in block), label]

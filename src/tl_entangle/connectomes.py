@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 
+from .diagrams import charge
 from .skein import word_from_pairing
 from .spaces import DiagramState, PartyLayout
 
@@ -119,9 +120,12 @@ def reduce_connectome(c):
     A pair of lines crossing a cut can be slid off through the completeness
     relation on the two-strand space, so both sides close up independently.
     Repeats until every bipartition is crossed by zero or at least four lines.
+    A pass scans the rows of the parties inside each of the 2^(m-1) sides
+    that hold party 0, m * 2^(m-2) rows, charged before the sides are listed.
     """
     adj = [list(row) for row in c.adj]
     m = c.m
+    charge(0, m * 2 ** m // 4, f"reducing {m} parties")
     subsets = [s for size in range(1, m)
                for s in itertools.combinations(range(m), size) if 0 in s]
     changed = True
@@ -175,7 +179,11 @@ _BLOCK_LABELS = {1: "unentangled", 2: "Bell", 3: "GHZ"}
 
 def classify(c):
     """Blocks of parties that stay entangled after reduction, with labels."""
-    red = reduce_connectome(c)
+    return label_blocks(reduce_connectome(c))
+
+
+def label_blocks(red):
+    """The blocks of a reduced connectome's party graph, with labels."""
     return [(block, _BLOCK_LABELS.get(len(block), f"{len(block)}-party block"))
             for block in components(red)]
 

@@ -11,7 +11,30 @@ model where only connectivity matters).
 
 from __future__ import annotations
 
-from .scalars import LaurentPoly, RationalFn, evaluate
+from .scalars import LaurentPoly, RationalFn, evaluate, work_size
+
+# The most work one expansion may spend: a slice word's expansion, a state's
+# dressing at one point, its raw overlaps, or a connectome's reduction.  Each
+# step is charged before it runs, from the exact sizes of its operands.  On two
+# cores a unit took 0.05 to 1.9 us in every case measured, so about 10 s at most.
+WORK_BUDGET = 5_000_000
+
+
+class WorkBoundError(ValueError):
+    """A step that would take an expansion past WORK_BUDGET, at index step."""
+
+    def __init__(self, message, step=None):
+        super().__init__(message)
+        self.step = step
+
+
+def charge(spent, units, what, step=None):
+    """spent + units once step what has run; past WORK_BUDGET a WorkBoundError."""
+    spent += units
+    if spent > WORK_BUDGET:
+        raise WorkBoundError(f"{what} would take the work to {spent:,} units, "
+                             f"above the budget of {WORK_BUDGET:,}", step)
+    return spent
 
 
 class PlanarDiagram:
@@ -296,6 +319,16 @@ class TLElement:
                 _accumulate(out, dg, c1 * c2, loops, d)
         return TLElement(out)
 
+    def compose_work(self, lower):
+        """Units of work of compose(lower): each pair of terms walks self's
+        points, multiplies numerators (s * s' products) and brings each side
+        over a common denominator (up to s * m products; scalars.work_size)."""
+        if not (self.terms and lower.terms):
+            return 0
+        (s1, m1), (s2, m2) = _widest(self), _widest(lower)
+        return (len(self.terms) * len(lower.terms)
+                * (sum(self.shape()) + s1 * s2 + s1 * m1 + s2 * m2))
+
     def scalar(self):
         """Coefficient of the empty diagram (element must be fully closed)."""
         if not self.terms:
@@ -325,6 +358,11 @@ class TLElement:
             if val != 0:
                 out[dg] = out.get(dg, 0j) + val
         return TLElement(out)
+
+
+def _widest(element):
+    """The most numerator terms and the largest exponent of element's coefficients."""
+    return [max(column) for column in zip(*map(work_size, element.terms.values()))]
 
 
 def close_trace(element, d):

@@ -552,6 +552,15 @@ class RationalFn:
         return f"({num!r})/({den!r})"
 
 
+def work_size(c):
+    """(numerator terms as held, largest Phi_m exponent) of a coefficient, (1, 0)
+    for a number: a product multiplies numerators term by term, and a sum
+    multiplies a numerator by up to that power of a Phi_m."""
+    if isinstance(c, RationalFn):
+        return len(c._top.coeffs), max(c._phis.values(), default=0)
+    return (len(c.coeffs), 0) if isinstance(c, LaurentPoly) else (1, 0)
+
+
 # ---------------------------------------------------------------------------
 # loop value and quantum integers
 

@@ -16,38 +16,18 @@ coefficient 1, loops count -2, and connectivity is all that survives.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
-from .diagrams import PlanarDiagram, TLElement
+from .diagrams import PlanarDiagram, TLElement, charge
 from .jones_wenzl import jones_wenzl
 from .scalars import LaurentPoly, RationalFn, d_param
 
 MODES = ("kauffman", "permutation")
 _D = d_param()
 
-# The widest jw slice slice_width accepts (2 cores: jones_wenzl(6) 0.5 s, (7) 15.6 s)
+# The widest jw slice slice_width accepts: jones_wenzl(7) is one 15.6 s step on
+# two cores, (6) 0.5 s; to_element charges every slice to diagrams.WORK_BUDGET.
 MAX_JW_WIDTH = 6
-
-# The largest product of jw_terms over a word's jw slices that the parser
-# accepts.  Each jw slice multiplies the terms of the element it is composed
-# into, or the size of their coefficients: on two cores every measured word
-# within the bound expands in under 3.2 s (top 8 / jw 1 6 / jw 3 5, 5,544),
-# while top 6 / jw 1 6 / jw 1 6 (17,424) takes 17.6 s, top 12 / jw 1 6 /
-# jw 7 6 (17,424) 114 s and top 15 / jw 1 5 / jw 6 5 / jw 11 5 (74,088) 13.6 s.
-MAX_JW_TERMS = 10_000
-
-# The most expansion work the parser accepts in a word.  Each slice adds its
-# expansion_terms times the sum of two sizes: the points of the element
-# below it (top plus width) and the number of slices so far, which bounds
-# how far a coefficient can have grown, since a crossing or a closed loop
-# widens a Laurent coefficient by a few powers of A.
-# On two cores a unit costs at most about 2.7 us.  The slowest words
-# measured within the bound take 9.1 s (top 20 with 15 over slices at
-# positions 1 + 3i mod 19, 3,538,866 units) and 9.5 s (top 2 with 2,800
-# e 1 slices); top 8 with 62 over slices takes 5.1 s and 1,630 cups 2.0 s.
-# Rejected: top 12 with 40 over slices, which ran past 60 s.
-MAX_EXPANSION_WORK = 4_000_000
 
 
 def _at_one(c):
@@ -77,23 +57,6 @@ _LAYERS = {
     "over": crossing_element(2, 1, "over"),
     "under": crossing_element(2, 1, "under"),
 }
-
-
-def jw_terms(k):
-    """Terms of the width-k Jones-Wenzl projector: the Catalan number C_k."""
-    return math.comb(2 * k, k) // (k + 1)
-
-
-def expansion_terms(op, terms, n_top, width):
-    """Predicted terms of a word's element after slice op, from the terms
-    before it; width is the width below op.
-
-    A crossing at most doubles the terms and a jw k slice multiplies them by
-    jw_terms(k), but no element has more terms than there are planar
-    diagrams on its n_top + width points, the Catalan number C_(n_top+width)/2.
-    """
-    factor = 2 if op[0] in ("over", "under") else jw_terms(op[2]) if op[0] == "jw" else 1
-    return min(terms * factor, jw_terms((n_top + width) // 2))
 
 
 def slice_width(op, width):
@@ -145,12 +108,14 @@ class SliceWord:
         """Expand the word into a combination of pair diagrams (at A = 1 in
         permutation mode).  Each slice's narrow layer, at most a few strands
         wide, is glued under the strands it acts on (from position i), and
-        every other strand passes by."""
+        every other strand passes by.  Each slice is charged before it runs."""
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
         element = TLElement.from_diagram(PlanarDiagram.identity(self.n_top))
-        for op in self.ops:
+        spent = 0
+        for i, op in enumerate(self.ops):
             layer = jones_wenzl(op[2]) if op[0] == "jw" else _LAYERS[op[0]]
+            spent = charge(spent, element.compose_work(layer), f"slice {i + 1}", i)
             element = element.compose(layer, _D, op[1] - 1)
         if mode == "permutation":
             return element.map_coefficients(_at_one)

@@ -28,7 +28,7 @@ import math
 from functools import lru_cache
 from itertools import accumulate, product
 
-from .diagrams import PlanarDiagram, TLElement, _join
+from .diagrams import PlanarDiagram, TLElement, _join, charge
 from .jones_wenzl import jones_wenzl
 from .scalars import (DegeneratePointError, InvariantError, RationalFn, SplitNorm, d_param,
                       evaluate)
@@ -317,19 +317,22 @@ class DiagramState:
         """
         el = self.element.evaluate(point)
         N = self.layout.n_points
+        spent = 0
         for k, (name, nk) in enumerate(self.layout.parties):
             w = nk - 1
             if w < 2:
                 continue
             o = self.layout.offsets[k]
-            # party labels o+tw+1 .. o+(t+1)w sit at bottom positions
-            # N-o-(t+1)w+1 .. N-o-tw (labels run right to left)
-            starts = [N - o - (t + 1) * w for t in range(4)]
             try:
-                el = _dress(el, starts, jones_wenzl(w).evaluate(point), complex(point.d))
+                proj = jones_wenzl(w).evaluate(point)
             except DegeneratePointError as exc:
                 exc.party = name
                 raise
+            # party labels o+tw+1 .. o+(t+1)w sit at bottom positions
+            # N-o-(t+1)w+1 .. N-o-tw (labels run right to left)
+            for t in range(4):
+                spent = charge(spent, el.compose_work(proj), f"dressing party {name}")
+                el = el.compose(proj, complex(point.d), N - o - (t + 1) * w)
         return el
 
     def raw_overlap_list(self, point):
@@ -347,9 +350,14 @@ class DiagramState:
         dval = complex(point.d)
         table = self.basis_loops
         dims = self.layout.dims
-        sums = [0] * math.prod(dims)
+        dressed = self.dressed_numeric(point).terms
+        # listing a tuple basis diagram, or walking one, places n_points arc ends
+        tuples = math.prod(dims)
+        charge(0, (len(dressed) + 1) * tuples * (self.layout.n_points + 1),
+               f"pairing {len(dressed):,} dressed terms with {tuples:,} basis diagrams")
+        sums = [0] * tuples
         basis_pairs = None
-        for dg, c in self.dressed_numeric(point).terms.items():
+        for dg, c in dressed.items():
             loops = table.get(dg)
             if loops is None:
                 if basis_pairs is None:

@@ -23,8 +23,8 @@ from __future__ import annotations
 import os
 import re
 
-from .skein import (MAX_EXPANSION_WORK, MAX_JW_TERMS, MODES, SliceWord, expansion_terms,
-                    jw_terms, slice_width)
+from .diagrams import WorkBoundError
+from .skein import MODES, SliceWord, slice_width
 from .spaces import DiagramState, PartyLayout
 
 _CORPUS_DIR = os.path.join(os.path.dirname(__file__), "tangles")
@@ -39,10 +39,11 @@ class TangleParseError(ValueError):
 
 
 class TangleDocument:
-    def __init__(self, mode, top, ops, parties=(), name=None):
+    def __init__(self, mode, top, ops, parties=(), name=None, lines=()):
         self.mode = mode
         self.name = name
         self.word = SliceWord(top, ops)
+        self.lines = tuple(lines)
         self.parties = tuple(parties)
         self.bottom = self.word.final_width
         if self.parties:
@@ -72,7 +73,12 @@ class TangleDocument:
                                  for nm, first, last in self.parties))
 
     def element(self):
-        return self.word.to_element(self.mode)
+        """The expanded word; a WorkBoundError is a TangleParseError at the
+        line (of lines, one per slice) of the slice that would pass it."""
+        try:
+            return self.word.to_element(self.mode)
+        except WorkBoundError as exc:
+            raise TangleParseError(self.lines[exc.step], str(exc)) from None
 
     def state(self):
         if not self.parties:
@@ -114,9 +120,8 @@ def parse_tangle(text):
     bottom_decl = None
     ops = []
     parties = []
+    lines = []
     width = None
-    terms = 1
-    predicted, work = 1, 0
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -155,19 +160,8 @@ def parse_tangle(text):
                 width = slice_width(op, width)
             except ValueError as exc:
                 raise TangleParseError(ln, str(exc))
-            if kw == "jw":
-                terms *= jw_terms(op[2])
-                if terms > MAX_JW_TERMS:
-                    raise TangleParseError(
-                        ln, f"jw slices up to this one multiply to {terms:,} terms, "
-                            f"above the bound of {MAX_JW_TERMS:,}")
-            predicted = expansion_terms(op, predicted, top, width)
-            work += predicted * (top + width + len(ops) + 1)
-            if work > MAX_EXPANSION_WORK:
-                raise TangleParseError(
-                    ln, f"slices up to this one take {work:,} units of expansion "
-                        f"work, above the bound of {MAX_EXPANSION_WORK:,}")
             ops.append(op)
+            lines.append(ln)
         elif kw == "party":
             if len(parts) != 3:
                 raise TangleParseError(ln, "party takes a name and a range")
@@ -191,7 +185,7 @@ def parse_tangle(text):
             0, f"declared bottom {bottom_decl} but slices end at width {width}")
     try:
         return TangleDocument(mode or "kauffman", top, ops,
-                              sorted(parties, key=lambda p: p[1]), name)
+                              sorted(parties, key=lambda p: p[1]), name, lines)
     except ValueError as exc:
         raise TangleParseError(0, str(exc))
 

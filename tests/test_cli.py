@@ -18,9 +18,10 @@ import pytest
 import tl_entangle
 from tl_entangle import cli, entanglement, scalars, spaces, su2
 from tl_entangle.cli import _angle, main
+from tl_entangle.diagrams import TLElement
 from tl_entangle.jones_wenzl import jones_wenzl
 from tl_entangle.scalars import DegeneratePointError, EvalPoint
-from tl_entangle.skein import SliceWord
+from tl_entangle.skein import SliceWord, word_from_matching
 from tl_entangle.tangle_dsl import corpus_names, load_corpus
 
 
@@ -602,26 +603,30 @@ def test_wide_projector_slice_rejected(tmp_path, capsys, monkeypatch, top):
     assert err == f"parse error: line 2: jw 1 {top} is wider than the bound of 6 strands\n"
 
 
-@pytest.mark.parametrize("text, line, terms", [
-    ("top 6\njw 1 6\njw 1 6\n", 3, "17,424"),                      # expands in 17.6 s
-    ("top 7\njw 1 5\njw 3 5\njw 1 5\njw 3 5\n", 4, "74,088"),       # 23.4 s
-    ("top 12\njw 1 6\njw 7 6\n", 3, "17,424"),                     # 114 s
+@pytest.mark.parametrize("text, line, work", [
+    ("top 6\njw 1 6\njw 1 6\n", 3, "93,327,432"),                     # expands in 15.9 s
+    ("top 7\njw 1 5\njw 3 5\njw 1 5\njw 3 5\n", 4, "43,411,830"),      # 18.1 s
+    ("top 12\njw 1 6\njw 7 6\n", 3, "93,538,104"),                    # 5.4 s
 ], ids=["jw6-on-jw6", "four-shifted-jw5", "jw6-beside-jw6"])
 def test_projector_product_above_bound_rejected(tmp_path, capsys, monkeypatch, text, line,
-                                                terms):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a word beyond the jw term bound was expanded")
+                                                work):
+    """The slice that would pass the work budget is charged and never runs."""
+    jones_wenzl(5), jones_wenzl(6)
+    composed = []
+    compose = TLElement.compose
 
-    monkeypatch.setattr(SliceWord, "to_element", refuse)
-    monkeypatch.setattr("tl_entangle.skein.jones_wenzl", refuse)
+    def counting(self, lower, d, offset=0):
+        composed.append(offset)
+        return compose(self, lower, d, offset)
+
+    monkeypatch.setattr(TLElement, "compose", counting)
     doc = tmp_path / "projectors.tl"
     doc.write_text(text)
-    start = time.perf_counter()
     code, out, err = run(capsys, ["reduce", str(doc), "--mode", "exact"])
-    assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
-    assert err == (f"parse error: line {line}: jw slices up to this one multiply to "
-                   f"{terms} terms, above the bound of 10,000\n")
+    assert err == (f"parse error: line {line}: slice {line - 1} would take the work to "
+                   f"{work} units, above the budget of 5,000,000\n")
+    assert len(composed) == line - 2
 
 
 @pytest.mark.parametrize("argv", [["state"], ["classify"], ["entropy", "--party", "A"]])
@@ -661,54 +666,115 @@ def _ring(parties, lines):
     return json.dumps(adj)
 
 
-@pytest.mark.parametrize("adj, dims, work", [
-    # three dimension-4 parties: 6 to 21 s at k = 6
-    ("[[0,6,6],[6,0,6],[6,6,0]]", "4, 4, 4", "54,872,000"),
-    ("[[12,0,0],[0,12,0],[0,0,12]]", "4, 4, 4", "54,872,000"),
-    ("[[4,4,4],[4,4,4],[4,4,4]]", "4, 4, 4", "54,872,000"),
-    # six qutrits in a ring, 4 lines between neighbours: 40 s at k = 6
-    (_ring(6, 4), "3, 3, 3, 3, 3, 3", "2,985,984"),
-    # eleven qubits
-    (_ring(11, 2), ", ".join(["2"] * 11), "4,194,304"),
+@pytest.mark.parametrize("adj, dims, stop", [
+    # three dimension-4 parties: 6 to 21 s at k = 6 in full
+    ("[[0,6,6],[6,0,6],[6,6,0]]", "4, 4, 4", "dressing party C would take the work to "),
+    ("[[12,0,0],[0,12,0],[0,0,12]]", "4, 4, 4",
+     "pairing 15,625 dressed terms with 64 basis diagrams would take the work to "),
+    # 7,728 dressed terms at k = 6, 6,820 at theta = 0.1
+    ("[[4,4,4],[4,4,4],[4,4,4]]", "4, 4, 4", "pairing "),
+    # six qutrits in a ring, 4 lines between neighbours: 40 s at k = 6 in full
+    (_ring(6, 4), "3, 3, 3, 3, 3, 3",
+     "pairing 4,096 dressed terms with 729 basis diagrams would take the work to "),
+    # sixteen qubits (eleven pass: test_connectome_reduction_work_bound)
+    (_ring(16, 2), ", ".join(["2"] * 16),
+     "pairing 1 dressed terms with 65,536 basis diagrams would take the work to 8,519,680 "),
 ])
-@pytest.mark.parametrize("point", [[], ["--k", "6"]])
-def test_connectome_state_above_work_bound_rejected(capsys, monkeypatch, adj, dims, work,
-                                                    point):
-    def refuse(c):
-        raise AssertionError("a state was built beyond the work bound")
-
-    monkeypatch.setattr(cli, "representative_state", refuse)
+@pytest.mark.parametrize("point", [["--k", "6"], ["--theta", "0.1"]])
+def test_connectome_state_above_work_bound_rejected(capsys, adj, dims, stop, point):
+    """Each state of parties of dimensions dims is stopped by the work meter
+    within the budget's time; at k = 4 a dimension-4 frame is degenerate
+    (exit 3) before any of it."""
     code, out, err = run(capsys, ["connectome", "state", "--adj", adj] + point)
     assert code == 1 and out == ""
-    assert err == (f"usage error: parties of dimensions {dims} take {work} units of "
-                   "evaluation work, above the bound of 600,000\n")
+    assert err.startswith(f"usage error: {stop}")
+    assert err.endswith(" units, above the budget of 5,000,000\n")
 
 
 def _state_document(path, dims):
-    """Write a cups-only state document with parties P0, P1, ... of the given
-    dimensions to path, and return path."""
-    points = sum(4 * (n - 1) for n in dims)
-    parties, first = [], 1
+    """Write a state document with parties P0, P1, ... of the given dimensions
+    to path, and return path.  Each point, left to right, is wired to the
+    nearest open point of another party, by cups: a cup joining two points of
+    one dimension-n puncture would be killed by its projector."""
+    owner, parties = [], []
     for k, n in enumerate(dims):
-        parties.append(f"party P{k} {first}..{first + 4 * (n - 1) - 1}\n")
-        first += 4 * (n - 1)
-    path.write_text("top 0\n" + "cup 1\n" * (points // 2) + f"bottom {points}\n"
+        parties.append(f"party P{k} {len(owner) + 1}..{len(owner) + 4 * (n - 1)}\n")
+        owner += [k] * (4 * (n - 1))
+    stack, pairs = [], []
+    for p, k in enumerate(owner, 1):
+        if stack and owner[stack[-1] - 1] != k:
+            pairs.append((stack.pop(), p))
+        else:
+            stack.append(p)
+    assert not stack, f"dimensions {dims} leave points unwired"
+    word = word_from_matching(pairs, len(owner))
+    path.write_text("top 0\n" + "".join(f"{kind} {i}\n" for kind, i in word.ops)
                     + "".join(parties))
     return path
 
 
-@pytest.mark.parametrize("dims", [(4, 2, 4, 2), (3, 2, 3, 2, 3, 2, 3, 2), (3, 3, 3, 3, 3, 2)])
-def test_document_state_above_work_bound_rejected(tmp_path, capsys, monkeypatch, dims):
-    def refuse(*args, **kwargs):
-        raise AssertionError("exact set-up ran beyond the work bound")
+def test_party_order_decides_acceptance(tmp_path, capsys):
+    """Dimensions 4, 4, 2, 2 dress to 625 terms and pass; the same wiring in
+    the order 4, 2, 4, 2 dresses to 54,925 and is stopped before its raw
+    overlaps (35 to 40 s in full)."""
+    code, out, err = run(capsys, ["state", str(_state_document(tmp_path / "a.tl", (4, 4, 2, 2))),
+                                  "--k", "6"])
+    assert code == 0 and err == ""
+    assert len(json.loads(out)["amplitudes"]) == 64
+    code, out, err = run(capsys, ["state", str(_state_document(tmp_path / "b.tl", (4, 2, 4, 2))),
+                                  "--k", "6"])
+    assert code == 1 and out == ""
+    assert err == ("usage error: pairing 54,925 dressed terms with 64 basis diagrams would take "
+                   "the work to 116,003,712 units, above the budget of 5,000,000\n")
 
-    monkeypatch.setattr(SliceWord, "to_element", refuse)
-    monkeypatch.setattr(spaces, "qudit_space", refuse)
+
+@pytest.mark.parametrize("dims, stop", [
+    ((3,) * 6, "pairing 4,096 dressed terms with 729 basis diagrams"),
+    ((3, 2, 3, 2, 3, 2, 3, 2), "pairing 4,096 dressed terms with 1,296 basis diagrams"),
+    ((2,) * 40, "pairing 1 dressed terms with 1,099,511,627,776 basis diagrams"),
+], ids=["dims0", "dims1", "dims2"])
+def test_document_state_above_work_bound_rejected(tmp_path, capsys, dims, stop):
+    """Forty qubits are stopped before raw_overlap_list lists 2^40 sums."""
     doc = _state_document(tmp_path / "wide.tl", dims)
-    for argv in (["state"], ["classify"], ["entropy", "--party", "P0"]):
-        code, out, err = run(capsys, argv[:1] + [str(doc)] + argv[1:])
-        assert code == 1 and out == ""
-        assert err.startswith(f"usage error: parties of dimensions {', '.join(map(str, dims))} ")
+    code, out, err = run(capsys, ["state", str(doc), "--k", "6"])
+    assert code == 1 and out == ""
+    assert err.startswith(f"usage error: {stop} would take the work to ")
+    assert err.endswith(" units, above the budget of 5,000,000\n")
+
+
+def test_cheap_crossing_word_accepted(tmp_path, capsys):
+    """top 10 with 20 over slices at 1, 4, 7, ...: its crossings repeat a few
+    positions, so it keeps 8 terms and costs 8,182 units."""
+    doc = tmp_path / "cheap.tl"
+    doc.write_text("top 10\n" + "".join(f"over {1 + 3 * i % 9}\n" for i in range(20)))
+    code, out, err = run(capsys, ["reduce", str(doc), "--mode", "exact"])
+    assert code == 0 and err == ""
+    assert len(json.loads(out)["terms"]) == 8
+
+
+def test_crossing_word_past_budget_names_its_line(tmp_path, capsys):
+    """top 12 with 40 over slices at 1 + 3i mod 11 takes over 60 s in full; the
+    meter stops it at its 20th slice, on line 21, within the budget's time."""
+    doc = tmp_path / "crossings.tl"
+    doc.write_text("top 12\n" + "".join(f"over {1 + 3 * i % 11}\n" for i in range(40)))
+    code, out, err = run(capsys, ["reduce", str(doc), "--mode", "exact"])
+    assert code == 2 and out == ""
+    assert err == ("parse error: line 21: slice 20 would take the work to 5,904,554 units, "
+                   "above the budget of 5,000,000\n")
+
+
+@pytest.mark.parametrize("action", ["classify", "state"])
+def test_connectome_reduction_work_bound(capsys, action):
+    """A ring of 24 qubit parties would list 2^23 sides; it is stopped before
+    that, in well under a second.  Eleven qubits pass."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["connectome", action, "--adj", _ring(24, 2)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err == ("usage error: reducing 24 parties would take the work to 100,663,296 "
+                   "units, above the budget of 5,000,000\n")
+    code, out, err = run(capsys, ["connectome", action, "--adj", _ring(11, 2)])
+    assert code == 0 and err == ""
 
 
 @pytest.mark.parametrize("spins, dim", [("15/2,15/2,8", 4352), ("2047/2,1", 6144),
@@ -775,8 +841,8 @@ def test_exact_commands_never_import_numpy(capsys, argv):
 
 
 TOL_ERROR = "usage error: --tol must be a finite number above 0 and below 1, got 2.0\n"
-WORK_ERROR = ("usage error: parties of dimensions 4, 2, 4, 2 take 2,310,400 units of "
-              "evaluation work, above the bound of 600,000\n")
+WORK_ERROR = ("usage error: pairing 1 dressed terms with 1,099,511,627,776 basis diagrams "
+              "would take the work to 354,042,744,143,872 units, above the budget of 5,000,000\n")
 
 
 @pytest.mark.parametrize("argv, expected", [
@@ -799,7 +865,7 @@ WORK_ERROR = ("usage error: parties of dimensions 4, 2, 4, 2 take 2,310,400 unit
     (["rep", "hw", "--spins", "0.3,1"], "usage error: not a half-integer spin: Fraction(3, 10)\n"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else "stderr")
 def test_usage_errors_never_import_numpy(tmp_path, capsys, argv, expected):
-    big = str(_state_document(tmp_path / "big.tl", (4, 2, 4, 2)))
+    big = str(_state_document(tmp_path / "big.tl", (2,) * 40))
     argv = [big if a == "{big}" else a for a in argv]
     code, out, err, modules = _imported_modules(argv)
     assert (code, out, err) == (1, "", expected)

@@ -1,13 +1,16 @@
+import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from tl_entangle.diagrams import PlanarDiagram, TLElement
+from tl_entangle import diagrams
+from tl_entangle.diagrams import PlanarDiagram, TLElement, WorkBoundError
 from tl_entangle.scalars import LaurentPoly, d_param
 from tl_entangle.jones_wenzl import jones_wenzl
-from tl_entangle.skein import (SliceWord, _at_one, bracket, crossing_element, expansion_terms,
-                               jw_terms, slice_width)
+from tl_entangle.skein import (_LAYERS, SliceWord, _at_one, bracket, crossing_element,
+                               slice_width)
 from tl_entangle.tangle_dsl import corpus_names, load_corpus
 
 D = d_param()
@@ -85,9 +88,13 @@ def test_permutation_mode_ignores_over_under():
     assert vo == 4
 
 
+def catalan(n):
+    return math.comb(2 * n, n) // (n + 1)
+
+
 @pytest.mark.parametrize("k", range(1, 6))
 def test_jw_terms_counts_projector_terms(k):
-    assert jw_terms(k) == len(jones_wenzl(k).terms)
+    assert len(jones_wenzl(k).terms) == catalan(k)
 
 
 def test_jw_slice_matches_projector():
@@ -260,20 +267,65 @@ def test_reidemeister_three(word, kind, data):
     assert left.to_element() == right.to_element()
 
 
-def test_expansion_terms_caps_at_planar_diagrams():
-    assert expansion_terms(("over", 1), 700, 8, 8) == 1400
-    assert expansion_terms(("under", 1), 1000, 8, 8) == 1430  # C_8 diagrams on 16 points
-    assert expansion_terms(("jw", 1, 3), 2, 0, 6) == 5  # C_3 on 6 points
-    assert expansion_terms(("cup", 1), 3, 0, 4) == 2  # C_2 on 4 points
+def plain_steps(word, mode="kauffman"):
+    """The elements of word's prefixes and the compose_work of each slice,
+    from a compose loop with no meter."""
+    element = TLElement.from_diagram(PlanarDiagram.identity(word.n_top))
+    elements, works = [element], []
+    for op in word.ops:
+        layer = jones_wenzl(op[2]) if op[0] == "jw" else _LAYERS[op[0]]
+        works.append(element.compose_work(layer))
+        element = element.compose(layer, D, op[1] - 1)
+        elements.append(element)
+    if mode == "permutation":
+        elements[-1] = elements[-1].map_coefficients(_at_one)
+    return elements, works
 
 
 @given(slice_words())
+@settings(max_examples=100, deadline=None)
+def test_expansion_terms_caps_at_planar_diagrams(word):
+    """No prefix of a word has more terms than there are planar diagrams on
+    its points, the Catalan number C_(n_top+width)/2."""
+    elements, _ = plain_steps(word)
+    for element, width in zip(elements, _widths(word)):
+        assert len(element.terms) <= catalan((word.n_top + width) // 2)
+
+
+@pytest.mark.parametrize("mode", ["kauffman", "permutation"])
+def test_metered_expansion_matches_plain_compose_loop_on_corpus(mode):
+    for name in corpus_names():
+        word = load_corpus(name).word
+        metered, plain = word.to_element(mode), plain_steps(word, mode)[0][-1]
+        assert metered.terms.keys() == plain.terms.keys(), name
+        for dg, c in plain.terms.items():
+            assert metered.terms[dg] == c and repr(metered.terms[dg]) == repr(c), name
+
+
+@given(slice_words(), st.data())
 @settings(max_examples=200, deadline=None)
-def test_expansion_terms_bound_every_prefix(word):
-    """The parser's predicted term count is an upper bound on the terms of
-    each prefix of a word."""
-    predicted, width = 1, word.n_top
-    for k, op in enumerate(word.ops, 1):
-        width = slice_width(op, width)
-        predicted = expansion_terms(op, predicted, word.n_top, width)
-        assert len(SliceWord(word.n_top, word.ops[:k]).to_element().terms) <= predicted
+def test_work_bound_stops_at_first_slice_past_budget(word, data):
+    """With the budget lowered below a word's total work, to_element stops at
+    the first slice whose running total passes it, before that slice runs."""
+    _, works = plain_steps(word)
+    totals = [sum(works[:k + 1]) for k in range(len(works))]
+    budget = data.draw(st.integers(0, totals[-1] if totals else 0))
+    first = next((k for k, total in enumerate(totals) if total > budget), None)
+    composed = []
+    compose = TLElement.compose
+
+    def counting(self, lower, d, offset=0):
+        composed.append(offset)
+        return compose(self, lower, d, offset)
+
+    with mock.patch.object(diagrams, "WORK_BUDGET", budget), \
+            mock.patch.object(TLElement, "compose", counting):
+        if first is None:
+            word.to_element()
+            assert len(composed) == len(word.ops)
+            return
+        with pytest.raises(WorkBoundError) as err:
+            word.to_element()
+    assert err.value.step == first and len(composed) == first
+    assert str(err.value) == (f"slice {first + 1} would take the work to {totals[first]:,} "
+                              f"units, above the budget of {budget:,}")

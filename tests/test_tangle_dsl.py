@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from tl_entangle import diagrams
 from tl_entangle.diagrams import PlanarDiagram, TLElement, noncrossing_matchings
 from tl_entangle.entanglement import local_ranks, slocc_tripartite_class, three_tangle
 from tl_entangle.scalars import EvalPoint
@@ -97,16 +98,19 @@ def test_parse_errors_carry_line_numbers():
 
 
 def test_projector_term_bound():
-    # products of Catalan numbers: 132 * 42 = 5,544 parses, 42^3 = 74,088 does not
+    # jw slices are parsed whatever their term counts multiply to; the work
+    # their expansion would take is charged slice by slice
     doc = parse_tangle("top 8\njw 1 6\njw 3 5\nbottom 8\n")
     assert doc.word.ops == (("jw", 1, 6), ("jw", 3, 5))
-    with pytest.raises(TangleParseError, match="multiply to 74,088 terms, above the bound "
-                                               "of 10,000") as err:
-        parse_tangle("top 15\njw 1 5\njw 6 5\nover 5\njw 11 5\n")
-    assert err.value.line == 5
-    parse_tangle("top 26\n" + "".join(f"jw {i} 2\n" for i in range(1, 26, 2)))  # 2^13
-    with pytest.raises(TangleParseError, match="16,384 terms"):
-        parse_tangle("top 28\n" + "".join(f"jw {i} 2\n" for i in range(1, 28, 2)))
+    assert doc.lines == (2, 3)
+    with pytest.raises(TangleParseError, match="^line 3: slice 2 would take the work to "
+                                               "15,662,856 units, above the budget of "
+                                               "5,000,000$") as err:
+        doc.element()
+    assert err.value.line == 3
+    # fourteen jw 2 slices side by side, 16,384 terms, expand within the budget
+    doc = parse_tangle("top 28\n" + "".join(f"jw {i} 2\n" for i in range(1, 28, 2)))
+    assert len(doc.element().terms) == 2 ** 14
 
 
 def _crossings(top, n):
@@ -114,20 +118,26 @@ def _crossings(top, n):
     return f"top {top}\n" + "".join(f"over {1 + 3 * i % (top - 1)}\n" for i in range(n))
 
 
-def test_expansion_work_bound():
-    # top 12 with 40 crossings ran past 60 s; the parser stops at the 16th
-    start = time.perf_counter()
-    with pytest.raises(TangleParseError, match="take 5,111,762 units of expansion work, "
-                                               "above the bound of 4,000,000") as err:
-        parse_tangle(_crossings(12, 40))
-    assert time.perf_counter() - start < 1.0
-    assert err.value.line == 17
-    parse_tangle(_crossings(12, 15))
-    # at width 8 the terms stop doubling at C_8 = 1,430, so the slices add up
-    parse_tangle(_crossings(8, 62))
-    with pytest.raises(TangleParseError) as err:
-        parse_tangle(_crossings(8, 63))
-    assert err.value.line == 64
+def test_expansion_work_bound(monkeypatch):
+    # top 12 with 40 crossings parses, and its expansion is stopped at the
+    # slice that would pass the budget
+    doc = parse_tangle("# forty crossings\n\n" + _crossings(12, 40))
+    assert doc.lines == tuple(range(4, 44))
+    monkeypatch.setattr(diagrams, "WORK_BUDGET", 100_000)
+    with pytest.raises(TangleParseError, match="^line 14: slice 11 would take the work to "
+                                               "102,350 units, above the budget of 100,000$"):
+        doc.element()
+    # crossings that repeat a few positions keep the terms few: 8 at the end
+    assert len(parse_tangle("top 10\n" + "".join(f"over {1 + 3 * i % 9}\n"
+                                                   for i in range(20))).element().terms) == 8
+
+
+def test_state_document_work_bound_names_its_line(monkeypatch):
+    monkeypatch.setattr(diagrams, "WORK_BUDGET", 3)
+    doc = parse_tangle(MAXENT_TEXT)
+    with pytest.raises(TangleParseError, match="^line 6: slice 2 would take") as err:
+        doc.state()
+    assert err.value.line == 6
 
 
 @pytest.mark.parametrize("top,line", [
