@@ -11,6 +11,8 @@ model where only connectivity matters).
 
 from __future__ import annotations
 
+from array import array
+
 from .scalars import LaurentPoly, RationalFn, evaluate, work_size
 
 # The most work one expansion may spend: a slice word's expansion, a state's
@@ -232,13 +234,14 @@ class TLElement:
     Coefficients may be exact (LaurentPoly / RationalFn / Fraction) or numeric
     (complex); operations that close loops take the loop value d explicitly so
     the same element type serves both modes.  terms is never written after
-    __init__, so splits, filled by _product_halves on first use, stays valid.
+    __init__.  A network of state tiles is contracted by network_plan, which
+    reads only the diagrams (and splits product tiles), and glue_network,
+    which reads the coefficients.
     """
 
-    __slots__ = ("terms", "splits")
+    __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.splits = None
         self.terms = {}
         for diag, c in (terms or {}).items():
             if not _is_zero(c):
@@ -424,50 +427,170 @@ def _opened(open_bonds, arcs):
     return tuple(sorted(out))
 
 
-def _attach(out, states, open_bonds, arcs, new_open, coeff, d):
-    """Attach arcs to every frontier state, adding each result times coeff to out.
+class NetworkPlan:
+    """The topology of a closed network of state tiles, compiled by
+    network_plan and replayed by glue_network at any coefficients.
 
-    states maps frontier keys over open_bonds to coefficients; new_open are
-    the open bonds once the arcs are attached.  Returns out.
+    terms[t] maps each diagram that tile t was compiled over to its index in
+    term order; tiles that were one object share one map.  steps[t] holds the
+    frontier transitions of attaching tile t, in one of two forms:
+    (codes, shift, width) for a tile attached whole, and
+    (u_codes, width, pairs, codes, shift, mids) for a product tile attached
+    in halves (network_plan), where width is the number of frontier states
+    the tile is attached to and mids the number between its halves.  No
+    coefficient is read or kept, so one plan serves every point at which no
+    tile has a diagram outside terms.
     """
-    for key, scoeff in states.items():
+
+    __slots__ = ("terms", "steps")
+
+    def __init__(self, terms, steps):
+        self.terms = terms
+        self.steps = steps
+
+    def covers(self, tiles):
+        """Whether the plan was compiled over every diagram of every tile."""
+        distinct = {(id(tile), id(terms)): (tile, terms) for tile, terms in zip(tiles, self.terms)}
+        return all(tile.terms.keys() <= terms.keys() for tile, terms in distinct.values())
+
+
+def network_plan(tiles, bonds, plan=None):
+    """Compile the contraction of a closed network of state tiles.
+
+    tiles: list of TLElement states (n_top = 0).
+    bonds: list of ((tile_index, point_label), (tile_index, point_label));
+           every boundary point of every tile must appear in exactly one bond.
+    Each tile is compiled over its diagrams and, when plan is given, over
+    the diagrams plan holds for it too, so a recompiled plan still covers
+    every tile the old one covered.  Only diagrams are read.
+
+    Tiles are attached in order, keeping a frontier of partially connected
+    bonds, so the cost is driven by frontier width rather than by the
+    product of term counts.  A bond is open while one of its ends is placed;
+    every frontier state pairs the same open bonds through the strands
+    placed so far, and is keyed by the tuple of partners over the sorted
+    open bonds.  Attaching a term joins its arcs onto those strands (_join)
+    and counts the loops they close.  For every term of a tile and every
+    frontier state, in order, the plan keeps the state reached and the loops
+    closed, packed as target << shift | loops in one flat array per step:
+    the source is the position, and states are numbered in order of first
+    arrival.  A product tile, sum C[u,v] u (x) v with no strand between the
+    halves, is attached in two halves when that walks fewer terms
+    (_product_halves): first the half closing more open bonds, per u, to
+    the mids intermediate states; glue_network folds those through C into
+    one frontier per v; then the other half, per v, from every intermediate
+    state.  pairs[i * |V| + j] is the term index of u_i (x) v_j, or -1.
+    That is about |U| + |V| walks per frontier state instead of one per
+    term; a qutrit projector tile has 14 + 14 against 196.  Each tile is
+    split once per first half per plan.
+    """
+    point_bond = {}
+    for b, (end1, end2) in enumerate(bonds):
+        for end in (end1, end2):
+            if end in point_bond:
+                raise ValueError(f"point {end} appears in two bonds")
+            point_bond[end] = b
+    terms, shared = [], {}
+    for t, tile in enumerate(tiles):
+        old = plan.terms[t] if plan is not None else {}
+        key = (id(tile), id(old) if old else None)
+        if key not in shared:
+            shared[key] = {dg: i for i, dg in enumerate(dict.fromkeys([*old, *tile.terms]))}
+        terms.append(shared[key])
+        first = next(iter(terms[-1]), None)
+        if first is None:
+            continue
+        if first.n_top != 0:
+            raise ValueError("glue_network tiles must be states (no top points)")
+        for p in range(1, first.n_bottom + 1):
+            if (t, p) not in point_bond:
+                raise ValueError(f"unbonded point ({t}, {p})")
+
+    steps, memo = [], {}
+    frontier, open_bonds = [()], ()
+    for t, table in enumerate(terms):
+        if not table:
+            # a zero tile: glue_network gives 0 before reading any step
+            break
+
+        def edges(pairs):
+            return [(point_bond[(t, a)], point_bond[(t, b)]) for a, b in pairs]
+
+        open_set = set(open_bonds)
+        halves = _product_halves(table, lambda p: point_bond[(t, p)] in open_set, memo)
+        # a term closes at most one loop per arc
+        shift = (next(iter(table)).n_bottom // 2).bit_length()
+        targets, codes = {}, array("Q")
+        if halves is None:
+            arcs = [edges(dg.pairs) for dg in table]
+            new_open = _opened(open_bonds, arcs[0])
+            for term_arcs in arcs:
+                _walk(frontier, open_bonds, term_arcs, new_open, targets, codes, shift)
+            steps.append((_packed(codes), shift, len(frontier)))
+        else:
+            us, vs, pairs = halves
+            mid_open = _opened(open_bonds, edges(us[0]))
+            mids, u_codes = {}, array("Q")
+            for u in us:
+                _walk(frontier, open_bonds, edges(u), mid_open, mids, u_codes, shift)
+            new_open = _opened(mid_open, edges(vs[0]))
+            for v in vs:
+                _walk(mids, mid_open, edges(v), new_open, targets, codes, shift)
+            steps.append((_packed(u_codes), len(frontier), pairs, _packed(codes), shift,
+                          len(mids)))
+        frontier, open_bonds = list(targets), new_open
+    return NetworkPlan(terms, steps)
+
+
+def _walk(frontier, open_bonds, arcs, new_open, targets, codes, shift):
+    """Attach arcs to each frontier key over open_bonds, in order, appending
+    target << shift | loops to codes; targets numbers the keys over
+    new_open in order of first arrival."""
+    for key in frontier:
         mate = dict(zip(open_bonds, key))
         loops = _join(mate, arcs)
-        _accumulate(out, tuple(map(mate.__getitem__, new_open)), scoeff * coeff, loops, d)
-    return out
+        target = targets.setdefault(tuple(map(mate.__getitem__, new_open)), len(targets))
+        codes.append(target << shift | loops)
 
 
-def _product_halves(tile, closes):
-    """Write a state tile as sum_{u,v} C[u,v] u (x) v over two halves.
+def _packed(codes):
+    """codes in an array of the fewest bytes per entry that holds them all."""
+    top = max(codes, default=0)
+    return array("H" if top < 1 << 16 else "I" if top < 1 << 32 else "Q", codes)
 
-    One half is the set X of points that the tile's arcs link to point 1, the
-    other its complement, so no term pairs the halves.  closes(p) tells
-    whether point p ends a bond that is open in the frontier; the half that
-    closes more of them is u, the half attached first.  Returns (us, vs, rows)
-    with rows[i] = {j: C[us[i], vs[j]]}, or None when the tile is one piece or
-    when |U| + |V| walks per frontier state are no fewer than its T terms.
-    The halves and each split are kept in tile.splits, so a tile is split
-    once per first half for its lifetime.
+
+def _product_halves(terms, closes, memo):
+    """Write a tile as sum_{u,v} C[u,v] u (x) v over two halves.
+
+    terms are the tile's diagrams in term order.  One half is the set X of
+    points that their arcs link to point 1, the other its complement, so no
+    term pairs the halves.  closes(p) tells whether point p ends a bond that
+    is open in the frontier; the half that closes more of them is u, the
+    half attached first.  Returns (us, vs, pairs) with pairs[i * len(vs) + j]
+    the index in terms of u_i (x) v_j, or -1 where there is none; None when
+    the tile is one piece or when |U| + |V| walks per frontier state are no
+    fewer than its T terms.  The halves and each split are kept in memo by
+    terms, so one compile splits a tile once per first half.
     """
-    if tile.splits is None:
-        tile.splits = (_point_halves(tile), {})
-    halves, splits = tile.splits
+    if id(terms) not in memo:
+        memo[id(terms)] = (_point_halves(terms), {})
+    halves, splits = memo[id(terms)]
     if halves is None:
         return None
     x, y = halves
     first = y if sum(map(closes, y)) > sum(map(closes, x)) else x
     if first not in splits:
-        splits[first] = _split(tile, first)
+        splits[first] = _split(terms, first)
     return splits[first]
 
 
-def _point_halves(tile):
-    """(X, Y): the points linked to point 1 by the tile's arcs, and the rest;
-    None when Y is empty or the tile has at most 4 terms."""
-    if len(tile.terms) <= 4:
+def _point_halves(terms):
+    """(X, Y): the points linked to point 1 by the arcs of terms, and the
+    rest; None when Y is empty or there are at most 4 terms."""
+    if len(terms) <= 4:
         # T <= |U|*|V| gives |U| + |V| >= 2 sqrt(T) >= T: qubit projectors stay whole
         return None
-    arcs = {pr for dg in tile.terms for pr in dg.pairs}
+    arcs = {pr for dg in terms for pr in dg.pairs}
     x = {1}
     grown = True
     while grown:
@@ -476,100 +599,90 @@ def _point_halves(tile):
             if (a in x) != (b in x):
                 x.update((a, b))
                 grown = True
-    y = frozenset(range(1, tile.shape()[1] + 1)) - x
+    y = frozenset(range(1, next(iter(terms)).n_bottom + 1)) - x
     if not y:
         return None
     return frozenset(x), y
 
 
-def _split(tile, first):
-    """(us, vs, rows) of _product_halves with u on the points of first."""
+def _split(terms, first):
+    """(us, vs, pairs) of _product_halves with u on the points of first."""
     halves = [(tuple(pr for pr in dg.pairs if pr[0] in first),
-               tuple(pr for pr in dg.pairs if pr[0] not in first), c)
-              for dg, c in tile.terms.items()]
-    us = {u: i for i, u in enumerate(dict.fromkeys(u for u, _, _ in halves))}
-    vs = {v: j for j, v in enumerate(dict.fromkeys(v for _, v, _ in halves))}
+               tuple(pr for pr in dg.pairs if pr[0] not in first))
+              for dg in terms]
+    us = {u: i for i, u in enumerate(dict.fromkeys(u for u, _ in halves))}
+    vs = {v: j for j, v in enumerate(dict.fromkeys(v for _, v in halves))}
     if len(halves) <= len(us) + len(vs):
         return None
-    rows = [{} for _ in us]
-    for u, v, c in halves:
-        rows[us[u]][vs[v]] = c
-    return list(us), list(vs), rows
+    pairs = array("i", [-1]) * (len(us) * len(vs))
+    for index, (u, v) in enumerate(halves):
+        pairs[us[u] * len(vs) + vs[v]] = index
+    return list(us), list(vs), pairs
 
 
-def glue_network(tiles, bonds, d):
-    """Contract a closed network of state tiles into a scalar.
+def glue_network(plan, tiles, d):
+    """Contract a closed network of state tiles into a scalar along plan,
+    which network_plan compiled over their diagrams; each closed loop of
+    strands contributes a factor d.
 
-    tiles: list of TLElement states (n_top = 0).
-    bonds: list of ((tile_index, point_label), (tile_index, point_label));
-           every boundary point of every tile must appear in exactly one bond.
-    Each closed loop of strands contributes a factor d.
-
-    Tiles are processed in order, keeping a frontier of partially connected
-    bonds, so the cost is driven by frontier width rather than by the product
-    of term counts.  A bond is open while one of its ends is placed; every
-    frontier state pairs the same open bonds through the strands placed so
-    far, and is keyed by the tuple of partners over the sorted open bonds.
-    Attaching a term joins its arcs onto those strands (_join, a few dict
-    operations per arc) and counts the loops they close.  A product tile,
-    sum C[u,v] u (x) v with no strand between the halves, is attached in two
-    halves when that walks fewer terms: first the half closing more open
-    bonds, whose results are folded through C into one frontier per v, then
-    the other half.  That is about |U| + |V| walks per frontier state instead
-    of one per term; a qutrit projector tile has 14 + 14 against 196.  A
-    tile is split once per first half for its lifetime (_product_halves), so
-    a projector that occurs around a replica ring, and again in later calls
-    at the same point, is regrouped at most twice.
+    The numeric pass walks no strand: it replays network_plan's frontier
+    walk with the positions the plan gives each state.  The frontier maps
+    positions to coefficients; every term carries every state, in its
+    order, to the position the plan names, adding scoeff * coeff times d
+    once per loop closed (_accumulate, which drops a sum that reaches
+    exactly 0).  A product tile carries each state through its first half
+    per u, folds the results through C[u,v] into one frontier per v, and
+    carries those through the second half.  So every sum is taken in the
+    order the walk over the tiles' own diagrams takes it.  A term of the
+    plan that a tile lacks (its coefficient is 0 here) is skipped; a tile
+    with a term the plan lacks is a ValueError.
     """
-    point_bond = {}
-    for b, (end1, end2) in enumerate(bonds):
-        for end in (end1, end2):
-            if end in point_bond:
-                raise ValueError(f"point {end} appears in two bonds")
-            point_bond[end] = b
-    for t, tile in enumerate(tiles):
-        shape = tile.shape()
-        if shape is None:
-            return 0
-        if shape[0] != 0:
-            raise ValueError("glue_network tiles must be states (no top points)")
-        for p in range(1, shape[1] + 1):
-            if (t, p) not in point_bond:
-                raise ValueError(f"unbonded point ({t}, {p})")
-
-    # states: tuple of each open bond's partner, over the sorted open bonds,
-    # which are the same for every frontier state -> coefficient
-    states = {(): 1}
-    open_bonds = ()
-    for t, tile in enumerate(tiles):
+    if not all(tile.terms for tile in tiles):
+        return 0
+    coeffs, shared = [], {}
+    for tile, terms in zip(tiles, plan.terms):
+        key = (id(tile), id(terms))
+        if key not in shared:
+            cs = [tile.terms.get(dg) for dg in terms]
+            if len(cs) - cs.count(None) != len(tile.terms):
+                raise ValueError("a tile has a term that its plan was not compiled over")
+            shared[key] = cs
+        coeffs.append(shared[key])
+    states = {0: 1}
+    for cs, step in zip(coeffs, plan.steps):
         if not states:
             return 0
-
-        def edges(pairs):
-            return [(point_bond[(t, a)], point_bond[(t, b)]) for a, b in pairs]
-
-        open_set = set(open_bonds)
-        halves = _product_halves(tile, lambda p: point_bond[(t, p)] in open_set)
-        new_states = {}
-        if halves is None:
-            terms = [(edges(diag.pairs), dcoeff) for diag, dcoeff in tile.terms.items()]
-            new_open = _opened(open_bonds, terms[0][0])
-            for arcs, dcoeff in terms:
-                _attach(new_states, states, open_bonds, arcs, new_open, dcoeff, d)
+        if len(step) == 3:
+            codes, shift, width = step
+            states = _carry({}, states, cs, codes, shift, d, width)
         else:
-            us, vs, rows = halves
-            # first half, per u; fold each intermediate frontier through C
-            # into one frontier per v
-            mid_open = _opened(open_bonds, edges(us[0]))
-            by_v = [{} for _ in vs]
-            for i, u in enumerate(us):
-                mid = _attach({}, states, open_bonds, edges(u), mid_open, 1, d)
-                for key, w in mid.items():
-                    for j, c in rows[i].items():
-                        _accumulate(by_v[j], key, w * c)
-            # second half
-            new_open = _opened(mid_open, edges(vs[0]))
-            for v, mid in zip(vs, by_v):
-                _attach(new_states, mid, mid_open, edges(v), new_open, 1, d)
-        states, open_bonds = new_states, new_open
-    return states.get((), 0)
+            u_codes, width, pairs, codes, shift, mids = step
+            nv = len(pairs) * width // len(u_codes)
+            by_v = [{} for _ in range(nv)]
+            for i in range(len(u_codes) // width):
+                fold = [(by_v[j], cs[k]) for j, k in enumerate(pairs[i * nv:(i + 1) * nv])
+                        if k >= 0 and cs[k] is not None]
+                if fold:
+                    mid = _carry({}, states, (1,), u_codes, shift, d, width, i)
+                    for m, w in mid.items():
+                        for column, c in fold:
+                            _accumulate(column, m, w * c)
+            states = {}
+            for j, column in enumerate(by_v):
+                _carry(states, column, (1,), codes, shift, d, mids, j)
+    return states.get(0, 0)
+
+
+def _carry(out, states, cs, codes, shift, d, width, block=0):
+    """Add states[p] * cs[k] * d**loops to out[target] for each term k and
+    frontier position p, in the order of cs and states, reading (target,
+    loops) from codes[(block + k) * width + p]; a coefficient None is a
+    term absent here.  Returns out."""
+    mask = (1 << shift) - 1
+    for k, c in enumerate(cs, block):
+        if c is not None:
+            row = k * width
+            for p, s in states.items():
+                code = codes[row + p]
+                _accumulate(out, code >> shift, s * c, code & mask, d)
+    return out

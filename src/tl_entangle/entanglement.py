@@ -5,7 +5,10 @@ entanglement_entropy, local_ranks, slocc_tripartite_class, replica_check and
 the rest) take tensors with one axis per party (axis order = party order of
 the layout that produced them) and normalize internally, so raw diagram
 normalizations only matter for amplitude output, never for the measures.
-They import numpy when called, for SVDs and eigenvalues.
+They import numpy when called, for SVDs and eigenvalues, except the replica
+check: trace_power multiplies the kept block's Gram matrix in pure Python,
+and the glued side compiles its network once per state (network_plan) and
+replays it per point (glue_network), so no BLAS or LAPACK routine runs.
 
 The list form reads the flat amplitude list of DiagramState.amplitude_list
 in pure Python: party_singular_values finds a cut's singular values by
@@ -23,7 +26,7 @@ import itertools
 import math
 import sys
 
-from .diagrams import conj_scalar, glue_network
+from .diagrams import conj_scalar, glue_network, network_plan
 from .scalars import InvariantError
 from .spaces import qudit_space
 
@@ -176,31 +179,54 @@ def entanglement_entropy(t, keep=(0,)):
 
 
 def trace_power(t, n, keep=(0,)):
-    """Tr rho^n of the reduced density matrix, from the amplitude tensor."""
-    import numpy as np
+    """Tr rho^n of the reduced density matrix of the kept parties, from the
+    amplitude tensor t (an array with shape and tolist, such as numpy's).
 
-    ev = np.linalg.eigvalsh(reduced_density(t, keep))
-    return float(np.sum(ev ** n).real)
+    rho is the Gram matrix of the rows of t's matrix over the kept axes
+    (_matricized), over its trace; where the columns are fewer their Gram
+    matrix is taken instead, which has the same nonzero spectrum.  The
+    power is taken by matrix products in pure Python, so no BLAS or LAPACK
+    routine runs.
+    """
+    dims = tuple(t.shape)
+    amps = t.reshape(-1).tolist()
+    columns = _flat_offsets(dims, [a for a in range(len(dims)) if a not in keep])
+    rows = [[amps[r + c] for c in columns] for r in _flat_offsets(dims, keep)]
+    if len(rows) > len(rows[0]):
+        rows = [list(col) for col in zip(*rows)]
+    gram = [[sum(x * y.conjugate() for x, y in zip(a, b)) for b in rows] for a in rows]
+    total = sum(gram[i][i] for i in range(len(gram))).real
+    if total == 0:
+        raise ValueError("zero tensor has no entanglement data")
+    rho = [[z / total for z in row] for row in gram]
+    power = rho
+    for _ in range(n - 1):
+        power = [[sum(x * y for x, y in zip(row, col)) for col in zip(*rho)] for row in power]
+    return float(sum(power[i][i] for i in range(len(power))).real)
 
 
-def _glued_power(state, n, keep, point):
-    """Tr of the n-th power of the unnormalized reduced density by gluing.
+def _flat_offsets(dims, axes):
+    """The flat offsets, in index order, of the index tuples over axes of a
+    tensor of shape dims whose other indices are 0."""
+    strides = [math.prod(dims[a + 1:]) for a in axes]
+    return [sum(i * s for i, s in zip(index, strides))
+            for index in itertools.product(*(range(dims[a]) for a in axes))]
+
+
+def _ring(layout, n, keep):
+    """(slots, bonds) of the network whose contraction is Tr of the n-th
+    power of the unnormalized reduced density of the kept parties.
 
     2n copies of the diagram alternate ket/bra around a ring; every interface
     between a ket and a bra passes through the local resolution of identity of
     each glued party, so the contraction happens in the physical spans rather
-    than in the ambient pairing space.
+    than in the ambient pairing space.  Each slot is "ket", "bra" or the
+    index of the party whose projector tile it holds; bonds are as
+    network_plan takes them.
     """
-    layout = state.layout
-    dval = complex(point.d)
-    ket = state.element.evaluate(point)
-    bra = ket.map_coefficients(conj_scalar)
     nontrivial = [k for k, (_, nk) in enumerate(layout.parties) if nk > 1]
-    keep = set(keep)
     traced = [k for k in nontrivial if k not in keep]
     kept = [k for k in nontrivial if k in keep]
-    projs = {k: qudit_space(layout.dims[k]).projector_element(point) for k in nontrivial}
-
     order = []
     for r in range(n):
         order.append(("ket", r))
@@ -208,8 +234,6 @@ def _glued_power(state, n, keep, point):
         order.append(("bra", r))
         order += [("pi", r, p, "K") for p in kept]
     index = {tag: i for i, tag in enumerate(order)}
-    tiles = [ket if tag[0] == "ket" else bra if tag[0] == "bra" else projs[tag[2]]
-             for tag in order]
 
     bonds = []
 
@@ -226,7 +250,37 @@ def _glued_power(state, n, keep, point):
         for p in kept:
             wire(index[("ket", (r + 1) % n)], index[("pi", r, p, "K")],
                  index[("bra", r)], p)
-    return glue_network(tiles, bonds, dval)
+    return [tag[2] if tag[0] == "pi" else tag[0] for tag in order], bonds
+
+
+def _glued_power(state, n, keep, point):
+    """Tr of the n-th power of the unnormalized reduced density by gluing
+    the ring of _ring.
+
+    The ring's plan (network_plan) is kept on the state per (n, kept
+    parties), in replica_plans, and is never keyed by point: each call
+    builds only the ket and bra coefficients and looks up the projector
+    tiles of the point, and glue_network replays the plan with them.  Where
+    a tile has a diagram the plan lacks (a coefficient that was exactly 0
+    where the plan was compiled), the plan is compiled again over the union
+    of the diagrams seen, so it only grows.
+    """
+    layout = state.layout
+    ket = state.element.evaluate(point)
+    tiles = {"ket": ket, "bra": ket.map_coefficients(conj_scalar)}
+    key = (n, frozenset(keep))
+    slots, plan = state.replica_plans.get(key, (None, None))
+    bonds = None
+    if slots is None:
+        slots, bonds = _ring(layout, n, keep)
+    for slot in slots:
+        if slot not in tiles:
+            tiles[slot] = qudit_space(layout.dims[slot]).projector_element(point)
+    ring = [tiles[slot] for slot in slots]
+    if plan is None or not plan.covers(ring):
+        plan = network_plan(ring, bonds or _ring(layout, n, keep)[1], plan)
+        state.replica_plans[key] = slots, plan
+    return glue_network(plan, ring, complex(point.d))
 
 
 def replica_check(t, state, point, n, keep=(0,)):
@@ -234,10 +288,16 @@ def replica_check(t, state, point, n, keep=(0,)):
 
     The n = 1 contraction that normalizes the glued value is kept on the
     state, per kept parties and point (DiagramState.replica_norms); the n-th
-    power network is contracted on every call.
+    power network is compiled once per (n, kept parties) and replayed on
+    every call (_glued_power).  A keep that does not name distinct parties
+    of the state is a ValueError, raised before any contraction.
     """
     if not 2 <= n <= 4:
         raise ValueError("replica order must be between 2 and 4")
+    parties = len(state.layout.parties)
+    if len(set(keep)) != len(keep) or not all(0 <= k < parties for k in keep):
+        raise ValueError(f"keep {tuple(keep)} does not name distinct parties "
+                         f"of a state with {parties} parties")
     numeric = trace_power(t, n, keep)
     norm = state.replica_norms.get((frozenset(keep), point),
                                    lambda: _glued_power(state, 1, keep, point))

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import accumulate, product
+from itertools import accumulate, chain, product
 
 from .diagrams import PlanarDiagram, TLElement, _join, charge
 from .jones_wenzl import jones_wenzl
@@ -114,6 +114,8 @@ class QuditSpace:
         self._gs_coeffs, self.gs_norms_sq = self._orthogonalize()
         self._gs_roots = [SplitNorm(nu) for nu in self.gs_norms_sq]
         self._projector_cache = PointCache()
+        # the diagrams of projector tiles, by pairs, shared by every point's tile
+        self._tile_diagrams = {}
 
     def _orthogonalize(self):
         """Unnormalized Gram-Schmidt over rational functions of A.
@@ -200,8 +202,11 @@ class QuditSpace:
             for t, b in zip(row, dressed_num):
                 u = u + t * b
             out = out + u.adjoint().tensor(u)
-        return TLElement({PlanarDiagram(0, dg.n_points, dg.pairs): c
-                          for dg, c in out.terms.items()})
+        shared = self._tile_diagrams
+        for dg in out.terms:
+            if dg.pairs not in shared:
+                shared[dg.pairs] = PlanarDiagram(0, dg.n_points, dg.pairs)
+        return TLElement({shared[dg.pairs]: c for dg, c in out.terms.items()})
 
 
 @lru_cache(maxsize=None)
@@ -269,13 +274,23 @@ def tuple_basis_diagram(layout, indices):
     """Product of local basis pairings, offset into each party's label block."""
     if len(indices) != len(layout.parties):
         raise ValueError("one basis index per party required")
-    arcs = []
     for k, (_, nk) in enumerate(layout.parties):
-        o = layout.offsets[k]
         if not 0 <= indices[k] < nk:
             raise ValueError(f"basis index {indices[k]} out of range for dimension {nk}")
-        arcs += [(a + o, b + o) for a, b in qudit_space(nk).matchings[indices[k]]]
-    return PlanarDiagram(0, layout.n_points, arcs)
+    return PlanarDiagram(0, layout.n_points, tuple_basis_pairs(basis_blocks(layout), indices))
+
+
+def basis_blocks(layout):
+    """Per party, its local basis pairings offset into its label block."""
+    return [[tuple((a + o, b + o) for a, b in m) for m in qudit_space(nk).matchings]
+            for o, (_, nk) in zip(layout.offsets, layout.parties)]
+
+
+def tuple_basis_pairs(blocks, indices):
+    """The pairs of tuple_basis_diagram(layout, indices), sorted as its, from
+    blocks = basis_blocks(layout), without building or checking a diagram:
+    each block's pairings are sorted and the blocks follow one another."""
+    return tuple(chain.from_iterable(block[i] for block, i in zip(blocks, indices)))
 
 
 class DiagramState:
@@ -301,6 +316,9 @@ class DiagramState:
         # n = 1 replica contractions by (kept parties, point), filled by
         # entanglement.replica_check; element and layout are never reassigned
         self.replica_norms = PointCache()
+        # replica ring plans by (n, kept parties), filled by
+        # entanglement._glued_power, never keyed by point
+        self.replica_plans = {}
         # loop counts by paired diagram, in index order of the tuple
         # basis; filled by raw_overlap_list, never keyed by point
         self.basis_loops = {}
@@ -361,7 +379,8 @@ class DiagramState:
             loops = table.get(dg)
             if loops is None:
                 if basis_pairs is None:
-                    basis_pairs = [tuple_basis_diagram(self.layout, idx).pairs
+                    blocks = basis_blocks(self.layout)
+                    basis_pairs = [tuple_basis_pairs(blocks, idx)
                                    for idx in product(*map(range, dims))]
                 loops = table[dg] = tuple(_join({}, dg.pairs + pairs) for pairs in basis_pairs)
             powers = [c]

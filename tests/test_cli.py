@@ -177,13 +177,13 @@ def test_scan_refinement_steps_over_bad_points(capsys, monkeypatch, failure, lo,
 
 def test_scan_builds_each_basis_diagram_once(capsys, monkeypatch):
     built = []
-    real = spaces.tuple_basis_diagram
+    real = spaces.tuple_basis_pairs
 
-    def counting(layout, indices):
+    def counting(blocks, indices):
         built.append(indices)
-        return real(layout, indices)
+        return real(blocks, indices)
 
-    monkeypatch.setattr(spaces, "tuple_basis_diagram", counting)
+    monkeypatch.setattr(spaces, "tuple_basis_pairs", counting)
     code, _, _ = run(capsys, ["scan-tangle3", "quasiw", "--theta-min", "0.02pi",
                               "--theta-max", "0.12pi", "--steps", "200"])
     assert code == 0

@@ -8,11 +8,15 @@ from hypothesis import given, settings, strategies as st
 from tl_entangle.diagrams import (
     PlanarDiagram,
     TLElement,
+    _accumulate,
     _is_zero,
+    _join,
+    _opened,
     _product_halves,
     all_matchings,
     close_trace,
     glue_network,
+    network_plan,
     noncrossing_matchings,
     tl_basis,
 )
@@ -131,17 +135,22 @@ def test_tensor_compose_interchange(data):
     assert lhs == rhs
 
 
+def glue(tiles, bonds, d):
+    """Compile the network of tiles and replay it with their coefficients."""
+    return glue_network(network_plan(tiles, bonds), tiles, d)
+
+
 def test_glue_network_matches_inner_product():
     x = TLElement.from_diagram(PlanarDiagram(0, 4, [(1, 2), (3, 4)]))
     y = TLElement.from_diagram(PlanarDiagram(0, 4, [(1, 4), (2, 3)]))
     bonds = [((0, p), (1, p)) for p in range(1, 5)]
-    assert glue_network([x, x], bonds, D) == D * D
-    assert glue_network([x, y], bonds, D) == D
+    assert glue([x, x], bonds, D) == D * D
+    assert glue([x, y], bonds, D) == D
     # numeric mode agrees
     pt = EvalPoint(0.3)
     dv = complex(pt.d)
     xn, yn = x.evaluate(pt), y.evaluate(pt)
-    got = glue_network([xn, yn], bonds, dv)
+    got = glue([xn, yn], bonds, dv)
     assert abs(got - evaluate(D, pt)) < 1e-12
 
 
@@ -152,16 +161,32 @@ def test_glue_network_three_tiles_ring():
              ((1, 3), (2, 2)), ((1, 4), (2, 1)),
              ((2, 3), (0, 2)), ((2, 4), (0, 1))]
     # each tile's two cups chain into one big loop plus two small ones
-    val = glue_network([x, x, x], bonds, D)
+    val = glue([x, x, x], bonds, D)
     assert val == D ** 3
 
 
 def test_glue_network_rejects_bad_wiring():
     x = TLElement.from_diagram(PlanarDiagram(0, 4, [(1, 2), (3, 4)]))
     with pytest.raises(ValueError):
-        glue_network([x, x], [((0, 1), (1, 1))], D)
+        network_plan([x, x], [((0, 1), (1, 1))])
     with pytest.raises(ValueError):
-        glue_network([x], [((0, 1), (0, 1)), ((0, 2), (0, 3))], D)
+        network_plan([x], [((0, 1), (0, 1)), ((0, 2), (0, 3))])
+
+
+def test_glue_network_rejects_a_term_outside_its_plan():
+    x = TLElement.from_diagram(PlanarDiagram(0, 4, [(1, 2), (3, 4)]))
+    y = TLElement.from_diagram(PlanarDiagram(0, 4, [(1, 4), (2, 3)]))
+    bonds = [((0, p), (1, p)) for p in range(1, 5)]
+    plan = network_plan([x, x], bonds)
+    assert not plan.covers([x, x + y])
+    with pytest.raises(ValueError, match="not compiled over"):
+        glue_network(plan, [x, x + y], D)
+    # compiled again over the union, the plan covers both, and a term
+    # that is absent now is skipped
+    plan = network_plan([x, x + y], bonds, plan)
+    assert plan.covers([x, x + y]) and plan.covers([x, x])
+    assert glue_network(plan, [x, x + y], D) == D * D + D
+    assert glue_network(plan, [x, x], D) == D * D
 
 
 def reference_glue_network(tiles, bonds, d):
@@ -226,6 +251,88 @@ def reference_glue_network(tiles, bonds, d):
     return states.get(frozenset(), 0)
 
 
+def walk_glue_network(tiles, bonds, d):
+    """glue_network as it was before it was split into a plan and a pass:
+    every call walks every frontier state through every term with _join, and
+    a product tile is attached in halves, split afresh on every call."""
+    point_bond = {}
+    for b, (end1, end2) in enumerate(bonds):
+        for end in (end1, end2):
+            point_bond[end] = b
+    if any(not tile.terms for tile in tiles):
+        return 0
+    states = {(): 1}
+    open_bonds = ()
+    for t, tile in enumerate(tiles):
+        if not states:
+            return 0
+
+        def edges(pairs):
+            return [(point_bond[(t, a)], point_bond[(t, b)]) for a, b in pairs]
+
+        open_set = set(open_bonds)
+        halves = _walk_halves(tile, lambda p: point_bond[(t, p)] in open_set)
+        new_states = {}
+        if halves is None:
+            terms = [(edges(diag.pairs), dcoeff) for diag, dcoeff in tile.terms.items()]
+            new_open = _opened(open_bonds, terms[0][0])
+            for arcs, dcoeff in terms:
+                _walk_attach(new_states, states, open_bonds, arcs, new_open, dcoeff, d)
+        else:
+            us, vs, rows = halves
+            mid_open = _opened(open_bonds, edges(us[0]))
+            by_v = [{} for _ in vs]
+            for i, u in enumerate(us):
+                mid = _walk_attach({}, states, open_bonds, edges(u), mid_open, 1, d)
+                for key, w in mid.items():
+                    for j, c in rows[i].items():
+                        _accumulate(by_v[j], key, w * c)
+            new_open = _opened(mid_open, edges(vs[0]))
+            for v, mid in zip(vs, by_v):
+                _walk_attach(new_states, mid, mid_open, edges(v), new_open, 1, d)
+        states, open_bonds = new_states, new_open
+    return states.get((), 0)
+
+
+def _walk_attach(out, states, open_bonds, arcs, new_open, coeff, d):
+    for key, scoeff in states.items():
+        mate = dict(zip(open_bonds, key))
+        loops = _join(mate, arcs)
+        _accumulate(out, tuple(map(mate.__getitem__, new_open)), scoeff * coeff, loops, d)
+    return out
+
+
+def _walk_halves(tile, closes):
+    """(us, vs, rows) with rows[i] = {j: C[us[i], vs[j]]}: the product split
+    of tile with the half closing more open bonds first, or None."""
+    if len(tile.terms) <= 4:
+        return None
+    arcs = {pr for dg in tile.terms for pr in dg.pairs}
+    x = {1}
+    grown = True
+    while grown:
+        grown = False
+        for a, b in arcs:
+            if (a in x) != (b in x):
+                x.update((a, b))
+                grown = True
+    y = set(range(1, tile.shape()[1] + 1)) - x
+    if not y:
+        return None
+    first = y if sum(map(closes, y)) > sum(map(closes, x)) else x
+    halves = [(tuple(pr for pr in dg.pairs if pr[0] in first),
+               tuple(pr for pr in dg.pairs if pr[0] not in first), c)
+              for dg, c in tile.terms.items()]
+    us = {u: i for i, u in enumerate(dict.fromkeys(u for u, _, _ in halves))}
+    vs = {v: j for j, v in enumerate(dict.fromkeys(v for _, v, _ in halves))}
+    if len(halves) <= len(us) + len(vs):
+        return None
+    rows = [{} for _ in us]
+    for u, v, c in halves:
+        rows[us[u]][vs[v]] = c
+    return list(us), list(vs), rows
+
+
 def _laurent(data):
     """A nonzero Laurent polynomial with one or two terms."""
     exps = data.draw(st.lists(st.integers(-4, 4), min_size=1, max_size=2, unique=True))
@@ -257,7 +364,7 @@ def test_glue_network_product_tiles_match_reference(data):
     tiles = [_plain_tile(data)]
     for _ in range(data.draw(st.integers(1, 2))):
         tiles.append(_product_tile(data, 4, data.draw(st.sampled_from((4, 6)))))
-    assert all(_product_halves(tile, lambda p: False) for tile in tiles[1:])
+    assert all(_product_halves(tile.terms, lambda p: False, {}) for tile in tiles[1:])
     if data.draw(st.booleans()):
         # one tile object twice, as a projector occurs in a replica ring
         tiles.append(tiles[1])
@@ -267,7 +374,13 @@ def test_glue_network_product_tiles_match_reference(data):
     ends = [(t, p) for t, tile in enumerate(tiles) for p in range(1, tile.shape()[1] + 1)]
     ends = data.draw(st.permutations(ends))
     bonds = [(ends[i], ends[i + 1]) for i in range(0, len(ends), 2)]
-    assert glue_network(tiles, bonds, D) == reference_glue_network(tiles, bonds, D)
+    plan = network_plan(tiles, bonds)
+    assert glue_network(plan, tiles, D) == reference_glue_network(tiles, bonds, D)
+    # the plan reads no coefficient: replayed with other coefficients on the
+    # same diagrams it gives their contraction
+    scale = [LaurentPoly.A_power(data.draw(st.integers(-3, 3))) for _ in tiles]
+    scaled = [tile.map_coefficients(lambda c, a=a: c * a) for tile, a in zip(tiles, scale)]
+    assert glue_network(plan, scaled, D) == reference_glue_network(scaled, bonds, D)
 
 
 @pytest.mark.parametrize("closing_half", [range(1, 5), range(5, 9)])
@@ -286,23 +399,23 @@ def test_glue_network_split_either_half_first(closing_half):
     other_half = [p for p in range(1, 9) if p not in closing_half]
     bonds = [((0, q), (1, p)) for q, p in enumerate(closing_half, 1)]
     bonds += [((1, p), (2, q)) for q, p in enumerate(other_half, 1)]
-    first, _, _ = _product_halves(tile, lambda p: p in closing_half)
+    first, _, _ = _product_halves(tile.terms, lambda p: p in closing_half, {})
     assert {p for u in first for pr in u for p in pr} == set(closing_half)
     tiles = [before, tile, after]
-    assert glue_network(tiles, bonds, D) == reference_glue_network(tiles, bonds, D)
+    assert glue(tiles, bonds, D) == reference_glue_network(tiles, bonds, D)
 
 
 def test_qutrit_projector_tile_attaches_closing_half_first():
     tile = qudit_space(3).projector_element(EvalPoint.from_level(4))
     low, high = set(range(1, 9)), set(range(9, 17))
     for closing in (low, high):
-        us, vs, rows = _product_halves(tile, lambda p: p in closing)
+        us, vs, pairs = _product_halves(tile.terms, lambda p: p in closing, {})
         assert len(us) == len(vs) == 14
         assert {p for u in us for pr in u for p in pr} == closing
-        assert sum(len(r) for r in rows) == len(tile.terms) == 196
+        assert sorted(pairs) == list(range(len(tile.terms))) == list(range(196))
     # a qubit projector (2 x 2 terms) is attached whole
     qubit = qudit_space(2).projector_element(EvalPoint.from_level(4))
-    assert _product_halves(qubit, lambda p: p > 4) is None
+    assert _product_halves(qubit.terms, lambda p: p > 4, {}) is None
 
 
 def bottom_label(dg, j):
@@ -379,7 +492,8 @@ def test_glue_network_plain_tiles_match_reference(data):
     slot = {t: i for i, t in enumerate(order)}
     tiles = [tiles[t] for t in order]
     bonds = [((slot[t1], p1), (slot[t2], p2)) for (t1, p1), (t2, p2) in bonds]
-    assert glue_network(tiles, bonds, D) == reference_glue_network(tiles, bonds, D)
+    assert glue(tiles, bonds, D) == reference_glue_network(tiles, bonds, D)
+    assert walk_glue_network(tiles, bonds, D) == reference_glue_network(tiles, bonds, D)
 
 
 def reference_compose_with(upper, lower):

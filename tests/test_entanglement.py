@@ -1,11 +1,14 @@
 import gc
+import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from tl_entangle import diagrams, entanglement, spaces
-from tl_entangle.diagrams import PlanarDiagram, TLElement, conj_scalar, glue_network
-from tl_entangle.scalars import EvalPoint, InvariantError
+from tl_entangle.diagrams import PlanarDiagram, TLElement, conj_scalar
+from tl_entangle.scalars import EvalPoint, InvariantError, LaurentPoly
 from tl_entangle.skein import SliceWord
 from tl_entangle.spaces import POINT_CACHE_SIZE, DiagramState, PartyLayout, qudit_space
 from tl_entangle.tangle_dsl import corpus_names, load_corpus
@@ -30,6 +33,7 @@ from tl_entangle.entanglement import (
     von_neumann_entropy,
 )
 
+from test_diagrams import walk_glue_network
 from test_spaces import SEVEN_TRIPARTITE, expected_tripartite, reference_ortho_transform
 
 K4 = EvalPoint.from_level(4)
@@ -105,6 +109,27 @@ def test_entropy_of_pure_reduction():
 def test_trace_power_ghz():
     for n in (2, 3, 4):
         assert abs(trace_power(GHZ, n) - 2 ** (1 - n)) < 1e-12
+
+
+def eigvalsh_trace_power(t, n, keep=(0,)):
+    """trace_power as it was before it became pure Python: the eigenvalues
+    of the reduced density matrix, each to the n-th power."""
+    ev = np.linalg.eigvalsh(reduced_density(t, keep))
+    return float(np.sum(ev ** n).real)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3), (2, 2, 2), (3, 3, 2)])
+def test_trace_power_matches_eigenvalues(shape):
+    rng = np.random.default_rng(sum(shape) * 10 + len(shape))
+    keeps = [keep for keep in ((0,), (1,), (0, 1), (0, 2)) if max(keep) < len(shape)]
+    for _ in range(5):
+        t = random_state(rng, *shape) * rng.uniform(0.1, 10)
+        for keep in keeps:
+            for n in (2, 3, 4):
+                ref = eigvalsh_trace_power(t, n, keep)
+                assert abs(trace_power(t, n, keep) - ref) <= 1e-12, (keep, n)
+    with pytest.raises(ValueError, match="zero tensor"):
+        trace_power(np.zeros(shape, complex), 2)
 
 
 MAXENT = PlanarDiagram(0, 8, [(1, 8), (2, 7), (3, 6), (4, 5)])
@@ -207,7 +232,8 @@ def test_projector_tile_matches_gram_inverse(n, points):
 
 def reference_glued_power(state, n, keep, point):
     """_glued_power as it was before its theta-fixed parts were reused: every
-    projector tile is rebuilt, and every tile object is split afresh."""
+    projector tile is rebuilt, and the ring is contracted by the
+    frontier walk (walk_glue_network), which splits every tile afresh."""
     layout = state.layout
     ket = state.element.evaluate(point)
     bra = ket.map_coefficients(conj_scalar)
@@ -240,7 +266,7 @@ def reference_glued_power(state, n, keep, point):
         for p in kept:
             wire(index[("ket", (r + 1) % n)], index[("pi", r, p, "K")],
                  index[("bra", r)], p)
-    return glue_network(tiles, bonds, complex(point.d))
+    return walk_glue_network(tiles, bonds, complex(point.d))
 
 
 def reference_replica_check(t, state, point, n, keep=(0,)):
@@ -278,42 +304,185 @@ def test_replica_norm_belongs_to_its_state():
             gc.collect()
 
 
+def counting_kernel(monkeypatch):
+    """Count entanglement's compiles (network_plan) and passes (glue_network)."""
+    calls = {"plan": [], "pass": []}
+    plan, replay = entanglement.network_plan, entanglement.glue_network
+
+    def counting_plan(tiles, bonds, old=None):
+        calls["plan"].append(len(tiles))
+        return plan(tiles, bonds, old)
+
+    def counting_pass(compiled, tiles, d):
+        calls["pass"].append(len(tiles))
+        return replay(compiled, tiles, d)
+
+    monkeypatch.setattr(entanglement, "network_plan", counting_plan)
+    monkeypatch.setattr(entanglement, "glue_network", counting_pass)
+    return calls
+
+
 def test_replica_check_contracts_power_each_call(monkeypatch):
-    calls = []
-
-    def counting(tiles, bonds, d):
-        calls.append(len(tiles))
-        return glue_network(tiles, bonds, d)
-
-    monkeypatch.setattr(entanglement, "glue_network", counting)
+    # one compile per (n, kept parties), and a numeric pass on every call
+    calls = counting_kernel(monkeypatch)
     st = load_corpus("two_qutrit_rank1").state()
     t = st.amplitudes(K6)
     first = replica_check(t, st, K6, 3)
-    assert calls == [4, 12]
+    assert calls == {"plan": [4, 12], "pass": [4, 12]}
     second = replica_check(t, st, K6, 3)
-    assert calls == [4, 12, 12]
+    assert calls == {"plan": [4, 12], "pass": [4, 12, 12]}
     assert second == first
     replica_check(t, st, K6, 3, keep=(1,))
-    assert calls == [4, 12, 12, 4, 12]
+    assert calls == {"plan": [4, 12, 4, 12], "pass": [4, 12, 12, 4, 12]}
+    # a new point needs no compile: only the n = 1 norm and the power are passes
+    pt = EvalPoint(-0.2345678)
+    replica_check(st.amplitudes(pt), st, pt, 3)
+    assert calls["plan"] == [4, 12, 4, 12]
+    assert calls["pass"] == [4, 12, 12, 4, 12, 4, 12]
+    assert sorted(st.replica_plans) == [(1, frozenset({0})), (1, frozenset({1})),
+                                        (3, frozenset({0})), (3, frozenset({1}))]
 
 
-def test_projector_tile_split_once_for_its_lifetime(monkeypatch):
+def test_projector_tile_split_once_per_plan(monkeypatch):
     splits = []
     original = diagrams._split
 
-    def counting(tile, first):
-        splits.append(len(tile.terms))
-        return original(tile, first)
+    def counting(terms, first):
+        splits.append(len(terms))
+        return original(terms, first)
 
     monkeypatch.setattr(diagrams, "_split", counting)
     pt = EvalPoint(-0.2345678)
     st = load_corpus("two_qutrit_rank1").state()
     t = st.amplitudes(pt)
     first = replica_check(t, st, pt, 3)
-    # the tile is kept per point and split once per first half
-    assert splits == [196, 196]
+    # each plan splits the projector tile once per first half it attaches
+    # first: the n = 1 ring one, the n = 3 ring two (its six projector
+    # steps); a call that compiles nothing splits nothing
+    assert splits == [196, 196, 196]
     assert replica_check(t, st, pt, 3) == first
-    assert splits == [196, 196]
+    pt2 = EvalPoint(-0.1234567)
+    replica_check(st.amplitudes(pt2), st, pt2, 3)
+    assert splits == [196, 196, 196]
+
+
+def test_replica_sweep_keeps_one_plan_per_order_and_keep():
+    st = DiagramState(PlanarDiagram(0, 12, SEVEN_TRIPARTITE[7]), TRI_LAYOUT)
+    plans = None
+    for i, theta in enumerate(np.linspace(-0.45, -0.05, 200)):
+        pt = EvalPoint(theta)
+        t = st.amplitudes(pt)
+        for keep in ((0,), (1, 2)):
+            numeric, glued = replica_check(t, st, pt, 2 + i % 2, keep=keep)
+            assert abs(numeric - glued) < 1e-8
+        if i == 1:
+            plans = dict(st.replica_plans)
+    # compiled at the first points and never again: no plan is keyed by point
+    assert st.replica_plans == plans
+    assert sorted((n, tuple(sorted(keep))) for n, keep in st.replica_plans) == [
+        (1, (0,)), (1, (1, 2)), (2, (0,)), (2, (1, 2)), (3, (0,)), (3, (1, 2))]
+
+
+def test_plan_recompiles_over_the_union_of_terms(monkeypatch):
+    # the second diagram's coefficient A^4 - A^-4 is exactly 0 at theta = 0,
+    # where the plans are compiled without it
+    coeff = LaurentPoly({4: 1, -4: -1})
+    element = TLElement({MAXENT: 1, PlanarDiagram(0, 8, [(1, 2), (3, 4), (5, 6), (7, 8)]): coeff})
+    st = DiagramState(element, QUBIT_PAIR)
+    calls = counting_kernel(monkeypatch)
+    zero, other = EvalPoint(0.0), EvalPoint(-0.3)
+    assert len(st.element.evaluate(zero).terms) == 1
+    for pt in (zero, other, zero, other):
+        t = st.amplitudes(pt)
+        got = replica_check(t, st, pt, 2)
+        assert got == reference_replica_check(t, st, pt, 2)
+        assert abs(got[0] - got[1]) < 1e-8
+    # n = 1 and n = 2 compiled at theta = 0, then once more over the union
+    # at theta = -0.3; the way back to theta = 0 compiles nothing
+    assert calls["plan"] == [4, 8, 4, 8]
+    assert len(calls["pass"]) == 2 * 2 + 2
+    for _, plan in st.replica_plans.values():
+        assert len(plan.terms[0]) == 2
+
+
+def test_replica_check_rejects_bad_keep(monkeypatch):
+    calls = counting_kernel(monkeypatch)
+    st = DiagramState(MAXENT, QUBIT_PAIR)
+    t = st.amplitudes(K4)
+    for keep in ((2,), (0, 0), (-1,)):
+        with pytest.raises(ValueError, match=r"keep .* 2 parties"):
+            replica_check(t, st, K4, 2, keep=keep)
+    assert calls == {"plan": [], "pass": []}
+
+
+def test_replica_check_calls_no_lapack(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the replica check reached numpy's eigenvalues")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(entanglement, "reduced_density", refuse)
+    for name in ("two_qutrit_rank1", "tripartite_7"):
+        st = load_corpus(name).state()
+        t = st.amplitudes(K4)
+        for n in (2, 3):
+            numeric, glued = replica_check(t, st, K4, n, keep=(1,))
+            assert abs(numeric - glued) < 1e-8, (name, n)
+
+
+def frame_thetas(name, count=20):
+    """count seeded angles inside the name's nondegenerate frame window."""
+    window = math.pi / 10 if name.startswith("two_qutrit") else math.pi / 6
+    rng = random.Random(name)
+    return [rng.uniform(-0.85 * window, 0.85 * window) for _ in range(count)]
+
+
+def walk_glued_power(state, n, keep, point):
+    """_glued_power's ring contracted by the frontier walk instead of
+    the kept plan: the same tiles and bonds, a different kernel."""
+    slots, bonds = entanglement._ring(state.layout, n, keep)
+    ket = state.element.evaluate(point)
+    tiles = {"ket": ket, "bra": ket.map_coefficients(conj_scalar)}
+    ring = [tiles[s] if s in tiles else
+            qudit_space(state.layout.dims[s]).projector_element(point) for s in slots]
+    return walk_glue_network(ring, bonds, complex(point.d))
+
+
+MULTI_PARTY = [name for name in corpus_names() if len(load_corpus(name).parties) > 1]
+
+
+@pytest.mark.parametrize("name", MULTI_PARTY)
+def test_plan_and_pass_match_the_frontier_walk(name):
+    st = load_corpus(name).state()
+    points = [K4, K6] + [EvalPoint(theta) for theta in frame_thetas(name)]
+    for pt in points:
+        for keep in ((0,), (1,)):
+            for n in (1, 2, 3, 4):
+                ref = walk_glued_power(st, n, keep, pt)
+                got = entanglement._glued_power(st, n, keep, pt)
+                assert abs(got - ref) <= 1e-12 * abs(ref), (pt.theta, keep, n)
+    # one plan per (n, keep), compiled at the first point
+    assert len(st.replica_plans) == 8
+
+
+def test_replica_plans_stay_compact():
+    # the plans of every multi-party corpus state at n = 1..3, keep (0,)
+    states = [load_corpus(name).state() for name in MULTI_PARTY]
+    for st in states:
+        for n in (1, 2, 3):
+            entanglement._glued_power(st, n, (0,), K4)
+        st.replica_plans.clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for st in states:
+            for n in (1, 2, 3):
+                entanglement._glued_power(st, n, (0,), K4)
+        gc.collect()
+        size = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert size < 1_000_000, size
 
 
 def test_projector_tile_built_once_per_point(monkeypatch):
