@@ -22,8 +22,9 @@ error naming the slice's line (exit 2), any other expansion a usage error.
 
 No command imports numpy.  Every command that evaluates a state reads
 spaces' list form of the amplitudes (DiagramState.amplitude_list) and
-normalizes it with _unit; classify and entropy take their singular values
-from that list with entanglement.party_singular_values, in pure Python.
+normalizes it with _unit; classify and entropy take each one-party cut's
+singular values from that list with entanglement.cut_singular_values, the
+pure-Python kernel that every entanglement measure reads.
 rep hw counts: su2 reads its ranks and multiplicities off the numbers of
 product states per weight, and the three spin-1/2 classes off exact vectors.
 """
@@ -296,12 +297,12 @@ def _cmd_classify(args):
     payload = {"name": doc.name, "theta": _g12(point.theta),
                "parties": [nm for nm, _ in state.layout.parties], "dims": dims}
     if len(dims) == 2:
-        sv = entanglement.party_singular_values(amps, dims, 0)
+        sv = entanglement.cut_singular_values(amps, dims, (0,))
         payload["schmidt_rank"] = entanglement.rank_above(sv, tol)
         payload["entropy"] = _g12(entanglement.spectrum_entropy(sv), NOISE_FLOOR)
         rows = [[payload["schmidt_rank"], payload["entropy"]]]
         return payload, rows, ["schmidt_rank", "entropy"]
-    ranks = [entanglement.rank_above(entanglement.party_singular_values(amps, dims, k), tol)
+    ranks = [entanglement.rank_above(entanglement.cut_singular_values(amps, dims, (k,)), tol)
              for k in range(len(dims))]
     payload["local_ranks"] = ranks
     if dims == [2, 2, 2]:
@@ -321,8 +322,8 @@ def _cmd_entropy(args):
     if args.party not in names:
         raise UsageError(f"unknown party {args.party!r}; have {', '.join(names)}")
     state = _state_of(doc)
-    sv = entanglement.party_singular_values(_unit_amplitudes(state, point),
-                                            state.layout.dims, names.index(args.party))
+    sv = entanglement.cut_singular_values(_unit_amplitudes(state, point),
+                                          state.layout.dims, (names.index(args.party),))
     entropy = _g12(entanglement.spectrum_entropy(sv), NOISE_FLOOR)
     rank = entanglement.rank_above(sv, tol)
     payload = {"name": doc.name, "theta": _g12(point.theta),

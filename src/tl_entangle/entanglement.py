@@ -1,23 +1,22 @@
 """Entanglement measures and SLOCC classification of amplitudes.
 
-The measures come in two forms.  The array functions (schmidt_rank,
-entanglement_entropy, local_ranks, slocc_tripartite_class, replica_check and
-the rest) take tensors with one axis per party (axis order = party order of
-the layout that produced them) and normalize internally, so raw diagram
+Every measure reads one cut's singular values from cut_singular_values: the
+flat amplitude list (index order) of a tensor with one axis per party, its
+shape and the kept parties give a matrix whose rows run over the kept axes,
+and Hestenes' one-sided Jacobi finds its singular values in pure Python.
+Ranks are counted with rank_above, entropies summed with spectrum_entropy,
+Tr rho^n is the sum of the n-th powers of the Schmidt weights, three-qubit
+classes are named by tripartite_class from the local ranks and the tau3 of
+three_tangle_of.  The array functions (schmidt_rank, entanglement_entropy,
+local_ranks, slocc_tripartite_class, replica_check and the rest) take tensors
+whose axis order is the party order of the layout that produced them, read
+only their shape and flat list, and normalize internally, so raw diagram
 normalizations only matter for amplitude output, never for the measures.
-They import numpy when called, for SVDs and eigenvalues, except the replica
-check: trace_power multiplies the kept block's Gram matrix in pure Python,
-and the glued side compiles its network once per state (network_plan) and
-replays it per point (glue_network), so no BLAS or LAPACK routine runs.
-
-The list form reads the flat amplitude list of DiagramState.amplitude_list
-in pure Python: party_singular_values finds a cut's singular values by
-one-sided Jacobi (a party has at most four levels on the command line, so
-each cut is a matrix with at most four rows), and three_tangle_of reads tau3
-off eight amplitudes; the command line reads only this form.  Both forms
-count ranks with rank_above, sum entropies with _entropy, name three-qubit
-classes with tripartite_class and take tau3 from three_tangle_of: they
-differ only in how they get the singular values.
+The command line calls the kernel on DiagramState.amplitude_list directly.
+The replica check's glued side compiles its network once per state
+(network_plan) and replays it per point (glue_network).  No measure calls a
+BLAS or LAPACK routine; only the ladder indicator imports numpy, for its
+six-copy contraction and eigenvalues.
 """
 
 from __future__ import annotations
@@ -30,14 +29,17 @@ from .diagrams import conj_scalar, glue_network, network_plan
 from .scalars import InvariantError
 from .spaces import qudit_space
 
-# Sweeps of one-sided Jacobi before party_singular_values gives up; rows of
-# at most four levels take a few.
+# Sweeps of one-sided Jacobi before cut_singular_values gives up.  Jacobi
+# converges quadratically once the pairs are nearly orthogonal, so the count
+# grows slowly with the cut's size: the corpus's cuts take at most 2, and
+# random complex n x n matrices at most 3, 6, 7 and 9 for n = 2, 4, 8, 16.
 MAX_JACOBI_SWEEPS = 30
 
 
-def party_singular_values(amps, dims, k):
-    """The min(dims[k], len(amps) // dims[k]) singular values, largest first,
-    of the flat amplitude list amps over dims with party k's index as the row.
+def cut_singular_values(amps, dims, keep):
+    """The singular values, largest first, of the flat amplitude list amps
+    over dims as a matrix whose rows run over the kept axes and whose columns
+    run over the others, each in index order (_flat_offsets).
 
     Hestenes' one-sided Jacobi on the rows, or on the columns where they are
     fewer: rotate pairs of them until each pair is orthogonal to within
@@ -47,22 +49,24 @@ def party_singular_values(amps, dims, k):
     parallel to the other vector); their norms are then the singular values.
     (More vectors than their length could never all be orthogonal: the
     rounding noise left of a dependent one would keep rotating.)
-    InvariantError after MAX_JACOBI_SWEEPS sweeps that still rotate.
+    ValueError for a keep that does not name distinct axes (_checked_keep)
+    and for a zero tensor; InvariantError after MAX_JACOBI_SWEEPS sweeps that
+    still rotate.
     """
-    inner = math.prod(dims[k + 1:])
-    block = dims[k] * inner
-    rows = [[amps[s + i * inner + b] for s in range(0, len(amps), block) for b in range(inner)]
-            for i in range(dims[k])]
+    keep = _checked_keep(keep, len(dims))
+    columns = _flat_offsets(dims, [a for a in range(len(dims)) if a not in keep])
+    rows = [[amps[r + c] for c in columns] for r in _flat_offsets(dims, keep)]
     if len(rows) > len(rows[0]):
         rows = [list(col) for col in zip(*rows)]
     tol = len(rows[0]) * sys.float_info.epsilon
-    noise = tol * tol * sum(map(_norm_sq, rows))
+    norms = [_norm_sq(row) for row in rows]
+    noise = tol * tol * _nonzero(sum(norms))
     for _ in range(MAX_JACOBI_SWEEPS):
         rotated = False
         for i, j in itertools.combinations(range(len(rows)), 2):
             x, y = rows[i], rows[j]
-            a, b = _norm_sq(x), _norm_sq(y)
-            c = sum(u * v.conjugate() for u, v in zip(x, y))
+            a, b = norms[i], norms[j]
+            c = sum([u * v.conjugate() for u, v in zip(x, y)])
             if min(a, b) <= noise or abs(c) <= tol * math.sqrt(a) * math.sqrt(b):
                 continue
             # with y's phase turned so that <x, y> = |c|, the real rotation
@@ -71,16 +75,50 @@ def party_singular_values(amps, dims, k):
             t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
             cs = 1 / math.sqrt(1 + t * t)
             sn, phase = cs * t, c / abs(c)
-            rows[i] = [cs * u - sn * phase * v for u, v in zip(x, y)]
-            rows[j] = [sn * u + cs * phase * v for u, v in zip(x, y)]
+            sp, cp = sn * phase, cs * phase
+            rows[i] = [cs * u - sp * v for u, v in zip(x, y)]
+            rows[j] = [sn * u + cp * v for u, v in zip(x, y)]
+            norms[i], norms[j] = _norm_sq(rows[i]), _norm_sq(rows[j])
             rotated = True
         if not rotated:
-            return sorted((math.sqrt(_norm_sq(row)) for row in rows), reverse=True)
+            return sorted(map(math.sqrt, norms), reverse=True)
     raise InvariantError(f"one-sided Jacobi did not converge in {MAX_JACOBI_SWEEPS} sweeps")
 
 
+def _checked_keep(keep, parties):
+    """keep as a tuple; a ValueError unless it names distinct parties among
+    0 .. parties - 1."""
+    keep = tuple(keep)
+    if len(set(keep)) != len(keep) or not all(0 <= k < parties for k in keep):
+        raise ValueError(f"keep {keep} does not name distinct parties out of {parties} parties")
+    return keep
+
+
+def _flat_offsets(dims, axes):
+    """The flat offsets, in index order, of the index tuples over axes of a
+    tensor of shape dims whose other indices are 0."""
+    offsets = [0]
+    for a in axes:
+        stride = math.prod(dims[a + 1:])
+        offsets = [o + i * stride for o in offsets for i in range(dims[a])]
+    return offsets
+
+
 def _norm_sq(row):
-    return sum(z.real * z.real + z.imag * z.imag for z in row)
+    return sum([z.real * z.real + z.imag * z.imag for z in row])
+
+
+def _nonzero(norm_sq):
+    """norm_sq, a tensor's squared norm; a zero tensor is a ValueError."""
+    if norm_sq == 0:
+        raise ValueError("zero tensor has no entanglement data")
+    return norm_sq
+
+
+def _unit(amps):
+    """The flat amplitude list amps over its norm."""
+    norm = math.sqrt(_nonzero(_norm_sq(amps)))
+    return [z / norm for z in amps]
 
 
 def three_tangle_of(amps):
@@ -104,15 +142,16 @@ def rank_above(sv, tol):
     return sum(1 for s in sv if s > tol * sv[0])
 
 
-def _entropy(weights):
-    """-sum w ln w in nats over the weights above 1e-14."""
-    return float(-sum(w * math.log(w) for w in weights if w > 1e-14))
+def _weights(sv):
+    """The Schmidt weights s^2 / sum s^2 of singular values sv, smallest first."""
+    total = sum(s * s for s in sv)
+    return [s * s / total for s in reversed(sv)]
 
 
 def spectrum_entropy(sv):
-    """Entanglement entropy across a cut from its singular values."""
-    total = sum(s * s for s in sv)
-    return _entropy([s * s / total for s in reversed(sv)])
+    """Entanglement entropy in nats across a cut from its singular values:
+    -sum w ln w over the Schmidt weights w above 1e-14."""
+    return float(-sum(w * math.log(w) for w in _weights(sv) if w > 1e-14))
 
 
 def tripartite_class(ranks, tau3, tol):
@@ -129,88 +168,30 @@ def tripartite_class(ranks, tau3, tol):
     return "GHZ" if tau3 > tol else "W"
 
 
-def _normalized(t):
-    import numpy as np
-
-    t = np.asarray(t, dtype=complex)
-    nrm = np.linalg.norm(t)
-    if nrm == 0:
-        raise ValueError("zero tensor has no entanglement data")
-    return t / nrm
-
-
-def _matricized(t, keep):
-    """t as a matrix whose rows run over the kept axes."""
-    keep = tuple(keep)
-    rest = [a for a in range(t.ndim) if a not in keep]
-    return t.transpose(list(keep) + rest).reshape(math.prod(t.shape[a] for a in keep), -1)
-
-
-def reduced_density(t, keep=(0,)):
-    """Density matrix of the kept parties, traced over the rest."""
-    tt = _matricized(_normalized(t), keep)
-    return tt @ tt.conj().T
+def _tensor_cut(t, keep):
+    """cut_singular_values of the tensor t (an array with shape and reshape,
+    such as numpy's)."""
+    return cut_singular_values(t.reshape(-1).tolist(), tuple(t.shape), keep)
 
 
 def schmidt_rank(t, keep=None, tol=1e-9):
     """Rank across a bipartition (or of a plain matrix) at relative tolerance."""
-    import numpy as np
-
-    t = np.asarray(t, dtype=complex)
-    if keep is None and t.ndim != 2:
-        raise InvariantError("schmidt_rank needs a bipartition for tensors")
-    m = t if keep is None else _matricized(t, keep)
-    return rank_above(np.linalg.svd(m, compute_uv=False).tolist(), tol)
-
-
-def von_neumann_entropy(rho):
-    """Entropy in nats of a density matrix (normalized to unit trace first)."""
-    import numpy as np
-
-    rho = np.asarray(rho, dtype=complex)
-    tr = np.trace(rho).real
-    if tr <= 0:
-        raise ValueError("density matrix with nonpositive trace")
-    return _entropy(np.linalg.eigvalsh(rho / tr).tolist())
+    if keep is None:
+        if len(t.shape) != 2:
+            raise InvariantError("schmidt_rank needs a bipartition for tensors")
+        keep = (0,)
+    return rank_above(_tensor_cut(t, keep), tol)
 
 
 def entanglement_entropy(t, keep=(0,)):
-    return von_neumann_entropy(reduced_density(t, keep))
+    """Entropy in nats of the reduced density of the kept parties."""
+    return spectrum_entropy(_tensor_cut(t, keep))
 
 
 def trace_power(t, n, keep=(0,)):
-    """Tr rho^n of the reduced density matrix of the kept parties, from the
-    amplitude tensor t (an array with shape and tolist, such as numpy's).
-
-    rho is the Gram matrix of the rows of t's matrix over the kept axes
-    (_matricized), over its trace; where the columns are fewer their Gram
-    matrix is taken instead, which has the same nonzero spectrum.  The
-    power is taken by matrix products in pure Python, so no BLAS or LAPACK
-    routine runs.
-    """
-    dims = tuple(t.shape)
-    amps = t.reshape(-1).tolist()
-    columns = _flat_offsets(dims, [a for a in range(len(dims)) if a not in keep])
-    rows = [[amps[r + c] for c in columns] for r in _flat_offsets(dims, keep)]
-    if len(rows) > len(rows[0]):
-        rows = [list(col) for col in zip(*rows)]
-    gram = [[sum(x * y.conjugate() for x, y in zip(a, b)) for b in rows] for a in rows]
-    total = sum(gram[i][i] for i in range(len(gram))).real
-    if total == 0:
-        raise ValueError("zero tensor has no entanglement data")
-    rho = [[z / total for z in row] for row in gram]
-    power = rho
-    for _ in range(n - 1):
-        power = [[sum(x * y for x, y in zip(row, col)) for col in zip(*rho)] for row in power]
-    return float(sum(power[i][i] for i in range(len(power))).real)
-
-
-def _flat_offsets(dims, axes):
-    """The flat offsets, in index order, of the index tuples over axes of a
-    tensor of shape dims whose other indices are 0."""
-    strides = [math.prod(dims[a + 1:]) for a in axes]
-    return [sum(i * s for i, s in zip(index, strides))
-            for index in itertools.product(*(range(dims[a]) for a in axes))]
+    """Tr rho^n of the reduced density of the kept parties: the sum of the
+    n-th powers of the cut's Schmidt weights."""
+    return float(sum(w ** n for w in _weights(_tensor_cut(t, keep))))
 
 
 def _ring(layout, n, keep):
@@ -294,10 +275,7 @@ def replica_check(t, state, point, n, keep=(0,)):
     """
     if not 2 <= n <= 4:
         raise ValueError("replica order must be between 2 and 4")
-    parties = len(state.layout.parties)
-    if len(set(keep)) != len(keep) or not all(0 <= k < parties for k in keep):
-        raise ValueError(f"keep {tuple(keep)} does not name distinct parties "
-                         f"of a state with {parties} parties")
+    keep = _checked_keep(keep, len(state.layout.parties))
     numeric = trace_power(t, n, keep)
     norm = state.replica_norms.get((frozenset(keep), point),
                                    lambda: _glued_power(state, 1, keep, point))
@@ -306,35 +284,30 @@ def replica_check(t, state, point, n, keep=(0,)):
 
 
 def conversion_probability(t):
-    """Chance of converting a two-qubit pure state to the maximally entangled one."""
-    import numpy as np
-
-    t = _normalized(t)
-    if t.shape != (2, 2):
+    """Chance of converting a two-qubit pure state to the maximally entangled
+    one: twice its smaller Schmidt weight."""
+    if tuple(t.shape) != (2, 2):
         raise ValueError("conversion probability is defined for qubit pairs")
-    sv = np.linalg.svd(t, compute_uv=False)
-    p = sv ** 2
-    return float(2 * min(p[0], p[1]))
+    return float(2 * min(_weights(_tensor_cut(t, (0,)))))
 
 
 def three_tangle(t):
     """Residual tangle of a three-qubit pure state (three_tangle_of)."""
-    p = _normalized(t)
-    if p.shape != (2, 2, 2):
+    if tuple(t.shape) != (2, 2, 2):
         raise ValueError("three_tangle needs a 2x2x2 tensor")
-    return three_tangle_of(p.ravel().tolist())
+    return three_tangle_of(_unit(t.reshape(-1).tolist()))
 
 
 def local_ranks(t, tol=1e-9):
-    import numpy as np
-
-    return tuple(schmidt_rank(t, keep=(ax,), tol=tol) for ax in range(np.ndim(t)))
+    """The rank of each party's cut against the rest, in party order."""
+    amps, dims = t.reshape(-1).tolist(), tuple(t.shape)
+    return tuple(rank_above(cut_singular_values(amps, dims, (k,)), tol)
+                 for k in range(len(dims)))
 
 
 def slocc_tripartite_class(t, tol=1e-8):
     """One of separable, biseparable(X|YZ), W, GHZ for a three-qubit tensor."""
-    t = _normalized(t)
-    if t.shape != (2, 2, 2):
+    if tuple(t.shape) != (2, 2, 2):
         raise ValueError("tripartite classifier needs a 2x2x2 tensor")
     return tripartite_class(local_ranks(t, tol), three_tangle(t), tol)
 
@@ -351,9 +324,9 @@ def ladder_operator(t, party=0):
     """
     import numpy as np
 
-    psi = _normalized(t)
-    if psi.ndim != 3:
+    if len(t.shape) != 3:
         raise ValueError("ladder indicator needs a tripartite tensor")
+    psi = np.array(_unit(t.reshape(-1).tolist())).reshape(t.shape)
     psi = np.moveaxis(psi, party, 0)
     c = np.conj(psi)
     lhat = np.einsum("ibc,jbg,keg,keh,lfh,mfc->imjl", psi, c, psi, c, psi, c)

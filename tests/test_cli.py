@@ -24,6 +24,9 @@ from tl_entangle.scalars import DegeneratePointError, EvalPoint
 from tl_entangle.skein import SliceWord, word_from_matching
 from tl_entangle.tangle_dsl import corpus_names, load_corpus
 
+from test_entanglement import (numpy_rank, numpy_tripartite_class, reduced_density,
+                               von_neumann_entropy)
+
 
 def run(capsys, args):
     code = main(args)
@@ -942,15 +945,14 @@ def test_rounding_noise_cut_measures_as_numpy_does(capsys):
     code, out, _ = run(capsys, ["classify", "tripartite_6", "--theta", theta])
     assert code == 0
     payload = json.loads(out)
-    assert payload["local_ranks"] == list(entanglement.local_ranks(amps, 1e-8)) == [2, 1, 2]
-    assert payload["class"] == entanglement.slocc_tripartite_class(amps) \
-        == "biseparable(B|AC)"
+    assert payload["local_ranks"] == [numpy_rank(amps, (k,), 1e-8) for k in range(3)] == [2, 1, 2]
+    assert payload["class"] == numpy_tripartite_class(amps) == "biseparable(B|AC)"
     code, out, _ = run(capsys, ["entropy", "tripartite_6", "--party", "C", "--theta", theta])
     assert code == 0
     payload = json.loads(out)
-    assert payload["schmidt_rank"] == entanglement.schmidt_rank(amps, (1,), 1e-8) == 1
+    assert payload["schmidt_rank"] == numpy_rank(amps, (1,), 1e-8) == 1
     assert payload["entropy"] == 0.0
-    assert entanglement.entanglement_entropy(amps, keep=(1,)) < cli.NOISE_FLOOR
+    assert von_neumann_entropy(reduced_density(amps, (1,))) < cli.NOISE_FLOOR
 
 
 def test_jacobi_sweep_cap_is_internal_error(capsys, monkeypatch):

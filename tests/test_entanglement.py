@@ -14,14 +14,12 @@ from tl_entangle.spaces import POINT_CACHE_SIZE, DiagramState, PartyLayout, qudi
 from tl_entangle.tangle_dsl import corpus_names, load_corpus
 from tl_entangle.entanglement import (
     conversion_probability,
+    cut_singular_values,
     entanglement_entropy,
     ladder_indicator,
     ladder_operator,
     local_ranks,
     min_ladder_indicator,
-    party_singular_values,
-    rank_above,
-    reduced_density,
     replica_check,
     schmidt_rank,
     slocc_tripartite_class,
@@ -30,7 +28,6 @@ from tl_entangle.entanglement import (
     three_tangle_of,
     trace_power,
     tripartite_class,
-    von_neumann_entropy,
 )
 
 from test_diagrams import walk_glue_network
@@ -63,17 +60,79 @@ def apply_local(t, us):
     return t
 
 
+# numpy references for the measures, which all read the pure-Python
+# cut_singular_values: SVDs and eigenvalues of the same cut matrix, by LAPACK.
+
+def matricized(t, keep):
+    """t as a matrix whose rows run over the kept axes."""
+    keep = tuple(keep)
+    rest = [a for a in range(t.ndim) if a not in keep]
+    return t.transpose(list(keep) + rest).reshape(math.prod(t.shape[a] for a in keep), -1)
+
+
+def reduced_density(t, keep=(0,)):
+    """Density matrix of the kept parties of t over its norm, traced over
+    the rest."""
+    t = np.asarray(t, dtype=complex)
+    tt = matricized(t / np.linalg.norm(t), keep)
+    return tt @ tt.conj().T
+
+
+def von_neumann_entropy(rho):
+    """Entropy in nats of a density matrix (normalized to unit trace first),
+    over its eigenvalues above 1e-14."""
+    ev = np.linalg.eigvalsh(rho / np.trace(rho).real)
+    return float(-sum(w * math.log(w) for w in ev.tolist() if w > 1e-14))
+
+
+def numpy_cut(t, keep):
+    """numpy's singular values, largest first, of t's matrix over keep."""
+    return np.linalg.svd(matricized(np.asarray(t, dtype=complex), keep), compute_uv=False)
+
+
+def numpy_rank(t, keep, tol):
+    """Number of numpy's singular values across keep above tol times the largest."""
+    sv = numpy_cut(t, keep)
+    return int(np.sum(sv > tol * sv[0])) if sv[0] > 0 else 0
+
+
+def numpy_tripartite_class(t, tol=1e-8):
+    """The three-qubit class from numpy's local ranks and tau3 of t over its norm."""
+    t = np.asarray(t, dtype=complex)
+    ranks = [numpy_rank(t, (k,), tol) for k in range(3)]
+    return tripartite_class(ranks, three_tangle_of((t / np.linalg.norm(t)).ravel().tolist()), tol)
+
+
 def test_reduced_density_maxent():
     t = np.eye(2) / np.sqrt(2)
     rho = reduced_density(t, keep=(0,))
     assert np.allclose(rho, np.eye(2) / 2, atol=1e-12)
     assert abs(np.trace(rho) - 1) < 1e-12
     assert abs(von_neumann_entropy(rho) - np.log(2)) < 1e-12
+    assert abs(entanglement_entropy(t) - np.log(2)) < 1e-12
 
 
-def test_reduced_density_rejects_zero():
-    with pytest.raises(ValueError):
-        reduced_density(np.zeros((2, 2)))
+def test_measures_reject_zero_tensor():
+    # the same ValueError from every measure, before any rotation
+    zero2, zero3 = np.zeros((2, 2)), np.zeros((2, 2, 2), complex)
+    for call in (lambda: cut_singular_values([0.0] * 4, (2, 2), (0,)),
+                 lambda: schmidt_rank(zero2), lambda: schmidt_rank(zero3, (1, 2)),
+                 lambda: entanglement_entropy(zero3), lambda: trace_power(zero3, 2),
+                 lambda: local_ranks(zero3), lambda: conversion_probability(zero2),
+                 lambda: three_tangle(zero3), lambda: slocc_tripartite_class(zero3),
+                 lambda: ladder_indicator(zero3)):
+        with pytest.raises(ValueError, match="zero tensor"):
+            call()
+
+
+@pytest.mark.parametrize("keep", [(0, 0), (3,), (-1,)])
+def test_measures_reject_bad_keep(keep):
+    amps = GHZ.ravel().tolist()
+    for call in (lambda: cut_singular_values(amps, (2, 2, 2), keep),
+                 lambda: schmidt_rank(GHZ, keep), lambda: entanglement_entropy(GHZ, keep),
+                 lambda: trace_power(GHZ, 2, keep)):
+        with pytest.raises(ValueError, match=r"keep .* 3 parties"):
+            call()
 
 
 def test_schmidt_rank_of_tensor_without_bipartition_is_internal_error():
@@ -112,8 +171,8 @@ def test_trace_power_ghz():
 
 
 def eigvalsh_trace_power(t, n, keep=(0,)):
-    """trace_power as it was before it became pure Python: the eigenvalues
-    of the reduced density matrix, each to the n-th power."""
+    """Tr rho^n from numpy's eigenvalues of the reduced density matrix, each
+    to the n-th power."""
     ev = np.linalg.eigvalsh(reduced_density(t, keep))
     return float(np.sum(ev ** n).real)
 
@@ -416,14 +475,23 @@ def test_replica_check_rejects_bad_keep(monkeypatch):
 
 
 def test_replica_check_calls_no_lapack(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the replica check reached numpy's eigenvalues")
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-    monkeypatch.setattr(entanglement, "reduced_density", refuse)
-    for name in ("two_qutrit_rank1", "tripartite_7"):
+    # every amplitude measure reads the pure-Python cut kernel; maxent is
+    # the qubit pair that conversion_probability takes
+    for routine in ("svd", "eigvalsh", "norm"):
+        def refuse(*args, routine=routine, **kwargs):
+            raise AssertionError(f"a measure reached numpy.linalg.{routine}")
+        monkeypatch.setattr(np.linalg, routine, refuse)
+    for name in ("maxent", "two_qutrit_rank1", "tripartite_7"):
         st = load_corpus(name).state()
         t = st.amplitudes(K4)
+        assert schmidt_rank(t, (1,)) == local_ranks(t)[1] >= 1
+        assert 0 <= entanglement_entropy(t, (1,)) <= math.log(3) + 1e-12
+        assert 0 < trace_power(t, 3, (1,)) <= 1 + 1e-12
+        if t.shape == (2, 2):
+            assert abs(conversion_probability(t) - 1) < 1e-12
+        if t.shape == (2, 2, 2):
+            assert three_tangle(t) > 0.5
+            assert slocc_tripartite_class(t) == "GHZ"
         for n in (2, 3):
             numeric, glued = replica_check(t, st, K4, n, keep=(1,))
             assert abs(numeric - glued) < 1e-8, (name, n)
@@ -647,24 +715,33 @@ def test_ladder_rejects_zero():
         ladder_indicator(np.zeros((2, 2, 2)))
 
 
-# The list rule (pure-Python one-sided Jacobi on the flat amplitude list,
-# which the command line reads) against the numpy measures it replaced there.
+# The cut kernel (pure-Python one-sided Jacobi on the flat amplitude list),
+# and every measure read off it, against numpy's SVD and eigenvalues.
 
 def assert_list_measures_match(amps, dims):
-    """Singular values, entropies, ranks and the three-qubit class of the
-    normalized flat list amps over dims, from both paths."""
+    """Singular values, entropies, Tr rho^n, ranks and the three-qubit class
+    of the normalized flat list amps over dims, from the kernel and from
+    numpy: every one-party cut, every keep of two parties and, for two
+    parties, the plain matrix (keep None)."""
     t = np.array(amps, dtype=complex).reshape(dims)
-    spectra = [party_singular_values(amps, dims, k) for k in range(len(dims))]
-    for k, sv in enumerate(spectra):
-        expect = np.linalg.svd(np.moveaxis(t, k, 0).reshape(dims[k], -1), compute_uv=False)
-        assert np.abs(np.array(sv) - expect).max() < 1e-14
-        assert abs(spectrum_entropy(sv) - entanglement_entropy(t, keep=(k,))) < 1e-13
+    keeps = [(k,) for k in range(len(dims))]
+    keeps += [keep for keep in ((0, 1), (0, 2), (1, 2)) if max(keep) < len(dims)]
+    for keep in keeps:
+        sv = cut_singular_values(amps, dims, keep)
+        assert np.abs(np.array(sv) - numpy_cut(t, keep)).max() < 1e-14, keep
+        entropy = von_neumann_entropy(reduced_density(t, keep))
+        assert abs(spectrum_entropy(sv) - entropy) < 1e-13, keep
+        assert abs(entanglement_entropy(t, keep) - entropy) < 1e-13, keep
+        for n in (2, 3):
+            assert abs(trace_power(t, n, keep) - eigvalsh_trace_power(t, n, keep)) <= 1e-12
+        for tol in (1e-8, 0.9):
+            assert schmidt_rank(t, keep, tol) == numpy_rank(t, keep, tol), (keep, tol)
     for tol in (1e-8, 0.9):
-        ranks = [rank_above(sv, tol) for sv in spectra]
-        assert tuple(ranks) == local_ranks(t, tol)
+        assert local_ranks(t, tol) == tuple(numpy_rank(t, (k,), tol) for k in range(len(dims)))
+        if len(dims) == 2:
+            assert schmidt_rank(t, tol=tol) == numpy_rank(t, (0,), tol)
         if list(dims) == [2, 2, 2]:
-            assert tripartite_class(ranks, three_tangle_of(amps), tol) \
-                == slocc_tripartite_class(t, tol)
+            assert slocc_tripartite_class(t, tol) == numpy_tripartite_class(t, tol)
 
 
 @pytest.mark.parametrize("point", [K4, K6], ids=["k4", "k6"])
@@ -725,14 +802,14 @@ def test_jacobi_stops_at_rounding_noise_rows():
     # column cut's second row is noise parallel to the first, which every
     # rotation shrank by about eps without making the pair orthogonal
     amps = [-1.833483893707564, -2.220446049250313e-16, 0, 0]
-    sv = party_singular_values(amps, (2, 2), 1)
+    sv = cut_singular_values(amps, (2, 2), (1,))
     expect = np.linalg.svd(np.array(amps).reshape(2, 2).T, compute_uv=False)
     assert np.abs(np.array(sv) - expect).max() < 1e-15
 
 
 def test_jacobi_sweep_cap_raises(monkeypatch):
     amps = (W + GHZ).ravel() / np.linalg.norm(W + GHZ)
-    assert party_singular_values(amps.tolist(), [2, 2, 2], 0)
+    assert cut_singular_values(amps.tolist(), [2, 2, 2], (0,))
     monkeypatch.setattr(entanglement, "MAX_JACOBI_SWEEPS", 1)
     with pytest.raises(InvariantError, match="did not converge in 1 sweeps"):
-        party_singular_values(amps.tolist(), [2, 2, 2], 0)
+        cut_singular_values(amps.tolist(), [2, 2, 2], (0,))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tl_entangle import su2
-from tl_entangle.entanglement import schmidt_rank, slocc_tripartite_class
+from tl_entangle.entanglement import schmidt_rank
 from tl_entangle.su2 import (
     MAX_PRODUCT_DIM,
     classify_hw_tripartite,
@@ -13,6 +13,8 @@ from tl_entangle.su2 import (
     hw_multiplicities,
     hw_rank_table,
 )
+
+from test_entanglement import numpy_rank, numpy_tripartite_class
 
 HALF = Fraction(1, 2)
 
@@ -160,9 +162,9 @@ def test_product_dimension_bound():
 
 
 def reference_hw_rank_table(j1, j2):
-    """hw_rank_table as it was: the numeric Schmidt rank of every
-    highest-weight vector of j1 x j2, J ascending."""
-    table = [(J, schmidt_rank(vec)) for J, vec, _ in highest_weight_vectors([j1, j2])]
+    """hw_rank_table as it was: numpy's SVD rank of every highest-weight
+    vector of j1 x j2, J ascending."""
+    table = [(J, numpy_rank(vec, (0,), 1e-9)) for J, vec, _ in highest_weight_vectors([j1, j2])]
     return sorted(table, key=lambda t: t[0])
 
 
@@ -176,9 +178,9 @@ def reference_hw_multiplicities(spins):
 
 
 def reference_classify_hw_tripartite():
-    """classify_hw_tripartite as it was: the numeric SLOCC class of each
-    highest-weight vector of three spin-1/2 factors."""
-    return [(J, k, slocc_tripartite_class(vec.astype(complex)))
+    """classify_hw_tripartite as it was: the SLOCC class of each
+    highest-weight vector of three spin-1/2 factors from numpy's SVD ranks."""
+    return [(J, k, numpy_tripartite_class(vec))
             for J, vec, k in highest_weight_vectors([HALF, HALF, HALF])]
 
 
@@ -188,6 +190,15 @@ def test_counted_pair_tables_match_numeric_reference():
             j1, j2 = Fraction(a, 2), Fraction(b, 2)
             assert hw_rank_table(j1, j2) == reference_hw_rank_table(j1, j2), (j1, j2)
             assert hw_multiplicities([j1, j2]) == reference_hw_multiplicities([j1, j2])
+
+
+def test_kernel_ranks_of_highest_weight_vectors_match_numpy():
+    # the pure-Python cut kernel (schmidt_rank) on every two-spin vector
+    # with 2j <= 12, against numpy's SVD
+    for a in range(13):
+        for b in range(13):
+            for J, vec, _ in highest_weight_vectors([Fraction(a, 2), Fraction(b, 2)]):
+                assert schmidt_rank(vec) == numpy_rank(vec, (0,), 1e-9), (a, b, J)
 
 
 def test_counted_triple_multiplicities_match_numeric_reference():
