@@ -7,12 +7,19 @@ and Hestenes' one-sided Jacobi finds its singular values in pure Python.
 Ranks are counted with rank_above, entropies summed with spectrum_entropy,
 Tr rho^n is the sum of the n-th powers of the Schmidt weights, three-qubit
 classes are named by tripartite_class from the local ranks and the tau3 of
-three_tangle_of.  The array functions (schmidt_rank, entanglement_entropy,
+three_tangle_of.  The kernel builds each cut's index plan (its row and
+column offsets, which side it rotates and its pair list) once per (dims,
+keep) in _cut_plan.  The array functions (schmidt_rank, entanglement_entropy,
 local_ranks, slocc_tripartite_class, replica_check and the rest) take tensors
 whose axis order is the party order of the layout that produced them, read
-only their shape and flat list, and normalize internally, so raw diagram
-normalizations only matter for amplitude output, never for the measures.
-The command line calls the kernel on DiagramState.amplitude_list directly.
+only their shape, dtype, bytes and flat list, and normalize internally, so
+raw diagram normalizations only matter for amplitude output, never for the
+measures.  They reach the kernel only through _tensor_cut, which shares the
+last numeric tensor's singular values per keep, and its tau3, across calls
+(_computed): a set of measures on one tensor runs each distinct cut and tau3
+once, and an object array, such as one of Fractions, is never kept.
+The command line calls the kernel, which keeps plans but never results, on
+DiagramState.amplitude_list directly.
 The replica check's glued side compiles its network once per state
 (network_plan) and replays it per point (glue_network).  No measure calls a
 BLAS or LAPACK routine; only the ladder indicator imports numpy, for its
@@ -21,6 +28,7 @@ six-copy contraction and eigenvalues.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -53,17 +61,14 @@ def cut_singular_values(amps, dims, keep):
     and for a zero tensor; InvariantError after MAX_JACOBI_SWEEPS sweeps that
     still rotate.
     """
-    keep = _checked_keep(keep, len(dims))
-    columns = _flat_offsets(dims, [a for a in range(len(dims)) if a not in keep])
-    rows = [[amps[r + c] for c in columns] for r in _flat_offsets(dims, keep)]
-    if len(rows) > len(rows[0]):
-        rows = [list(col) for col in zip(*rows)]
+    outer, inner, pairs = _cut_plan(tuple(dims), tuple(keep))
+    rows = [[amps[o + i] for i in inner] for o in outer]
     tol = len(rows[0]) * sys.float_info.epsilon
     norms = [_norm_sq(row) for row in rows]
     noise = tol * tol * _nonzero(sum(norms))
     for _ in range(MAX_JACOBI_SWEEPS):
         rotated = False
-        for i, j in itertools.combinations(range(len(rows)), 2):
+        for i, j in pairs:
             x, y = rows[i], rows[j]
             a, b = norms[i], norms[j]
             c = sum([u * v.conjugate() for u, v in zip(x, y)])
@@ -83,6 +88,22 @@ def cut_singular_values(amps, dims, keep):
         if not rotated:
             return sorted(map(math.sqrt, norms), reverse=True)
     raise InvariantError(f"one-sided Jacobi did not converge in {MAX_JACOBI_SWEEPS} sweeps")
+
+
+@functools.lru_cache
+def _cut_plan(dims, keep):
+    """(outer, inner, pairs) for cut_singular_values: the vectors that Jacobi
+    rotates are [amps[o + i] for i in inner] for o in outer, the rows of the
+    cut (_flat_offsets of the kept axes and of the rest), or its columns
+    where they are fewer, and pairs lists their index pairs in rotation
+    order.  Built once per (dims, keep); a keep that _checked_keep rejects
+    raises on every call, since lru_cache stores only results."""
+    keep = _checked_keep(keep, len(dims))
+    rows = _flat_offsets(dims, keep)
+    columns = _flat_offsets(dims, [a for a in range(len(dims)) if a not in keep])
+    if len(rows) > len(columns):
+        rows, columns = columns, rows
+    return tuple(rows), tuple(columns), tuple(itertools.combinations(range(len(rows)), 2))
 
 
 def _checked_keep(keep, parties):
@@ -168,10 +189,37 @@ def tripartite_class(ranks, tau3, tol):
     return "GHZ" if tau3 > tol else "W"
 
 
+# The last numeric tensor the array measures were given, as (dtype, shape,
+# bytes), and what they computed from it: its singular values by keep and
+# its tau3 under "tau3".
+_last_tensor = [None, {}]
+
+
+def _computed(t):
+    """The dict of t's cuts and tau3 computed so far: the last tensor's while
+    t has the same dtype, shape and bytes, else a fresh one that replaces it.
+    A tensor without a numeric dtype (an object array's bytes are pointers)
+    gets a fresh dict that is never kept."""
+    dtype = getattr(t, "dtype", None)
+    if dtype is None or dtype.kind not in "biufc":
+        return {}
+    key = (dtype, tuple(t.shape), t.tobytes())
+    if _last_tensor[0] != key:
+        _last_tensor[:] = key, {}
+    return _last_tensor[1]
+
+
 def _tensor_cut(t, keep):
     """cut_singular_values of the tensor t (an array with shape and reshape,
-    such as numpy's)."""
-    return cut_singular_values(t.reshape(-1).tolist(), tuple(t.shape), keep)
+    such as numpy's), run once per keep while t stays the last tensor
+    (_computed).  Only results are kept: a zero tensor or a bad keep raises
+    on every call."""
+    keep = tuple(keep)
+    computed = _computed(t)
+    sv = computed.get(keep)
+    if sv is None:
+        sv = computed[keep] = cut_singular_values(t.reshape(-1).tolist(), tuple(t.shape), keep)
+    return sv
 
 
 def schmidt_rank(t, keep=None, tol=1e-9):
@@ -295,14 +343,15 @@ def three_tangle(t):
     """Residual tangle of a three-qubit pure state (three_tangle_of)."""
     if tuple(t.shape) != (2, 2, 2):
         raise ValueError("three_tangle needs a 2x2x2 tensor")
-    return three_tangle_of(_unit(t.reshape(-1).tolist()))
+    computed = _computed(t)
+    if "tau3" not in computed:
+        computed["tau3"] = three_tangle_of(_unit(t.reshape(-1).tolist()))
+    return computed["tau3"]
 
 
 def local_ranks(t, tol=1e-9):
     """The rank of each party's cut against the rest, in party order."""
-    amps, dims = t.reshape(-1).tolist(), tuple(t.shape)
-    return tuple(rank_above(cut_singular_values(amps, dims, (k,)), tol)
-                 for k in range(len(dims)))
+    return tuple(rank_above(_tensor_cut(t, (k,)), tol) for k in range(len(t.shape)))
 
 
 def slocc_tripartite_class(t, tol=1e-8):

@@ -293,6 +293,17 @@ def tuple_basis_pairs(blocks, indices):
     return tuple(chain.from_iterable(block[i] for block, i in zip(blocks, indices)))
 
 
+def _tensor(values, dims):
+    """The flat list values, in index order, as a complex array of shape dims
+    that owns its data (a reshaped array is a view that keeps a second
+    array header alive)."""
+    import numpy as np
+
+    out = np.empty(dims, dtype=complex)
+    out.reshape(-1)[:] = values
+    return out
+
+
 class DiagramState:
     """A boundary pairing state together with its party layout.
 
@@ -393,9 +404,7 @@ class DiagramState:
 
     def raw_overlaps(self, point):
         """raw_overlap_list as a tensor with one axis per party."""
-        import numpy as np
-
-        return np.array(self.raw_overlap_list(point), dtype=complex).reshape(self.layout.dims)
+        return _tensor(self.raw_overlap_list(point), self.layout.dims)
 
     def _frames(self, point):
         """The conjugated frame_rows at point, by party dimension.
@@ -417,9 +426,7 @@ class DiagramState:
 
     def amplitudes(self, point):
         """amplitude_list as a tensor with one axis per party."""
-        import numpy as np
-
-        return np.array(self.amplitude_list(point), dtype=complex).reshape(self.layout.dims)
+        return _tensor(self.amplitude_list(point), self.layout.dims)
 
     def amplitude_list(self, point):
         """Amplitudes in the orthonormal local frames, flat in index order.

@@ -20,6 +20,7 @@ from tl_entangle.entanglement import (
     ladder_operator,
     local_ranks,
     min_ladder_indicator,
+    rank_above,
     replica_check,
     schmidt_rank,
     slocc_tripartite_class,
@@ -562,6 +563,10 @@ def test_projector_tile_built_once_per_point(monkeypatch):
         return original(space, point)
 
     monkeypatch.setattr(spaces.QuditSpace, "_projector_state", counting)
+    # from empty tile caches, so that no earlier test's tile at this point
+    # is found
+    for n in (2, 3):
+        monkeypatch.setattr(qudit_space(n), "_projector_cache", spaces.PointCache())
     pt = EvalPoint(-0.1234567)
     for name in ("two_qutrit_rank1", "two_qutrit_rank3", "tripartite_2", "maxent"):
         st = load_corpus(name).state()
@@ -813,3 +818,191 @@ def test_jacobi_sweep_cap_raises(monkeypatch):
     monkeypatch.setattr(entanglement, "MAX_JACOBI_SWEEPS", 1)
     with pytest.raises(InvariantError, match="did not converge in 1 sweeps"):
         cut_singular_values(amps.tolist(), [2, 2, 2], (0,))
+
+
+
+# The array measures share one tensor's cuts and tau3 (entanglement._computed):
+# every value equals a cold computation's and the list kernel's.
+
+CACHE_SHAPES = [(2, 2), (2, 2, 2), (3, 3), (2, 3, 2), (2, 2, 2, 2)]
+
+
+def clear_cuts():
+    entanglement._last_tensor[:] = None, {}
+
+
+def measure_keeps(ndim):
+    return [(k,) for k in range(ndim)] + [(0, 1), (1, 0)] + [(0, 2)] * (ndim > 2)
+
+
+def array_measures(t, clear=False):
+    """Every array measure of t, by name; with clear, each call starts from
+    an empty cut cache."""
+    calls = {("local_ranks", tol): lambda tol=tol: local_ranks(t, tol) for tol in (1e-9, 0.9)}
+    for keep in measure_keeps(t.ndim):
+        calls[("schmidt_rank", keep)] = lambda keep=keep: schmidt_rank(t, keep)
+        calls[("entropy", keep)] = lambda keep=keep: entanglement_entropy(t, keep)
+        for n in (2, 3):
+            calls[("trace_power", n, keep)] = lambda n=n, keep=keep: trace_power(t, n, keep)
+    if t.shape == (2, 2):
+        calls["conversion"] = lambda: conversion_probability(t)
+    if t.shape == (2, 2, 2):
+        calls["tau3"] = lambda: three_tangle(t)
+        calls["class"] = lambda: slocc_tripartite_class(t)
+    out = {}
+    for name, call in calls.items():
+        if clear:
+            clear_cuts()
+        out[name] = call()
+    return out
+
+
+def kernel_measures(t):
+    """array_measures(t) from the list kernel and three_tangle_of."""
+    amps, dims = t.ravel().tolist(), t.shape
+    cut = {keep: cut_singular_values(amps, dims, keep) for keep in measure_keeps(t.ndim)}
+
+    def weights(sv):
+        total = sum(s * s for s in sv)
+        return [s * s / total for s in reversed(sv)]
+
+    out = {("local_ranks", tol): tuple(rank_above(cut[(k,)], tol) for k in range(t.ndim))
+           for tol in (1e-9, 0.9)}
+    for keep, sv in cut.items():
+        out[("schmidt_rank", keep)] = rank_above(sv, 1e-9)
+        out[("entropy", keep)] = spectrum_entropy(sv)
+        for n in (2, 3):
+            out[("trace_power", n, keep)] = float(sum(w ** n for w in weights(sv)))
+    if t.shape == (2, 2):
+        out["conversion"] = float(2 * min(weights(cut[(0,)])))
+    if t.shape == (2, 2, 2):
+        norm = math.sqrt(sum([z.real * z.real + z.imag * z.imag for z in amps]))
+        out["tau3"] = three_tangle_of([z / norm for z in amps])
+        ranks = tuple(rank_above(cut[(k,)], 1e-8) for k in range(3))
+        out["class"] = tripartite_class(ranks, out["tau3"], 1e-8)
+    return out
+
+
+def seeded_tensors():
+    """Generic, product, rank-deficient and noisy complex tensors of each of
+    CACHE_SHAPES, and the real part of the generic one."""
+    rng = np.random.default_rng(25)
+    for shape in CACHE_SHAPES:
+        for kind in ("generic", "product", "deficient", "noisy"):
+            t = random_tensor(rng, list(shape), kind)
+            yield t
+            if kind == "generic":
+                yield np.ascontiguousarray(t.real)
+
+
+def counting_cuts(monkeypatch):
+    """From an empty cut cache, the keeps the array measures run the list
+    kernel on and their three_tangle_of calls."""
+    clear_cuts()
+    runs = {"cuts": [], "tau3": 0}
+
+    def cut(amps, dims, keep):
+        runs["cuts"].append(tuple(keep))
+        return cut_singular_values(amps, dims, keep)
+
+    def tangle(amps):
+        runs["tau3"] += 1
+        return three_tangle_of(amps)
+
+    monkeypatch.setattr(entanglement, "cut_singular_values", cut)
+    monkeypatch.setattr(entanglement, "three_tangle_of", tangle)
+    return runs
+
+
+def test_shared_cuts_equal_cold_and_list_kernel_values():
+    shapes = []
+    for t in seeded_tensors():
+        cold = array_measures(t, clear=True)
+        clear_cuts()
+        warm = array_measures(t)
+        assert array_measures(t) == warm == cold == kernel_measures(t), t.shape
+        shapes.append(t.shape)
+    assert sorted(set(shapes)) == sorted(CACHE_SHAPES) and len(shapes) == 25
+
+
+def test_theta_measure_set_runs_each_cut_once(monkeypatch):
+    runs = counting_cuts(monkeypatch)
+    rng = np.random.default_rng(7)
+    for shape, cuts in (((2, 2, 2), [(0,), (1,), (2,)]), ((2, 2), [(0,), (1,)])):
+        t = random_state(rng, *shape)
+        runs["cuts"].clear()
+        # theta_sweep's op: local ranks and entropy, and for three qubits
+        # tau3 and the class, which read the same cuts and tau3 again
+        local_ranks(t)
+        entanglement_entropy(t)
+        if shape == (2, 2, 2):
+            three_tangle(t)
+            slocc_tripartite_class(t)
+        assert runs["cuts"] == cuts
+    assert runs["tau3"] == 1
+
+
+def test_shared_cuts_follow_in_place_mutation(monkeypatch):
+    runs = counting_cuts(monkeypatch)
+    t = GHZ.copy()
+    before = array_measures(t)
+    t[0, 0, 0], t[1, 1, 1] = 1, 0
+    after = array_measures(t)
+    assert after == kernel_measures(t) != before
+    assert after[("local_ranks", 1e-9)] == (1, 1, 1) and after["class"] == "separable"
+    assert runs["cuts"] == 2 * measure_keeps(3) and runs["tau3"] == 2
+
+
+def test_equal_values_of_other_dtypes_are_computed_again(monkeypatch):
+    runs = counting_cuts(monkeypatch)
+    real = random_state(np.random.default_rng(3), 2, 2, 2).real.copy()
+    # equal values in other dtypes, and the same bytes read as other values
+    tensors = [real, real.view(np.int64), real.astype(complex), real, real.astype(np.float32)]
+    values = []
+    for k, t in enumerate(tensors):
+        ref = kernel_measures(t)
+        values.append((entanglement_entropy(t), three_tangle(t)))
+        assert values[-1] == (ref[("entropy", (0,))], ref["tau3"])
+        assert len(runs["cuts"]) == runs["tau3"] == k + 1
+    assert values[0] == values[3] != values[1]
+
+
+def test_object_arrays_bypass_the_cut_cache(monkeypatch, capsys):
+    from fractions import Fraction
+
+    from tl_entangle import cli
+
+    third = Fraction(1, 3)
+    w = np.array([0, third, third, 0, third, 0, 0, 0], dtype=object).reshape(2, 2, 2)
+    runs = counting_cuts(monkeypatch)
+    local_ranks(random_state(np.random.default_rng(5), 2, 2, 2))
+    key = entanglement._last_tensor[0]
+    for _ in range(2):
+        assert local_ranks(w) == (2, 2, 2)
+        assert slocc_tripartite_class(w) == "W"
+    assert runs["cuts"] == [(0,), (1,), (2,)] * 5 and runs["tau3"] == 2
+    assert entanglement._last_tensor[0] == key
+    outputs = []
+    for prepare in (lambda: None, clear_cuts):
+        prepare()
+        assert cli.main(["rep", "hw", "--spins", "1/2,1/2,1/2"]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+
+
+def test_errors_raise_after_a_cached_success():
+    t = random_state(np.random.default_rng(11), 2, 2, 2)
+    array_measures(t)
+    for keep in ((0, 0), (3,), (-1,)):
+        for call in (lambda: schmidt_rank(t, keep), lambda: entanglement_entropy(t, keep),
+                     lambda: trace_power(t, 2, keep)):
+            with pytest.raises(ValueError, match=r"keep .* 3 parties"):
+                call()
+    assert array_measures(t) == kernel_measures(t)
+    t[...] = 0
+    for _ in range(2):
+        for call in (lambda: local_ranks(t), lambda: entanglement_entropy(t),
+                     lambda: trace_power(t, 2), lambda: three_tangle(t),
+                     lambda: slocc_tripartite_class(t), lambda: schmidt_rank(t, (0, 1))):
+            with pytest.raises(ValueError, match="zero tensor"):
+                call()

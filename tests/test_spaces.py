@@ -610,6 +610,21 @@ def test_frame_rows_are_the_transform():
             assert [r[:i + 1] for i, r in enumerate(T.tolist())] == rows
 
 
+def test_arrays_own_their_data():
+    # a reshaped view would keep a second array header alive per tensor
+    for name in ("maxent", "quasiw", "two_qutrit_rank2"):
+        state = load_corpus(name).state()
+        for array, flat in ((state.amplitudes(K6), state.amplitude_list(K6)),
+                            (state.raw_overlaps(K6), state.raw_overlap_list(K6))):
+            assert array.base is None and array.dtype == complex
+            assert array.shape == state.layout.dims
+            assert array.ravel().tolist() == flat
+    for n in (2, 3):
+        T = qudit_space(n).ortho_transform(K6)
+        assert T.base is None
+        assert [r[:i + 1] for i, r in enumerate(T.tolist())] == qudit_space(n).frame_rows(K6)
+
+
 @pytest.mark.parametrize("make, point", [
     (lambda: DiagramState(reduced_diagram(2, 1).element, PartyLayout.qubits("L", "R")),
      EvalPoint(np.pi / 4)),
