@@ -432,14 +432,14 @@ class NetworkPlan:
     network_plan and replayed by glue_network at any coefficients.
 
     terms[t] maps each diagram that tile t was compiled over to its index in
-    term order; tiles that were one object share one map.  steps[t] holds the
-    frontier transitions of attaching tile t, in one of two forms:
+    term order; tiles compiled over one diagram set share one map.  steps[t]
+    holds the frontier transitions of attaching tile t, in one of two forms:
     (codes, shift, width) for a tile attached whole, and
     (u_codes, width, pairs, codes, shift, mids) for a product tile attached
     in halves (network_plan), where width is the number of frontier states
     the tile is attached to and mids the number between its halves.  No
-    coefficient is read or kept, so one plan serves every point at which no
-    tile has a diagram outside terms.
+    coefficient is read or kept, so one plan serves every point at which
+    each tile's diagrams lie in its terms.
     """
 
     __slots__ = ("terms", "steps")
@@ -448,21 +448,14 @@ class NetworkPlan:
         self.terms = terms
         self.steps = steps
 
-    def covers(self, tiles):
-        """Whether the plan was compiled over every diagram of every tile."""
-        distinct = {(id(tile), id(terms)): (tile, terms) for tile, terms in zip(tiles, self.terms)}
-        return all(tile.terms.keys() <= terms.keys() for tile, terms in distinct.values())
 
-
-def network_plan(tiles, bonds, plan=None):
+def network_plan(tiles, bonds):
     """Compile the contraction of a closed network of state tiles.
 
-    tiles: list of TLElement states (n_top = 0).
+    tiles: per tile, the diagrams (n_top = 0) it is compiled over, in term
+           order, such as a TLElement's terms (one object given twice is indexed once).
     bonds: list of ((tile_index, point_label), (tile_index, point_label));
            every boundary point of every tile must appear in exactly one bond.
-    Each tile is compiled over its diagrams and, when plan is given, over
-    the diagrams plan holds for it too, so a recompiled plan still covers
-    every tile the old one covered.  Only diagrams are read.
 
     Tiles are attached in order, keeping a frontier of partially connected
     bonds, so the cost is driven by frontier width rather than by the
@@ -492,11 +485,9 @@ def network_plan(tiles, bonds, plan=None):
             point_bond[end] = b
     terms, shared = [], {}
     for t, tile in enumerate(tiles):
-        old = plan.terms[t] if plan is not None else {}
-        key = (id(tile), id(old) if old else None)
-        if key not in shared:
-            shared[key] = {dg: i for i, dg in enumerate(dict.fromkeys([*old, *tile.terms]))}
-        terms.append(shared[key])
+        if id(tile) not in shared:
+            shared[id(tile)] = {dg: i for i, dg in enumerate(tile)}
+        terms.append(shared[id(tile)])
         first = next(iter(terms[-1]), None)
         if first is None:
             continue

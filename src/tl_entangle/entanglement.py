@@ -286,30 +286,26 @@ def _glued_power(state, n, keep, point):
     """Tr of the n-th power of the unnormalized reduced density by gluing
     the ring of _ring.
 
-    The ring's plan (network_plan) is kept on the state per (n, kept
-    parties), in replica_plans, and is never keyed by point: each call
-    builds only the ket and bra coefficients and looks up the projector
-    tiles of the point, and glue_network replays the plan with them.  Where
-    a tile has a diagram the plan lacks (a coefficient that was exactly 0
-    where the plan was compiled), the plan is compiled again over the union
-    of the diagrams seen, so it only grows.
+    The ring's plan (network_plan) is compiled once per (n, kept parties),
+    kept in replica_plans, over diagrams that hold those of every point:
+    the exact element's for the ket and bra, tile_cells for each projector.
+    A call builds the ket and bra coefficients, looks up the point's
+    projector tiles, and glue_network replays the plan with them.
     """
     layout = state.layout
+    key = (n, frozenset(keep))
+    if key not in state.replica_plans:
+        slots, bonds = _ring(layout, n, keep)
+        sets = [state.element.terms if slot in ("ket", "bra")
+                else qudit_space(layout.dims[slot]).tile_cells for slot in slots]
+        state.replica_plans[key] = slots, network_plan(sets, bonds)
+    slots, plan = state.replica_plans[key]
     ket = state.element.evaluate(point)
     tiles = {"ket": ket, "bra": ket.map_coefficients(conj_scalar)}
-    key = (n, frozenset(keep))
-    slots, plan = state.replica_plans.get(key, (None, None))
-    bonds = None
-    if slots is None:
-        slots, bonds = _ring(layout, n, keep)
     for slot in slots:
         if slot not in tiles:
             tiles[slot] = qudit_space(layout.dims[slot]).projector_element(point)
-    ring = [tiles[slot] for slot in slots]
-    if plan is None or not plan.covers(ring):
-        plan = network_plan(ring, bonds or _ring(layout, n, keep)[1], plan)
-        state.replica_plans[key] = slots, plan
-    return glue_network(plan, ring, complex(point.d))
+    return glue_network(plan, [tiles[slot] for slot in slots], complex(point.d))
 
 
 def replica_check(t, state, point, n, keep=(0,)):

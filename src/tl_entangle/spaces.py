@@ -15,7 +15,8 @@ angle re-walk no loop; amplitudes builds one frame per party dimension.
 
 Every numeric use of a frame reads QuditSpace.frame_rows: amplitude_list
 contracts the raw overlaps with them, and the projector tile of the replica
-check is the sum of u_i^dagger (x) u_i over the frame's vectors.  Frames,
+check is the sum of u_i^dagger (x) u_i over the frame's vectors, on a grid
+of diagrams fixed per dimension (tile_cells).  Frames,
 raw overlaps (raw_overlap_list) and amplitudes (amplitude_list) are lists,
 flat in index order (the last party's index runs fastest); ortho_transform,
 raw_overlaps and amplitudes are array views of those lists, and like every
@@ -25,10 +26,10 @@ method that returns an array they import numpy when called.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate, chain, product
 
-from .diagrams import PlanarDiagram, TLElement, _join, charge
+from .diagrams import PlanarDiagram, TLElement, _accumulate, _join, charge
 from .jones_wenzl import jones_wenzl
 from .scalars import (DegeneratePointError, InvariantError, RationalFn, SplitNorm, d_param,
                       evaluate)
@@ -114,8 +115,6 @@ class QuditSpace:
         self._gs_coeffs, self.gs_norms_sq = self._orthogonalize()
         self._gs_roots = [SplitNorm(nu) for nu in self.gs_norms_sq]
         self._projector_cache = PointCache()
-        # the diagrams of projector tiles, by pairs, shared by every point's tile
-        self._tile_diagrams = {}
 
     def _orthogonalize(self):
         """Unnormalized Gram-Schmidt over rational functions of A.
@@ -190,23 +189,35 @@ class QuditSpace:
         """
         return self._projector_cache.get(point, lambda: self._projector_state(point))
 
+    @cached_property
+    def tile_cells(self):
+        """Every diagram a projector tile can hold, x^dagger (x) y read as a
+        state, mapped to (x, y), for the pairs of the dressed basis's diagrams
+        in the order b_0's diagrams, then those new in b_1, and so on."""
+        seen, pairs = {}, {}
+        for b in self.dressed:
+            seen.update(dict.fromkeys(b.terms))
+            pairs.update(dict.fromkeys(product(seen, repeat=2)))
+        return {PlanarDiagram(0, 2 * self.n_points, x.adjoint().tensor(y).pairs): (x, y)
+                for x, y in pairs}
+
     def _projector_state(self, point):
         """The sum of u_i^dagger (x) u_i over the orthonormal vectors
-        u_i = sum_j T[i][j] b_j of frame_rows; it equals
-        sum_ab Ginv[a][b] b_b^dagger (x) b_a, as Ginv = T^t conj(T)."""
+        u_i = sum_j T[i][j] b_j of frame_rows, by cell of tile_cells; it
+        equals sum_ab Ginv[a][b] b_b^dagger (x) b_a, as Ginv = T^t conj(T)."""
         rows = self.frame_rows(point)
         dressed_num = [v.evaluate(point) for v in self.dressed]
-        out = TLElement.zero()
-        for row in rows:
-            u = TLElement.zero()
+        us = [{} for _ in rows]
+        for u, row in zip(us, rows):
             for t, b in zip(row, dressed_num):
-                u = u + t * b
-            out = out + u.adjoint().tensor(u)
-        shared = self._tile_diagrams
-        for dg in out.terms:
-            if dg.pairs not in shared:
-                shared[dg.pairs] = PlanarDiagram(0, dg.n_points, dg.pairs)
-        return TLElement({shared[dg.pairs]: c for dg, c in out.terms.items()})
+                for dg, c in b.terms.items():
+                    _accumulate(u, dg, t * c)
+        out = {}
+        for dg, (x, y) in self.tile_cells.items():
+            for u in us:
+                if x in u and y in u:
+                    _accumulate(out, dg, u[x].conjugate() * u[y])
+        return TLElement(out)
 
 
 @lru_cache(maxsize=None)

@@ -278,7 +278,7 @@ def gram_inverse_tile(space, point):
     (2, [K4, K6, EvalPoint(-0.3)]),
     (3, [K4, K6, EvalPoint(-0.2)]),
     # every dimension-4 frame degenerates at k = 4 and k = 5; a dimension-4
-    # tile has 17,424 terms and takes seconds on each side
+    # tile has 17,424 terms, and its Gram-inverse side takes seconds
     (4, [K6]),
 ])
 def test_projector_tile_matches_gram_inverse(n, points):
@@ -369,9 +369,9 @@ def counting_kernel(monkeypatch):
     calls = {"plan": [], "pass": []}
     plan, replay = entanglement.network_plan, entanglement.glue_network
 
-    def counting_plan(tiles, bonds, old=None):
+    def counting_plan(tiles, bonds):
         calls["plan"].append(len(tiles))
-        return plan(tiles, bonds, old)
+        return plan(tiles, bonds)
 
     def counting_pass(compiled, tiles, d):
         calls["pass"].append(len(tiles))
@@ -443,9 +443,9 @@ def test_replica_sweep_keeps_one_plan_per_order_and_keep():
         (1, (0,)), (1, (1, 2)), (2, (0,)), (2, (1, 2)), (3, (0,)), (3, (1, 2))]
 
 
-def test_plan_recompiles_over_the_union_of_terms(monkeypatch):
+def test_plan_compiled_once_over_the_exact_element(monkeypatch):
     # the second diagram's coefficient A^4 - A^-4 is exactly 0 at theta = 0,
-    # where the plans are compiled without it
+    # where the plans are compiled, over the exact element's two diagrams
     coeff = LaurentPoly({4: 1, -4: -1})
     element = TLElement({MAXENT: 1, PlanarDiagram(0, 8, [(1, 2), (3, 4), (5, 6), (7, 8)]): coeff})
     st = DiagramState(element, QUBIT_PAIR)
@@ -457,9 +457,9 @@ def test_plan_recompiles_over_the_union_of_terms(monkeypatch):
         got = replica_check(t, st, pt, 2)
         assert got == reference_replica_check(t, st, pt, 2)
         assert abs(got[0] - got[1]) < 1e-8
-    # n = 1 and n = 2 compiled at theta = 0, then once more over the union
-    # at theta = -0.3; the way back to theta = 0 compiles nothing
-    assert calls["plan"] == [4, 8, 4, 8]
+    # n = 1 and n = 2 compiled at theta = 0 and never again; a pass per
+    # power and one n = 1 norm per point
+    assert calls["plan"] == [4, 8]
     assert len(calls["pass"]) == 2 * 2 + 2
     for _, plan in st.replica_plans.values():
         assert len(plan.terms[0]) == 2
@@ -517,6 +517,20 @@ def walk_glued_power(state, n, keep, point):
 
 
 MULTI_PARTY = [name for name in corpus_names() if len(load_corpus(name).parties) > 1]
+
+
+@pytest.mark.parametrize("n, points", [
+    (2, [K4, K6] + [EvalPoint(theta) for theta in frame_thetas("maxent", 5)]),
+    (3, [K4, K6] + [EvalPoint(theta) for theta in frame_thetas("two_qutrit_rank1", 5)]),
+    (4, [K6]),
+])
+def test_projector_tile_matches_reference(n, points):
+    # built afresh on the grid of tile_cells: every coefficient equal to the
+    # sum of element tensor products, and the terms in the same order
+    space = qudit_space(n)
+    for pt in points:
+        tile, ref = space._projector_state(pt), reference_projector_tile(space, pt)
+        assert list(tile.terms.items()) == list(ref.terms.items()), pt.theta
 
 
 @pytest.mark.parametrize("name", MULTI_PARTY)
