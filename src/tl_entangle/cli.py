@@ -15,10 +15,11 @@ takes rows of JSON integers, bare or as the "adj" of an object whose
 negative; connectome enumerate takes at most 6 parties and at most
 ENUMERATE_MAX_PUNCTURES[parties] punctures; a party evaluated by a command
 has dimension at most MAX_PARTY_DIM (4), and a jw slice wider than
-skein.MAX_JW_WIDTH (6) strands is a parse error (exit 2): qudit_space(5) and
-jones_wenzl(7) are single long steps.  All other work is charged step by step
-against diagrams.WORK_BUDGET; a document's word that would pass it is a parse
-error naming the slice's line (exit 2), any other expansion a usage error.
+skein.MAX_JW_WIDTH (6) strands is a parse error (exit 2): jones_wenzl(7) and
+all of qudit_space(5) but its dressing run unmetered (about 1 and 3 s on two
+cores).  All other work is charged step by step against diagrams.WORK_BUDGET;
+a document's word that would pass it is a parse error naming the slice's
+line (exit 2), any other expansion a usage error.
 
 No command imports numpy.  Every command that evaluates a state reads
 spaces' list form of the amplitudes (DiagramState.amplitude_list) and
@@ -57,7 +58,8 @@ MAX_STEPS = 10_000
 ENUMERATE_MAX_PUNCTURES = {1: 100_000, 2: 100_000, 3: 96, 4: 12, 5: 4, 6: 2}
 
 # The largest party dimension a command evaluates, checked before exact
-# set-up: qudit_space(5) is one uninterrupted 7.7 s build on two cores.
+# set-up: qudit_space(5) takes about 3 s on two cores, and only its dressing
+# (2.4 M units) is charged to the work meter.
 MAX_PARTY_DIM = 4
 
 

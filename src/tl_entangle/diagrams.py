@@ -15,8 +15,8 @@ from array import array
 
 from .scalars import LaurentPoly, RationalFn, evaluate, work_size
 
-# The most work one expansion may spend: a slice word's expansion, a state's
-# dressing at one point, its raw overlaps, or a connectome's reduction.  Each
+# The most work one expansion may spend: a slice word's expansion, a dressing
+# (spaces.dress), a state's raw overlaps, or a connectome's reduction.  Each
 # step is charged before it runs, from the exact sizes of its operands.  On two
 # cores a unit took 0.05 to 1.9 us in every case measured, so about 10 s at most.
 WORK_BUDGET = 5_000_000
@@ -222,19 +222,14 @@ def conj_scalar(c):
     return c
 
 
-def _is_zero(c):
-    if isinstance(c, (LaurentPoly, RationalFn)):
-        return c.is_zero()
-    return c == 0
-
-
 class TLElement:
     """Formal linear combination of diagrams with a common boundary shape.
 
     Coefficients may be exact (LaurentPoly / RationalFn / Fraction) or numeric
     (complex); operations that close loops take the loop value d explicitly so
     the same element type serves both modes.  terms is never written after
-    __init__.  A network of state tiles is contracted by network_plan, which
+    __init__, which drops zero coefficients and puts each RationalFn in lowest
+    terms.  A network of state tiles is contracted by network_plan, which
     reads only the diagrams (and splits product tiles), and glue_network,
     which reads the coefficients.
     """
@@ -244,8 +239,14 @@ class TLElement:
     def __init__(self, terms=None):
         self.terms = {}
         for diag, c in (terms or {}).items():
-            if not _is_zero(c):
-                self.terms[diag] = c
+            if isinstance(c, (LaurentPoly, RationalFn)):
+                if c.is_zero():
+                    continue
+                if type(c) is RationalFn:
+                    c = c.lowest()
+            elif c == 0:
+                continue
+            self.terms[diag] = c
         shapes = {(dg.n_top, dg.n_bottom) for dg in self.terms}
         if len(shapes) > 1:
             raise ValueError(f"mixed boundary shapes {shapes}")
@@ -382,8 +383,8 @@ def _accumulate(out, key, c, loops=0, d=None):
     for _ in range(loops):
         c = c * d
     s = out.get(key, 0) + c
-    # s == 0 tests every coefficient type exactly, and costs less than
-    # _is_zero on the complex coefficients of a numeric network
+    # s == 0 tests every coefficient type exactly, and costs less than an
+    # is_zero type test on the complex coefficients of a numeric network
     if s == 0:
         out.pop(key, None)
     else:

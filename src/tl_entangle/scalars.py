@@ -15,8 +15,10 @@ raises InvariantError.  A sum brings both numerators to the larger multiset,
 a product adds the multisets, bar uses Phi_m(1/A) = A^-phi(m) Phi_m(A)
 (m > 1), and equality cross-multiplies; none of them computes a gcd.  A
 division finds the Phi_m factors of the divisor's numerator by exact trial
-division.  The canonical (numerator, denominator) pair, which evaluation,
-printing and hashing read, is built once per value by exact division.
+division.  Exact division by the Phi_m of the multiset (RationalFn.lowest)
+brings a quotient, and each coefficient of a TLElement as it is built, to
+lowest terms; the canonical (numerator, denominator) pair, which
+evaluation, printing and hashing read, is built once per value that way.
 
 SplitNorm splits a squared norm that is a function of d as (r/r')^2 * s/s'
 for its square roots.  Each irreducible polynomial in d is, up to a unit,
@@ -46,8 +48,8 @@ class DegeneratePointError(ValueError):
     denominator of a split norm), "square" or "squarefree" (that part of a
     split squared norm, see SplitNorm).  QuditSpace.frame_rows sets vector,
     the index of the frame vector; DiagramState._frames sets party, the name
-    of the party whose frame failed, and DiagramState.dressed_numeric the
-    party whose projector dressing failed.  Unknown fields are None.
+    of the party whose frame failed, and spaces.dress the party whose
+    projector failed.  Unknown fields are None.
     """
 
     def __init__(self, message, factor=None):
@@ -429,6 +431,11 @@ class RationalFn:
             return NotImplemented
         return _fn(lp, {})
 
+    def lowest(self):
+        """This value in lowest terms: every Phi_m of _phis that divides _top
+        cancelled (the same value, so the same canonical pair)."""
+        return _fn(*self._cancelled()) if self._phis else self
+
     def _cancelled(self):
         """The numerator and {m: e} of this value with every Phi_m that
         divides _top cancelled."""
@@ -518,11 +525,10 @@ class RationalFn:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        quotient = self * RationalFn(other.den, other.num)
         # a quotient is cancelled at once: Gram-Schmidt divides by norms whose
         # factors recur in the dividend, and uncancelled numerators would grow
         # with every step
-        return _fn(*quotient._cancelled())
+        return (self * RationalFn(other.den, other.num)).lowest()
 
     def __rtruediv__(self, other):
         other = RationalFn._try_coerce(other)

@@ -25,8 +25,8 @@ from .scalars import LaurentPoly, RationalFn, d_param
 MODES = ("kauffman", "permutation")
 _D = d_param()
 
-# The widest jw slice slice_width accepts: jones_wenzl(7) is one 15.6 s step on
-# two cores, (6) 0.5 s; to_element charges every slice to diagrams.WORK_BUDGET.
+# The widest jw slice slice_width accepts: jones_wenzl(7) is one unmetered 1.1 s
+# step on two cores, (6) 0.16 s; to_element charges every slice to diagrams.WORK_BUDGET.
 MAX_JW_WIDTH = 6
 
 

@@ -99,15 +99,12 @@ class QuditSpace:
 
     def __init__(self, n):
         self.n = n
-        self.width = n - 1
-        self.n_points = 4 * self.width
+        self.n_points = 4 * (n - 1)
         self.matchings = local_basis_matchings(n)
         self.basis = [TLElement.from_diagram(PlanarDiagram(0, self.n_points, m))
                       for m in self.matchings]
-        w = self.width
-        starts = [t * w for t in range(4)]
-        self.dressed = [b if w <= 1 else _dress(b, starts, jones_wenzl(w), _D)
-                        for b in self.basis]
+        layout = PartyLayout(((f"of dimension {n}", n),))
+        self.dressed = [dress(b, layout, jones_wenzl, _D) for b in self.basis]
         upper = [[RationalFn.from_scalar(self.basis[i].inner(self.dressed[j], _D)) if i <= j
                   else None for j in range(n)] for i in range(n)]
         self.gram = [[upper[i][j] if i <= j else upper[j][i].bar() for j in range(n)]
@@ -225,12 +222,26 @@ def qudit_space(n):
     return QuditSpace(n)
 
 
-def _dress(element, starts, proj, d):
-    """Glue proj under element's bottom positions a+1 .. a+w (w = proj's
-    width) for each a in starts, in the order of starts, which fixes the
-    order of the sums; every other bottom point passes by."""
-    for a in starts:
-        element = element.compose(proj, d, a)
+def dress(element, layout, projector, d):
+    """element with projector(w) glued under each puncture of each party of
+    width w >= 2 in layout, in label order, each gluing charged to the work
+    meter before it runs.  A DegeneratePointError from projector names the party."""
+    N = layout.n_points
+    spent = 0
+    for (name, nk), o in zip(layout.parties, layout.offsets):
+        w = nk - 1
+        if w < 2:
+            continue
+        try:
+            proj = projector(w)
+        except DegeneratePointError as exc:
+            exc.party = name
+            raise
+        # party labels o+tw+1 .. o+(t+1)w sit at bottom positions
+        # N-o-(t+1)w+1 .. N-o-tw (labels run right to left)
+        for t in range(4):
+            spent = charge(spent, element.compose_work(proj), f"dressing party {name}")
+            element = element.compose(proj, d, N - o - (t + 1) * w)
     return element
 
 
@@ -351,29 +362,9 @@ class DiagramState:
         return el.inner(el, complex(point.d))
 
     def dressed_numeric(self, point):
-        """The state with every puncture of every party projector-dressed.
-
-        A DegeneratePointError raised by a party's projector names that party.
-        """
-        el = self.element.evaluate(point)
-        N = self.layout.n_points
-        spent = 0
-        for k, (name, nk) in enumerate(self.layout.parties):
-            w = nk - 1
-            if w < 2:
-                continue
-            o = self.layout.offsets[k]
-            try:
-                proj = jones_wenzl(w).evaluate(point)
-            except DegeneratePointError as exc:
-                exc.party = name
-                raise
-            # party labels o+tw+1 .. o+(t+1)w sit at bottom positions
-            # N-o-(t+1)w+1 .. N-o-tw (labels run right to left)
-            for t in range(4):
-                spent = charge(spent, el.compose_work(proj), f"dressing party {name}")
-                el = el.compose(proj, complex(point.d), N - o - (t + 1) * w)
-        return el
+        """dress of the state at point, with the projectors evaluated there."""
+        return dress(self.element.evaluate(point), self.layout,
+                     lambda w: jones_wenzl(w).evaluate(point), complex(point.d))
 
     def raw_overlap_list(self, point):
         """Pairings of the dressed state with the tuple basis pairings, flat

@@ -607,10 +607,12 @@ def test_wide_projector_slice_rejected(tmp_path, capsys, monkeypatch, top):
 
 
 @pytest.mark.parametrize("text, line, work", [
-    ("top 6\njw 1 6\njw 1 6\n", 3, "93,327,432"),                     # expands in 15.9 s
-    ("top 7\njw 1 5\njw 3 5\njw 1 5\njw 3 5\n", 4, "43,411,830"),      # 18.1 s
-    ("top 12\njw 1 6\njw 7 6\n", 3, "93,538,104"),                    # 5.4 s
-], ids=["jw6-on-jw6", "four-shifted-jw5", "jw6-beside-jw6"])
+    # each word expands within the budget without its last slice
+    ("top 7\njw 1 6\njw 2 6\njw 1 6\n", 4, "8,124,864"),
+    ("top 7\njw 1 5\njw 3 5\njw 1 5\njw 3 5\njw 1 5\n", 6, "8,255,436"),
+    # a third jw 6 across the two side by side
+    ("top 12\njw 1 6\njw 7 6\njw 4 6\n", 4, "341,916,168"),
+], ids=["jw6-on-jw6", "five-shifted-jw5", "jw6-beside-jw6"])
 def test_projector_product_above_bound_rejected(tmp_path, capsys, monkeypatch, text, line,
                                                 work):
     """The slice that would pass the work budget is charged and never runs."""
@@ -630,6 +632,18 @@ def test_projector_product_above_bound_rejected(tmp_path, capsys, monkeypatch, t
     assert err == (f"parse error: line {line}: slice {line - 1} would take the work to "
                    f"{work} units, above the budget of 5,000,000\n")
     assert len(composed) == line - 2
+
+
+def test_projector_product_within_bound_reduces(tmp_path, capsys):
+    """Two jw 6 slices on the same strands expand within the budget (exact
+    coefficients stay in lowest terms) to the projector itself, which is
+    idempotent."""
+    doc = tmp_path / "projectors.tl"
+    doc.write_text("top 6\njw 1 6\njw 1 6\n")
+    code, out, err = run(capsys, ["reduce", str(doc), "--mode", "exact"])
+    assert code == 0 and err == ""
+    terms = {tuple(map(tuple, t["pairs"])): t["coeff"] for t in json.loads(out)["terms"]}
+    assert terms == {dg.pairs: str(c) for dg, c in jones_wenzl(6).terms.items()}
 
 
 @pytest.mark.parametrize("argv", [["state"], ["classify"], ["entropy", "--party", "A"]])

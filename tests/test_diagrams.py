@@ -9,7 +9,6 @@ from tl_entangle.diagrams import (
     PlanarDiagram,
     TLElement,
     _accumulate,
-    _is_zero,
     _join,
     _opened,
     _product_halves,
@@ -236,7 +235,7 @@ def reference_glue_network(tiles, bonds, d):
                     c = c * d
                 key = frozenset(new_pairs)
                 s = new_states.get(key, 0) + c
-                if _is_zero(s):
+                if s == 0:
                     new_states.pop(key, None)
                 else:
                     new_states[key] = s

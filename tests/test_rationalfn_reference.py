@@ -76,10 +76,9 @@ def reference_qudit_space(n):
     QuditSpace(n), computed over reference coefficients."""
     w = n - 1
     diagrams = [PlanarDiagram(0, 4 * w, m) for m in spaces.local_basis_matchings(n)]
-    dressed = [TLElement.from_diagram(dg, ReferenceFn(1)) for dg in diagrams]
-    if w > 1:
-        dressed = [spaces._dress(b, [t * w for t in range(4)], reference_jones_wenzl(w), D)
-                   for b in dressed]
+    layout = spaces.PartyLayout((("reference", n),))
+    dressed = [spaces.dress(TLElement.from_diagram(dg, ReferenceFn(1)), layout,
+                            reference_jones_wenzl, D) for dg in diagrams]
     G = [[reference_inner(diagrams[i], dressed[j]) for j in range(n)] for i in range(n)]
     coeffs = [[ReferenceFn(1 if i == j else 0) for j in range(n)] for i in range(n)]
     norms_sq = []

@@ -1,13 +1,14 @@
 import math
 from fractions import Fraction
+from functools import lru_cache
 from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from tl_entangle import diagrams
-from tl_entangle.diagrams import PlanarDiagram, TLElement, WorkBoundError
-from tl_entangle.scalars import LaurentPoly, d_param
+from tl_entangle.diagrams import PlanarDiagram, TLElement, WorkBoundError, _accumulate
+from tl_entangle.scalars import LaurentPoly, RationalFn, d_param, delta, work_size
 from tl_entangle.jones_wenzl import jones_wenzl
 from tl_entangle.skein import (_LAYERS, SliceWord, _at_one, bracket, crossing_element,
                                slice_width)
@@ -329,3 +330,69 @@ def test_work_bound_stops_at_first_slice_past_budget(word, data):
     assert err.value.step == first and len(composed) == first
     assert str(err.value) == (f"slice {first + 1} would take the work to {totals[first]:,} "
                               f"units, above the budget of {budget:,}")
+
+
+def uncancelled_compose(upper, lower, offset=0):
+    """TLElement.compose over plain {diagram: coefficient} dicts: the same
+    products and sums in the same order, never brought to lowest terms."""
+    out = {}
+    for d1, c1 in upper.items():
+        for d2, c2 in lower.items():
+            dg, loops = d1.compose_with(d2, offset)
+            _accumulate(out, dg, c1 * c2, loops, D)
+    return out
+
+
+@lru_cache(maxsize=None)
+def uncancelled_jones_wenzl(n):
+    """jones_wenzl's recursion over plain dicts, whose coefficients keep
+    every Phi_m factor that their sums bring in."""
+    if n <= 1:
+        return dict(jones_wenzl(n).terms)
+    wide = {dg.tensor(PlanarDiagram.identity(1)): c
+            for dg, c in uncancelled_jones_wenzl(n - 1).items()}
+    coeff = RationalFn(delta(n - 2), delta(n - 1))
+    hook = {PlanarDiagram.generator(2, 1): 1}
+    out = dict(wide)
+    for dg, c in uncancelled_compose(uncancelled_compose(wide, hook, n - 2), wide).items():
+        _accumulate(out, dg, (-1) * coeff * c)
+    return out
+
+
+def uncancelled_to_element(word):
+    """to_element("kauffman") over plain dicts, with no meter."""
+    terms = {PlanarDiagram.identity(word.n_top): 1}
+    for op in word.ops:
+        layer = uncancelled_jones_wenzl(op[2]) if op[0] == "jw" else _LAYERS[op[0]].terms
+        terms = uncancelled_compose(terms, layer, op[1] - 1)
+    return terms
+
+
+def assert_same_values(element, terms):
+    """The same diagrams in the same order, each coefficient == and of the
+    same repr as its uncancelled counterpart, and held in lowest terms."""
+    assert list(element.terms) == list(terms)
+    for dg, c in element.terms.items():
+        assert c == terms[dg] and repr(c) == repr(terms[dg])
+        assert work_size(c) == work_size(RationalFn.from_scalar(c).lowest())
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_jones_wenzl_matches_uncancelled_recursion(n):
+    assert_same_values(jones_wenzl(n), uncancelled_jones_wenzl(n))
+
+
+@given(slice_words())
+@settings(max_examples=100, deadline=None)
+def test_to_element_matches_uncancelled_expansion_on_random_words(word):
+    assert_same_values(word.to_element(), uncancelled_to_element(word))
+
+
+def test_repeated_projector_keeps_coefficients_small():
+    # uncancelled, the e coefficient (exactly -1/d) held 120 numerator terms
+    # over Phi_8^120
+    element = SliceWord(2, [("jw", 1, 2)] * 120).to_element()
+    assert element == jones_wenzl(2)
+    for c in element.terms.values():
+        terms, exponent = work_size(c)
+        assert terms <= 1 and exponent <= 1

@@ -305,7 +305,7 @@ def test_dressing_failure_names_its_party(name, party):
 
 
 def reference_dress(element, n_points, starts, proj, d):
-    """_dress as it was before proj was glued where it acts: a gate
+    """dress as it was before proj was glued where it acts: a gate
     id(a) (x) proj (x) id(n_points - a - w), composed at full width."""
     w = proj.shape()[0]
     for a in starts:
@@ -341,7 +341,8 @@ def _dressing_points(seed, count=20):
 def test_dressed_basis_matches_gate_dressing(n):
     space = qudit_space(n)
     w = n - 1
-    starts = [t * w for t in range(4)]
+    # the state rule's positions: the party's first puncture first
+    starts = [space.n_points - (t + 1) * w for t in range(4)]
     for b, dressed in zip(space.basis, space.dressed):
         assert_same_terms(dressed, reference_dress(b, space.n_points, starts, jones_wenzl(w), D))
 

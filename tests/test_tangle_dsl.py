@@ -100,14 +100,16 @@ def test_parse_errors_carry_line_numbers():
 def test_projector_term_bound():
     # jw slices are parsed whatever their term counts multiply to; the work
     # their expansion would take is charged slice by slice
-    doc = parse_tangle("top 8\njw 1 6\njw 3 5\nbottom 8\n")
-    assert doc.word.ops == (("jw", 1, 6), ("jw", 3, 5))
-    assert doc.lines == (2, 3)
-    with pytest.raises(TangleParseError, match="^line 3: slice 2 would take the work to "
-                                               "15,662,856 units, above the budget of "
+    doc = parse_tangle("top 8\njw 1 6\njw 3 5\njw 1 6\nbottom 8\n")
+    assert doc.word.ops == (("jw", 1, 6), ("jw", 3, 5), ("jw", 1, 6))
+    assert doc.lines == (2, 3, 4)
+    with pytest.raises(TangleParseError, match="^line 4: slice 3 would take the work to "
+                                               "7,149,120 units, above the budget of "
                                                "5,000,000$") as err:
         doc.element()
-    assert err.value.line == 3
+    assert err.value.line == 4
+    # its first two slices expand within the budget
+    assert len(parse_tangle("top 8\njw 1 6\njw 3 5\nbottom 8\n").element().terms) == 422
     # fourteen jw 2 slices side by side, 16,384 terms, expand within the budget
     doc = parse_tangle("top 28\n" + "".join(f"jw {i} 2\n" for i in range(1, 28, 2)))
     assert len(doc.element().terms) == 2 ** 14
