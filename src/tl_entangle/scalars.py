@@ -13,19 +13,25 @@ build from those.  So a RationalFn holds a Laurent polynomial numerator over
 a multiset {m: e} of Phi_m exponents, and a denominator of any other form
 raises InvariantError.  A sum brings both numerators to the larger multiset,
 a product adds the multisets, bar uses Phi_m(1/A) = A^-phi(m) Phi_m(A)
-(m > 1), and equality cross-multiplies; none of them computes a gcd.  A
-division finds the Phi_m factors of the divisor's numerator by exact trial
-division.  Exact division by the Phi_m of the multiset (RationalFn.lowest)
-brings a quotient, and each coefficient of a TLElement as it is built, to
-lowest terms; the canonical (numerator, denominator) pair, which
-evaluation, printing and hashing read, is built once per value that way.
+(m > 1), and equality cross-multiplies; none of them computes a gcd.
+
+Every Phi_m factor is found by one rule, exact division (_divide_out), and
+no float decides a factor.  A division splits the divisor's numerator by
+trying every Phi_m of degree up to its own (_cyclotomic_split).  Lowest
+terms (RationalFn.lowest) divide the numerator by the Phi_m of the value's
+own multiset, each at most as often as the multiset holds it; that brings a
+quotient, and each coefficient of a TLElement as it is built, to lowest
+terms, and builds the canonical (numerator, denominator) pair, which
+evaluation, printing and hashing read, once per value.
 
 SplitNorm splits a squared norm that is a function of d as (r/r')^2 * s/s'
 for its square roots.  Each irreducible polynomial in d is, up to a unit,
 one group of Phi_m in A (see _d_group), so the Phi_m exponents of the norm's
-numerator and denominator give each group's share of r and of s.  Frame
-norms are ratios of quantum-integer products; any other norm raises
-InvariantError.
+numerator and denominator give how often each group divides it.  For each
+side, r is one cyclotomic product, of every group to half its power rounded
+down, read as a polynomial in d and made monic; s is another, of the groups
+of odd power, read the same way and times the side's content.  Frame norms
+are ratios of quantum-integer products; any other norm raises InvariantError.
 """
 
 from __future__ import annotations
@@ -291,62 +297,45 @@ def _totient(m):
 
 @lru_cache(maxsize=None)
 def _orders_up_to(degree):
-    """Every m whose Phi_m has degree phi(m) <= degree, in increasing order.
+    """Every m whose Phi_m has degree phi(m) <= degree, in increasing order:
+    the Phi_m that _cyclotomic_split tries.
 
     m < 6*phi(m) for every m below 2*10^8, so no m above 6*degree qualifies.
     """
     return tuple(m for m in range(1, 6 * degree + 1) if _totient(m) <= degree)
 
 
-def _candidate_orders(dense):
-    """The m for which Phi_m may divide a dense polynomial: those where its
-    value at exp(2*pi*i/m) is zero up to rounding.  Exact division decides."""
-    orders = _orders_up_to(len(dense) - 1)
-    if not orders:
-        return orders
-    try:
-        coeffs = [float(c) for c in reversed(dense)]
-    except OverflowError:
-        return orders
-    tol = 1e-6 * sum(abs(c) for c in coeffs)
-    out = []
-    for m in orders:
-        root = cmath.exp(2j * math.pi / m)
-        value = 0j
-        for c in coeffs:  # Horner, highest coefficient first
-            value = value * root + c
-        # hypot gives inf where abs() would raise; a NaN value is kept:
-        # exact division decides
-        if not math.hypot(value.real, value.imag) > tol:
-            out.append(m)
-    return out
-
-
-def _divide_out(dense, m, limit):
-    """Divide Phi_m out of a dense polynomial as often as it goes, at most
-    limit times; returns (quotient, times)."""
-    phi = _cyclotomic(m)
-    times = 0
-    while times < limit:
-        q = _exact_quotient(dense, phi)
-        if q is None:
-            break
-        dense, times = q, times + 1
-    return dense, times
+def _divide_out(dense, limits):
+    """Divide each Phi_m of limits = {m: e} out of a dense polynomial as often
+    as it goes, at most e times, in the order of limits; returns the
+    quotient and {m: times} of the Phi_m that divided.  Exact division alone
+    decides; a Phi_m of higher degree than what is left cannot divide, so it
+    is not built."""
+    exps = {}
+    for m, limit in limits.items():
+        if _totient(m) >= len(dense):
+            continue
+        phi = _cyclotomic(m)
+        times = 0
+        while times < limit:
+            q = _exact_quotient(dense, phi)
+            if q is None:
+                break
+            dense, times = q, times + 1
+        if times:
+            exps[m] = times
+    return dense, exps
 
 
 def _cyclotomic_split(poly):
     """Factor a nonzero LaurentPoly as c * A^k * prod Phi_m^e.
 
-    Returns (c, k, {m: e}), or None when poly has an irreducible factor that
-    is no Phi_m.
+    Returns (c, k, {m: e}) with m ascending, or None when poly has an
+    irreducible factor that is no Phi_m.  Every Phi_m of degree up to
+    poly's is tried by exact division; no float decides a factor.
     """
     shift, dense = poly.dense()
-    exps = {}
-    for m in _candidate_orders(dense):
-        dense, e = _divide_out(dense, m, len(dense))
-        if e:
-            exps[m] = e
+    dense, exps = _divide_out(dense, dict.fromkeys(_orders_up_to(len(dense) - 1), len(dense)))
     if len(dense) > 1:
         return None
     return dense[0], shift, exps
@@ -416,11 +405,10 @@ class RationalFn:
 
     @classmethod
     def from_scalar(cls, value):
-        if isinstance(value, RationalFn):
-            return value
-        if _coerce(value) is NotImplemented:
+        out = cls._try_coerce(value)
+        if out is NotImplemented:
             raise TypeError(f"cannot build a RationalFn from {type(value).__name__}")
-        return cls(value)
+        return out
 
     @classmethod
     def _try_coerce(cls, value):
@@ -440,11 +428,8 @@ class RationalFn:
         """The numerator and {m: e} of this value with every Phi_m that
         divides _top cancelled."""
         shift, dense = self._top.dense()
-        left = {}
-        for m, e in self._phis.items():
-            dense, times = _divide_out(dense, m, e)
-            if times < e:
-                left[m] = e - times
+        dense, gone = _divide_out(dense, self._phis)
+        left = {m: e - gone.get(m, 0) for m, e in self._phis.items() if e > gone.get(m, 0)}
         return LaurentPoly.from_dense(shift, dense), left
 
     def _pair(self):
@@ -662,15 +647,6 @@ def as_poly_in_d(x):
     return out
 
 
-def _dpoly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return out
-
-
 def _dpoly_eval(p, d):
     """Horner evaluation of a float coefficient list (low->high) at d."""
     out = 0.0
@@ -697,15 +673,6 @@ def _d_group(m):
     return {m: 1}
 
 
-@lru_cache(maxsize=None)
-def _d_factor(key):
-    """(f, sign) with the product of the group keyed key equal to
-    sign * A^k * f(d), f monic."""
-    product = _cyclotomic_product(tuple(sorted(_d_group(key).items())))
-    f = as_poly_in_d(product * LaurentPoly.A_power(-product.max_exp() // 2))
-    return [c * f[-1] for c in f], f[-1]
-
-
 def _d_groups(phis):
     """{key: n} with prod Phi_m^e over phis = {m: e} the product of each
     group to the power n; InvariantError if the exponents make no whole groups."""
@@ -720,24 +687,31 @@ def _d_groups(phis):
 
 
 def _square_split(content, groups):
-    """(r, s) with content * prod (sign f)^n = r^2 * s over the groups'
-    factors: r = prod f^(n // 2) is monic, and s takes the content, the signs
-    and every f of odd n."""
-    r, s = [Fraction(1)], [content]
+    """(r, s) with content * prod (group product)^n over groups = {key: n}
+    equal to r^2 * s up to a power of A, as polynomials in d: r is read off
+    the one cyclotomic product of the groups to the power n // 2 and made
+    monic, s is the content times the one cyclotomic product of the groups
+    of odd n.  Each group product is +-A^k f(d) (see _d_group), so s takes
+    the signs of the odd groups; even groups' signs square away."""
+    half, odd = [], []
     for key, n in groups.items():
-        f, sign = _d_factor(key)
-        for _ in range(n // 2):
-            r = _dpoly_mul(r, f)
-        if n % 2:
-            s = _dpoly_mul(s, f)
-        s = [c * sign ** n for c in s]
-    return r, s
+        for m, e in _d_group(key).items():
+            if n > 1:
+                half.append((m, e * (n // 2)))
+            if n % 2:
+                odd.append((m, e))
+    r, s = (_cyclotomic_product(tuple(sorted(phis))) for phis in (half, odd))
+    # every group product has even degree, so A^(-degree/2) centres each product
+    r, s = (as_poly_in_d(p * LaurentPoly.A_power(-p.max_exp() // 2)) for p in (r, s))
+    return [c / r[-1] for c in r], [content * c for c in s]
 
 
 def _d_parts(fn):
     """The float coefficient lists (rn, sn, rd, sd) of polynomials in d with
-    fn = (rn/rd)^2 * sn/sd, as _square_split makes them.  Raises
-    InvariantError when fn's numerator is no product of cyclotomic
+    fn = (rn/rd)^2 * sn/sd: the Phi_m exponents of fn's numerator (found by
+    exact division) and of its denominator give each side's groups, and
+    _square_split reads that side's r and s off one cyclotomic product each.
+    Raises InvariantError when fn's numerator is no product of cyclotomic
     polynomials or fn is no function of d."""
     if fn.is_zero():
         return [0.0], [1.0], [1.0], [1.0]

@@ -11,7 +11,6 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -362,44 +361,34 @@ def test_non_cyclotomic_norm_is_an_invariant_error():
         scalars.sqrt_normalizer(x, EvalPoint(0.1))
 
 
-# --- the Phi_m prefilter against the numpy prefilter it replaced ---------------
+# --- the cyclotomic split, by exact division alone ----------------------------
 
-def numpy_candidate_orders(dense):
-    """scalars._candidate_orders as it was, evaluating through numpy."""
-    orders = scalars._orders_up_to(len(dense) - 1)
-    if not orders:
-        return orders
-    try:
-        coeffs = np.array([float(c) for c in reversed(dense)])
-    except OverflowError:
-        return orders
-    tol = 1e-6 * np.abs(coeffs).sum()
-    values = np.abs(np.polyval(coeffs, np.exp(2j * np.pi / np.array(orders))))
-    return [m for m, v in zip(orders, values) if not v > tol]
+def _split_product(split):
+    """c * A^k * prod Phi_m^e for a split (c, k, {m: e})."""
+    c, k, exps = split
+    return LaurentPoly({k: c}) * scalars._cyclotomic_product(tuple(sorted(exps.items())))
 
 
-def test_candidate_orders_match_numpy_on_shipped_numerators(monkeypatch):
+def test_splits_met_while_building_multiply_back(monkeypatch):
     met = []
-    original = scalars._candidate_orders
+    original = scalars._cyclotomic_split
 
-    def recording(dense):
-        met.append(tuple(dense))
-        return original(dense)
+    def recording(poly):
+        split = original(poly)
+        met.append((poly, split))
+        return split
 
-    monkeypatch.setattr(scalars, "_candidate_orders", recording)
+    monkeypatch.setattr(scalars, "_cyclotomic_split", recording)
     jones_wenzl.cache_clear()
     qudit_space.cache_clear()
-    values = []
     for n in range(6):
-        values += jones_wenzl(n).terms.values()
+        assert repr(jones_wenzl(n))
     for n in range(1, 5):
-        space = qudit_space(n)
-        values += [c for row in space.gram + space._gs_coeffs for c in row]
-        values += space.gs_norms_sq
-    assert all(repr(c) for c in values)
-    assert len(set(met)) >= 10
-    for dense in set(met):
-        assert original(dense) == numpy_candidate_orders(dense)
+        assert [repr(nu) for nu in qudit_space(n).gs_norms_sq]
+    assert sum(bool(split[2]) for _, split in met) >= 10
+    for poly, split in met:
+        assert list(split[2]) == sorted(split[2])
+        assert _split_product(split) == poly
 
 
 def _dense_mul(a, b):
@@ -413,13 +402,19 @@ def _dense_mul(a, b):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(-5, 5), min_size=1, max_size=6).filter(any),
        st.lists(st.tuples(st.integers(1, 36), st.integers(1, 3)), max_size=4))
-def test_candidate_orders_match_numpy_on_cyclotomic_products(cofactor, factors):
+def test_split_of_a_cyclotomic_product_adds_its_exponents(cofactor, factors):
     dense = list(cofactor)
+    want = Counter()
     for m, e in factors:
+        want[m] += e
         for _ in range(e):
             dense = _dense_mul(dense, scalars._cyclotomic(m))
-    while len(dense) > 1 and dense[-1] == 0:
-        dense.pop()
-    got = scalars._candidate_orders(dense)
-    assert got == numpy_candidate_orders(dense)
-    assert {m for m, _ in factors} <= set(got)
+    got = scalars._cyclotomic_split(LaurentPoly.from_dense(0, dense))
+    base = scalars._cyclotomic_split(LaurentPoly.from_dense(0, cofactor))
+    if base is None:
+        assert got is None
+        return
+    c, k, exps = base
+    want.update(exps)
+    assert got == (c, k, dict(sorted(want.items())))
+    assert list(got[2]) == sorted(want)
