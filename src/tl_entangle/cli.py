@@ -16,10 +16,10 @@ negative; connectome enumerate takes at most 6 parties and at most
 ENUMERATE_MAX_PUNCTURES[parties] punctures; a party evaluated by a command
 has dimension at most MAX_PARTY_DIM (4), and a jw slice wider than
 skein.MAX_JW_WIDTH (6) strands is a parse error (exit 2): jones_wenzl(7) and
-all of qudit_space(5) but its dressing run unmetered (about 1 and 3 s on two
-cores).  All other work is charged step by step against diagrams.WORK_BUDGET;
-a document's word that would pass it is a parse error naming the slice's
-line (exit 2), any other expansion a usage error.
+qudit_space's closed-form frames run unmetered (about 1.7 s, and 16 ms for
+dimension 5, on two cores).  All other work is charged step by step against
+diagrams.WORK_BUDGET; a document's word that would pass it is a parse error
+naming the slice's line (exit 2), any other expansion a usage error.
 
 No command imports numpy.  Every command that evaluates a state reads
 spaces' list form of the amplitudes (DiagramState.amplitude_list) and
@@ -58,8 +58,8 @@ MAX_STEPS = 10_000
 ENUMERATE_MAX_PUNCTURES = {1: 100_000, 2: 100_000, 3: 96, 4: 12, 5: 4, 6: 2}
 
 # The largest party dimension a command evaluates, checked before exact
-# set-up: qudit_space(5) takes about 3 s on two cores, and only its dressing
-# (2.4 M units) is charged to the work meter.
+# set-up: a dimension-5 frame builds in 16 ms, but a two-party dimension-5
+# connectome state passes the work budget dressing its second party (1.4 s).
 MAX_PARTY_DIM = 4
 
 

@@ -8,8 +8,8 @@ d = -A^2 - A^(-2) = -2*cos(2*theta).
 Laurent polynomials hold integral coefficients as ints and the others as
 Fractions.  Every denominator the package builds is a product of cyclotomic
 polynomials Phi_m(A): up to a unit +-A^k, each quantum integer delta(n) is
-one, and the Jones-Wenzl recursion and Gram-Schmidt divide only by what they
-build from those.  So a RationalFn holds a Laurent polynomial numerator over
+one, the Jones-Wenzl recursion divides only by those, and frames are their
+ratios (quantum_factorials).  So a RationalFn holds a Laurent numerator over
 a multiset {m: e} of Phi_m exponents, and a denominator of any other form
 raises InvariantError.  A sum brings both numerators to the larger multiset,
 a product adds the multisets, bar uses Phi_m(1/A) = A^-phi(m) Phi_m(A)
@@ -510,9 +510,7 @@ class RationalFn:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        # a quotient is cancelled at once: Gram-Schmidt divides by norms whose
-        # factors recur in the dividend, and uncancelled numerators would grow
-        # with every step
+        # cancelled at once, or numerators grow with every repeated quotient
         return (self * RationalFn(other.den, other.num)).lowest()
 
     def __rtruediv__(self, other):
@@ -573,6 +571,20 @@ def delta(n):
     for _ in range(n + 1):
         prev, cur = cur, _D * cur - prev
     return prev
+
+
+def quantum_factorials(*powers):
+    """prod [a]!^e over powers = ((a, e), ...) in lowest terms, with no division:
+    [k] = (-1)^(k-1) delta(k-1) = A^(-2(k-1)) prod Phi_m(A) over m | 4k, m not 1, 2 or 4."""
+    exps = {}
+    for a, e in powers:
+        for k in range(1, a + 1):
+            for m in range(3, 4 * k + 1):
+                if 4 * k % m == 0 and m != 4:
+                    exps[m] = exps.get(m, 0) + e
+    top = _cyclotomic_product(tuple(sorted((m, e) for m, e in exps.items() if e > 0)))
+    top = top * LaurentPoly.A_power(-sum(a * (a - 1) * e for a, e in powers))
+    return _fn(top, {m: -e for m, e in sorted(exps.items()) if e < 0})
 
 
 class EvalPoint:

@@ -3,9 +3,9 @@
 A party of local dimension n occupies 4(n-1) consecutive boundary labels,
 grouped into four punctures of n-1 points, each dressed with the width-(n-1)
 projector.  The n non-null noncrossing pairings of those points form the local
-basis; exact Gram-Schmidt over rational functions of A produces the lower
-triangular transform to an orthonormal frame, with one square root per vector
-taken at the evaluation point (sign fixed by the square part of the norm).
+basis.  Its Gram-Schmidt frame, the fusion basis, is read off closed forms in
+the quantum integers (QuditSpace), with one square root per vector taken at
+the evaluation point (sign fixed by the square part of the norm).
 
 A state's pairing with a tuple basis diagram depends on theta only through
 the coefficients: its loop counts are topological.  Each DiagramState keeps
@@ -31,8 +31,8 @@ from itertools import accumulate, chain, product
 
 from .diagrams import PlanarDiagram, TLElement, _accumulate, _join, charge
 from .jones_wenzl import jones_wenzl
-from .scalars import (DegeneratePointError, InvariantError, RationalFn, SplitNorm, d_param,
-                      evaluate)
+from .scalars import (DegeneratePointError, RationalFn, SplitNorm, d_param, evaluate,
+                      quantum_factorials)
 
 _D = d_param()
 
@@ -91,10 +91,19 @@ def local_basis_matchings(n):
 
 
 class QuditSpace:
-    """Local basis, Gram matrix, and orthonormalization data for one party.
+    """A party's local basis and orthonormal frame; the dressed basis and its
+    Hermitian Gram matrix (i <= j paired, the rest bars) are built on first read.
 
-    The Gram matrix is Hermitian: entries with i <= j are paired, the others
-    are their bars.  Gram-Schmidt takes each squared norm from its overlaps.
+    Gram-Schmidt gives the one orthogonal u_j with u_j - b_j in the span of
+    the b_k, k < j: the fusion vector, b_j with JW(2j) across its 2j strands
+    that join punctures 1, 2 to punctures 3, 4.  JW(2j)'s identity gives b_j,
+    a cap on two strands of one puncture is killed by its JW(w), each centred
+    t-fold cap-cup left gives b_(j-t), and distinct channels are orthogonal.
+    So, with w = n - 1 and t = j - k, u_j's coefficient of b_k is JW(2j)'s of
+    that cap-cup (Morrison, arXiv:1503.00384), and its squared norm two theta
+    nets glued along the 2j edge; quantum_factorials builds both:
+        qbinom(j, t)^2 / qbinom(2j, t) = [j]!^2 [j+k]! / ([j-k]! [k]!^2 [2j]!),
+        theta(w, w, 2j)^2 / Delta_2j = [w+j+1]!^2 [w-j]!^2 [j]!^4 / ([w]!^4 [2j]! [2j+1]!).
     """
 
     def __init__(self, n):
@@ -103,41 +112,25 @@ class QuditSpace:
         self.matchings = local_basis_matchings(n)
         self.basis = [TLElement.from_diagram(PlanarDiagram(0, self.n_points, m))
                       for m in self.matchings]
-        layout = PartyLayout(((f"of dimension {n}", n),))
-        self.dressed = [dress(b, layout, jones_wenzl, _D) for b in self.basis]
-        upper = [[RationalFn.from_scalar(self.basis[i].inner(self.dressed[j], _D)) if i <= j
-                  else None for j in range(n)] for i in range(n)]
-        self.gram = [[upper[i][j] if i <= j else upper[j][i].bar() for j in range(n)]
-                     for i in range(n)]
-        self._gs_coeffs, self.gs_norms_sq = self._orthogonalize()
+        self._gs_coeffs = [
+            [quantum_factorials((j, 2), (j - k, -1), (k, -2), (j + k, 1), (2 * j, -1))
+             if k <= j else RationalFn(0) for k in range(n)] for j in range(n)]
+        self.gs_norms_sq = [quantum_factorials((n + j, 2), (n - 1 - j, 2), (j, 4), (n - 1, -4),
+                                               (2 * j, -1), (2 * j + 1, -1)) for j in range(n)]
         self._gs_roots = [SplitNorm(nu) for nu in self.gs_norms_sq]
         self._projector_cache = PointCache()
 
-    def _orthogonalize(self):
-        """Unnormalized Gram-Schmidt over rational functions of A.
+    @cached_property
+    def dressed(self):
+        return [dress(b, PartyLayout(((f"of dimension {self.n}", self.n),)), jones_wenzl, _D)
+                for b in self.basis]
 
-        Returns (coeffs, norms_sq): row i of coeffs expresses the i-th
-        orthogonal vector in the raw basis; norms_sq[i] is its squared norm,
-        G[i][i] - sum_j f * ov.bar() over the earlier vectors j.
-        """
+    @cached_property
+    def gram(self):
         n = self.n
-        G = self.gram
-        coeffs = [[RationalFn(1 if i == j else 0) for j in range(n)] for i in range(n)]
-        norms_sq = []
-        for i in range(n):
-            nu = G[i][i]
-            for j in range(i):
-                ov = RationalFn(0)
-                for k in range(j + 1):
-                    ov = ov + coeffs[j][k].bar() * G[k][i]
-                f = ov / norms_sq[j]
-                for k in range(j + 1):
-                    coeffs[i][k] = coeffs[i][k] - f * coeffs[j][k]
-                nu = nu - f * ov.bar()
-            if nu.is_zero():
-                raise InvariantError(f"basis vector {i} has identically zero norm")
-            norms_sq.append(nu)
-        return coeffs, norms_sq
+        upper = {(i, j): RationalFn.from_scalar(self.basis[i].inner(self.dressed[j], _D))
+                 for j in range(n) for i in range(j + 1)}
+        return [[upper[i, j] if i <= j else upper[j, i].bar() for j in range(n)] for i in range(n)]
 
     def frame_rows(self, point):
         """Rows of the lower triangular T with orthonormal vectors

@@ -542,13 +542,14 @@ def test_tol_reaches_every_rank_count(capsys):
     assert payload["class"] == "separable"
 
 
-@pytest.mark.parametrize("failure", ["zero norm", "denominator"])
+@pytest.mark.parametrize("failure", ["frame norm", "denominator"])
 def test_invariant_failure_is_internal_error(capsys, monkeypatch, failure):
     # a broken invariant of the exact algebra is no usage error: exit 4
-    if failure == "zero norm":
-        # every Gram entry, and so every Gram-Schmidt norm, is zero
-        monkeypatch.setattr(spaces.TLElement, "inner", lambda self, other, d: 0)
-        message = "InvariantError('basis vector 0 has identically zero norm')"
+    if failure == "frame norm":
+        # every closed form, and so every frame norm, is A: no function of d
+        monkeypatch.setattr(spaces, "quantum_factorials",
+                            lambda *powers: scalars.RationalFn(scalars.LaurentPoly.A_power(1)))
+        message = "InvariantError('squared norm A is no function of d')"
     else:
         monkeypatch.setattr(scalars, "_cyclotomic_split", lambda poly: None)
         message = "is no product of cyclotomic polynomials"

@@ -69,6 +69,29 @@ def reference_inner(diagram, element):
     return total
 
 
+def _gram_schmidt(G, fn):
+    """(coefficients, squared norms) of exact Gram-Schmidt over the Gram
+    matrix G, with coefficients of class fn; each norm is the full double sum
+    over its vector's coefficients."""
+    n = len(G)
+    coeffs = [[fn(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    norms_sq = []
+    for i in range(n):
+        for j in range(i):
+            ov = fn(0)
+            for k in range(j + 1):
+                ov = ov + coeffs[j][k].bar() * G[k][i]
+            f = ov / norms_sq[j]
+            for k in range(j + 1):
+                coeffs[i][k] = coeffs[i][k] - f * coeffs[j][k]
+        nu = fn(0)
+        for a in range(i + 1):
+            for b in range(i + 1):
+                nu = nu + coeffs[i][a].bar() * G[a][b] * coeffs[i][b]
+        norms_sq.append(nu)
+    return coeffs, norms_sq
+
+
 @lru_cache(maxsize=None)
 def reference_qudit_space(n):
     """(Gram matrix, Gram-Schmidt coefficients, squared norms) of
@@ -79,21 +102,7 @@ def reference_qudit_space(n):
     dressed = [spaces.dress(TLElement.from_diagram(dg, ReferenceFn(1)), layout,
                             reference_jones_wenzl, D) for dg in diagrams]
     G = [[reference_inner(diagrams[i], dressed[j]) for j in range(n)] for i in range(n)]
-    coeffs = [[ReferenceFn(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    norms_sq = []
-    for i in range(n):
-        for j in range(i):
-            ov = ReferenceFn(0)
-            for k in range(j + 1):
-                ov = ov + coeffs[j][k].bar() * G[k][i]
-            f = ov / norms_sq[j]
-            for k in range(j + 1):
-                coeffs[i][k] = coeffs[i][k] - f * coeffs[j][k]
-        nu = ReferenceFn(0)
-        for a in range(i + 1):
-            for b in range(i + 1):
-                nu = nu + coeffs[i][a].bar() * G[a][b] * coeffs[i][b]
-        norms_sq.append(nu)
+    coeffs, norms_sq = _gram_schmidt(G, ReferenceFn)
     return G, coeffs, norms_sq
 
 
@@ -123,6 +132,33 @@ def test_qudit_space_exact_data_matches_reference(n):
         for j in range(n):
             assert_same(space.gram[i][j], G[i][j])
             assert_same(space._gs_coeffs[i][j], coeffs[i][j])
+
+
+def test_qudit_space_closed_forms_match_gram_schmidt_in_dimension_5():
+    # the frame's closed forms against exact Gram-Schmidt over the Gram
+    # matrix of the dressed basis, which takes nearly all of the time
+    space = qudit_space(5)
+    coeffs, norms_sq = _gram_schmidt(space.gram, RationalFn)
+    for i in range(5):
+        assert_same(space.gs_norms_sq[i], norms_sq[i])
+        for j in range(5):
+            assert_same(space._gs_coeffs[i][j], coeffs[i][j])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 8), st.integers(-3, 3)), max_size=4))
+def test_quantum_factorials_match_products_of_loop_weights(powers):
+    want = RationalFn(1)
+    for a, e in powers:
+        # [a]! with the quantum integer [k] = (-1)^(k-1) delta(k-1)
+        factorial = RationalFn(math.prod(((-1) ** (k - 1) * delta(k - 1)
+                                          for k in range(1, a + 1)), start=LaurentPoly.one()))
+        for _ in range(abs(e)):
+            want = want * factorial if e > 0 else want / factorial
+    got = scalars.quantum_factorials(*powers)
+    assert got == want and repr(got) == repr(want)
+    # already in lowest terms: no Phi_m below divides the numerator
+    assert got._cancelled() == (got._top, got._phis)
 
 
 # --- random fractions over cyclotomic products -------------------------------

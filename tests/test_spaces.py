@@ -3,11 +3,11 @@ import random
 import numpy as np
 import pytest
 
-from tl_entangle import diagrams, spaces
+from tl_entangle import cli, diagrams, spaces
 from tl_entangle.cli import _tau3_of
 from tl_entangle.connectomes import Connectome, enumerate_connectomes, representative_state
 from tl_entangle.diagrams import PlanarDiagram, TLElement
-from tl_entangle.entanglement import three_tangle
+from tl_entangle.entanglement import replica_check, three_tangle
 from tl_entangle.jones_wenzl import jones_wenzl
 from tl_entangle.scalars import (DegeneratePointError, EvalPoint, RationalFn,
                                  d_param, delta, evaluate, sqrt_normalizer)
@@ -642,6 +642,33 @@ def test_amplitude_list_raises_as_amplitudes(monkeypatch, make, point):
                        info.value.factor))
     assert errors[0] == errors[1]
     assert dressings == []
+
+
+def test_frames_never_dress_the_local_basis(capsys, monkeypatch):
+    # a command that reads only frames leaves the dressed basis and its Gram
+    # matrix unbuilt; the first projector tile dresses the basis, once
+    qudit_space.cache_clear()
+    try:
+        assert cli.main(["state", "two_qutrit_rank2", "--k", "4"]) == 0
+        capsys.readouterr()
+        space = qudit_space(3)
+        assert "dressed" not in vars(space) and "gram" not in vars(space)
+        dressings = []
+        real = spaces.dress
+
+        def counting(element, layout, projector, d):
+            if layout.names == ("of dimension 3",):
+                dressings.append(1)
+            return real(element, layout, projector, d)
+
+        monkeypatch.setattr(spaces, "dress", counting)
+        state = load_corpus("two_qutrit_rank2").state()
+        for point in (K4, K6):
+            replica_check(state.amplitudes(point), state, point, 2)
+        assert len(dressings) == len(space.basis) == 3
+        assert "dressed" in vars(space) and "gram" not in vars(space)
+    finally:
+        qudit_space.cache_clear()
 
 
 def test_three_qubit_amplitude_list_builds_one_frame(monkeypatch):
