@@ -1,9 +1,10 @@
 """Command-line frontend for tangle evaluation and classification.
 
 Exit codes: 0 success, 1 usage problem, 2 tangle parse error, 3 degenerate
-evaluation point, 4 internal invariant violation.  Output is JSON (default)
-or CSV with floats printed to 12 significant digits, so identical inputs
-produce byte-identical output.
+evaluation point (the message ends with the party, frame vector and factor
+that vanished, as far as they are known), 4 internal invariant violation.
+Output is JSON (default) or CSV with floats printed to 12 significant
+digits, so identical inputs produce byte-identical output.
 
 Input bounds, each a usage error (exit 1) before any array, grid or search
 is built: an angle and its double must be finite; --tol must lie above 0 and
@@ -16,7 +17,7 @@ negative; connectome enumerate takes at most 6 parties and at most
 ENUMERATE_MAX_PUNCTURES[parties] punctures; a party evaluated by a command
 has dimension at most MAX_PARTY_DIM (4), and a jw slice wider than
 skein.MAX_JW_WIDTH (6) strands is a parse error (exit 2): jones_wenzl(7) and
-qudit_space's closed-form frames run unmetered (about 1.7 s, and 16 ms for
+qudit_space's closed-form frames run unmetered (about 0.9 s, and 4 ms for
 dimension 5, on two cores).  All other work is charged step by step against
 diagrams.WORK_BUDGET; a document's word that would pass it is a parse error
 naming the slice's line (exit 2), any other expansion a usage error.
@@ -58,7 +59,7 @@ MAX_STEPS = 10_000
 ENUMERATE_MAX_PUNCTURES = {1: 100_000, 2: 100_000, 3: 96, 4: 12, 5: 4, 6: 2}
 
 # The largest party dimension a command evaluates, checked before exact
-# set-up: a dimension-5 frame builds in 16 ms, but a two-party dimension-5
+# set-up: a dimension-5 frame builds in 4 ms, but a two-party dimension-5
 # connectome state passes the work budget dressing its second party (1.4 s).
 MAX_PARTY_DIM = 4
 
@@ -623,7 +624,10 @@ def main(argv=None):
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except DegeneratePointError as exc:
-        print(f"degenerate evaluation point: {exc}", file=sys.stderr)
+        fields = ", ".join(f"{name} {value}" for name in ("party", "vector", "factor")
+                           if (value := getattr(exc, name)) is not None)
+        print(f"degenerate evaluation point: {exc}" + (f" [{fields}]" if fields else ""),
+              file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -8,30 +8,29 @@ d = -A^2 - A^(-2) = -2*cos(2*theta).
 Laurent polynomials hold integral coefficients as ints and the others as
 Fractions.  Every denominator the package builds is a product of cyclotomic
 polynomials Phi_m(A): up to a unit +-A^k, each quantum integer delta(n) is
-one, the Jones-Wenzl recursion divides only by those, and frames are their
-ratios (quantum_factorials).  So a RationalFn holds a Laurent numerator over
-a multiset {m: e} of Phi_m exponents, and a denominator of any other form
-raises InvariantError.  A sum brings both numerators to the larger multiset,
-a product adds the multisets, bar uses Phi_m(1/A) = A^-phi(m) Phi_m(A)
-(m > 1), and equality cross-multiplies; none of them computes a gcd.
+one, and the Jones-Wenzl coefficients and frames are their ratios, which
+quantum_factorials reads off their Phi_m multisets.  So a RationalFn holds a
+Laurent numerator over a multiset {m: e} of Phi_m exponents, and a
+denominator of any other form raises InvariantError.  A sum brings both
+numerators to the larger multiset, a product adds the multisets, bar uses
+Phi_m(1/A) = A^-phi(m) Phi_m(A) (m > 1), and equality cross-multiplies;
+none of them computes a gcd.
 
 Every Phi_m factor is found by one rule, exact division (_divide_out), and
-no float decides a factor.  A division splits the divisor's numerator by
-trying every Phi_m of degree up to its own (_cyclotomic_split).  Lowest
+no float decides a factor.  Only RationalFn(num, den) and / factor a
+polynomial, by trying every Phi_m of degree up to its own
+(_cyclotomic_split); no build path of the package calls either.  Lowest
 terms (RationalFn.lowest) divide the numerator by the Phi_m of the value's
 own multiset, each at most as often as the multiset holds it; that brings a
 quotient, and each coefficient of a TLElement as it is built, to lowest
 terms, and builds the canonical (numerator, denominator) pair, which
 evaluation, printing and hashing read, once per value.
 
-SplitNorm splits a squared norm that is a function of d as (r/r')^2 * s/s'
-for its square roots.  Each irreducible polynomial in d is, up to a unit,
-one group of Phi_m in A (see _d_group), so the Phi_m exponents of the norm's
-numerator and denominator give how often each group divides it.  For each
-side, r is one cyclotomic product, of every group to half its power rounded
-down, read as a polynomial in d and made monic; s is another, of the groups
-of odd power, read the same way and times the side's content.  Frame norms
-are ratios of quantum-integer products; any other norm raises InvariantError.
+SplitNorm takes the powers quantum_factorials takes and splits that squared
+norm as (r/r')^2 * s/s' for its square roots, from the same Phi_m multiset
+(_factorial_phis): each irreducible polynomial in d is, up to a unit, one
+group of Phi_m in A (_d_group), and each side's r and s are read off one
+cyclotomic product each (_square_split).
 """
 
 from __future__ import annotations
@@ -391,16 +390,20 @@ class RationalFn:
     __slots__ = ("_top", "_phis", "_canon")
 
     def __init__(self, num, den=None):
-        num = _coerce(num)
-        den = LaurentPoly.one() if den is None else _coerce(den)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        split = _cyclotomic_split(den)
-        if split is None:
-            raise InvariantError(f"denominator {den!r} is no product of cyclotomic polynomials")
-        c, shift, phis = split
-        self._top = num * LaurentPoly({-shift: Fraction(1) / c})
-        self._phis = phis if self._top else {}
+        top, phis = _coerce(num), {}
+        if top is NotImplemented:
+            raise TypeError(f"cannot build a RationalFn from {type(num).__name__}")
+        if den is not None:
+            den = _coerce(den)
+            if den.is_zero():
+                raise ZeroDivisionError("zero denominator")
+            split = _cyclotomic_split(den)
+            if split is None:
+                raise InvariantError(f"denominator {den!r} is no product of cyclotomic polynomials")
+            c, shift, phis = split
+            top = top * LaurentPoly({-shift: Fraction(1) / c})
+        self._top = top
+        self._phis = phis if top else {}
         self._canon = None
 
     @classmethod
@@ -573,15 +576,23 @@ def delta(n):
     return prev
 
 
-def quantum_factorials(*powers):
-    """prod [a]!^e over powers = ((a, e), ...) in lowest terms, with no division:
-    [k] = (-1)^(k-1) delta(k-1) = A^(-2(k-1)) prod Phi_m(A) over m | 4k, m not 1, 2 or 4."""
+def _factorial_phis(powers):
+    """The signed Phi_m multiset {m: e} of prod [a]!^e over powers = ((a, e), ...):
+    [k] = (-1)^(k-1) delta(k-1) = A^(-2(k-1)) prod Phi_m(A) over m | 4k, m not 1, 2 or 4.
+    Its positive part is the numerator, its negative part the denominator."""
     exps = {}
     for a, e in powers:
         for k in range(1, a + 1):
             for m in range(3, 4 * k + 1):
                 if 4 * k % m == 0 and m != 4:
                     exps[m] = exps.get(m, 0) + e
+    return exps
+
+
+def quantum_factorials(*powers):
+    """prod [a]!^e over powers = ((a, e), ...) in lowest terms, read off its
+    Phi_m multiset (_factorial_phis) with no division."""
+    exps = _factorial_phis(powers)
     top = _cyclotomic_product(tuple(sorted((m, e) for m, e in exps.items() if e > 0)))
     top = top * LaurentPoly.A_power(-sum(a * (a - 1) * e for a, e in powers))
     return _fn(top, {m: -e for m, e in sorted(exps.items()) if e < 0})
@@ -698,13 +709,13 @@ def _d_groups(phis):
     return groups
 
 
-def _square_split(content, groups):
-    """(r, s) with content * prod (group product)^n over groups = {key: n}
-    equal to r^2 * s up to a power of A, as polynomials in d: r is read off
-    the one cyclotomic product of the groups to the power n // 2 and made
-    monic, s is the content times the one cyclotomic product of the groups
-    of odd n.  Each group product is +-A^k f(d) (see _d_group), so s takes
-    the signs of the odd groups; even groups' signs square away."""
+def _square_split(groups):
+    """(r, s) with prod (group product)^n over groups = {key: n} equal to
+    r^2 * s up to a power of A, as polynomials in d: r is read off the one
+    cyclotomic product of the groups to the power n // 2 and made monic, s
+    off the one cyclotomic product of the groups of odd n.  Each group
+    product is +-A^k f(d) (see _d_group), so s takes the signs of the odd
+    groups; even groups' signs square away."""
     half, odd = [], []
     for key, n in groups.items():
         for m, e in _d_group(key).items():
@@ -715,49 +726,32 @@ def _square_split(content, groups):
     r, s = (_cyclotomic_product(tuple(sorted(phis))) for phis in (half, odd))
     # every group product has even degree, so A^(-degree/2) centres each product
     r, s = (as_poly_in_d(p * LaurentPoly.A_power(-p.max_exp() // 2)) for p in (r, s))
-    return [c / r[-1] for c in r], [content * c for c in s]
-
-
-def _d_parts(fn):
-    """The float coefficient lists (rn, sn, rd, sd) of polynomials in d with
-    fn = (rn/rd)^2 * sn/sd: the Phi_m exponents of fn's numerator (found by
-    exact division) and of its denominator give each side's groups, and
-    _square_split reads that side's r and s off one cyclotomic product each.
-    Raises InvariantError when fn's numerator is no product of cyclotomic
-    polynomials or fn is no function of d."""
-    if fn.is_zero():
-        return [0.0], [1.0], [1.0], [1.0]
-    num, den_phis = fn._cancelled()
-    split = _cyclotomic_split(num)
-    if split is None:
-        raise InvariantError(f"numerator {num!r} is no product of cyclotomic polynomials")
-    c, _, num_phis = split
-    # only a ratio of two Laurent polynomials centred on the same power of A,
-    # each a polynomial in d, is a function of d
-    if num.min_exp() + num.max_exp() != sum(_totient(m) * e for m, e in den_phis.items()):
-        raise InvariantError(f"squared norm {fn!r} is no function of d")
-    parts = _square_split(c, _d_groups(num_phis)) + _square_split(1, _d_groups(den_phis))
-    return tuple([float(x) for x in part] for part in parts)
+    return [c / r[-1] for c in r], s
 
 
 class SplitNorm:
-    """An exact squared norm, split once for repeated square roots.
-
-    norm_sq = (rn/rd)^2 * sn/sd with rn, rd monic and sn, sd square-free
-    polynomials in d.  The split is read off the Phi_m exponents of the
-    norm's numerator and denominator (see _d_parts) and does not depend on
-    the evaluation point, so each point only evaluates the four
-    d-polynomials.  A norm that is no function of d, or whose numerator is
-    no product of cyclotomic polynomials, raises InvariantError.
+    """The squared norm quantum_factorials(*powers), split once for repeated
+    square roots: norm_sq = (rn/rd)^2 * sn/sd with rn, rd monic and sn, sd
+    square-free polynomials in d, read off the positive and negative parts
+    of its Phi_m multiset.  The split does not depend on the evaluation
+    point, so each point only evaluates the four d-polynomials.  A multiset
+    that makes no whole groups (_d_groups) is no function of d and raises
+    InvariantError.
     """
 
     __slots__ = ("parts",)
 
-    def __init__(self, norm_sq):
-        self.parts = _d_parts(RationalFn.from_scalar(norm_sq))
+    def __init__(self, *powers):
+        exps = _factorial_phis(powers)
+        num = {m: e for m, e in exps.items() if e > 0}
+        den = {m: -e for m, e in exps.items() if e < 0}
+        parts = _square_split(_d_groups(num)) + _square_split(_d_groups(den))
+        self.parts = tuple([float(x) for x in part] for part in parts)
 
     def sqrt_at(self, point):
-        """sqrt_normalizer(norm_sq, point) from the stored split."""
+        """r/r' * sqrt(s/s') at point: the sign of r/r' is the projector-basis
+        convention.  DegeneratePointError, with its factor set, when a part
+        vanishes or s/s' is not positive (below NORM_TOL)."""
         d = point.d
         rn, sn, rd, sd = (_dpoly_eval(poly, d) for poly in self.parts)
         if abs(rd) < NORM_TOL or abs(sd) < NORM_TOL:
@@ -773,14 +767,7 @@ class SplitNorm:
         return complex(r_val * math.sqrt(s_val))
 
 
-def sqrt_normalizer(norm_sq, point):
-    """Square root of an exact squared norm, as a complex number: split as
-    (r/r')^2 * s/s' by SplitNorm, it is r/r' * sqrt(s/s') with the sign of
-    r/r' at the point, the sign convention of the projector-basis formulas.
-
-    Raises DegeneratePointError, with its factor set, when a part vanishes
-    or s/s' is not positive (below NORM_TOL), and InvariantError when
-    norm_sq is no function of d.  To take roots of one squared norm at many
-    points, split it once with SplitNorm.
-    """
-    return SplitNorm(norm_sq).sqrt_at(point)
+def sqrt_normalizer(powers, point):
+    """SplitNorm(*powers).sqrt_at(point), for one root of one norm; kept by
+    name because the benchmark's tracer wraps it."""
+    return SplitNorm(*powers).sqrt_at(point)

@@ -115,9 +115,10 @@ class QuditSpace:
         self._gs_coeffs = [
             [quantum_factorials((j, 2), (j - k, -1), (k, -2), (j + k, 1), (2 * j, -1))
              if k <= j else RationalFn(0) for k in range(n)] for j in range(n)]
-        self.gs_norms_sq = [quantum_factorials((n + j, 2), (n - 1 - j, 2), (j, 4), (n - 1, -4),
-                                               (2 * j, -1), (2 * j + 1, -1)) for j in range(n)]
-        self._gs_roots = [SplitNorm(nu) for nu in self.gs_norms_sq]
+        norms = [((n + j, 2), (n - 1 - j, 2), (j, 4), (n - 1, -4), (2 * j, -1), (2 * j + 1, -1))
+                 for j in range(n)]
+        self.gs_norms_sq = [quantum_factorials(*powers) for powers in norms]
+        self._gs_roots = [SplitNorm(*powers) for powers in norms]
         self._projector_cache = PointCache()
 
     @cached_property
@@ -136,8 +137,9 @@ class QuditSpace:
         """Rows of the lower triangular T with orthonormal vectors
         u_i = sum_j T[i][j] b_j, each cut after its diagonal entry.
 
-        Each norm is split once at construction (sqrt_normalizer's
-        convention), so a fresh point costs only numeric evaluations.
+        Each norm is split once at construction, from the quantum-factorial
+        powers it is built from (SplitNorm, whose sign convention the rows
+        keep), so a fresh point costs only numeric evaluations.
         """
         rows = []
         for i in range(self.n):

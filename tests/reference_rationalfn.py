@@ -7,6 +7,7 @@ the denominator is an ordinary polynomial in A with nonzero constant term and
 leading coefficient 1, and any A-power shift is absorbed into the numerator.
 """
 
+import math
 from fractions import Fraction
 
 from tl_entangle.scalars import (
@@ -249,3 +250,18 @@ def split_norm_parts(norm_sq):
     num_d, den_d = ratio
     return tuple([float(c) for c in poly] for poly in
                  squarefree_split_d(num_d) + squarefree_split_d(den_d))
+
+
+def yun_sqrt(norm_sq, point):
+    """The root SplitNorm.sqrt_at takes, r/r' * sqrt(s/s') at point.d, from
+    Yun's split of the exact norm, with the same float operations (Horner,
+    then the two ratios) and no degeneracy checks."""
+    rn, sn, rd, sd = (_horner(poly, point.d) for poly in split_norm_parts(norm_sq))
+    return complex(rn / rd * math.sqrt(sn / sd))
+
+
+def _horner(poly, x):
+    out = 0.0
+    for c in reversed(poly):
+        out = out * x + c
+    return out

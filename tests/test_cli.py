@@ -313,7 +313,8 @@ def test_dressing_failure_message_unchanged(capsys):
     # and so does a qutrit frame norm's; the frame is built first and speaks
     code, out, err = run(capsys, ["state", "two_qutrit_rank1", "--theta=pi/4"])
     assert code == 3 and out == ""
-    assert err == f"degenerate evaluation point: squared norm singular at theta={math.pi / 4}\n"
+    assert err == (f"degenerate evaluation point: squared norm singular at theta={math.pi / 4}"
+                   " [party L, vector 1, factor denominator]\n")
 
 
 def test_usage_errors_exit_code(capsys):
@@ -544,19 +545,24 @@ def test_tol_reaches_every_rank_count(capsys):
 
 @pytest.mark.parametrize("failure", ["frame norm", "denominator"])
 def test_invariant_failure_is_internal_error(capsys, monkeypatch, failure):
-    # a broken invariant of the exact algebra is no usage error: exit 4
+    # a broken invariant of the program is no usage error: exit 4
     if failure == "frame norm":
-        # every closed form, and so every frame norm, is A: no function of d
-        monkeypatch.setattr(spaces, "quantum_factorials",
-                            lambda *powers: scalars.RationalFn(scalars.LaurentPoly.A_power(1)))
-        message = "InvariantError('squared norm A is no function of d')"
+        # every quantum-factorial multiset, and so every frame norm's, is
+        # Phi_3 alone: no whole group of Phi_m, so no function of d
+        monkeypatch.setattr(scalars, "_factorial_phis", lambda powers: {3: 1})
+        argv = ["state", "two_qutrit_rank2"]
+        message = "InvariantError('the product of Phi_m^e over {3: 1} is no function of d')"
     else:
-        monkeypatch.setattr(scalars, "_cyclotomic_split", lambda poly: None)
-        message = "is no product of cyclotomic polynomials"
+        # the exact denominators are read off Phi_m multisets, so no command
+        # meets a non-cyclotomic one; a singular-value loop given no sweeps
+        # breaks the numeric kernel's convergence invariant instead
+        monkeypatch.setattr(entanglement, "MAX_JACOBI_SWEEPS", 0)
+        argv = ["classify", "two_qutrit_rank2"]
+        message = "one-sided Jacobi did not converge in 0 sweeps"
     jones_wenzl.cache_clear()
     spaces.qudit_space.cache_clear()
     try:
-        code, out, err = run(capsys, ["state", "two_qutrit_rank2"])
+        code, out, err = run(capsys, argv)
     finally:
         monkeypatch.undo()
         jones_wenzl.cache_clear()

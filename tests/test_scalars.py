@@ -107,30 +107,23 @@ def test_as_poly_in_d():
     assert as_poly_in_d(LaurentPoly.A_power(1)) is None
 
 
-def test_squarefree_split():
-    # SplitNorm.parts = (rn, sn, rd, sd) with norm = (rn/rd)^2 * sn/sd in d
-    d = d_param()
-    # (d-1)^2 (d+2) = d^3 - 3d + 2
-    assert SplitNorm(RationalFn((d - 1) ** 2 * (d + 2))).parts == ([-1, 1], [2, 1], [1], [1])
-    # constant and pure-square cases
-    assert SplitNorm(RationalFn(-5)).parts == ([1], [-5], [1], [1])
-    assert SplitNorm(RationalFn(4 * d * d)).parts == ([0, 1], [4], [1], [1])
-
-
 def test_sqrt_normalizer_sign_convention():
+    # norms given by their quantum-factorial powers, [2] = -d and [3] = d^2 - 1
     pt = EvalPoint.from_level(4)  # d = -sqrt(3)
-    d = d_param()
-    # 1/d^2 keeps the sign of 1/d
-    val = sqrt_normalizer(RationalFn(1, d * d), pt)
+    # 1/d^2 = [2]^-2 keeps the sign of 1/d
+    val = sqrt_normalizer(((2, -2),), pt)
     assert abs(val - (-1 / math.sqrt(3))) < 1e-12
-    # 1/(d^2-1) is not a perfect square: principal positive root
-    val = sqrt_normalizer(RationalFn(1, delta(2)), pt)
+    # 1/(d^2-1) = [2]!/[3]! is not a perfect square: principal positive root
+    val = sqrt_normalizer(((2, 1), (3, -1)), pt)
     assert abs(val - 1 / math.sqrt(2)) < 1e-12
-    # d^2/(d^2-1)^2 -> d/(d^2-1), negative at this point
-    val = sqrt_normalizer(RationalFn(d * d, delta(2) * delta(2)), pt)
+    # d^2/(d^2-1)^2 = [2]!^4/[3]!^2 -> d/(d^2-1), negative at this point
+    val = sqrt_normalizer(((2, 4), (3, -2)), pt)
     assert abs(val - (-math.sqrt(3) / 2)) < 1e-12
-    with pytest.raises(DegeneratePointError):
-        sqrt_normalizer(RationalFn(1, d * d), EvalPoint(math.pi / 4))
-    with pytest.raises(DegeneratePointError):
-        # negative squared norm: -(d^2-1) at d^2 = 3
-        sqrt_normalizer(RationalFn(-1 * delta(2)), pt)
+    assert SplitNorm((2, 4), (3, -2)).parts == ([0, 1], [1], [-1, 0, 1], [1])
+    with pytest.raises(DegeneratePointError) as info:
+        sqrt_normalizer(((2, -2),), EvalPoint(math.pi / 4))
+    assert info.value.factor == "denominator"
+    # 1/(d^2-1) is negative where |d| < 1 (d = -0.72 here): its square-free part
+    with pytest.raises(DegeneratePointError) as info:
+        sqrt_normalizer(((2, 1), (3, -1)), EvalPoint(0.6))
+    assert info.value.factor == "squarefree"

@@ -10,13 +10,14 @@ from tl_entangle.diagrams import PlanarDiagram, TLElement
 from tl_entangle.entanglement import replica_check, three_tangle
 from tl_entangle.jones_wenzl import jones_wenzl
 from tl_entangle.scalars import (DegeneratePointError, EvalPoint, RationalFn,
-                                 d_param, delta, evaluate, sqrt_normalizer)
+                                 d_param, delta, evaluate)
 from tl_entangle.skein import SliceWord
 from tl_entangle.spaces import (DiagramState, PartyLayout, QuditSpace,
                                 crossed_triple_residual, local_basis_matchings,
                                 qudit_space, reduced_diagram, tuple_basis_diagram)
 from tl_entangle.tangle_dsl import corpus_names, load_corpus
 
+from reference_rationalfn import yun_sqrt
 from test_diagrams import reference_inner
 
 D = d_param()
@@ -379,11 +380,11 @@ def test_degenerate_frame_raises_before_dressing(monkeypatch, make):
 
 def reference_ortho_transform(space, point):
     """ortho_transform as it was before the norms were split once: every
-    point redoes sqrt_normalizer's exact conversion and square-free split."""
+    point splits each exact norm again, by Yun's square-free split."""
     n = space.n
     T = np.zeros((n, n), dtype=complex)
     for i in range(n):
-        nrm = sqrt_normalizer(space.gs_norms_sq[i], point)
+        nrm = yun_sqrt(space.gs_norms_sq[i], point)
         for j in range(i + 1):
             T[i, j] = complex(evaluate(space._gs_coeffs[i][j], point)) / nrm
     return T
