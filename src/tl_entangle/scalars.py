@@ -10,21 +10,19 @@ Fractions.  Every denominator the package builds is a product of cyclotomic
 polynomials Phi_m(A): up to a unit +-A^k, each quantum integer delta(n) is
 one, and the Jones-Wenzl coefficients and frames are their ratios, which
 quantum_factorials reads off their Phi_m multisets.  So a RationalFn holds a
-Laurent numerator over a multiset {m: e} of Phi_m exponents, and a
-denominator of any other form raises InvariantError.  A sum brings both
-numerators to the larger multiset, a product adds the multisets, bar uses
+Laurent numerator over the multiset {m: e} of Phi_m exponents it was built
+from; RationalFn(x) puts a number or a LaurentPoly over the empty multiset,
+and nothing divides by a general polynomial.  A sum brings both numerators
+to the larger multiset, a product adds the multisets, bar uses
 Phi_m(1/A) = A^-phi(m) Phi_m(A) (m > 1), and equality cross-multiplies;
 none of them computes a gcd.
 
 Every Phi_m factor is found by one rule, exact division (_divide_out), and
-no float decides a factor.  Only RationalFn(num, den) and / factor a
-polynomial, by trying every Phi_m of degree up to its own
-(_cyclotomic_split); no build path of the package calls either.  Lowest
-terms (RationalFn.lowest) divide the numerator by the Phi_m of the value's
-own multiset, each at most as often as the multiset holds it; that brings a
-quotient, and each coefficient of a TLElement as it is built, to lowest
-terms, and builds the canonical (numerator, denominator) pair, which
-evaluation, printing and hashing read, once per value.
+no float decides a factor.  Lowest terms (RationalFn.lowest) divide the
+numerator by the Phi_m of the value's own multiset, each at most as often as
+the multiset holds it; that brings each coefficient of a TLElement, as it is
+built, to lowest terms, and builds the canonical (numerator, denominator)
+pair, which evaluation, printing and hashing read, once per value.
 
 SplitNorm takes the powers quantum_factorials takes and splits that squared
 norm as (r/r')^2 * s/s' for its square roots, from the same Phi_m multiset
@@ -65,9 +63,9 @@ class DegeneratePointError(ValueError):
 
 
 class InvariantError(RuntimeError):
-    """Raised when an internal invariant fails, such as a non-cyclotomic
-    denominator, a squared norm that is no function of d, or a traceless
-    ladder operator; the CLI maps it to exit 4."""
+    """Raised when an internal invariant fails, such as a squared norm that
+    is no function of d or a traceless ladder operator; the CLI maps it to
+    exit 4."""
 
 
 def _exact(c):
@@ -196,7 +194,7 @@ class LaurentPoly:
 
     def __pow__(self, n):
         if n < 0:
-            raise ValueError("negative power of a Laurent polynomial; use RationalFn")
+            raise ValueError("a LaurentPoly has no negative powers")
         out = LaurentPoly.one()
         base = self
         while n:
@@ -294,16 +292,6 @@ def _totient(m):
     return out
 
 
-@lru_cache(maxsize=None)
-def _orders_up_to(degree):
-    """Every m whose Phi_m has degree phi(m) <= degree, in increasing order:
-    the Phi_m that _cyclotomic_split tries.
-
-    m < 6*phi(m) for every m below 2*10^8, so no m above 6*degree qualifies.
-    """
-    return tuple(m for m in range(1, 6 * degree + 1) if _totient(m) <= degree)
-
-
 def _divide_out(dense, limits):
     """Divide each Phi_m of limits = {m: e} out of a dense polynomial as often
     as it goes, at most e times, in the order of limits; returns the
@@ -324,20 +312,6 @@ def _divide_out(dense, limits):
         if times:
             exps[m] = times
     return dense, exps
-
-
-def _cyclotomic_split(poly):
-    """Factor a nonzero LaurentPoly as c * A^k * prod Phi_m^e.
-
-    Returns (c, k, {m: e}) with m ascending, or None when poly has an
-    irreducible factor that is no Phi_m.  Every Phi_m of degree up to
-    poly's is tried by exact division; no float decides a factor.
-    """
-    shift, dense = poly.dense()
-    dense, exps = _divide_out(dense, dict.fromkeys(_orders_up_to(len(dense) - 1), len(dense)))
-    if len(dense) > 1:
-        return None
-    return dense[0], shift, exps
 
 
 @lru_cache(maxsize=None)
@@ -377,8 +351,9 @@ class RationalFn:
     """Ratio of Laurent polynomials over a product of cyclotomic polynomials.
 
     The value is _top / prod Phi_m(A)^e over _phis = {m: e}; arithmetic keeps
-    that form and computes no gcd.  A denominator that is not
-    c * A^k * prod Phi_m^e for a rational c raises InvariantError.
+    that form and computes no gcd, and there is no division.  RationalFn(x)
+    takes a number, a LaurentPoly (over no Phi_m) or a RationalFn; the other
+    values come from quantum_factorials and the ring operations.
 
     The canonical pair (num, den), which evaluation, printing and hashing
     read, is in lowest terms with den an ordinary polynomial in A of nonzero
@@ -389,29 +364,11 @@ class RationalFn:
 
     __slots__ = ("_top", "_phis", "_canon")
 
-    def __init__(self, num, den=None):
-        top, phis = _coerce(num), {}
-        if top is NotImplemented:
-            raise TypeError(f"cannot build a RationalFn from {type(num).__name__}")
-        if den is not None:
-            den = _coerce(den)
-            if den.is_zero():
-                raise ZeroDivisionError("zero denominator")
-            split = _cyclotomic_split(den)
-            if split is None:
-                raise InvariantError(f"denominator {den!r} is no product of cyclotomic polynomials")
-            c, shift, phis = split
-            top = top * LaurentPoly({-shift: Fraction(1) / c})
-        self._top = top
-        self._phis = phis if top else {}
-        self._canon = None
-
-    @classmethod
-    def from_scalar(cls, value):
-        out = cls._try_coerce(value)
-        if out is NotImplemented:
-            raise TypeError(f"cannot build a RationalFn from {type(value).__name__}")
-        return out
+    def __init__(self, value):
+        value = RationalFn._try_coerce(value)
+        if value is NotImplemented:
+            raise TypeError("a RationalFn is built from a number, a LaurentPoly or a RationalFn")
+        self._top, self._phis, self._canon = value._top, value._phis, value._canon
 
     @classmethod
     def _try_coerce(cls, value):
@@ -506,21 +463,6 @@ class RationalFn:
         return _fn(self._top * other._top, a or b)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = RationalFn._try_coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        # cancelled at once, or numerators grow with every repeated quotient
-        return (self * RationalFn(other.den, other.num)).lowest()
-
-    def __rtruediv__(self, other):
-        other = RationalFn._try_coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
 
     def bar(self):
         """A -> 1/A, by Phi_m(1/A) = A^-phi(m) Phi_m(A) for m > 1 and

@@ -32,7 +32,7 @@ MAX_JW_WIDTH = 6
 
 def _at_one(c):
     """Exact value of a coefficient at A = 1."""
-    c = RationalFn.from_scalar(c)
+    c = RationalFn(c)
     return sum(c.num.coeffs.values(), Fraction(0)) / sum(c.den.coeffs.values())
 
 

@@ -129,7 +129,7 @@ class QuditSpace:
     @cached_property
     def gram(self):
         n = self.n
-        upper = {(i, j): RationalFn.from_scalar(self.basis[i].inner(self.dressed[j], _D))
+        upper = {(i, j): RationalFn(self.basis[i].inner(self.dressed[j], _D))
                  for j in range(n) for i in range(j + 1)}
         return [[upper[i, j] if i <= j else upper[j, i].bar() for j in range(n)] for i in range(n)]
 

@@ -5,17 +5,25 @@ their differential tests compare against.
 Every result is reduced by a Euclidean gcd over the rationals and normalized:
 the denominator is an ordinary polynomial in A with nonzero constant term and
 leading coefficient 1, and any A-power shift is absorbed into the numerator.
+Its / is the only general division the tests have: scalars.RationalFn has
+none, so a test builds its package value from Phi_m factors (package_fraction,
+wenzl_coefficient) and the reference value by division or from the product of
+the same factors (reference_fraction).
 """
 
+import cmath
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from tl_entangle.scalars import (
     DENOMINATOR_TOL,
     DegeneratePointError,
     LaurentPoly,
     _coerce,
+    _fn,
     as_poly_in_d,
+    quantum_factorials,
 )
 
 
@@ -165,6 +173,69 @@ class RationalFn:
         if self.den == LaurentPoly.one():
             return repr(self.num)
         return f"({self.num!r})/({self.den!r})"
+
+
+# generic points on the unit circle, and the level-4 point
+POINTS = [cmath.exp(1j * t) for t in (0.1, 0.7, 1.3, -0.2617993877991494)]
+
+
+def _value(x, a):
+    try:
+        return x.evaluate(a)
+    except DegeneratePointError as exc:
+        return str(exc), exc.factor
+
+
+def assert_same(new, ref):
+    """A package value and a reference value have the same canonical pair,
+    with the same coefficients in the same order, the same repr and hash, and
+    bit-identical floats from evaluate."""
+    for part, ref_part in ((new.num, ref.num), (new.den, ref.den)):
+        assert list(part.coeffs.items()) == list(ref_part.coeffs.items())
+    assert repr(new) == repr(ref)
+    assert hash(new) == hash(ref)
+    for a in POINTS:
+        assert _value(new, a) == _value(ref, a)
+
+
+# --- one value from its Phi_m factors, in both classes --------------------------
+
+@lru_cache(maxsize=None)
+def cyclotomic(m):
+    """Phi_m(A), from A^m - 1 = prod over k | m of Phi_k by the reference's
+    division."""
+    out = RationalFn(LaurentPoly.A_power(m) - 1)
+    for k in range(1, m):
+        if m % k == 0:
+            out = out / cyclotomic(k)
+    assert out.den == LaurentPoly.one()
+    return out.num
+
+
+def cyclotomic_denominator(c, k, phis):
+    """c * A^k * prod Phi_m^e over phis = {m: e}, multiplied out."""
+    out = LaurentPoly({k: c})
+    for m, e in phis.items():
+        out = out * cyclotomic(m) ** e
+    return out
+
+
+def package_fraction(num, c, k, phis):
+    """num / (c * A^k * prod Phi_m^e) as a scalars.RationalFn holds it: the
+    unit moved into the numerator, over the multiset phis = {m: e}."""
+    return _fn(_coerce(num) * LaurentPoly({-k: Fraction(1) / c}), dict(phis))
+
+
+def reference_fraction(num, c, k, phis):
+    """The same value as package_fraction, reduced from the multiplied-out
+    denominator."""
+    return RationalFn(num, cyclotomic_denominator(c, k, phis))
+
+
+def wenzl_coefficient(n):
+    """The Wenzl coefficient delta(n-2)/delta(n-1) in the package's arithmetic:
+    -[n-1]/[n], as [k] = (-1)^(k-1) delta(k-1), read off quantum factorials."""
+    return -quantum_factorials((n - 1, 2), (n - 2, -1), (n, -1))
 
 
 # --- the square-free split ----------------------------------------------------

@@ -553,9 +553,8 @@ def test_invariant_failure_is_internal_error(capsys, monkeypatch, failure):
         argv = ["state", "two_qutrit_rank2"]
         message = "InvariantError('the product of Phi_m^e over {3: 1} is no function of d')"
     else:
-        # the exact denominators are read off Phi_m multisets, so no command
-        # meets a non-cyclotomic one; a singular-value loop given no sweeps
-        # breaks the numeric kernel's convergence invariant instead
+        # a singular-value loop given no sweeps breaks the numeric kernel's
+        # convergence invariant
         monkeypatch.setattr(entanglement, "MAX_JACOBI_SWEEPS", 0)
         argv = ["classify", "two_qutrit_rank2"]
         message = "one-sided Jacobi did not converge in 0 sweeps"

@@ -3,9 +3,9 @@ factors, no gcd) against the gcd-reduced class it replaced, and of
 scalars.SplitNorm (read off Phi_m exponents) against Yun's square-free split,
 both kept in reference_rationalfn.  Equal means the same canonical pair, with
 the same coefficients in the same order, the same repr and hash, and
-bit-identical floats from evaluate; for a split, the same float lists."""
+bit-identical floats from evaluate; for a split, the same float lists.  Every
+division is the reference's: a package value is built from its Phi_m factors."""
 
-import cmath
 import math
 from collections import Counter
 from fractions import Fraction
@@ -14,48 +14,35 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference_rationalfn import RationalFn as ReferenceFn, split_norm_parts
-from tl_entangle import cli, scalars, spaces
+from reference_rationalfn import (POINTS, RationalFn as ReferenceFn, assert_same,
+                                  cyclotomic_denominator, package_fraction, reference_fraction,
+                                  split_norm_parts, wenzl_coefficient)
+from tl_entangle import scalars, spaces
 from tl_entangle.diagrams import PlanarDiagram, TLElement, _join
 from tl_entangle.jones_wenzl import jones_wenzl
-from tl_entangle.scalars import (DegeneratePointError, InvariantError, LaurentPoly,
-                                 RationalFn, SplitNorm, d_param, delta)
+from tl_entangle.scalars import LaurentPoly, RationalFn, SplitNorm, d_param, delta
 from tl_entangle.spaces import qudit_space
 from tl_entangle.tangle_dsl import corpus_names, load_corpus
 
 D = d_param()
-# generic points on the unit circle, and the level-4 point
-POINTS = [cmath.exp(1j * t) for t in (0.1, 0.7, 1.3, -0.2617993877991494)]
 
 
-def _value(x, a):
-    try:
-        return x.evaluate(a)
-    except DegeneratePointError as exc:
-        return str(exc), exc.factor
-
-
-def assert_same(new, ref):
-    for part, ref_part in ((new.num, ref.num), (new.den, ref.den)):
-        assert list(part.coeffs.items()) == list(ref_part.coeffs.items())
-    assert repr(new) == repr(ref)
-    assert hash(new) == hash(ref)
-    for a in POINTS:
-        assert _value(new, a) == _value(ref, a)
+def reference_wenzl(n):
+    return ReferenceFn(delta(n - 2), delta(n - 1))
 
 
 @lru_cache(maxsize=None)
-def reference_jones_wenzl(n, fn=ReferenceFn):
-    """jones_wenzl's Wenzl recursion over coefficients of class fn (the
-    reference class by default), composing the full-width e_(n-1)."""
+def reference_jones_wenzl(n, fn=ReferenceFn, wenzl=reference_wenzl):
+    """jones_wenzl's Wenzl recursion over coefficients of class fn, with the
+    coefficients delta(n-2)/delta(n-1) that wenzl(n) gives (the reference
+    class by default), composing the full-width e_(n-1)."""
     if n <= 1:
         diagram = PlanarDiagram.empty() if n == 0 else PlanarDiagram.identity(1)
         return TLElement.from_diagram(diagram, fn(1))
-    wide = reference_jones_wenzl(n - 1, fn).tensor(
+    wide = reference_jones_wenzl(n - 1, fn, wenzl).tensor(
         TLElement.from_diagram(PlanarDiagram.identity(1)))
     e_last = TLElement.from_diagram(PlanarDiagram.generator(n, n - 1))
-    coeff = fn(delta(n - 2), delta(n - 1))
-    return wide + (-1) * coeff * wide.compose(e_last, D).compose(wide, D)
+    return wide + (-1) * wenzl(n) * wide.compose(e_last, D).compose(wide, D)
 
 
 def reference_inner(diagram, element):
@@ -114,11 +101,19 @@ def test_jones_wenzl_coefficients_match_reference(n):
         assert_same(c, ref.terms[dg])
 
 
+@pytest.mark.parametrize("n", range(2, 10))
+def test_wenzl_coefficient_matches_reference(n):
+    # the coefficient that the recursions in the package's arithmetic, here
+    # and in test_skein, use; the reference's own recursion is too slow at
+    # width 6
+    assert_same(wenzl_coefficient(n), reference_wenzl(n))
+
+
 @pytest.mark.parametrize("n", range(7))
 def test_jones_wenzl_matches_full_width_recursion(n):
     """The hook glued under the last two strands gives the recursion's
     terms, in order, with the same coefficients."""
-    new, ref = jones_wenzl(n), reference_jones_wenzl(n, RationalFn)
+    new, ref = jones_wenzl(n), reference_jones_wenzl(n, RationalFn, wenzl_coefficient)
     assert list(new.terms.items()) == list(ref.terms.items())
     assert [repr(c) for c in new.terms.values()] == [repr(c) for c in ref.terms.values()]
 
@@ -135,10 +130,12 @@ def test_qudit_space_exact_data_matches_reference(n):
 
 
 def test_qudit_space_closed_forms_match_gram_schmidt_in_dimension_5():
-    # the frame's closed forms against exact Gram-Schmidt over the Gram
-    # matrix of the dressed basis, which takes nearly all of the time
+    # the frame's closed forms against exact Gram-Schmidt, in the reference's
+    # arithmetic, over the Gram matrix of the dressed basis, which takes
+    # nearly all of the time
     space = qudit_space(5)
-    coeffs, norms_sq = _gram_schmidt(space.gram, RationalFn)
+    gram = [[ReferenceFn(g.num, g.den) for g in row] for row in space.gram]
+    coeffs, norms_sq = _gram_schmidt(gram, ReferenceFn)
     for i in range(5):
         assert_same(space.gs_norms_sq[i], norms_sq[i])
         for j in range(5):
@@ -148,15 +145,19 @@ def test_qudit_space_closed_forms_match_gram_schmidt_in_dimension_5():
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 8), st.integers(-3, 3)), max_size=4))
 def test_quantum_factorials_match_products_of_loop_weights(powers):
-    want = RationalFn(1)
+    # the products of the factorials of positive and of negative power, with
+    # the quantum integer [k] = (-1)^(k-1) delta(k-1), reduced once
+    num, den = LaurentPoly.one(), LaurentPoly.one()
     for a, e in powers:
-        # [a]! with the quantum integer [k] = (-1)^(k-1) delta(k-1)
-        factorial = RationalFn(math.prod(((-1) ** (k - 1) * delta(k - 1)
-                                          for k in range(1, a + 1)), start=LaurentPoly.one()))
-        for _ in range(abs(e)):
-            want = want * factorial if e > 0 else want / factorial
+        factorial = math.prod(((-1) ** (k - 1) * delta(k - 1) for k in range(1, a + 1)),
+                              start=LaurentPoly.one())
+        if e > 0:
+            num = num * factorial ** e
+        else:
+            den = den * factorial ** -e
+    want = ReferenceFn(num, den)
     got = scalars.quantum_factorials(*powers)
-    assert got == want and repr(got) == repr(want)
+    assert (got.num, got.den) == (want.num, want.den) and repr(got) == repr(want)
     # already in lowest terms: no Phi_m below divides the numerator
     assert got._cancelled() == (got._top, got._phis)
 
@@ -167,39 +168,34 @@ def _A(k):
     return LaurentPoly.A_power(k)
 
 
-# A^m - 1 and A^m + 1 are products of cyclotomic polynomials (A - 1 = Phi_1
-# has its own sign under bar), as are d and the quantum integers
+# A^m - 1 and A^m + 1 are products of cyclotomic polynomials, as are d and the
+# quantum integers
 CYCLOTOMIC_FACTORS = ([_A(m) - 1 for m in range(1, 7)] + [_A(m) + 1 for m in range(1, 5)]
                       + [D, delta(2), delta(3), delta(4), D + 1])
-# factors that are no product of cyclotomic polynomials, which no denominator
-# may hold
-OTHER_FACTORS = [D + 3, _A(2) + 2, 2 * _A(1) - 1]
+# the m of every Phi_m in them; Phi_1 = A - 1 has its own sign under bar, and
+# no quantum factorial holds Phi_1 or Phi_2 = A + 1
+ORDERS = (1, 2, 3, 4, 5, 6, 8, 10, 12, 16, 20)
 
 coefficients = st.one_of(st.integers(-4, 4),
                          st.fractions(min_value=-3, max_value=3, max_denominator=6))
 laurent = st.dictionaries(st.integers(-6, 6), coefficients, max_size=4).map(LaurentPoly)
-# numerators that are products of the cyclotomic factors, which a value may be
-# divided by
+# numerators that are products of the cyclotomic factors, which can cancel
+# Phi_m of a denominator
 cyclotomic_laurent = st.lists(st.sampled_from(CYCLOTOMIC_FACTORS), min_size=1, max_size=3).map(
     lambda factors: math.prod(factors[1:], start=factors[0]))
 
 
 @st.composite
 def fractions_over_cyclotomics(draw):
+    """(num, c, k, {m: e}) for the value num / (c * A^k * prod Phi_m^e)."""
     num = draw(st.one_of(laurent, cyclotomic_laurent))
-    den = draw(st.sampled_from([1, 2, -3, Fraction(1, 2)])) * _A(draw(st.integers(-3, 3)))
-    for factor in draw(st.lists(st.sampled_from(CYCLOTOMIC_FACTORS), max_size=3)):
-        den = den * factor
-    return num, den
+    c = draw(st.sampled_from([1, 2, -3, Fraction(1, 2)]))
+    k = draw(st.integers(-3, 3))
+    phis = Counter(draw(st.lists(st.sampled_from(ORDERS), max_size=6)))
+    return num, c, k, dict(sorted(phis.items()))
 
 
-OPS = ("add", "sub", "mul", "div", "bar")
-
-
-def _divides(y):
-    """Whether x / y is defined: y's numerator becomes the denominator, which
-    must be a product of cyclotomic polynomials."""
-    return not y.is_zero() and scalars._cyclotomic_split(y.num) is not None
+OPS = ("add", "sub", "mul", "cancel", "bar")
 
 
 def _apply(op, x, y):
@@ -209,8 +205,6 @@ def _apply(op, x, y):
         return x - y
     if op == "mul":
         return x * y
-    if op == "div":
-        return x / y
     return x.bar()
 
 
@@ -220,43 +214,36 @@ def _apply(op, x, y):
 @given(st.lists(fractions_over_cyclotomics(), min_size=1, max_size=5),
        st.lists(st.sampled_from(OPS), max_size=5))
 def test_cyclotomic_fraction_arithmetic_matches_reference(operands, ops):
-    new = [RationalFn(n, d) for n, d in operands]
-    ref = [ReferenceFn(n, d) for n, d in operands]
+    new = [package_fraction(*a) for a in operands]
+    ref = [reference_fraction(*a) for a in operands]
     for x, y in zip(new, ref):
         assert_same(x, y)
     x, y = new[0], ref[0]
     for k, op in enumerate(ops):
         other = k % len(new)
-        if op == "div" and not _divides(new[other]):
-            if not new[other].is_zero():
-                with pytest.raises(InvariantError):
-                    x / new[other]
-            continue
-        x, y = _apply(op, x, new[other]), _apply(op, y, ref[other])
+        if op == "cancel":
+            # times a numerator that is a product of Phi_m, the other
+            # operand's denominator, brought to lowest terms: what is left
+            # of the multiset is the canonical denominator
+            den = cyclotomic_denominator(*operands[other][1:])
+            x, y = (x * den).lowest(), y * den
+            assert scalars._cyclotomic_product(tuple(sorted(x._phis.items()))) == x.den
+        else:
+            x, y = _apply(op, x, new[other]), _apply(op, y, ref[other])
         assert_same(x, y)
         assert x.is_zero() == y.is_zero()
 
 
 @settings(max_examples=100, deadline=None)
-@given(fractions_over_cyclotomics(), st.sampled_from(OTHER_FACTORS))
-def test_general_denominators_raise(a, other):
-    num, den = a
-    with pytest.raises(InvariantError, match="no product of cyclotomic polynomials"):
-        RationalFn(num, den * other)
-    # a division by a value whose numerator holds the factor builds that denominator
-    divisor = RationalFn(other, den)
-    with pytest.raises(InvariantError):
-        RationalFn(num) / divisor
-
-
-@settings(max_examples=100, deadline=None)
 @given(fractions_over_cyclotomics(), fractions_over_cyclotomics())
 def test_equal_values_hash_equal(a, b):
-    x, z = RationalFn(*a), RationalFn(*b)
-    for y in (x + z - z, (x * z) / z if _divides(z) else x, x.bar().bar()):
+    x, z = package_fraction(*a), package_fraction(*b)
+    # 1 as z's denominator over its own multiset
+    one = package_fraction(cyclotomic_denominator(*b[1:]), *b[1:])
+    for y in (x + z - z, x * one, (x * one).lowest(), x.bar().bar()):
         assert y == x and x == y
         assert hash(y) == hash(x)
-    assert (x == z) == (ReferenceFn(*a) == ReferenceFn(*b))
+    assert (x == z) == (reference_fraction(*a) == reference_fraction(*b))
     assert (x == z) == (x - z).is_zero()
 
 
@@ -312,10 +299,12 @@ def test_shipped_inputs_build_with_cyclotomic_denominators():
         values += space.gs_norms_sq
     for name in corpus_names():
         values += load_corpus(name).element().terms.values()
-    for c in map(RationalFn.from_scalar, values):
-        # the canonical denominator is a monic product of Phi_m, constant term +-1
-        unit, shift, _ = scalars._cyclotomic_split(c.den)
-        assert (unit, shift) == (1, 0)
+    for c in map(RationalFn, values):
+        # the canonical denominator is a monic product of Phi_m: an ordinary
+        # polynomial in A of constant term +-1
+        den = c.den
+        assert den.min_exp() == 0 and den.coeffs[0] in (1, -1)
+        assert den.coeffs[den.max_exp()] == 1
         assert repr(c)
 
 
@@ -338,85 +327,19 @@ def test_split_norm_matches_yun_on_quantum_factorials(powers):
     assert repr(SplitNorm(*powers).parts) == repr(want)
 
 
-# --- the cyclotomic split, by exact division alone ----------------------------
-
-def _split_product(split):
-    """c * A^k * prod Phi_m^e for a split (c, k, {m: e})."""
-    c, k, exps = split
-    return LaurentPoly({k: c}) * scalars._cyclotomic_product(tuple(sorted(exps.items())))
-
-
-def _recording_splits(monkeypatch):
-    """The (poly, split) of every scalars._cyclotomic_split call from now on."""
-    met = []
-    original = scalars._cyclotomic_split
-
-    def recording(poly):
-        split = original(poly)
-        met.append((poly, split))
-        return split
-
-    monkeypatch.setattr(scalars, "_cyclotomic_split", recording)
-    return met
-
-
-def test_splits_met_while_building_multiply_back(monkeypatch):
-    met = _recording_splits(monkeypatch)
-    # the Wenzl coefficients as a two-argument constructor builds them, and
-    # divisions by the frame norms
-    for n in range(2, 10):
-        assert repr(RationalFn(delta(n - 2), delta(n - 1)))
-    for n in range(1, 5):
-        assert [repr(1 / nu) for nu in qudit_space(n).gs_norms_sq]
-    assert sum(bool(split[2]) for _, split in met) >= 10
-    for poly, split in met:
-        assert list(split[2]) == sorted(split[2])
-        assert _split_product(split) == poly
-
-
-def test_builds_and_commands_split_nothing(monkeypatch, capsys):
-    # every denominator they build is read off a Phi_m multiset: no Phi_m is
-    # looked for by trial division
-    met = _recording_splits(monkeypatch)
-    jones_wenzl.cache_clear()
-    qudit_space.cache_clear()
-    for n in range(7):
-        assert repr(jones_wenzl(n))
-    for n in range(1, 7):
-        assert repr(qudit_space(n).gs_norms_sq)
-    assert met == []
-    for argv in (["state", "two_qutrit_rank2", "--k", "4"], ["classify", "quasiw", "--k", "6"]):
-        jones_wenzl.cache_clear()
-        qudit_space.cache_clear()
-        assert cli.main(argv) == 0
-        assert met == []
-    capsys.readouterr()
-
-
-def _dense_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
+# --- lowest terms, by exact division alone ---------------------------------------
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(-5, 5), min_size=1, max_size=6).filter(any),
        st.lists(st.tuples(st.integers(1, 36), st.integers(1, 3)), max_size=4))
-def test_split_of_a_cyclotomic_product_adds_its_exponents(cofactor, factors):
-    dense = list(cofactor)
-    want = Counter()
+def test_lowest_cancels_a_cyclotomic_product(cofactor, factors):
+    # cofactor * prod Phi_m^e over that multiset {m: e}: lowest() divides each
+    # Phi_m out e times, whatever Phi_m the cofactor holds, and leaves the
+    # cofactor over no Phi_m
+    phis = Counter()
     for m, e in factors:
-        want[m] += e
-        for _ in range(e):
-            dense = _dense_mul(dense, scalars._cyclotomic(m))
-    got = scalars._cyclotomic_split(LaurentPoly.from_dense(0, dense))
-    base = scalars._cyclotomic_split(LaurentPoly.from_dense(0, cofactor))
-    if base is None:
-        assert got is None
-        return
-    c, k, exps = base
-    want.update(exps)
-    assert got == (c, k, dict(sorted(want.items())))
-    assert list(got[2]) == sorted(want)
+        phis[m] += e
+    cofactor = LaurentPoly.from_dense(0, cofactor)
+    x = package_fraction(cofactor * cyclotomic_denominator(1, 0, phis), 1, 0, phis)
+    low = x.lowest()
+    assert (low._top, low._phis) == (cofactor, {})

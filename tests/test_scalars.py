@@ -5,10 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from reference_rationalfn import RationalFn as ReferenceFn, assert_same, package_fraction
 from tl_entangle.scalars import (
     DegeneratePointError,
     EvalPoint,
-    InvariantError,
     LaurentPoly,
     RationalFn,
     SplitNorm,
@@ -16,6 +16,7 @@ from tl_entangle.scalars import (
     d_param,
     delta,
     evaluate,
+    quantum_factorials,
     sqrt_normalizer,
 )
 
@@ -32,7 +33,7 @@ def test_laurent_ring_ops():
     assert (a * b).coeffs[6] == 1
     assert LaurentPoly.A_power(5) * LaurentPoly.A_power(-5) == 1
     assert a ** 0 == LaurentPoly.one()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no negative powers"):
         a ** -1
 
 
@@ -74,23 +75,29 @@ def test_delta_recursion_and_sine_form():
 
 def test_rationalfn_reduction_and_equality():
     d = d_param()
-    # d + 1 = -A^-2 Phi_12(A) cancels
-    x = RationalFn(delta(2) * (d + 1), d * (d + 1))
-    assert x == RationalFn(delta(2), d)
-    assert (x.num, x.den) == (RationalFn(delta(2), d).num, RationalFn(delta(2), d).den)
-    # d + 3 is no product of cyclotomic polynomials
-    with pytest.raises(InvariantError):
-        RationalFn(delta(2) * (d + 3), d * (d + 3))
+    # d = -A^-2 Phi_8(A) and d + 1 = -A^-2 Phi_12(A): delta(2)(d + 1) / (d(d + 1)),
+    # whose Phi_12 cancels
+    x = package_fraction(delta(2) * (d + 1), 1, -4, {8: 1, 12: 1})
+    over_d = package_fraction(delta(2), -1, -2, {8: 1})
+    assert x == over_d
+    assert (x.num, x.den) == (over_d.num, over_d.den)
+    assert_same(x, ReferenceFn(delta(2) * (d + 1), d * (d + 1)))
     assert x * d == RationalFn(delta(2))
-    y = RationalFn(1, d)
-    assert y + y == RationalFn(2, d)
+    y = package_fraction(1, -1, -2, {8: 1})
+    assert_same(y, ReferenceFn(1, d))
+    assert y + y == package_fraction(2, -1, -2, {8: 1})
     assert (y - y).is_zero()
     assert y.bar().bar() == y
-    assert 1 / y == RationalFn(d)
+    assert y * d == RationalFn(1)
+    # a RationalFn built from one is the same value
+    assert_same(RationalFn(x), ReferenceFn(delta(2), d))
+    with pytest.raises(TypeError):
+        RationalFn(0.5)
 
 
 def test_rationalfn_degenerate_point():
-    y = RationalFn(1, d_param())
+    # 1/d, as [2] = -d
+    y = -quantum_factorials((2, -1))
     # d = -2cos(2theta) vanishes at theta = pi/4
     with pytest.raises(DegeneratePointError):
         y.evaluate(cmath.exp(1j * math.pi / 4))

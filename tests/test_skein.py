@@ -6,9 +6,10 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from reference_rationalfn import wenzl_coefficient
 from tl_entangle import diagrams
 from tl_entangle.diagrams import PlanarDiagram, TLElement, WorkBoundError, _accumulate
-from tl_entangle.scalars import LaurentPoly, RationalFn, d_param, delta, work_size
+from tl_entangle.scalars import LaurentPoly, RationalFn, d_param, work_size
 from tl_entangle.jones_wenzl import jones_wenzl
 from tl_entangle.skein import (_LAYERS, SliceWord, _at_one, bracket, crossing_element,
                                slice_width)
@@ -351,7 +352,7 @@ def uncancelled_jones_wenzl(n):
         return dict(jones_wenzl(n).terms)
     wide = {dg.tensor(PlanarDiagram.identity(1)): c
             for dg, c in uncancelled_jones_wenzl(n - 1).items()}
-    coeff = RationalFn(delta(n - 2), delta(n - 1))
+    coeff = wenzl_coefficient(n)
     hook = {PlanarDiagram.generator(2, 1): 1}
     out = dict(wide)
     for dg, c in uncancelled_compose(uncancelled_compose(wide, hook, n - 2), wide).items():
@@ -374,7 +375,7 @@ def assert_same_values(element, terms):
     assert list(element.terms) == list(terms)
     for dg, c in element.terms.items():
         assert c == terms[dg] and repr(c) == repr(terms[dg])
-        assert work_size(c) == work_size(RationalFn.from_scalar(c).lowest())
+        assert work_size(c) == work_size(RationalFn(c).lowest())
 
 
 @pytest.mark.parametrize("n", range(7))
