@@ -439,20 +439,13 @@ def _cmd_scan_tangle3(args):
 
 
 def _connectome_from_args(args):
-    """The connectome given to --adj; the module docstring gives its forms."""
+    """The connectome given to --adj (Connectome.from_json gives its forms)."""
     try:
-        data = json.loads(args.adj)
+        return Connectome.from_json(args.adj)
     except json.JSONDecodeError as exc:
         raise UsageError(f"--adj is not valid JSON: {exc}")
-    fields = data if isinstance(data, dict) else {"adj": data}
-    rows = fields.get("adj")
-    table = isinstance(rows, list) and all(isinstance(row, list) for row in rows)
-    values = [x for row in rows for x in row] if table else [None]
-    values += [fields[k] for k in ("punctures", "parties") if k in fields]
-    if not all(type(x) is int for x in values):
-        raise UsageError('--adj must be a list of rows of integers, or an object with '
-                         'such rows under "adj" and integer "punctures" and "parties"')
-    return Connectome.from_json(args.adj) if isinstance(data, dict) else Connectome(rows)
+    except TypeError as exc:
+        raise UsageError(f"--adj {exc}")
 
 
 def _check_enumerate_size(parties, punctures):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 
-from .diagrams import charge
+from .diagrams import as_int, charge
 from .skein import word_from_pairing
 from .spaces import DiagramState, PartyLayout
 
@@ -21,7 +21,7 @@ _NAMES = "ABCDEFGH"
 
 class Connectome:
     def __init__(self, adj, punctures=None):
-        adj = tuple(tuple(int(v) for v in row) for row in adj)
+        adj = tuple(tuple(as_int(v, "a line count") for v in row) for row in adj)
         m = len(adj)
         if m < 1:
             raise ValueError("need at least one party")
@@ -34,15 +34,14 @@ class Connectome:
         if any(adj[i][i] % 2 for i in range(m)):
             raise ValueError("diagonal endpoint counts must be even")
         sums = [sum(row) for row in adj]
-        if punctures is None:
-            punctures = sums[0]
+        punctures = sums[0] if punctures is None else as_int(punctures, "punctures")
         if punctures % 2:
             raise ValueError("punctures per party must be even")
         if any(s != punctures for s in sums):
             raise ValueError(f"row sums must all equal {punctures}")
         self.adj = adj
         self.m = m
-        self.punctures = int(punctures)
+        self.punctures = punctures
 
     def __eq__(self, other):
         return (isinstance(other, Connectome)
@@ -66,9 +65,21 @@ class Connectome:
 
     @classmethod
     def from_json(cls, text):
+        """The connectome of a JSON document: rows of integers, bare or under
+        "adj" of an object whose "punctures" and "parties" are integers.  A
+        document of another shape is a TypeError, text that is no JSON a
+        json.JSONDecodeError, and rows that make no connectome a ValueError."""
         data = json.loads(text)
-        c = cls(data["adj"], data.get("punctures"))
-        if "parties" in data and data["parties"] != c.m:
+        fields = data if isinstance(data, dict) else {"adj": data}
+        rows = fields.get("adj")
+        table = isinstance(rows, list) and all(isinstance(row, list) for row in rows)
+        values = [x for row in rows for x in row] if table else [None]
+        values += [fields[k] for k in ("punctures", "parties") if k in fields]
+        if not all(type(x) is int for x in values):
+            raise TypeError('must be a list of rows of integers, or an object with such '
+                            'rows under "adj" and integer "punctures" and "parties"')
+        c = cls(rows, fields.get("punctures"))
+        if fields.get("parties", c.m) != c.m:
             raise ValueError("party count disagrees with adjacency size")
         return c
 

@@ -11,6 +11,7 @@ model where only connectivity matters).
 
 from __future__ import annotations
 
+import numbers
 from array import array
 
 from .scalars import LaurentPoly, RationalFn, evaluate, work_size
@@ -37,6 +38,14 @@ def charge(spent, units, what, step=None):
         raise WorkBoundError(f"{what} would take the work to {spent:,} units, "
                              f"above the budget of {WORK_BUDGET:,}", step)
     return spent
+
+
+def as_int(value, what):
+    """value as an int when it is a Python or numpy integer; a bool, a float,
+    a str or anything else is a ValueError naming what."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 class PlanarDiagram:

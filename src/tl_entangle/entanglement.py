@@ -57,10 +57,12 @@ def cut_singular_values(amps, dims, keep):
     parallel to the other vector); their norms are then the singular values.
     (More vectors than their length could never all be orthogonal: the
     rounding noise left of a dependent one would keep rotating.)
-    ValueError for a keep that does not name distinct axes (_checked_keep)
-    and for a zero tensor; InvariantError after MAX_JACOBI_SWEEPS sweeps that
-    still rotate.
+    ValueError for an amps whose length is not prod(dims), for a keep that
+    does not name distinct axes (_checked_keep) and for a zero tensor;
+    InvariantError after MAX_JACOBI_SWEEPS sweeps that still rotate.
     """
+    if len(amps) != math.prod(dims):
+        raise ValueError(f"{len(amps)} amplitudes do not fill dims {tuple(dims)}")
     outer, inner, pairs = _cut_plan(tuple(dims), tuple(keep))
     rows = [[amps[o + i] for i in inner] for o in outer]
     tol = len(rows[0]) * sys.float_info.epsilon

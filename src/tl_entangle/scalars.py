@@ -24,11 +24,13 @@ the multiset holds it; that brings each coefficient of a TLElement, as it is
 built, to lowest terms, and builds the canonical (numerator, denominator)
 pair, which evaluation, printing and hashing read, once per value.
 
-SplitNorm takes the powers quantum_factorials takes and splits that squared
-norm as (r/r')^2 * s/s' for its square roots, from the same Phi_m multiset
-(_factorial_phis): each irreducible polynomial in d is, up to a unit, one
-group of Phi_m in A (_d_group), and each side's r and s are read off one
-cyclotomic product each (_square_split).
+quantum_factorials and SplitNorm read a product of quantum factorials off
+its q-orders (_factorial_orders): over q = A^2, [k] = q^(1-k) prod Phi_M(q)
+over M | 2k, M >= 3.  quantum_factorials maps them to Phi_m in A; SplitNorm
+splits that squared norm as (r/r')^2 * s/s' for its square roots:
+q^-h Phi_M(q) is an irreducible polynomial psi_M in x = q + 1/q = -d (_psi),
+so each side's r and s are products of psi_M, and the norm is a function of
+d by construction.
 """
 
 from __future__ import annotations
@@ -63,9 +65,9 @@ class DegeneratePointError(ValueError):
 
 
 class InvariantError(RuntimeError):
-    """Raised when an internal invariant fails, such as a squared norm that
-    is no function of d or a traceless ladder operator; the CLI maps it to
-    exit 4."""
+    """Raised when an internal invariant fails, such as a one-sided Jacobi
+    SVD that does not converge or a traceless ladder operator; the CLI maps
+    it to exit 4."""
 
 
 def _exact(c):
@@ -518,26 +520,30 @@ def delta(n):
     return prev
 
 
-def _factorial_phis(powers):
-    """The signed Phi_m multiset {m: e} of prod [a]!^e over powers = ((a, e), ...):
-    [k] = (-1)^(k-1) delta(k-1) = A^(-2(k-1)) prod Phi_m(A) over m | 4k, m not 1, 2 or 4.
+def _factorial_orders(powers):
+    """The signed multiset {M: e} of q-orders of prod [a]!^e over powers =
+    ((a, e), ...): over q = A^2, [k] = q^(1-k) prod Phi_M(q) over M | 2k, M >= 3.
     Its positive part is the numerator, its negative part the denominator."""
-    exps = {}
+    orders = {}
     for a, e in powers:
         for k in range(1, a + 1):
-            for m in range(3, 4 * k + 1):
-                if 4 * k % m == 0 and m != 4:
-                    exps[m] = exps.get(m, 0) + e
-    return exps
+            for M in range(3, 2 * k + 1):
+                if 2 * k % M == 0:
+                    orders[M] = orders.get(M, 0) + e
+    return orders
 
 
 def quantum_factorials(*powers):
     """prod [a]!^e over powers = ((a, e), ...) in lowest terms, read off its
-    Phi_m multiset (_factorial_phis) with no division."""
-    exps = _factorial_phis(powers)
-    top = _cyclotomic_product(tuple(sorted((m, e) for m, e in exps.items() if e > 0)))
+    q-orders (_factorial_orders) with no division: Phi_M(A^2) is
+    Phi_M(A) Phi_2M(A) for odd M and Phi_2M(A) for even M."""
+    phis = {}
+    for M, e in _factorial_orders(powers).items():
+        for m in ((M, 2 * M) if M % 2 else (2 * M,)):
+            phis[m] = e
+    top = _cyclotomic_product(tuple(sorted((m, e) for m, e in phis.items() if e > 0)))
     top = top * LaurentPoly.A_power(-sum(a * (a - 1) * e for a, e in powers))
-    return _fn(top, {m: -e for m, e in sorted(exps.items()) if e < 0})
+    return _fn(top, {m: -e for m, e in sorted(phis.items()) if e < 0})
 
 
 class EvalPoint:
@@ -589,26 +595,35 @@ def evaluate(x, point):
 # ---------------------------------------------------------------------------
 # polynomials in the loop value d, used by the orthonormalization convention
 
-def as_poly_in_d(x):
-    """Rewrite a LaurentPoly in A as a dense polynomial in d = -A^2 - A^(-2)
-    (coefficient list, low->high).  Returns None when x is not in that subring."""
-    x = _coerce(x)
-    if x is NotImplemented or any(e % 2 for e in x.coeffs):
-        return None
-    work = dict(x.coeffs)
-    out = [Fraction(0)] * (max(x.max_exp(), 0) // 2 + 1)
-    while work:
-        hi = max(work)
-        if hi < 0:
-            return None
-        # d^m leads with (-1)^m A^(2m)
-        out[hi // 2] = scale = Fraction(work[hi]) * (-1) ** (hi // 2)
-        for e, dc in (_D ** (hi // 2)).coeffs.items():
-            s = work.get(e, 0) - scale * dc
-            if s:
-                work[e] = s
-            else:
-                work.pop(e, None)
+@lru_cache(maxsize=None)
+def _psi(M):
+    """Dense integer coefficients (low->high) in d of psi_M(x) = q^-h Phi_M(q),
+    h = phi(M)/2, the factor of the quantum integers for q-order M >= 3.
+    Phi_M = sum c_i q^i is palindromic, so psi_M is c_h + sum c_(h+j) V_j(x)
+    over j = 1..h in x = q + 1/q, with V_j(x) = q^j + q^-j and
+    V_(j+1) = x V_j - V_(j-1); then x = -d."""
+    phi = _cyclotomic(M)
+    h = len(phi) // 2
+    out = [phi[h]] + [0] * h
+    prev, cur = [2], [0, 1]
+    for j in range(1, h + 1):
+        for i, c in enumerate(cur):
+            out[i] += phi[h + j] * c
+        prev, cur = cur, [x - y for x, y in zip([0] + cur, prev + [0, 0])]
+    return tuple(-c if i % 2 else c for i, c in enumerate(out))
+
+
+def _d_product(orders):
+    """prod psi_M^e over orders = {M: e}, dense integer coefficients in d."""
+    out = [1]
+    for M, e in orders.items():
+        psi = _psi(M)
+        for _ in range(e):
+            prod = [0] * (len(out) + len(psi) - 1)
+            for i, x in enumerate(out):
+                for j, y in enumerate(psi):
+                    prod[i + j] += x * y
+            out = prod
     return out
 
 
@@ -620,75 +635,27 @@ def _dpoly_eval(p, d):
     return out
 
 
-def _d_group(m):
-    """{m: e} of the group of Phi_m that holds Phi_m, keyed by its smallest m.
-
-    A group's product is +-A^k times one irreducible polynomial in d:
-    Phi_m Phi_2m for odd m > 1, Phi_1^2 Phi_2^2 for d + 2, Phi_4^2 for d - 2,
-    and Phi_m alone for the other m divisible by 4.
-    """
-    if m <= 2:
-        return {1: 2, 2: 2}
-    if m == 4:
-        return {4: 2}
-    if m % 2:
-        return {m: 1, 2 * m: 1}
-    if m % 4 == 2:
-        return {m // 2: 1, m: 1}
-    return {m: 1}
-
-
-def _d_groups(phis):
-    """{key: n} with prod Phi_m^e over phis = {m: e} the product of each
-    group to the power n; InvariantError if the exponents make no whole groups."""
-    groups = {}
-    for m, e in phis.items():
-        group = _d_group(m)
-        groups[min(group)] = e // group[m]
-    if any(phis.get(m, 0) != n * e for key, n in groups.items()
-           for m, e in _d_group(key).items()):
-        raise InvariantError(f"the product of Phi_m^e over {phis} is no function of d")
-    return groups
-
-
-def _square_split(groups):
-    """(r, s) with prod (group product)^n over groups = {key: n} equal to
-    r^2 * s up to a power of A, as polynomials in d: r is read off the one
-    cyclotomic product of the groups to the power n // 2 and made monic, s
-    off the one cyclotomic product of the groups of odd n.  Each group
-    product is +-A^k f(d) (see _d_group), so s takes the signs of the odd
-    groups; even groups' signs square away."""
-    half, odd = [], []
-    for key, n in groups.items():
-        for m, e in _d_group(key).items():
-            if n > 1:
-                half.append((m, e * (n // 2)))
-            if n % 2:
-                odd.append((m, e))
-    r, s = (_cyclotomic_product(tuple(sorted(phis))) for phis in (half, odd))
-    # every group product has even degree, so A^(-degree/2) centres each product
-    r, s = (as_poly_in_d(p * LaurentPoly.A_power(-p.max_exp() // 2)) for p in (r, s))
-    return [c / r[-1] for c in r], s
-
-
 class SplitNorm:
     """The squared norm quantum_factorials(*powers), split once for repeated
     square roots: norm_sq = (rn/rd)^2 * sn/sd with rn, rd monic and sn, sd
-    square-free polynomials in d, read off the positive and negative parts
-    of its Phi_m multiset.  The split does not depend on the evaluation
-    point, so each point only evaluates the four d-polynomials.  A multiset
-    that makes no whole groups (_d_groups) is no function of d and raises
-    InvariantError.
+    square-free polynomials in d.  Each side of the norm's q-orders
+    (_factorial_orders) is prod psi_M^e, a function of d by construction:
+    its r is prod psi_M^(e // 2) made monic, its s prod psi_M^(e % 2).  The
+    split does not depend on the evaluation point, so each point only
+    evaluates the four d-polynomials.
     """
 
     __slots__ = ("parts",)
 
     def __init__(self, *powers):
-        exps = _factorial_phis(powers)
-        num = {m: e for m, e in exps.items() if e > 0}
-        den = {m: -e for m, e in exps.items() if e < 0}
-        parts = _square_split(_d_groups(num)) + _square_split(_d_groups(den))
-        self.parts = tuple([float(x) for x in part] for part in parts)
+        orders = _factorial_orders(powers)
+        parts = []
+        for side in (1, -1):
+            exps = {M: side * e for M, e in orders.items() if side * e > 0}
+            r = _d_product({M: e // 2 for M, e in exps.items()})
+            # each psi_M is monic in x = -d, so r leads with +-1
+            parts += [[c * r[-1] for c in r], _d_product({M: e % 2 for M, e in exps.items()})]
+        self.parts = tuple([float(c) for c in part] for part in parts)
 
     def sqrt_at(self, point):
         """r/r' * sqrt(s/s') at point: the sign of r/r' is the projector-basis

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .diagrams import PlanarDiagram, TLElement, charge
+from .diagrams import PlanarDiagram, TLElement, as_int, charge
 from .jones_wenzl import jones_wenzl
 from .scalars import LaurentPoly, RationalFn, d_param
 
@@ -62,12 +62,14 @@ _LAYERS = {
 def slice_width(op, width):
     """Width below slice op when it acts on width strands.
 
-    op is (kind, position) or ("jw", position, strands); a slice that does
-    not fit the width, or an unknown kind, is a ValueError.
+    op is (kind, position) or ("jw", position, strands) with integer
+    position and strands; a slice that does not fit the width, or an unknown
+    kind, is a ValueError.
     """
     kind = op[0]
     if kind == "jw":
         _, i, k = op
+        i, k = as_int(i, "a slice position"), as_int(k, "a jw strand count")
         if k < 1 or not 1 <= i <= width - k + 1:
             raise ValueError(f"jw {i} {k} out of range at width {width}")
         if k > MAX_JW_WIDTH:
@@ -76,6 +78,7 @@ def slice_width(op, width):
     if kind not in _WIDTH_CHANGE:
         raise ValueError(f"unknown slice kind {kind!r}")
     _, i = op
+    i = as_int(i, "a slice position")
     if not 1 <= i <= (width + 1 if kind == "cup" else width - 1):
         raise ValueError(f"{kind} {i} out of range at width {width}")
     return width + _WIDTH_CHANGE[kind]
@@ -90,14 +93,14 @@ class SliceWord:
     __slots__ = ("n_top", "ops", "final_width")
 
     def __init__(self, n_top, ops):
-        if n_top < 0:
+        self.n_top = as_int(n_top, "the top endpoint count")
+        if self.n_top < 0:
             raise ValueError("negative endpoint count")
-        self.n_top = int(n_top)
         clean = []
         width = self.n_top
         for op in ops:
             width = slice_width(op, width)
-            clean.append(tuple(op))
+            clean.append((op[0], *map(int, op[1:])))
         self.ops = tuple(clean)
         self.final_width = width
 

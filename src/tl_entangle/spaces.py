@@ -29,7 +29,7 @@ import math
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, product
 
-from .diagrams import PlanarDiagram, TLElement, _accumulate, _join, charge
+from .diagrams import PlanarDiagram, TLElement, _accumulate, _join, as_int, charge
 from .jones_wenzl import jones_wenzl
 from .scalars import (DegeneratePointError, RationalFn, SplitNorm, d_param, evaluate,
                       quantum_factorials)
@@ -244,7 +244,7 @@ class PartyLayout:
     """Named parties in boundary order, each covering 4(dim-1) labels."""
 
     def __init__(self, parties):
-        parties = tuple((str(name), int(n)) for name, n in parties)
+        parties = tuple((str(name), as_int(n, "a party dimension")) for name, n in parties)
         names = [nm for nm, _ in parties]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate party names in {names}")

@@ -25,11 +25,16 @@ FORMATS = (["--format", "json"], ["--format", "csv"])
 SPINS = ("1/2,1/2", "1,1", "1,2", "1/2,1", "1/2,1/2,1/2", "1/2,1,1", "1,1,1", "3/2,3/2")
 SCAN = ["scan-tangle3", "quasiw", "--theta-min", "0.02pi", "--theta-max", "0.12pi",
         "--steps", "200"]
-# small connectomes that every command answers in well under a second
+# small connectomes that every command answers in well under a second, then
+# documents that --adj rejects: floats, strings, booleans and a non-integer
+# "punctures"
 EXTRA_ADJ = ("[[0,4],[4,0]]", "[[2,2],[2,2]]", "[[4,0],[0,4]]", "[[0,8],[8,0]]",
              "[[0,2,2],[2,0,2],[2,2,0]]", "[[0,4,4],[4,0,4],[4,4,0]]",
              '{"adj": [[0,2],[2,0]], "punctures": 2, "parties": 2}', "[[0,3],[3,0]]",
-             "[[1]]", "[]")
+             "[[1]]", "[]",
+             "[[0,4.9],[4.9,0]]", "[[0,4.0],[4.0,0]]", '[[0,"4"],["4",0]]',
+             "[[false,true],[true,false]]", '{"adj": [[0,4],[4,0]], "punctures": 4.0}',
+             '{"adj": [[0,4],[4,0]], "punctures": "4"}')
 
 
 def invocations():

@@ -22,7 +22,7 @@ from tl_entangle.scalars import (
     LaurentPoly,
     _coerce,
     _fn,
-    as_poly_in_d,
+    d_param,
     quantum_factorials,
 )
 
@@ -289,6 +289,29 @@ def squarefree_split_d(p):
         c, _ = _poly_divmod(diff, g)
         i += 1
     return r, s
+
+
+def as_poly_in_d(x):
+    """Rewrite a LaurentPoly in A as a dense polynomial in d = -A^2 - A^(-2)
+    (coefficient list, low->high).  Returns None when x is not in that subring."""
+    x = _coerce(x)
+    if x is NotImplemented or any(e % 2 for e in x.coeffs):
+        return None
+    work = dict(x.coeffs)
+    out = [Fraction(0)] * (max(x.max_exp(), 0) // 2 + 1)
+    while work:
+        hi = max(work)
+        if hi < 0:
+            return None
+        # d^m leads with (-1)^m A^(2m)
+        out[hi // 2] = scale = Fraction(work[hi]) * (-1) ** (hi // 2)
+        for e, dc in (d_param() ** (hi // 2)).coeffs.items():
+            s = work.get(e, 0) - scale * dc
+            if s:
+                work[e] = s
+            else:
+                work.pop(e, None)
+    return out
 
 
 def _as_d_ratio(fn):

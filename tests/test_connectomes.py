@@ -15,12 +15,14 @@ from tl_entangle.connectomes import (
     reduce_connectome,
     representative_state,
 )
-from tl_entangle.entanglement import slocc_tripartite_class, schmidt_rank
+from tl_entangle.entanglement import (cut_singular_values, rank_above, slocc_tripartite_class,
+                                     schmidt_rank)
 from tl_entangle.diagrams import PlanarDiagram, TLElement
 from tl_entangle.scalars import EvalPoint, LaurentPoly, d_param
 from tl_entangle.skein import word_from_pairing
 
 THETA = EvalPoint(-0.23)
+K6 = EvalPoint.from_level(6)
 
 
 def test_validation():
@@ -40,9 +42,38 @@ def test_validation():
         Connectome([])
 
 
+@pytest.mark.parametrize("adj, punctures", [
+    ([[0, 4.9], [4.9, 0]], None), ([[0, 4.0], [4.0, 0]], None),   # no truncation
+    ([[0, "4"], ["4", 0]], None), ([[0, True], [True, 0]], None),
+    ([[0, 4], [4, 0]], 4.0), ([[0, 4], [4, 0]], "4"), ([[0, 4], [4, 0]], True),
+])
+def test_non_integer_counts_rejected(adj, punctures):
+    with pytest.raises(ValueError, match="must be an integer"):
+        Connectome(adj, punctures)
+
+
+def test_numpy_integer_counts_accepted():
+    c = Connectome(np.array([[0, 4], [4, 0]]), np.int64(4))
+    assert c == Connectome([[0, 4], [4, 0]])
+    assert type(c.adj[0][1]) is int and type(c.punctures) is int
+
+
 def test_json_round_trip():
     c = Connectome([[0, 4], [4, 0]])
     assert Connectome.from_json(c.to_json()) == c
+
+
+def test_from_json_forms():
+    assert Connectome.from_json("[[0,4],[4,0]]") == Connectome([[0, 4], [4, 0]])
+    assert (Connectome.from_json('{"adj": [[0,2],[2,0]], "punctures": 2, "parties": 2}')
+            == Connectome([[0, 2], [2, 0]], 2))
+    for text in ('{"adj": [[0,4],[4,0]], "punctures": 4.0}', '{"parties": 2}',
+                 '{"adj": [[0,4],[4,0]], "parties": "2"}', "[[0,4.0],[4.0,0]]",
+                 "[[true]]", "[4, 0]", "5"):
+        with pytest.raises(TypeError, match="must be a list of rows of integers"):
+            Connectome.from_json(text)
+    with pytest.raises(ValueError, match="party count disagrees"):
+        Connectome.from_json('{"adj": [[0,4],[4,0]], "parties": 3}')
 
 
 def test_enumerate_two_qubit():
@@ -278,3 +309,34 @@ def test_word_from_pairing_matches_reference(pairs):
                       for p, q in itertools.combinations(pairs, 2))
     assert sum(op[0] == "under" for op in word.ops) == interleaved
     assert {op[0] for op in word.ops} <= {"cup", "under"}
+
+
+def _cut_profile(c, tol=1e-8):
+    """The ranks of c's representative at k = 6 across every bipartition (by
+    the side that holds party 0), or None when the representative vanishes."""
+    state = representative_state(c)
+    amps = state.amplitude_list(K6)
+    if max(abs(a) for a in amps) < tol:
+        return None
+    return tuple(rank_above(cut_singular_values(amps, state.layout.dims, keep), tol)
+                 for size in range(1, c.m)
+                 for keep in itertools.combinations(range(c.m), size) if 0 in keep)
+
+
+def test_class_signature_and_cut_ranks_determine_each_other():
+    # at 4 punctures no representative vanishes, and the class and the
+    # cut-rank profile over every bipartition are one-to-one: 3 / 7 / 20
+    # connectomes in 2 / 3 / 6 classes for m = 2 / 3 / 4
+    for m, count, classes in ((2, 3, 2), (3, 7, 3), (4, 20, 6)):
+        cs = enumerate_connectomes(m, 4)
+        pairs = {(class_signature(c), _cut_profile(c)) for c in cs}
+        assert len(cs) == count and None not in {p for _, p in pairs}
+        assert len(pairs) == len({s for s, _ in pairs}) == len({p for _, p in pairs}) == classes
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: _party_slots pairs two points of one "
+                                       "width-2 puncture, and JW(2) kills the pair")
+def test_qutrit_representatives_do_not_vanish():
+    # at 8 punctures and k = 6, 3 of 5 two-party and 11 of 22 three-party
+    # representatives vanish identically
+    assert [c for m in (2, 3) for c in enumerate_connectomes(m, 8) if _cut_profile(c) is None] == []

@@ -126,6 +126,13 @@ def test_measures_reject_zero_tensor():
             call()
 
 
+@pytest.mark.parametrize("amps", [[1, 0, 0, 0, 5], [1, 0, 0]])
+def test_cut_singular_values_rejects_wrong_length(amps):
+    # every entry counts: no trailing entry is dropped, none is read past the end
+    with pytest.raises(ValueError, match=r"\d amplitudes do not fill dims \(2, 2\)"):
+        cut_singular_values(amps, (2, 2), (0,))
+
+
 @pytest.mark.parametrize("keep", [(0, 0), (3,), (-1,)])
 def test_measures_reject_bad_keep(keep):
     amps = GHZ.ravel().tolist()

@@ -1,6 +1,6 @@
 """Differential tests of scalars.RationalFn (a numerator over cyclotomic
 factors, no gcd) against the gcd-reduced class it replaced, and of
-scalars.SplitNorm (read off Phi_m exponents) against Yun's square-free split,
+scalars.SplitNorm (read off q-orders) against Yun's square-free split,
 both kept in reference_rationalfn.  Equal means the same canonical pair, with
 the same coefficients in the same order, the same repr and hash, and
 bit-identical floats from evaluate; for a split, the same float lists.  Every
@@ -14,7 +14,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference_rationalfn import (POINTS, RationalFn as ReferenceFn, assert_same,
+from reference_rationalfn import (POINTS, RationalFn as ReferenceFn, as_poly_in_d, assert_same,
                                   cyclotomic_denominator, package_fraction, reference_fraction,
                                   split_norm_parts, wenzl_coefficient)
 from tl_entangle import scalars, spaces
@@ -309,6 +309,15 @@ def test_shipped_inputs_build_with_cyclotomic_denominators():
 
 
 # --- SplitNorm against Yun's square-free split --------------------------------
+
+def test_as_poly_in_d():
+    assert as_poly_in_d(LaurentPoly.one()) == [Fraction(1)]
+    assert as_poly_in_d(D) == [0, 1]
+    assert as_poly_in_d(delta(2)) == [-1, 0, 1]
+    assert as_poly_in_d(delta(3)) == [0, -2, 0, 1]
+    assert as_poly_in_d(LaurentPoly.A_power(2)) is None
+    assert as_poly_in_d(LaurentPoly.A_power(1)) is None
+
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_split_norm_matches_yun_on_qudit_norms(n):

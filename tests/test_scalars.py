@@ -12,7 +12,6 @@ from tl_entangle.scalars import (
     LaurentPoly,
     RationalFn,
     SplitNorm,
-    as_poly_in_d,
     d_param,
     delta,
     evaluate,
@@ -103,15 +102,6 @@ def test_rationalfn_degenerate_point():
         y.evaluate(cmath.exp(1j * math.pi / 4))
     val = y.evaluate(EvalPoint.from_level(4).A)
     assert abs(val + 1 / math.sqrt(3)) < 1e-12
-
-
-def test_as_poly_in_d():
-    assert as_poly_in_d(LaurentPoly.one()) == [Fraction(1)]
-    assert as_poly_in_d(d_param()) == [0, 1]
-    assert as_poly_in_d(delta(2)) == [-1, 0, 1]
-    assert as_poly_in_d(delta(3)) == [0, -2, 0, 1]
-    assert as_poly_in_d(LaurentPoly.A_power(2)) is None
-    assert as_poly_in_d(LaurentPoly.A_power(1)) is None
 
 
 def test_sqrt_normalizer_sign_convention():

@@ -3,6 +3,7 @@ from fractions import Fraction
 from functools import lru_cache
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -40,6 +41,22 @@ def test_word_validation():
         SliceWord(1, [("jw", 1, 2)])
     w = SliceWord(0, [("cup", 1), ("cup", 3), ("cap", 3), ("cap", 1)])
     assert w.is_closed() and w.final_width == 0
+
+
+@pytest.mark.parametrize("n_top, ops", [
+    (2.9, []), ("2", []), (True, []),              # no truncation of the top count
+    (2, [("cap", 1.0)]), (2, [("e", "1")]), (2, [("over", True)]),
+    (2, [("jw", 1, 2.0)]), (2, [("jw", 1.0, 2)]),
+])
+def test_word_rejects_non_integers(n_top, ops):
+    with pytest.raises(ValueError, match="must be an integer"):
+        SliceWord(n_top, ops)
+
+
+def test_word_accepts_numpy_integers():
+    w = SliceWord(np.int64(2), [("jw", np.int32(1), np.int64(2)), ("cap", np.int64(1))])
+    assert w.n_top == 2 and w.ops == (("jw", 1, 2), ("cap", 1))
+    assert all(type(x) is int for op in w.ops for x in op[1:])
 
 
 def test_unknot_and_split_rings():

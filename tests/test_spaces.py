@@ -161,6 +161,18 @@ def test_party_layout():
     assert dg.pairs == tuple(sorted([(1, 4), (2, 3), (5, 12), (6, 11), (7, 10), (8, 9)]))
 
 
+@pytest.mark.parametrize("dim", [2.7, 3.0, "3", True])
+def test_party_layout_rejects_non_integer_dimension(dim):
+    with pytest.raises(ValueError, match="a party dimension must be an integer"):
+        PartyLayout((("A", dim),))
+
+
+def test_party_layout_accepts_numpy_integers():
+    lay = PartyLayout((("A", np.int64(3)), ("B", np.int32(2))))
+    assert lay == PartyLayout((("A", 3), ("B", 2)))
+    assert [type(n) for n in lay.dims] == [int, int]
+
+
 def test_maximally_entangled_pair():
     lay = PartyLayout.qubits("A", "B")
     st = DiagramState(PlanarDiagram(0, 8, [(1, 8), (2, 7), (3, 6), (4, 5)]), lay)
