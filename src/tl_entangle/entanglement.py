@@ -58,11 +58,15 @@ def cut_singular_values(amps, dims, keep):
     (More vectors than their length could never all be orthogonal: the
     rounding noise left of a dependent one would keep rotating.)
     ValueError for an amps whose length is not prod(dims), for a keep that
-    does not name distinct axes (_checked_keep) and for a zero tensor;
-    InvariantError after MAX_JACOBI_SWEEPS sweeps that still rotate.
+    does not name distinct axes (_checked_keep) and for a zero tensor, an
+    axis of dimension 0 included; InvariantError after MAX_JACOBI_SWEEPS
+    sweeps that still rotate.
     """
     if len(amps) != math.prod(dims):
         raise ValueError(f"{len(amps)} amplitudes do not fill dims {tuple(dims)}")
+    if not all(dims):
+        raise ValueError(f"dims {tuple(dims)} hold no amplitude: "
+                         "zero tensor has no entanglement data")
     outer, inner, pairs = _cut_plan(tuple(dims), tuple(keep))
     rows = [[amps[o + i] for i in inner] for o in outer]
     tol = len(rows[0]) * sys.float_info.epsilon

@@ -13,16 +13,17 @@ quantum_factorials reads off their Phi_m multisets.  So a RationalFn holds a
 Laurent numerator over the multiset {m: e} of Phi_m exponents it was built
 from; RationalFn(x) puts a number or a LaurentPoly over the empty multiset,
 and nothing divides by a general polynomial.  A sum brings both numerators
-to the larger multiset, a product adds the multisets, bar uses
-Phi_m(1/A) = A^-phi(m) Phi_m(A) (m > 1), and equality cross-multiplies;
+to the larger multiset, a product adds the multisets, and bar uses
+Phi_m(1/A) = A^-phi(m) Phi_m(A) (m > 1), with phi(m) the degree of Phi_m;
 none of them computes a gcd.
 
 Every Phi_m factor is found by one rule, exact division (_divide_out), and
-no float decides a factor.  Lowest terms (RationalFn.lowest) divide the
-numerator by the Phi_m of the value's own multiset, each at most as often as
-the multiset holds it; that brings each coefficient of a TLElement, as it is
-built, to lowest terms, and builds the canonical (numerator, denominator)
-pair, which evaluation, printing and hashing read, once per value.
+no float decides a factor.  Each value divides its numerator by the Phi_m of
+its own multiset once, each at most as often as the multiset holds it, and
+keeps the result: its lowest terms (RationalFn.lowest, which a TLElement
+applies to each coefficient as it is built) and the canonical (numerator,
+denominator) pair, which evaluation, printing, hashing and equality read.
+One dense product (_dense_product) multiplies out Phi_m and the psi_M below.
 
 quantum_factorials and SplitNorm read a product of quantum factorials off
 its q-orders (_factorial_orders): over q = A^2, [k] = q^(1-k) prod Phi_M(q)
@@ -281,29 +282,13 @@ def _cyclotomic(m):
     return tuple(out)
 
 
-def _totient(m):
-    out, rest, p = m, m, 2
-    while p * p <= rest:
-        if rest % p == 0:
-            while rest % p == 0:
-                rest //= p
-            out -= out // p
-        p += 1
-    if rest > 1:
-        out -= out // rest
-    return out
-
-
 def _divide_out(dense, limits):
     """Divide each Phi_m of limits = {m: e} out of a dense polynomial as often
     as it goes, at most e times, in the order of limits; returns the
     quotient and {m: times} of the Phi_m that divided.  Exact division alone
-    decides; a Phi_m of higher degree than what is left cannot divide, so it
-    is not built."""
+    decides, and it fails at once for a Phi_m longer than what is left."""
     exps = {}
     for m, limit in limits.items():
-        if _totient(m) >= len(dense):
-            continue
         phi = _cyclotomic(m)
         times = 0
         while times < limit:
@@ -316,13 +301,25 @@ def _divide_out(dense, limits):
     return dense, exps
 
 
+def _dense_product(table, powers):
+    """prod table(k)^e over powers = ((k, e), ...) for a table of dense
+    integer polynomials, as dense coefficients (low->high)."""
+    out = [1]
+    for k, e in powers:
+        row = table(k)
+        for _ in range(e):
+            prod = [0] * (len(out) + len(row) - 1)
+            for i, x in enumerate(out):
+                for j, y in enumerate(row):
+                    prod[i + j] += x * y
+            out = prod
+    return out
+
+
 @lru_cache(maxsize=None)
 def _cyclotomic_product(key):
     """prod Phi_m^e over the sorted (m, e) pairs of key, exponents ascending."""
-    out = LaurentPoly.one()
-    for m, e in key:
-        out = out * LaurentPoly.from_dense(0, _cyclotomic(m)) ** e
-    return LaurentPoly.from_dense(*out.dense())
+    return LaurentPoly.from_dense(0, _dense_product(_cyclotomic, key))
 
 
 def _over_common(x, y):
@@ -340,12 +337,13 @@ def _over_common(x, y):
     return top(x), top(y), common
 
 
-def _fn(top, phis):
-    """The RationalFn top / prod Phi_m^e for phis = {m: e}, with no checks."""
+def _fn(top, phis, canon=None):
+    """The RationalFn top / prod Phi_m^e for phis = {m: e}, with no checks;
+    canon, when given, is that value's _canonical()."""
     out = RationalFn.__new__(RationalFn)
     out._top = top
     out._phis = phis if top else {}
-    out._canon = None
+    out._canon = canon
     return out
 
 
@@ -361,7 +359,8 @@ class RationalFn:
     read, is in lowest terms with den an ordinary polynomial in A of nonzero
     constant term and leading coefficient 1; any A-power shift is absorbed
     into num.  Both have ascending exponents.  It is built on first use, by
-    exact division of _top by the Phi_m of _phis, and kept.
+    exact division of _top by the Phi_m of _phis, and kept (_canonical);
+    lowest() and equality read it too.
     """
 
     __slots__ = ("_top", "_phis", "_canon")
@@ -383,30 +382,31 @@ class RationalFn:
 
     def lowest(self):
         """This value in lowest terms: every Phi_m of _phis that divides _top
-        cancelled (the same value, so the same canonical pair)."""
-        return _fn(*self._cancelled()) if self._phis else self
+        cancelled; it shares this value's canonical pair (_canonical)."""
+        if not self._phis:
+            return self
+        canon = self._canonical()
+        return _fn(canon[0], canon[2], canon)
 
-    def _cancelled(self):
-        """The numerator and {m: e} of this value with every Phi_m that
-        divides _top cancelled."""
-        shift, dense = self._top.dense()
-        dense, gone = _divide_out(dense, self._phis)
-        left = {m: e - gone.get(m, 0) for m, e in self._phis.items() if e > gone.get(m, 0)}
-        return LaurentPoly.from_dense(shift, dense), left
-
-    def _pair(self):
+    def _canonical(self):
+        """(num, den, phis): the canonical pair and the multiset {m: e} of the
+        Phi_m whose product den is, by one exact division of _top by the
+        Phi_m of _phis, kept for every later use."""
         if self._canon is None:
-            num, left = self._cancelled()
-            self._canon = (num, _cyclotomic_product(tuple(sorted(left.items()))))
+            shift, dense = self._top.dense()
+            dense, gone = _divide_out(dense, self._phis)
+            left = {m: e - gone.get(m, 0) for m, e in self._phis.items() if e > gone.get(m, 0)}
+            self._canon = (LaurentPoly.from_dense(shift, dense),
+                           _cyclotomic_product(tuple(sorted(left.items()))), left)
         return self._canon
 
     @property
     def num(self):
-        return self._pair()[0]
+        return self._canonical()[0]
 
     @property
     def den(self):
-        return self._pair()[1]
+        return self._canonical()[1]
 
     def is_zero(self):
         return not self._top
@@ -417,11 +417,10 @@ class RationalFn:
             return NotImplemented
         if self._phis == other._phis or not (self._top and other._top):
             return self._top == other._top
-        top, other_top, _ = _over_common(self, other)
-        return top == other_top
+        return self._canonical()[:2] == other._canonical()[:2]
 
     def __hash__(self):
-        return hash(self._pair())
+        return hash(self._canonical()[:2])
 
     def __add__(self, other):
         other = RationalFn._try_coerce(other)
@@ -470,19 +469,19 @@ class RationalFn:
         """A -> 1/A, by Phi_m(1/A) = A^-phi(m) Phi_m(A) for m > 1 and
         Phi_1(1/A) = -A^-1 Phi_1(A)."""
         phis = self._phis
-        shift = sum(_totient(m) * e for m, e in phis.items())
+        shift = sum((len(_cyclotomic(m)) - 1) * e for m, e in phis.items())
         sign = -1 if phis.get(1, 0) % 2 else 1
         return _fn(self._top.bar() * LaurentPoly._wrap({shift: sign}), phis)
 
     def evaluate(self, a):
-        num, den = self._pair()
+        num, den, _ = self._canonical()
         dv = den.evaluate(a)
         if abs(dv) < DENOMINATOR_TOL:
             raise DegeneratePointError(f"denominator vanishes at A={a!r}", "denominator")
         return num.evaluate(a) / dv
 
     def __repr__(self):
-        num, den = self._pair()
+        num, den, _ = self._canonical()
         if den == LaurentPoly.one():
             return repr(num)
         return f"({num!r})/({den!r})"
@@ -613,20 +612,6 @@ def _psi(M):
     return tuple(-c if i % 2 else c for i, c in enumerate(out))
 
 
-def _d_product(orders):
-    """prod psi_M^e over orders = {M: e}, dense integer coefficients in d."""
-    out = [1]
-    for M, e in orders.items():
-        psi = _psi(M)
-        for _ in range(e):
-            prod = [0] * (len(out) + len(psi) - 1)
-            for i, x in enumerate(out):
-                for j, y in enumerate(psi):
-                    prod[i + j] += x * y
-            out = prod
-    return out
-
-
 def _dpoly_eval(p, d):
     """Horner evaluation of a float coefficient list (low->high) at d."""
     out = 0.0
@@ -651,10 +636,10 @@ class SplitNorm:
         orders = _factorial_orders(powers)
         parts = []
         for side in (1, -1):
-            exps = {M: side * e for M, e in orders.items() if side * e > 0}
-            r = _d_product({M: e // 2 for M, e in exps.items()})
+            exps = [(M, side * e) for M, e in orders.items() if side * e > 0]
+            r = _dense_product(_psi, [(M, e // 2) for M, e in exps])
             # each psi_M is monic in x = -d, so r leads with +-1
-            parts += [[c * r[-1] for c in r], _d_product({M: e % 2 for M, e in exps.items()})]
+            parts += [[c * r[-1] for c in r], _dense_product(_psi, [(M, e % 2) for M, e in exps])]
         self.parts = tuple([float(c) for c in part] for part in parts)
 
     def sqrt_at(self, point):

@@ -3,14 +3,15 @@
     python tests/cli_sweep.py OUT.jsonl
     python tests/cli_sweep.py --compare BASE.jsonl HEAD.jsonl
 
-The first form runs tl_entangle.cli.main in-process over a fixed list of
-invocations and writes one JSON line per invocation: its argv, exit code,
-stdout and stderr.  The package is the one on the import path, so pointing
-PYTHONPATH at two source trees and comparing the two files shows every
-invocation whose output a change moved.  The second form prints the number
-of invocations that differ and, for the first few, their argv, any change
-of exit code, and the first differing stdout and stderr line of each side;
-it exits 0 either way.  pytest does not collect this file.
+Run it from the repository root.  The first form runs tl_entangle.cli.main
+in-process over a fixed list of invocations and writes one JSON line per
+invocation: its argv, exit code, stdout and stderr.  The package is the one
+on the import path, so pointing PYTHONPATH at two source trees and comparing
+the two files shows every invocation whose output a change moved.  The
+second form prints the number of invocations that differ and, for the first
+few, their argv, any change of exit code, and the first differing stdout and
+stderr line of each side; it exits 0 either way.  pytest does not collect
+this file.
 """
 
 from __future__ import annotations
@@ -35,6 +36,12 @@ EXTRA_ADJ = ("[[0,4],[4,0]]", "[[2,2],[2,2]]", "[[4,0],[0,4]]", "[[0,8],[8,0]]",
              "[[0,4.9],[4.9,0]]", "[[0,4.0],[4.0,0]]", '[[0,"4"],["4",0]]',
              "[[false,true],[true,false]]", '{"adj": [[0,4],[4,0]], "punctures": 4.0}',
              '{"adj": [[0,4],[4,0]], "punctures": "4"}')
+# committed documents with projectors of width 3 to 6 and crossings, for the
+# exact printing of their coefficients; the paths are relative to the
+# repository root, so that two sweeps run from there share their argv
+DOCUMENTS = tuple(f"tests/sweep/{name}.tl" for name in (
+    "jw3_twisted_trace", "jw4_clasp", "jw4_clasped_trace", "jw5_braid", "jw5_braid_trace",
+    "jw6", "jw6_twisted_trace"))
 
 
 def invocations():
@@ -48,6 +55,10 @@ def invocations():
             for mode in ("exact", "numeric"):
                 for fmt in FORMATS:
                     out.append([cmd, name, "--mode", mode] + fmt)
+    for doc in DOCUMENTS:
+        for cmd in ("bracket", "reduce"):
+            for fmt in FORMATS:
+                out.append([cmd, doc, "--mode", "exact"] + fmt)
     for name in corpus_names():
         parties = [p[0] for p in load_corpus(name).parties]
         for point in POINTS:

@@ -809,6 +809,18 @@ def test_scan_rejects_too_many_steps(capsys, monkeypatch):
 
 
 SRC = os.path.dirname(os.path.dirname(tl_entangle.__file__))
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    # bench/tracing.py wraps functions and methods of tl_entangle by name, so
+    # a rename or deletion under src/ breaks the traced benchmark; install
+    # patches them for the whole process, so it runs in a fresh one
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([BENCH, SRC]))
+    proc = subprocess.run([sys.executable, "-c",
+                           "from tracing import Tracer, install; install(Tracer())"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _imported_modules(argv):

@@ -2,13 +2,13 @@ import cmath
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tl_entangle.diagrams import (
     PlanarDiagram,
     TLElement,
-    _accumulate,
     _join,
     _opened,
     _product_halves,
@@ -246,7 +246,9 @@ def reference_glue_network(tiles, bonds, d):
 def walk_glue_network(tiles, bonds, d):
     """glue_network as it was before it was split into a plan and a pass:
     every call walks every frontier state through every term with _join, and
-    a product tile is attached in halves, split afresh on every call."""
+    a product tile is attached in halves, split afresh on every call.  The
+    coefficients and d may be numpy arrays over points, so that one walk of
+    the topology gives the value at each point by that point's arithmetic."""
     point_bond = {}
     for b, (end1, end2) in enumerate(bonds):
         for end in (end1, end2):
@@ -278,7 +280,7 @@ def walk_glue_network(tiles, bonds, d):
                 mid = _walk_attach({}, states, open_bonds, edges(u), mid_open, 1, d)
                 for key, w in mid.items():
                     for j, c in rows[i].items():
-                        _accumulate(by_v[j], key, w * c)
+                        _walk_accumulate(by_v[j], key, w * c)
             new_open = _opened(mid_open, edges(vs[0]))
             for v, mid in zip(vs, by_v):
                 _walk_attach(new_states, mid, mid_open, edges(v), new_open, 1, d)
@@ -290,8 +292,21 @@ def _walk_attach(out, states, open_bonds, arcs, new_open, coeff, d):
     for key, scoeff in states.items():
         mate = dict(zip(open_bonds, key))
         loops = _join(mate, arcs)
-        _accumulate(out, tuple(map(mate.__getitem__, new_open)), scoeff * coeff, loops, d)
+        _walk_accumulate(out, tuple(map(mate.__getitem__, new_open)), scoeff * coeff, loops, d)
     return out
+
+
+def _walk_accumulate(out, key, c, loops=0, d=None):
+    """diagrams._accumulate for coefficients that may be arrays over points: an
+    entry is dropped only when it is zero at every point."""
+    for _ in range(loops):
+        c = c * d
+    s = out.get(key, 0) + c
+    zero = not s.any() if isinstance(s, np.ndarray) else s == 0
+    if zero:
+        out.pop(key, None)
+    else:
+        out[key] = s
 
 
 def _walk_halves(tile, closes):

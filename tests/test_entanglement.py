@@ -117,6 +117,8 @@ def test_measures_reject_zero_tensor():
     # the same ValueError from every measure, before any rotation
     zero2, zero3 = np.zeros((2, 2)), np.zeros((2, 2, 2), complex)
     for call in (lambda: cut_singular_values([0.0] * 4, (2, 2), (0,)),
+                 lambda: cut_singular_values([], (0, 2), (0,)),
+                 lambda: cut_singular_values([], (2, 0), (0,)),
                  lambda: schmidt_rank(zero2), lambda: schmidt_rank(zero3, (1, 2)),
                  lambda: entanglement_entropy(zero3), lambda: trace_power(zero3, 2),
                  lambda: local_ranks(zero3), lambda: conversion_probability(zero2),
@@ -512,15 +514,30 @@ def frame_thetas(name, count=20):
     return [rng.uniform(-0.85 * window, 0.85 * window) for _ in range(count)]
 
 
-def walk_glued_power(state, n, keep, point):
-    """_glued_power's ring contracted by the frontier walk instead of
-    the kept plan: the same tiles and bonds, a different kernel."""
+def walk_glued_power(state, n, keep, points):
+    """_glued_power's ring at each of points, contracted by the frontier
+    walk instead of the kept plan: the same tiles and bonds, a different
+    kernel.  One walk takes every point's coefficients, stacked in arrays;
+    only the topology is shared, each value comes from its own arithmetic."""
     slots, bonds = entanglement._ring(state.layout, n, keep)
-    ket = state.element.evaluate(point)
-    tiles = {"ket": ket, "bra": ket.map_coefficients(conj_scalar)}
-    ring = [tiles[s] if s in tiles else
-            qudit_space(state.layout.dims[s]).projector_element(point) for s in slots]
-    return walk_glue_network(ring, bonds, complex(point.d))
+    rings = []
+    for point in points:
+        ket = state.element.evaluate(point)
+        tiles = {"ket": ket, "bra": ket.map_coefficients(conj_scalar)}
+        rings.append([tiles[s] if s in tiles else
+                      qudit_space(state.layout.dims[s]).projector_element(point) for s in slots])
+    stacked = [_stacked_tile(column) for column in zip(*rings)]
+    d = np.array([complex(point.d) for point in points])
+    return np.broadcast_to(walk_glue_network(stacked, bonds, d), (len(points),))
+
+
+def _stacked_tile(tiles):
+    """A tile whose coefficients are arrays over tiles, 0 where one lacks a
+    diagram; built without TLElement's zero test, which an array fails."""
+    out = TLElement.__new__(TLElement)
+    out.terms = {dg: np.array([tile.terms.get(dg, 0) for tile in tiles], complex)
+                 for dg in dict.fromkeys(dg for tile in tiles for dg in tile.terms)}
+    return out
 
 
 MULTI_PARTY = [name for name in corpus_names() if len(load_corpus(name).parties) > 1]
@@ -544,10 +561,10 @@ def test_projector_tile_matches_reference(n, points):
 def test_plan_and_pass_match_the_frontier_walk(name):
     st = load_corpus(name).state()
     points = [K4, K6] + [EvalPoint(theta) for theta in frame_thetas(name)]
-    for pt in points:
-        for keep in ((0,), (1,)):
-            for n in (1, 2, 3, 4):
-                ref = walk_glued_power(st, n, keep, pt)
+    for keep in ((0,), (1,)):
+        for n in (1, 2, 3, 4):
+            refs = walk_glued_power(st, n, keep, points)
+            for pt, ref in zip(points, refs):
                 got = entanglement._glued_power(st, n, keep, pt)
                 assert abs(got - ref) <= 1e-12 * abs(ref), (pt.theta, keep, n)
     # one plan per (n, keep), compiled at the first point
