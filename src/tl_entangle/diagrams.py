@@ -43,6 +43,8 @@ def charge(spent, units, what, step=None):
 def as_int(value, what):
     """value as an int when it is a Python or numpy integer; a bool, a float,
     a str or anything else is a ValueError naming what."""
+    if type(value) is int:  # the common case, without the Integral ABC check
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return int(value)

@@ -20,8 +20,9 @@ last numeric tensor's singular values per keep, and its tau3, across calls
 once, and an object array, such as one of Fractions, is never kept.
 The command line calls the kernel, which keeps plans but never results, on
 DiagramState.amplitude_list directly.
-The replica check's glued side compiles its network once per state
-(network_plan) and replays it per point (glue_network).  No measure calls a
+The replica check's glued side compiles its n-th power ring once per state
+(network_plan), replays it per point (glue_network) and divides it by the
+n-th power of Tr rho = sum |t|^2 of the tensor it checks.  No measure calls a
 BLAS or LAPACK routine; only the ladder indicator imports numpy, for its
 six-copy contraction and eigenvalues.
 """
@@ -33,7 +34,7 @@ import itertools
 import math
 import sys
 
-from .diagrams import conj_scalar, glue_network, network_plan
+from .diagrams import as_int, conj_scalar, glue_network, network_plan
 from .scalars import InvariantError
 from .spaces import qudit_space
 
@@ -67,7 +68,7 @@ def cut_singular_values(amps, dims, keep):
     if not all(dims):
         raise ValueError(f"dims {tuple(dims)} hold no amplitude: "
                          "zero tensor has no entanglement data")
-    outer, inner, pairs = _cut_plan(tuple(dims), tuple(keep))
+    outer, inner, pairs = _cut_plan(tuple(dims), _checked_keep(keep, len(dims)))
     rows = [[amps[o + i] for i in inner] for o in outer]
     tol = len(rows[0]) * sys.float_info.epsilon
     norms = [_norm_sq(row) for row in rows]
@@ -102,9 +103,9 @@ def _cut_plan(dims, keep):
     rotates are [amps[o + i] for i in inner] for o in outer, the rows of the
     cut (_flat_offsets of the kept axes and of the rest), or its columns
     where they are fewer, and pairs lists their index pairs in rotation
-    order.  Built once per (dims, keep); a keep that _checked_keep rejects
-    raises on every call, since lru_cache stores only results."""
-    keep = _checked_keep(keep, len(dims))
+    order.  Built once per (dims, keep), for a keep that _checked_keep has
+    passed: the cache's keys cannot check it, since (1,) and (True,), or
+    (0,) and (0.0,), are one key."""
     rows = _flat_offsets(dims, keep)
     columns = _flat_offsets(dims, [a for a in range(len(dims)) if a not in keep])
     if len(rows) > len(columns):
@@ -113,12 +114,20 @@ def _cut_plan(dims, keep):
 
 
 def _checked_keep(keep, parties):
-    """keep as a tuple; a ValueError unless it names distinct parties among
-    0 .. parties - 1."""
+    """keep as a tuple of ints; a ValueError unless it names distinct parties
+    among 0 .. parties - 1, each a Python or numpy integer (as_int)."""
     keep = tuple(keep)
-    if len(set(keep)) != len(keep) or not all(0 <= k < parties for k in keep):
-        raise ValueError(f"keep {keep} does not name distinct parties out of {parties} parties")
-    return keep
+    ints = []
+    for k in keep:
+        try:
+            k = as_int(k, "a kept party")
+        except ValueError as exc:
+            raise ValueError(f"keep {keep} does not name parties out of {parties} parties: "
+                             f"{exc}") from None
+        if not 0 <= k < parties or k in ints:
+            raise ValueError(f"keep {keep} does not name distinct parties out of {parties} parties")
+        ints.append(k)
+    return tuple(ints)
 
 
 def _flat_offsets(dims, axes):
@@ -220,7 +229,7 @@ def _tensor_cut(t, keep):
     such as numpy's), run once per keep while t stays the last tensor
     (_computed).  Only results are kept: a zero tensor or a bad keep raises
     on every call."""
-    keep = tuple(keep)
+    keep = _checked_keep(keep, len(t.shape))
     computed = _computed(t)
     sv = computed.get(keep)
     if sv is None:
@@ -315,21 +324,26 @@ def _glued_power(state, n, keep, point):
 
 
 def replica_check(t, state, point, n, keep=(0,)):
-    """Tr rho^n two ways: from the tensor and by gluing 2n diagram copies.
+    """Tr rho^n two ways: from the tensor t = state.amplitudes(point) and by
+    gluing 2n diagram copies.
 
-    The n = 1 contraction that normalizes the glued value is kept on the
-    state, per kept parties and point (DiagramState.replica_norms); the n-th
-    power network is compiled once per (n, kept parties) and replayed on
-    every call (_glued_power).  A keep that does not name distinct parties
-    of the state is a ValueError, raised before any contraction.
+    The glued n-th power ring (_glued_power, compiled once per (n, kept
+    parties) and replayed on every call) is the unnormalized Tr rho^n, so it
+    is divided by (sum |t|^2)^n, Tr rho of t: a t or a tile off by a constant
+    factor shows in the difference.  n is read with as_int.  An n outside
+    2..4, a keep that does not name distinct parties of the state and a t
+    whose shape is not the layout's dims are ValueErrors, raised before any
+    contraction.
     """
+    n = as_int(n, "a replica order")
     if not 2 <= n <= 4:
         raise ValueError("replica order must be between 2 and 4")
     keep = _checked_keep(keep, len(state.layout.parties))
+    if tuple(t.shape) != state.layout.dims:
+        raise ValueError(f"tensor of shape {tuple(t.shape)} does not match "
+                         f"the state's dims {state.layout.dims}")
     numeric = trace_power(t, n, keep)
-    norm = state.replica_norms.get((frozenset(keep), point),
-                                   lambda: _glued_power(state, 1, keep, point))
-    glued = _glued_power(state, n, keep, point) / norm ** n
+    glued = _glued_power(state, n, keep, point) / _norm_sq(t.reshape(-1).tolist()) ** n
     return numeric, complex(glued)
 
 

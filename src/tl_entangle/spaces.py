@@ -36,33 +36,11 @@ from .scalars import (DegeneratePointError, RationalFn, SplitNorm, d_param, eval
 
 _D = d_param()
 
-# Entries per per-point cache: a sweep over many points keeps constant memory,
-# while a few repeated points (as in a replica benchmark) stay cached.
+# Projector tiles kept in one LRU over (space, point), that is over (dimension,
+# point): a sweep over many points keeps constant memory, while the few
+# repeated keys of a replica benchmark (two dimensions at three levels) stay
+# cached.
 POINT_CACHE_SIZE = 8
-
-
-class PointCache:
-    """At most POINT_CACHE_SIZE values by key; the oldest entry leaves first."""
-
-    __slots__ = ("_values",)
-
-    def __init__(self):
-        self._values = {}
-
-    def get(self, key, build):
-        """The value stored under key, made by build() and stored on a miss."""
-        try:
-            return self._values[key]
-        except KeyError:
-            pass
-        value = build()
-        if len(self._values) >= POINT_CACHE_SIZE:
-            del self._values[next(iter(self._values))]
-        self._values[key] = value
-        return value
-
-    def __len__(self):
-        return len(self._values)
 
 
 def local_basis_matchings(n):
@@ -119,7 +97,6 @@ class QuditSpace:
                  for j in range(n)]
         self.gs_norms_sq = [quantum_factorials(*powers) for powers in norms]
         self._gs_roots = [SplitNorm(*powers) for powers in norms]
-        self._projector_cache = PointCache()
 
     @cached_property
     def dressed(self):
@@ -174,12 +151,12 @@ class QuditSpace:
         state by its orthogonal projection onto the dressed local basis span.
         The result holds that map's diagrams as states on the same circularly
         labeled points (its top 1..4w, then its bottom 4w+1..8w), the form
-        glue_network takes.  It is built once per point while the point stays
-        among the last POINT_CACHE_SIZE, and the same object is returned.
-        Where the frame degenerates, frame_rows' DegeneratePointError is
-        raised.
+        glue_network takes.  It is built once per (space, point) while that
+        key stays among the last POINT_CACHE_SIZE used (_projector_tile), and
+        the same object is returned.  Where the frame degenerates,
+        frame_rows' DegeneratePointError is raised.
         """
-        return self._projector_cache.get(point, lambda: self._projector_state(point))
+        return _projector_tile(self, point)
 
     @cached_property
     def tile_cells(self):
@@ -210,6 +187,12 @@ class QuditSpace:
                 if x in u and y in u:
                     _accumulate(out, dg, u[x].conjugate() * u[y])
         return TLElement(out)
+
+
+@lru_cache(maxsize=POINT_CACHE_SIZE)
+def _projector_tile(space, point):
+    """space's projector tile at point (QuditSpace._projector_state)."""
+    return space._projector_state(point)
 
 
 @lru_cache(maxsize=None)
@@ -341,11 +324,9 @@ class DiagramState:
                              f"with {layout.n_points} bottom points")
         self.element = element
         self.layout = layout
-        # n = 1 replica contractions by (kept parties, point), filled by
-        # entanglement.replica_check; element and layout are never reassigned
-        self.replica_norms = PointCache()
         # replica ring plans by (n, kept parties), filled by
-        # entanglement._glued_power, never keyed by point
+        # entanglement._glued_power, never keyed by point; element and
+        # layout are never reassigned
         self.replica_plans = {}
         # loop counts by paired diagram, in index order of the tuple
         # basis; filled by raw_overlap_list, never keyed by point

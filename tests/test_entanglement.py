@@ -10,7 +10,9 @@ from tl_entangle import diagrams, entanglement, spaces
 from tl_entangle.diagrams import PlanarDiagram, TLElement, conj_scalar
 from tl_entangle.scalars import EvalPoint, InvariantError, LaurentPoly
 from tl_entangle.skein import SliceWord
-from tl_entangle.spaces import POINT_CACHE_SIZE, DiagramState, PartyLayout, qudit_space
+from tl_entangle.connectomes import enumerate_connectomes, representative_state
+from tl_entangle.spaces import (POINT_CACHE_SIZE, DiagramState, PartyLayout, qudit_space,
+                                reduced_diagram)
 from tl_entangle.tangle_dsl import corpus_names, load_corpus
 from tl_entangle.entanglement import (
     conversion_probability,
@@ -135,7 +137,7 @@ def test_cut_singular_values_rejects_wrong_length(amps):
         cut_singular_values(amps, (2, 2), (0,))
 
 
-@pytest.mark.parametrize("keep", [(0, 0), (3,), (-1,)])
+@pytest.mark.parametrize("keep", [(0, 0), (3,), (-1,), (0.0,), ("0",), (True,)])
 def test_measures_reject_bad_keep(keep):
     amps = GHZ.ravel().tolist()
     for call in (lambda: cut_singular_values(amps, (2, 2, 2), keep),
@@ -143,6 +145,14 @@ def test_measures_reject_bad_keep(keep):
                  lambda: trace_power(GHZ, 2, keep)):
         with pytest.raises(ValueError, match=r"keep .* 3 parties"):
             call()
+
+
+def test_measures_take_numpy_integer_keep():
+    amps = GHZ.ravel().tolist()
+    keep = (np.int64(2), np.int32(0))
+    assert cut_singular_values(amps, (2, 2, 2), keep) == cut_singular_values(amps, (2, 2, 2), (2, 0))
+    assert trace_power(GHZ, 3, keep) == trace_power(GHZ, 3, (2, 0))
+    assert schmidt_rank(W, (np.uint8(1),)) == 2
 
 
 def test_schmidt_rank_of_tensor_without_bipartition_is_internal_error():
@@ -339,7 +349,7 @@ def reference_glued_power(state, n, keep, point):
 
 
 def reference_replica_check(t, state, point, n, keep=(0,)):
-    norm = reference_glued_power(state, 1, keep, point)
+    norm = entanglement._norm_sq(t.reshape(-1).tolist())
     glued = reference_glued_power(state, n, keep, point) / norm ** n
     return trace_power(t, n, keep), complex(glued)
 
@@ -357,20 +367,6 @@ def test_replica_check_matches_reference(point):
                 assert (replica_check(t, st, point, n, keep=keep)
                         == reference_replica_check(t, st, point, n, keep=keep)), \
                     (name, keep, n)
-
-
-def test_replica_norm_belongs_to_its_state():
-    # crit 12's loop, three times over: every state is built, checked and
-    # dropped, so a later state may reuse a dropped state's id(); the n = 1
-    # norm kept for the dropped state must never serve the new one
-    names = [name for name in corpus_names() if load_corpus(name).parties]
-    for _ in range(3):
-        for name in names:
-            st = load_corpus(name).state()
-            numeric, glued = replica_check(st.amplitudes(K4), st, K4, 2)
-            assert abs(numeric - glued) < 1e-8, name
-            del st
-            gc.collect()
 
 
 def counting_kernel(monkeypatch):
@@ -397,19 +393,17 @@ def test_replica_check_contracts_power_each_call(monkeypatch):
     st = load_corpus("two_qutrit_rank1").state()
     t = st.amplitudes(K6)
     first = replica_check(t, st, K6, 3)
-    assert calls == {"plan": [4, 12], "pass": [4, 12]}
+    assert calls == {"plan": [12], "pass": [12]}
     second = replica_check(t, st, K6, 3)
-    assert calls == {"plan": [4, 12], "pass": [4, 12, 12]}
+    assert calls == {"plan": [12], "pass": [12, 12]}
     assert second == first
     replica_check(t, st, K6, 3, keep=(1,))
-    assert calls == {"plan": [4, 12, 4, 12], "pass": [4, 12, 12, 4, 12]}
-    # a new point needs no compile: only the n = 1 norm and the power are passes
+    assert calls == {"plan": [12, 12], "pass": [12, 12, 12]}
+    # a new point needs no compile: the power is the only pass
     pt = EvalPoint(-0.2345678)
     replica_check(st.amplitudes(pt), st, pt, 3)
-    assert calls["plan"] == [4, 12, 4, 12]
-    assert calls["pass"] == [4, 12, 12, 4, 12, 4, 12]
-    assert sorted(st.replica_plans) == [(1, frozenset({0})), (1, frozenset({1})),
-                                        (3, frozenset({0})), (3, frozenset({1}))]
+    assert calls == {"plan": [12, 12], "pass": [12, 12, 12, 12]}
+    assert sorted(st.replica_plans) == [(3, frozenset({0})), (3, frozenset({1}))]
 
 
 def test_projector_tile_split_once_per_plan(monkeypatch):
@@ -425,14 +419,14 @@ def test_projector_tile_split_once_per_plan(monkeypatch):
     st = load_corpus("two_qutrit_rank1").state()
     t = st.amplitudes(pt)
     first = replica_check(t, st, pt, 3)
-    # each plan splits the projector tile once per first half it attaches
-    # first: the n = 1 ring one, the n = 3 ring two (its six projector
-    # steps); a call that compiles nothing splits nothing
-    assert splits == [196, 196, 196]
+    # the plan splits the projector tile once per first half it attaches
+    # first: the n = 3 ring two (its six projector steps); a call that
+    # compiles nothing splits nothing
+    assert splits == [196, 196]
     assert replica_check(t, st, pt, 3) == first
     pt2 = EvalPoint(-0.1234567)
     replica_check(st.amplitudes(pt2), st, pt2, 3)
-    assert splits == [196, 196, 196]
+    assert splits == [196, 196]
 
 
 def test_replica_sweep_keeps_one_plan_per_order_and_keep():
@@ -449,7 +443,7 @@ def test_replica_sweep_keeps_one_plan_per_order_and_keep():
     # compiled at the first points and never again: no plan is keyed by point
     assert st.replica_plans == plans
     assert sorted((n, tuple(sorted(keep))) for n, keep in st.replica_plans) == [
-        (1, (0,)), (1, (1, 2)), (2, (0,)), (2, (1, 2)), (3, (0,)), (3, (1, 2))]
+        (2, (0,)), (2, (1, 2)), (3, (0,)), (3, (1, 2))]
 
 
 def test_plan_compiled_once_over_the_exact_element(monkeypatch):
@@ -466,10 +460,8 @@ def test_plan_compiled_once_over_the_exact_element(monkeypatch):
         got = replica_check(t, st, pt, 2)
         assert got == reference_replica_check(t, st, pt, 2)
         assert abs(got[0] - got[1]) < 1e-8
-    # n = 1 and n = 2 compiled at theta = 0 and never again; a pass per
-    # power and one n = 1 norm per point
-    assert calls["plan"] == [4, 8]
-    assert len(calls["pass"]) == 2 * 2 + 2
+    # compiled at theta = 0 and never again; a pass per call
+    assert calls == {"plan": [8], "pass": [8] * 4}
     for _, plan in st.replica_plans.values():
         assert len(plan.terms[0]) == 2
 
@@ -478,10 +470,32 @@ def test_replica_check_rejects_bad_keep(monkeypatch):
     calls = counting_kernel(monkeypatch)
     st = DiagramState(MAXENT, QUBIT_PAIR)
     t = st.amplitudes(K4)
-    for keep in ((2,), (0, 0), (-1,)):
+    for keep in ((2,), (0, 0), (-1,), (0.0,), ("0",), (True,)):
         with pytest.raises(ValueError, match=r"keep .* 2 parties"):
             replica_check(t, st, K4, 2, keep=keep)
     assert calls == {"plan": [], "pass": []}
+
+
+def test_replica_check_rejects_a_tensor_of_another_shape(monkeypatch):
+    # the glued side is normalized by the tensor's sum |t|^2, so a tensor
+    # that is not the state's amplitudes must not reach it
+    calls = counting_kernel(monkeypatch)
+    st = load_corpus("tripartite_7").state()
+    for t in (np.ones((2, 2)), np.ones((2, 2, 3)), np.ones((2, 2, 2, 1))):
+        with pytest.raises(ValueError, match=r"shape .* dims \(2, 2, 2\)"):
+            replica_check(t, st, K4, 2)
+    assert calls == {"plan": [], "pass": []}
+
+
+def test_replica_check_reads_an_integer_order(monkeypatch):
+    calls = counting_kernel(monkeypatch)
+    st = DiagramState(MAXENT, QUBIT_PAIR)
+    t = st.amplitudes(K4)
+    for n in (2.5, 3.0, "2", True):
+        with pytest.raises(ValueError, match="replica order must be an integer"):
+            replica_check(t, st, K4, n)
+    assert calls == {"plan": [], "pass": []}
+    assert replica_check(t, st, K4, np.int64(3)) == replica_check(t, st, K4, 3)
 
 
 def test_replica_check_calls_no_lapack(monkeypatch):
@@ -571,6 +585,47 @@ def test_plan_and_pass_match_the_frontier_walk(name):
     assert len(st.replica_plans) == 8
 
 
+NORM_POINTS = [K4, K6, EvalPoint(-0.05), EvalPoint(0.0731)]
+
+
+def norm_states():
+    """The party-bearing corpus, every 3- and 4-party connectome
+    representative and reduced_diagram(n, j) for n = 2, 3: 49 states."""
+    return ([load_corpus(name).state() for name in corpus_names() if load_corpus(name).parties]
+            + [representative_state(c) for m in (3, 4) for c in enumerate_connectomes(m)]
+            + [reduced_diagram(n, j) for n in (2, 3) for j in range(n)])
+
+
+def test_n1_ring_is_the_tensor_norm():
+    # replica_check divides the glued power by (sum |t|^2)^n in place of the
+    # n = 1 ring's value: the two are Tr rho, from the tensor and glued
+    states = norm_states()
+    assert len(states) == 49
+    for st in states:
+        for keep in {(0,), (len(st.layout.parties) - 1,)}:
+            for pt in NORM_POINTS:
+                ref = entanglement._norm_sq(st.amplitude_list(pt))
+                got = entanglement._glued_power(st, 1, keep, pt)
+                assert abs(got - ref) <= 1e-12 * ref, (st, keep, pt.theta)
+
+
+@pytest.mark.parametrize("name", ["maxent", "tripartite_7", "two_qutrit_rank1"])
+def test_replica_check_sees_a_scaled_projector_tile(name, monkeypatch):
+    # every tile 1 + 1e-6 too large puts 2n(parties) of them in the glued
+    # power; a normalization glued from the same tiles would cancel them
+    build = spaces.QuditSpace._projector_state
+    monkeypatch.setattr(spaces.QuditSpace, "_projector_state", lambda space, point: (
+        build(space, point).map_coefficients(lambda c: c * (1 + 1e-6))))
+    spaces._projector_tile.cache_clear()
+    try:
+        st = load_corpus(name).state()
+        pt = EvalPoint(-0.2222)
+        numeric, glued = replica_check(st.amplitudes(pt), st, pt, 2)
+    finally:
+        spaces._projector_tile.cache_clear()
+    assert abs(numeric - glued) > 1e-8
+
+
 def test_replica_plans_stay_compact():
     # the plans of every multi-party corpus state at n = 1..3, keep (0,)
     states = [load_corpus(name).state() for name in MULTI_PARTY]
@@ -601,10 +656,9 @@ def test_projector_tile_built_once_per_point(monkeypatch):
         return original(space, point)
 
     monkeypatch.setattr(spaces.QuditSpace, "_projector_state", counting)
-    # from empty tile caches, so that no earlier test's tile at this point
+    # from an empty tile cache, so that no earlier test's tile at this point
     # is found
-    for n in (2, 3):
-        monkeypatch.setattr(qudit_space(n), "_projector_cache", spaces.PointCache())
+    spaces._projector_tile.cache_clear()
     pt = EvalPoint(-0.1234567)
     for name in ("two_qutrit_rank1", "two_qutrit_rank3", "tripartite_2", "maxent"):
         st = load_corpus(name).state()
@@ -618,15 +672,14 @@ def test_projector_tile_built_once_per_point(monkeypatch):
 
 def test_point_caches_stay_bounded():
     st = DiagramState(MAXENT, QUBIT_PAIR)
-    t = st.amplitudes(K4)
     space = qudit_space(2)
     points = [EvalPoint(theta) for theta in np.linspace(-0.45, -0.05, 200)]
     for pt in points:
-        replica_check(t, st, pt, 2)
-        assert len(st.replica_norms) <= POINT_CACHE_SIZE
-        assert len(space._projector_cache) <= POINT_CACHE_SIZE
+        numeric, glued = replica_check(st.amplitudes(pt), st, pt, 2)
+        assert abs(numeric - glued) < 1e-8, pt.theta
+        assert spaces._projector_tile.cache_info().currsize <= POINT_CACHE_SIZE
     assert space.projector_element(points[-1]) is space.projector_element(points[-1])
-    assert len(space._projector_cache) == len(st.replica_norms) == POINT_CACHE_SIZE
+    assert spaces._projector_tile.cache_info().currsize == POINT_CACHE_SIZE
 
 
 def test_replica_order_validation():
@@ -1031,7 +1084,8 @@ def test_object_arrays_bypass_the_cut_cache(monkeypatch, capsys):
 def test_errors_raise_after_a_cached_success():
     t = random_state(np.random.default_rng(11), 2, 2, 2)
     array_measures(t)
-    for keep in ((0, 0), (3,), (-1,)):
+    # (1,) and (True,), or (0,) and (0.0,), are equal keys of every cache
+    for keep in ((0, 0), (3,), (-1,), (0.0,), ("0",), (True,)):
         for call in (lambda: schmidt_rank(t, keep), lambda: entanglement_entropy(t, keep),
                      lambda: trace_power(t, 2, keep)):
             with pytest.raises(ValueError, match=r"keep .* 3 parties"):
