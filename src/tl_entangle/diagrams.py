@@ -240,7 +240,7 @@ class TLElement:
     (complex); operations that close loops take the loop value d explicitly so
     the same element type serves both modes.  terms is never written after
     __init__, which drops zero coefficients and puts each RationalFn in lowest
-    terms.  A network of state tiles is contracted by network_plan, which
+    terms (evaluate, whose terms are clean by construction, skips it).  A network of state tiles is contracted by network_plan, which
     reads only the diagrams (and splits product tiles), and glue_network,
     which reads the coefficients.
     """
@@ -367,12 +367,18 @@ class TLElement:
         return out.get(None, 0)
 
     def evaluate(self, point):
+        """The element with each coefficient evaluated at point (scalars.evaluate,
+        which reads the forms a point does not change) and added to 0j; terms
+        that evaluate to 0 are dropped.  The terms are clean by construction,
+        so they are wrapped without __init__'s checks."""
         out = {}
         for dg, c in self.terms.items():
-            val = evaluate(c, point) if not isinstance(c, complex) else c
+            val = c if isinstance(c, complex) else evaluate(c, point)
             if val != 0:
-                out[dg] = out.get(dg, 0j) + val
-        return TLElement(out)
+                out[dg] = 0j + val
+        element = TLElement.__new__(TLElement)
+        element.terms = out
+        return element
 
 
 def _widest(element):

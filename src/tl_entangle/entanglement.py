@@ -3,21 +3,25 @@
 Every measure reads one cut's singular values from cut_singular_values: the
 flat amplitude list (index order) of a tensor with one axis per party, its
 shape and the kept parties give a matrix whose rows run over the kept axes,
-and Hestenes' one-sided Jacobi finds its singular values in pure Python.
+and Hestenes' one-sided Jacobi finds its singular values in pure Python
+(_singular_values, which the array measures call past the checks they have
+made).
 Ranks are counted with rank_above, entropies summed with spectrum_entropy,
 Tr rho^n is the sum of the n-th powers of the Schmidt weights, three-qubit
 classes are named by tripartite_class from the local ranks and the tau3 of
-three_tangle_of.  The kernel builds each cut's index plan (its row and
-column offsets, which side it rotates and its pair list) once per (dims,
-keep) in _cut_plan.  The array functions (schmidt_rank, entanglement_entropy,
-local_ranks, slocc_tripartite_class, replica_check and the rest) take tensors
-whose axis order is the party order of the layout that produced them, read
-only their shape, dtype, bytes and flat list, and normalize internally, so
-raw diagram normalizations only matter for amplitude output, never for the
-measures.  They reach the kernel only through _tensor_cut, which shares the
-last numeric tensor's singular values per keep, and its tau3, across calls
+three_tangle_of.  Built once: each cut's index plan (the flat index of
+every entry of the vectors the kernel rotates, on the side with fewer of
+them, and its pair list) per (dims, keep) in _cut_plan; per call the
+kernel gathers the vectors and rotates them.  The array functions
+(schmidt_rank, entanglement_entropy, local_ranks, slocc_tripartite_class,
+replica_check and the rest) take tensors whose axis order is the party
+order of the layout that produced them, read only their shape, dtype, bytes
+and flat list, and normalize internally, so raw diagram normalizations only
+matter for amplitude output, never for the measures.  They reach the kernel only through _cut, which shares the last
+numeric tensor's flat list, singular values per keep and tau3 across calls
 (_computed): a set of measures on one tensor runs each distinct cut and tau3
-once, and an object array, such as one of Fractions, is never kept.
+once, and an object array, such as one of Fractions, is never kept.  A
+vanishing entropy is 0.0, not -0.0.
 The command line calls the kernel, which keeps plans but never results, on
 DiagramState.amplitude_list directly.
 The replica check's glued side compiles its n-th power ring once per state
@@ -65,21 +69,27 @@ def cut_singular_values(amps, dims, keep):
     """
     if len(amps) != math.prod(dims):
         raise ValueError(f"{len(amps)} amplitudes do not fill dims {tuple(dims)}")
-    if not all(dims):
-        raise ValueError(f"dims {tuple(dims)} hold no amplitude: "
-                         "zero tensor has no entanglement data")
-    outer, inner, pairs = _cut_plan(tuple(dims), _checked_keep(keep, len(dims)))
-    rows = [[amps[o + i] for i in inner] for o in outer]
+    return _singular_values(amps, tuple(dims), _checked_keep(keep, len(dims)))
+
+
+def _singular_values(amps, dims, keep):
+    """cut_singular_values past its checks, for an amps that fills the tuple
+    dims and a keep that _checked_keep has passed; the array measures call
+    it directly (_cut)."""
+    vectors, pairs = _cut_plan(dims, keep)
+    rows = [[amps[k] for k in v] for v in vectors]
     tol = len(rows[0]) * sys.float_info.epsilon
-    norms = [_norm_sq(row) for row in rows]
+    norms = list(map(_norm_sq, rows))
     noise = tol * tol * _nonzero(sum(norms))
     for _ in range(MAX_JACOBI_SWEEPS):
         rotated = False
         for i, j in pairs:
-            x, y = rows[i], rows[j]
             a, b = norms[i], norms[j]
+            if min(a, b) <= noise:
+                continue
+            x, y = rows[i], rows[j]
             c = sum([u * v.conjugate() for u, v in zip(x, y)])
-            if min(a, b) <= noise or abs(c) <= tol * math.sqrt(a) * math.sqrt(b):
+            if abs(c) <= tol * math.sqrt(a) * math.sqrt(b):
                 continue
             # with y's phase turned so that <x, y> = |c|, the real rotation
             # by t = tan(angle) makes the pair orthogonal
@@ -99,18 +109,22 @@ def cut_singular_values(amps, dims, keep):
 
 @functools.lru_cache
 def _cut_plan(dims, keep):
-    """(outer, inner, pairs) for cut_singular_values: the vectors that Jacobi
-    rotates are [amps[o + i] for i in inner] for o in outer, the rows of the
-    cut (_flat_offsets of the kept axes and of the rest), or its columns
-    where they are fewer, and pairs lists their index pairs in rotation
-    order.  Built once per (dims, keep), for a keep that _checked_keep has
-    passed: the cache's keys cannot check it, since (1,) and (True,), or
-    (0,) and (0.0,), are one key."""
+    """(vectors, pairs) for _singular_values: the vectors that Jacobi
+    rotates are [amps[k] for k in v] for v in vectors, the rows of the cut
+    (_flat_offsets of the kept axes and of the rest), or its columns where
+    they are fewer, and pairs lists their index pairs in rotation order.
+    Built once per (dims, keep), for a keep that _checked_keep has passed:
+    the cache's keys cannot check it, since (1,) and (True,), or (0,) and
+    (0.0,), are one key.  A ValueError, never kept, for dims that hold no
+    amplitude."""
+    if not all(dims):
+        raise ValueError(f"dims {dims} hold no amplitude: zero tensor has no entanglement data")
     rows = _flat_offsets(dims, keep)
     columns = _flat_offsets(dims, [a for a in range(len(dims)) if a not in keep])
     if len(rows) > len(columns):
         rows, columns = columns, rows
-    return tuple(rows), tuple(columns), tuple(itertools.combinations(range(len(rows)), 2))
+    return (tuple(tuple(o + i for i in columns) for o in rows),
+            tuple(itertools.combinations(range(len(rows)), 2)))
 
 
 def _checked_keep(keep, parties):
@@ -175,19 +189,21 @@ def rank_above(sv, tol):
     """Number of singular values (largest first) above tol times the largest."""
     if not sv or sv[0] == 0:
         return 0
-    return sum(1 for s in sv if s > tol * sv[0])
+    cut = tol * sv[0]
+    return len([s for s in sv if s > cut])
 
 
 def _weights(sv):
     """The Schmidt weights s^2 / sum s^2 of singular values sv, smallest first."""
-    total = sum(s * s for s in sv)
+    total = sum([s * s for s in sv])
     return [s * s / total for s in reversed(sv)]
 
 
 def spectrum_entropy(sv):
     """Entanglement entropy in nats across a cut from its singular values:
-    -sum w ln w over the Schmidt weights w above 1e-14."""
-    return float(-sum(w * math.log(w) for w in _weights(sv) if w > 1e-14))
+    -sum w ln w over the Schmidt weights w above 1e-14, subtracted from 0.0
+    so that a product state's entropy is 0.0, not -0.0."""
+    return float(0.0 - sum([w * math.log(w) for w in _weights(sv) if w > 1e-14]))
 
 
 def tripartite_class(ranks, tau3, tol):
@@ -205,16 +221,16 @@ def tripartite_class(ranks, tau3, tol):
 
 
 # The last numeric tensor the array measures were given, as (dtype, shape,
-# bytes), and what they computed from it: its singular values by keep and
-# its tau3 under "tau3".
+# bytes), and what they computed from it: its flat list under "amps", its
+# singular values by keep and its tau3 under "tau3".
 _last_tensor = [None, {}]
 
 
 def _computed(t):
-    """The dict of t's cuts and tau3 computed so far: the last tensor's while
-    t has the same dtype, shape and bytes, else a fresh one that replaces it.
-    A tensor without a numeric dtype (an object array's bytes are pointers)
-    gets a fresh dict that is never kept."""
+    """The dict of t's flat list, cuts and tau3 computed so far: the last
+    tensor's while t has the same dtype, shape and bytes, else a fresh one
+    that replaces it.  A tensor without a numeric dtype (an object array's
+    bytes are pointers) gets a fresh dict that is never kept."""
     dtype = getattr(t, "dtype", None)
     if dtype is None or dtype.kind not in "biufc":
         return {}
@@ -224,17 +240,24 @@ def _computed(t):
     return _last_tensor[1]
 
 
-def _tensor_cut(t, keep):
-    """cut_singular_values of the tensor t (an array with shape and reshape,
-    such as numpy's), run once per keep while t stays the last tensor
-    (_computed).  Only results are kept: a zero tensor or a bad keep raises
-    on every call."""
-    keep = _checked_keep(keep, len(t.shape))
-    computed = _computed(t)
+def _cut(t, computed, keep):
+    """The singular values of the tensor t's cut keep, a keep that
+    _checked_keep has passed, run once per keep while computed
+    (_computed(t)) is kept.  Only results are kept: a zero tensor raises on
+    every call."""
     sv = computed.get(keep)
     if sv is None:
-        sv = computed[keep] = cut_singular_values(t.reshape(-1).tolist(), tuple(t.shape), keep)
+        amps = computed.get("amps")
+        if amps is None:
+            amps = computed["amps"] = t.reshape(-1).tolist()
+        sv = computed[keep] = _singular_values(amps, tuple(t.shape), keep)
     return sv
+
+
+def _tensor_cut(t, keep):
+    """_cut of the tensor t (an array with shape and reshape, such as
+    numpy's) at a keep checked here, so a bad keep raises on every call."""
+    return _cut(t, _computed(t), _checked_keep(keep, len(t.shape)))
 
 
 def schmidt_rank(t, keep=None, tol=1e-9):
@@ -361,13 +384,14 @@ def three_tangle(t):
         raise ValueError("three_tangle needs a 2x2x2 tensor")
     computed = _computed(t)
     if "tau3" not in computed:
-        computed["tau3"] = three_tangle_of(_unit(t.reshape(-1).tolist()))
+        computed["tau3"] = three_tangle_of(_unit(computed.get("amps") or t.reshape(-1).tolist()))
     return computed["tau3"]
 
 
 def local_ranks(t, tol=1e-9):
     """The rank of each party's cut against the rest, in party order."""
-    return tuple(rank_above(_tensor_cut(t, (k,)), tol) for k in range(len(t.shape)))
+    computed = _computed(t)
+    return tuple([rank_above(_cut(t, computed, (k,)), tol) for k in range(len(t.shape))])
 
 
 def slocc_tripartite_class(t, tol=1e-8):
@@ -413,7 +437,8 @@ def ladder_indicator(t, party=0):
     ev = np.linalg.eigvalsh(L)
     ev = ev[ev > 1e-14]
     ev = ev / ev.sum()
-    return float(-(ev * np.log(ev)).sum())
+    # subtracted from 0.0, so that a rank-one ladder gives 0.0, not -0.0
+    return float(0.0 - (ev * np.log(ev)).sum())
 
 
 def min_ladder_indicator(t):

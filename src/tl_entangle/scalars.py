@@ -25,6 +25,12 @@ applies to each coefficient as it is built) and the canonical (numerator,
 denominator) pair, which evaluation, printing, hashing and equality read.
 One dense product (_dense_product) multiplies out Phi_m and the psi_M below.
 
+Numeric evaluation (evaluate, at an EvalPoint) builds once what the angle
+does not change: each value's evaluation form, its canonical pair with
+complex coefficients (RationalFn._form), and per point A, d and the powers
+of A.  A new angle then costs one sum of terms times powers per side, in
+the order LaurentPoly.evaluate takes, so the values are the same to the bit.
+
 quantum_factorials and SplitNorm read a product of quantum factorials off
 its q-orders (_factorial_orders): over q = A^2, [k] = q^(1-k) prod Phi_M(q)
 over M | 2k, M >= 3.  quantum_factorials maps them to Phi_m in A; SplitNorm
@@ -360,7 +366,9 @@ class RationalFn:
     constant term and leading coefficient 1; any A-power shift is absorbed
     into num.  Both have ascending exponents.  It is built on first use, by
     exact division of _top by the Phi_m of _phis, and kept (_canonical);
-    lowest() and equality read it too.
+    lowest() and equality read it too.  Evaluation at an EvalPoint reads the
+    pair's evaluation form (_form), built on the first such evaluation and
+    kept after the pair in _canon, so the exact arithmetic builds no form.
     """
 
     __slots__ = ("_top", "_phis", "_canon")
@@ -391,7 +399,8 @@ class RationalFn:
     def _canonical(self):
         """(num, den, phis): the canonical pair and the multiset {m: e} of the
         Phi_m whose product den is, by one exact division of _top by the
-        Phi_m of _phis, kept for every later use."""
+        Phi_m of _phis, kept for every later use (with the evaluation form
+        after them once _form has run)."""
         if self._canon is None:
             shift, dense = self._top.dense()
             dense, gone = _divide_out(dense, self._phis)
@@ -474,17 +483,49 @@ class RationalFn:
         return _fn(self._top.bar() * LaurentPoly._wrap({shift: sign}), phis)
 
     def evaluate(self, a):
-        num, den, _ = self._canonical()
-        dv = den.evaluate(a)
-        if abs(dv) < DENOMINATOR_TOL:
-            raise DegeneratePointError(f"denominator vanishes at A={a!r}", "denominator")
-        return num.evaluate(a) / dv
+        """The value at a numeric A (complex), read off the evaluation form
+        (_form): LaurentPoly.evaluate's sums of each side, in its order."""
+        powers = _Powers()
+        powers.a = a
+        return _form_value(self._form(), powers, a)
+
+    def _at(self, point):
+        """evaluate(point.A), over the powers of A the point keeps."""
+        return _form_value(self._form(), point.powers, point.A)
+
+    def _form(self):
+        """The evaluation form, built once and kept after the canonical pair
+        in _canon: each side's terms as (exponent, complex coefficient), or,
+        for a constant pair, its value, the same at every A since A ** 0 is
+        exactly 1 + 0j."""
+        canon = self._canon
+        if canon is None or len(canon) == 3:
+            canon = self._canonical()
+            form = tuple([(e, complex(c)) for e, c in p.coeffs.items()] for p in canon[:2])
+            if not any(e for side in form for e, _ in side):
+                form = _form_value(form, {0: 1 + 0j}, None)
+            canon = self._canon = canon + (form,)
+        return canon[3]
 
     def __repr__(self):
-        num, den, _ = self._canonical()
+        num, den = self._canonical()[:2]
         if den == LaurentPoly.one():
             return repr(num)
         return f"({num!r})/({den!r})"
+
+
+def _form_value(form, powers, a):
+    """The value of an evaluation form (RationalFn._form) at powers[e] =
+    a ** e: a constant's own value, else num / den for the terms (exponent,
+    coefficient) of each side, den first, each summed as
+    LaurentPoly.evaluate sums it."""
+    if type(form) is complex:
+        return form
+    num, den = form
+    dv = sum([c * powers[e] for e, c in den])
+    if abs(dv) < DENOMINATOR_TOL:
+        raise DegeneratePointError(f"denominator vanishes at A={a!r}", "denominator")
+    return (sum([c * powers[e] for e, c in num]) if num else 0j) / dv
 
 
 def work_size(c):
@@ -545,13 +586,40 @@ def quantum_factorials(*powers):
     return _fn(top, {m: -e for m, e in sorted(phis.items()) if e < 0})
 
 
-class EvalPoint:
-    """Numeric evaluation point A = exp(i*theta) on the unit circle."""
+class _Powers(dict):
+    """a ** e by exponent e, each computed on first read and kept."""
 
-    __slots__ = ("theta",)
+    __slots__ = ("a",)
+
+    def __missing__(self, e):
+        value = self[e] = self.a ** e
+        return value
+
+
+class EvalPoint:
+    """Numeric evaluation point A = exp(i*theta) on the unit circle.
+
+    A, d and the table of powers A ** e (powers, filled as exponents are
+    read) are built once per point; equality and hashing are by theta.  A
+    theta that is not finite, or whose double is not (d is the cosine of
+    2 theta), is a ValueError.
+    """
+
+    __slots__ = ("theta", "A", "d", "powers")
 
     def __init__(self, theta):
-        self.theta = float(theta)
+        try:
+            self.theta = float(theta)
+            finite = math.isfinite(2.0 * self.theta)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"theta must be finite with a finite double, got {theta!r}")
+        self.A = cmath.exp(1j * self.theta)
+        self.d = -2.0 * math.cos(2.0 * self.theta)
+        self.powers = powers = _Powers()
+        powers.a = self.A
+        powers[0] = 1 + 0j  # A ** 0, exactly
 
     @classmethod
     def from_level(cls, k):
@@ -563,16 +631,8 @@ class EvalPoint:
         return cls(-math.pi / (2.0 * (k + 2.0)))
 
     @property
-    def A(self):
-        return cmath.exp(1j * self.theta)
-
-    @property
     def q(self):
         return self.A ** (-4)
-
-    @property
-    def d(self):
-        return -2.0 * math.cos(2.0 * self.theta)
 
     def __repr__(self):
         return f"EvalPoint(theta={self.theta!r})"
@@ -585,9 +645,20 @@ class EvalPoint:
 
 
 def evaluate(x, point):
-    """Evaluate an exact scalar (or plain number) at an EvalPoint."""
-    if isinstance(x, (RationalFn, LaurentPoly)):
-        return x.evaluate(point.A)
+    """Evaluate an exact scalar (or plain number) at an EvalPoint.
+
+    Built once: a RationalFn's evaluation form (RationalFn._form), on its
+    first evaluation, and the point's A, d and table of powers of A, with
+    the point.  Per point, a coefficient costs one sum of its terms times
+    those powers per side, in the order x.evaluate(point.A) takes, so the
+    value is that one to the bit; a constant RationalFn's value is kept in
+    its form.  A LaurentPoly converts its coefficients at each call.
+    """
+    if isinstance(x, RationalFn):
+        return x._at(point)
+    if isinstance(x, LaurentPoly):
+        powers = point.powers
+        return sum([complex(c) * powers[e] for e, c in x.coeffs.items()]) if x.coeffs else 0j
     return complex(x)
 
 
@@ -610,14 +681,6 @@ def _psi(M):
             out[i] += phi[h + j] * c
         prev, cur = cur, [x - y for x, y in zip([0] + cur, prev + [0, 0])]
     return tuple(-c if i % 2 else c for i, c in enumerate(out))
-
-
-def _dpoly_eval(p, d):
-    """Horner evaluation of a float coefficient list (low->high) at d."""
-    out = 0.0
-    for c in reversed(p):
-        out = out * d + c
-    return out
 
 
 class SplitNorm:
@@ -647,7 +710,14 @@ class SplitNorm:
         convention.  DegeneratePointError, with its factor set, when a part
         vanishes or s/s' is not positive (below NORM_TOL)."""
         d = point.d
-        rn, sn, rd, sd = (_dpoly_eval(poly, d) for poly in self.parts)
+        values = []
+        for part in self.parts:
+            # Horner, from the highest coefficient down
+            out = 0.0
+            for c in reversed(part):
+                out = out * d + c
+            values.append(out)
+        rn, sn, rd, sd = values
         if abs(rd) < NORM_TOL or abs(sd) < NORM_TOL:
             raise DegeneratePointError(f"squared norm singular at theta={point.theta}",
                                        "denominator")

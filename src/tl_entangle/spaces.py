@@ -13,6 +13,12 @@ them per diagram it has paired (basis_loops), a table bounded by the state's
 distinct dressed diagrams and independent of theta, so raw overlaps at a new
 angle re-walk no loop; amplitudes builds one frame per party dimension.
 
+Built once, whatever the angle: the loop counts, each frame's split norms
+and coefficients (whose evaluation forms scalars.evaluate keeps), and per
+party dimensions the contraction plan (_contraction_plan).  Per point: the
+frames' coefficients and square roots, the dressing, the sums of the raw
+overlaps and the contraction, each in the order it always had.
+
 Every numeric use of a frame reads QuditSpace.frame_rows: amplitude_list
 contracts the raw overlaps with them, and the projector tile of the replica
 check is the sum of u_i^dagger (x) u_i over the frame's vectors, on a grid
@@ -28,6 +34,7 @@ from __future__ import annotations
 import math
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, product
+from operator import add, mul
 
 from .diagrams import PlanarDiagram, TLElement, _accumulate, _join, as_int, charge
 from .jones_wenzl import jones_wenzl
@@ -116,14 +123,14 @@ class QuditSpace:
 
         Each norm is split once at construction, from the quantum-factorial
         powers it is built from (SplitNorm, whose sign convention the rows
-        keep), so a fresh point costs only numeric evaluations.
+        keep), and each coefficient keeps its evaluation form, so a fresh
+        point costs only numeric evaluations.
         """
         rows = []
-        for i in range(self.n):
+        for i, (root, coeffs) in enumerate(zip(self._gs_roots, self._gs_coeffs)):
             try:
-                nrm = self._gs_roots[i].sqrt_at(point)
-                rows.append([complex(evaluate(self._gs_coeffs[i][j], point)) / nrm
-                             for j in range(i + 1)])
+                nrm = root.sqrt_at(point)
+                rows.append([evaluate(c, point) / nrm for c in coeffs[:i + 1]])
             except DegeneratePointError as exc:
                 exc.vector = i
                 raise
@@ -236,6 +243,7 @@ class PartyLayout:
         self.parties = parties
         ends = tuple(accumulate((4 * (n - 1) for _, n in parties), initial=0))
         self.offsets, self.n_points = ends[:-1], ends[-1]
+        self.dims = tuple(n for _, n in parties)
 
     @classmethod
     def qubits(cls, *names):
@@ -244,10 +252,6 @@ class PartyLayout:
     @property
     def names(self):
         return tuple(nm for nm, _ in self.parties)
-
-    @property
-    def dims(self):
-        return tuple(n for _, n in self.parties)
 
     def index(self, name):
         for k, (nm, _) in enumerate(self.parties):
@@ -293,14 +297,31 @@ def tuple_basis_pairs(blocks, indices):
     return tuple(chain.from_iterable(block[i] for block, i in zip(blocks, indices)))
 
 
+@lru_cache
+def _contraction_plan(dims):
+    """Per party of a layout of dimensions dims, in party order, the
+    (column, i) that amplitude_list contracts each flat entry (index order)
+    from: row i of the party's frame, the party's index in that entry, times
+    the slice column of the flat list along which that index runs with the
+    others fixed.  Built once per dims."""
+    plan, size = [], math.prod(dims)
+    block = size
+    for nk in dims:
+        stride = block // nk
+        plan.append(tuple((slice(f - f % block + f % stride, f - f % block + block, stride),
+                           f % block // stride) for f in range(size)))
+        block = stride
+    return tuple(plan)
+
+
 def _tensor(values, dims):
     """The flat list values, in index order, as a complex array of shape dims
     that owns its data (a reshaped array is a view that keeps a second
-    array header alive)."""
+    array header alive, so the shape is set in place)."""
     import numpy as np
 
-    out = np.empty(dims, dtype=complex)
-    out.reshape(-1)[:] = values
+    out = np.array(values, dtype=complex)
+    out.shape = dims
     return out
 
 
@@ -375,10 +396,8 @@ class DiagramState:
             powers = [c]
             for _ in range(max(loops)):
                 powers.append(powers[-1] * dval)
-            for i, n in enumerate(loops):
-                s = sums[i] + powers[n]
-                sums[i] = s if s != 0 else 0
-        return [complex(s) for s in sums]
+            sums = [s if s != 0 else 0 for s in map(add, sums, map(powers.__getitem__, loops))]
+        return list(map(complex, sums))
 
     def raw_overlaps(self, point):
         """raw_overlap_list as a tensor with one axis per party."""
@@ -395,7 +414,7 @@ class DiagramState:
         for name, nk in self.layout.parties:
             if nk not in frames:
                 try:
-                    frames[nk] = [[z.conjugate() for z in row]
+                    frames[nk] = [list(map(complex.conjugate, row))
                                   for row in qudit_space(nk).frame_rows(point)]
                 except DegeneratePointError as exc:
                     exc.party = name
@@ -410,22 +429,14 @@ class DiagramState:
         """Amplitudes in the orthonormal local frames, flat in index order.
 
         The frames (see _frames) are contracted party by party, in party
-        order; each entry sums conj(T[i][j]) * v_j over j <= i in order.
+        order, along _contraction_plan(dims); each entry sums
+        conj(T[i][j]) * v_j over j <= i in order.
         """
         frames = self._frames(point)
         amp = self.raw_overlap_list(point)
-        block = len(amp)
-        for nk in self.layout.dims:
+        for nk, entries in zip(self.layout.dims, _contraction_plan(self.layout.dims)):
             rows = frames[nk]
-            stride = block // nk
-            out = [0j] * len(amp)
-            # the party's index steps by stride inside each block of entries
-            for start in range(0, len(amp), block):
-                for r in range(start, start + stride):
-                    column = amp[r:start + block:stride]
-                    for i, row in enumerate(rows):
-                        out[r + i * stride] = sum(f * v for f, v in zip(row, column))
-            amp, block = out, stride
+            amp = [sum(map(mul, rows[i], amp[column])) for column, i in entries]
         return amp
 
     def projected_norm_sq(self, point):

@@ -987,20 +987,22 @@ def seeded_tensors():
 
 
 def counting_cuts(monkeypatch):
-    """From an empty cut cache, the keeps the array measures run the list
-    kernel on and their three_tangle_of calls."""
+    """From an empty cut cache, the keeps the array measures run the kernel
+    on and their three_tangle_of calls.  The list kernel, cut_singular_values,
+    runs the same kernel after its checks, so its calls count too."""
     clear_cuts()
     runs = {"cuts": [], "tau3": 0}
+    kernel = entanglement._singular_values
 
     def cut(amps, dims, keep):
         runs["cuts"].append(tuple(keep))
-        return cut_singular_values(amps, dims, keep)
+        return kernel(amps, dims, keep)
 
     def tangle(amps):
         runs["tau3"] += 1
         return three_tangle_of(amps)
 
-    monkeypatch.setattr(entanglement, "cut_singular_values", cut)
+    monkeypatch.setattr(entanglement, "_singular_values", cut)
     monkeypatch.setattr(entanglement, "three_tangle_of", tangle)
     return runs
 
@@ -1039,19 +1041,19 @@ def test_shared_cuts_follow_in_place_mutation(monkeypatch):
     before = array_measures(t)
     t[0, 0, 0], t[1, 1, 1] = 1, 0
     after = array_measures(t)
+    assert runs["cuts"] == 2 * measure_keeps(3) and runs["tau3"] == 2
     assert after == kernel_measures(t) != before
     assert after[("local_ranks", 1e-9)] == (1, 1, 1) and after["class"] == "separable"
-    assert runs["cuts"] == 2 * measure_keeps(3) and runs["tau3"] == 2
 
 
 def test_equal_values_of_other_dtypes_are_computed_again(monkeypatch):
-    runs = counting_cuts(monkeypatch)
     real = random_state(np.random.default_rng(3), 2, 2, 2).real.copy()
     # equal values in other dtypes, and the same bytes read as other values
     tensors = [real, real.view(np.int64), real.astype(complex), real, real.astype(np.float32)]
+    refs = [kernel_measures(t) for t in tensors]
+    runs = counting_cuts(monkeypatch)
     values = []
-    for k, t in enumerate(tensors):
-        ref = kernel_measures(t)
+    for k, (t, ref) in enumerate(zip(tensors, refs)):
         values.append((entanglement_entropy(t), three_tangle(t)))
         assert values[-1] == (ref[("entropy", (0,))], ref["tau3"])
         assert len(runs["cuts"]) == runs["tau3"] == k + 1
