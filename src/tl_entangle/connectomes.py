@@ -136,7 +136,7 @@ def reduce_connectome(c):
     """
     adj = [list(row) for row in c.adj]
     m = c.m
-    charge(0, m * 2 ** m // 4, f"reducing {m} parties")
+    charge(0, m * 2 ** m // 4, "reducing {} parties", m)
     subsets = [s for size in range(1, m)
                for s in itertools.combinations(range(m), size) if 0 in s]
     changed = True

@@ -7,6 +7,15 @@ around the boundary.  Strand crossings never appear here; crossings live one
 level up and are resolved into combinations of these matchings.  Matchings
 with crossing pairs are still representable (they occur in the loop-counting
 model where only connectivity matters).
+
+A matching is checked once, where it enters the program: the public
+PlanarDiagram constructor, which the parser, connectomes, reduced_diagram,
+the tests and library callers use, rejects anything that is not a perfect
+matching of 1..N.  Methods that build a diagram from diagrams already checked
+(compose_with, tensor, adjoint, and the re-wrap of a map as a state in
+spaces.QuditSpace.tile_cells) go through PlanarDiagram._built, which sorts
+the pairs, each given low end first, but does not check them again.  Every
+diagram keeps its hash from when it is built.
 """
 
 from __future__ import annotations
@@ -31,11 +40,13 @@ class WorkBoundError(ValueError):
         self.step = step
 
 
-def charge(spent, units, what, step=None):
-    """spent + units once step what has run; past WORK_BUDGET a WorkBoundError."""
+def charge(spent, units, what, *args, step=None):
+    """spent + units once step what.format(*args) has run; past WORK_BUDGET a
+    WorkBoundError.  The step's name is formatted only for that error, so a
+    step within the budget pays for no message."""
     spent += units
     if spent > WORK_BUDGET:
-        raise WorkBoundError(f"{what} would take the work to {spent:,} units, "
+        raise WorkBoundError(f"{what.format(*args)} would take the work to {spent:,} units, "
                              f"above the budget of {WORK_BUDGET:,}", step)
     return spent
 
@@ -51,9 +62,15 @@ def as_int(value, what):
 
 
 class PlanarDiagram:
-    """Perfect matching of n_top + n_bottom circularly labeled points."""
+    """Perfect matching of n_top + n_bottom circularly labeled points.
 
-    __slots__ = ("n_top", "n_bottom", "pairs")
+    pairs is sorted, each pair (a, b) with a < b.  The constructor checks
+    that they form a perfect matching of 1..n_top + n_bottom; compose_with,
+    tensor and adjoint build their results with _built, which does not check
+    again.  The hash is computed once, when the diagram is built.
+    """
+
+    __slots__ = ("n_top", "n_bottom", "pairs", "_hash")
 
     def __init__(self, n_top, n_bottom, pairs):
         n = n_top + n_bottom
@@ -64,6 +81,20 @@ class PlanarDiagram:
         self.n_top = n_top
         self.n_bottom = n_bottom
         self.pairs = norm
+        self._hash = hash((n_top, n_bottom, norm))
+
+    @classmethod
+    def _built(cls, n_top, n_bottom, pairs):
+        """The diagram of pairs, sorted as the constructor sorts them, without
+        its check: pairs must already be a perfect matching of 1..n_top +
+        n_bottom, each pair given low end first, as the methods that build
+        from checked diagrams give them."""
+        dg = cls.__new__(cls)
+        dg.n_top = n_top
+        dg.n_bottom = n_bottom
+        dg.pairs = pairs = tuple(sorted(pairs))
+        dg._hash = hash((n_top, n_bottom, pairs))
+        return dg
 
     @property
     def n_points(self):
@@ -117,7 +148,7 @@ class PlanarDiagram:
                 and self.pairs == other.pairs)
 
     def __hash__(self):
-        return hash((self.n_top, self.n_bottom, self.pairs))
+        return self._hash
 
     def __repr__(self):
         return f"PlanarDiagram({self.n_top}, {self.n_bottom}, {list(self.pairs)})"
@@ -136,7 +167,8 @@ class PlanarDiagram:
             i = p - self.n_top
             return nt + 1 - i
 
-        return PlanarDiagram(nt, nb, [(remap(a), remap(b)) for a, b in self.pairs])
+        # remap sends the low end of every pair above its high end
+        return PlanarDiagram._built(nt, nb, [(remap(b), remap(a)) for a, b in self.pairs])
 
     def tensor(self, other):
         """Place other to the right of self."""
@@ -148,9 +180,10 @@ class PlanarDiagram:
                 return p
             return p + other.n_top + other.n_bottom
 
+        # both remaps keep the low end of every pair first
         pairs = [(remap_self(a), remap_self(b)) for a, b in self.pairs]
         pairs += [(a + self.n_top, b + self.n_top) for a, b in other.pairs]
-        return PlanarDiagram(nt, nb, pairs)
+        return PlanarDiagram._built(nt, nb, pairs)
 
     def compose_with(self, lower, offset=0):
         """Glue lower's top points under self's bottom positions offset+1 ..
@@ -160,8 +193,9 @@ class PlanarDiagram:
         Returns (diagram, n_loops).  Every point is one end of a bond for
         _join.  The result's labels 1..nt+nb are bonds placed once, so they
         stay open and end up paired in mate; glued column j is bond nt+nb+j,
-        placed from each side.  An offset outside 0 .. self.n_bottom -
-        lower.n_top is a ValueError."""
+        placed from each side.  Each boundary label ends up in exactly one
+        pair of mate, so the result is built without a check (_built).  An
+        offset outside 0 .. self.n_bottom - lower.n_top is a ValueError."""
         m, g, nt, lb = self.n_bottom, lower.n_top, self.n_top, lower.n_bottom
         kept = m - g - offset + nt
         if offset < 0 or kept < nt:
@@ -181,7 +215,7 @@ class PlanarDiagram:
                  for a, b in lower.pairs]
         mate = {}
         loops = _join(mate, arcs)
-        return PlanarDiagram(nt, nb, [(a, b) for a, b in mate.items() if a < b]), loops
+        return PlanarDiagram._built(nt, nb, [pr for pr in mate.items() if pr[0] < pr[1]]), loops
 
 
 def noncrossing_matchings(labels):

@@ -118,7 +118,7 @@ class SliceWord:
         spent = 0
         for i, op in enumerate(self.ops):
             layer = jones_wenzl(op[2]) if op[0] == "jw" else _LAYERS[op[0]]
-            spent = charge(spent, element.compose_work(layer), f"slice {i + 1}", i)
+            spent = charge(spent, element.compose_work(layer), "slice {}", i + 1, step=i)
             element = element.compose(layer, _D, op[1] - 1)
         if mode == "permutation":
             return element.map_coefficients(_at_one)

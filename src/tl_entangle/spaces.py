@@ -169,12 +169,14 @@ class QuditSpace:
     def tile_cells(self):
         """Every diagram a projector tile can hold, x^dagger (x) y read as a
         state, mapped to (x, y), for the pairs of the dressed basis's diagrams
-        in the order b_0's diagrams, then those new in b_1, and so on."""
+        in the order b_0's diagrams, then those new in b_1, and so on.  The
+        maps are built from checked diagrams, so the states are not checked
+        again (PlanarDiagram._built)."""
         seen, pairs = {}, {}
         for b in self.dressed:
             seen.update(dict.fromkeys(b.terms))
             pairs.update(dict.fromkeys(product(seen, repeat=2)))
-        return {PlanarDiagram(0, 2 * self.n_points, x.adjoint().tensor(y).pairs): (x, y)
+        return {PlanarDiagram._built(0, 2 * self.n_points, x.adjoint().tensor(y).pairs): (x, y)
                 for x, y in pairs}
 
     def _projector_state(self, point):
@@ -225,7 +227,7 @@ def dress(element, layout, projector, d):
         # party labels o+tw+1 .. o+(t+1)w sit at bottom positions
         # N-o-(t+1)w+1 .. N-o-tw (labels run right to left)
         for t in range(4):
-            spent = charge(spent, element.compose_work(proj), f"dressing party {name}")
+            spent = charge(spent, element.compose_work(proj), "dressing party {}", name)
             element = element.compose(proj, d, N - o - (t + 1) * w)
     return element
 
@@ -382,7 +384,7 @@ class DiagramState:
         # listing a tuple basis diagram, or walking one, places n_points arc ends
         tuples = math.prod(dims)
         charge(0, (len(dressed) + 1) * tuples * (self.layout.n_points + 1),
-               f"pairing {len(dressed):,} dressed terms with {tuples:,} basis diagrams")
+               "pairing {:,} dressed terms with {:,} basis diagrams", len(dressed), tuples)
         sums = [0] * tuples
         basis_pairs = None
         for dg, c in dressed.items():
@@ -438,9 +440,6 @@ class DiagramState:
             rows = frames[nk]
             amp = [sum(map(mul, rows[i], amp[column])) for column, i in entries]
         return amp
-
-    def projected_norm_sq(self, point):
-        return float(sum(abs(z) ** 2 for z in self.amplitude_list(point)))
 
     def __repr__(self):
         return f"DiagramState({self.element!r}, {self.layout!r})"

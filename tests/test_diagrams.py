@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 from fractions import Fraction
 
@@ -26,10 +27,24 @@ D = d_param()
 
 
 def test_matching_validation():
-    with pytest.raises(ValueError):
-        PlanarDiagram(2, 2, [(1, 2), (3, 3)])
-    with pytest.raises(ValueError):
-        PlanarDiagram(1, 2, [(1, 2)])
+    for n_top, n_bottom, pairs in [
+            (2, 2, [(1, 2), (3, 3)]),
+            (1, 2, [(1, 2)]),
+            # an odd point count
+            (1, 0, []),
+            (2, 1, [(1, 2), (3, 3)]),
+            # a repeated point
+            (2, 2, [(1, 2), (2, 3)]),
+            (1, 1, [(1, 2), (2, 1)]),
+            # a missing point
+            (2, 2, [(1, 2)]),
+            (0, 4, [(1, 4)]),
+            # a label out of range
+            (2, 2, [(1, 2), (3, 5)]),
+            (1, 1, [(0, 1)]),
+            (1, 1, [(-1, 2)])]:
+        with pytest.raises(ValueError, match="do not form a perfect matching"):
+            PlanarDiagram(n_top, n_bottom, pairs)
 
 
 def test_catalan_counts():
@@ -640,6 +655,72 @@ def test_compose_with_matches_reference_random(data):
     nb = data.draw(st.sampled_from([n for n in range(7) if (n + m) % 2 == 0]))
     _assert_compose_matches_reference(PlanarDiagram(nt, m, _random_matching(data, nt + m)),
                                       PlanarDiagram(m, nb, _random_matching(data, m + nb)))
+
+
+@functools.lru_cache
+def _noncrossing(n):
+    return noncrossing_matchings(range(1, n + 1))
+
+
+def _drawn_diagram(data, n_top, n_bottom):
+    """A diagram on n_top + n_bottom points, its matching noncrossing or crossing."""
+    n = n_top + n_bottom
+    if data.draw(st.booleans()):
+        pairs = data.draw(st.sampled_from(_noncrossing(n)))
+    else:
+        pairs = _random_matching(data, n)
+    return PlanarDiagram(n_top, n_bottom, pairs)
+
+
+# the most points of a drawn diagram
+MOST_POINTS = 16
+
+
+def _drawn_bottom(data, n_top):
+    return data.draw(st.sampled_from(range(n_top % 2, MOST_POINTS - n_top + 1, 2)))
+
+
+def _drawn_shape(data):
+    n_top = data.draw(st.integers(0, MOST_POINTS))
+    return n_top, _drawn_bottom(data, n_top)
+
+
+def _assert_as_checked(dg):
+    """dg equals the diagram the checking constructor builds from its pairs
+    (given reversed, each pair flipped), with the same pairs and hash, and
+    each finds the other as a dict key."""
+    ref = PlanarDiagram(dg.n_top, dg.n_bottom, [(b, a) for a, b in reversed(dg.pairs)])
+    assert (dg.n_top, dg.n_bottom, dg.pairs) == (ref.n_top, ref.n_bottom, ref.pairs)
+    assert dg == ref and hash(dg) == hash(ref)
+    assert {ref: 1}[dg] == 1 and {dg: 1}[ref] == 1
+
+
+# derandomized: the diagrams built without a check are compared with the
+# checking constructor on one fixed example set
+@given(st.data())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_trusted_builders_match_the_checking_constructor(data):
+    nt, m = _drawn_shape(data)
+    upper = _drawn_diagram(data, nt, m)
+    _assert_as_checked(upper)
+    _assert_as_checked(upper.adjoint())
+    other = _drawn_diagram(data, *_drawn_shape(data))
+    _assert_as_checked(upper.tensor(other))
+    _assert_as_checked(other.tensor(upper))
+    # every width and offset of a lower diagram that fits under upper
+    for g in range(m + 1):
+        lower = _drawn_diagram(data, g, _drawn_bottom(data, g))
+        for offset in range(m - g + 1):
+            dg, _ = upper.compose_with(lower, offset)
+            _assert_as_checked(dg)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_tile_cells_match_the_checking_constructor(n):
+    cells = qudit_space(n).tile_cells
+    for dg, (x, y) in cells.items():
+        _assert_as_checked(dg)
+        assert dg.pairs == x.adjoint().tensor(y).pairs
 
 
 def reference_inner(a, b, d):

@@ -179,7 +179,7 @@ def test_maximally_entangled_pair():
     for theta in THETAS:
         amp = st.amplitudes(EvalPoint(theta))
         assert np.max(np.abs(amp - np.eye(2))) < 1e-10
-    assert abs(st.projected_norm_sq(K4) - 2.0) < 1e-12
+    assert abs(sum(abs(z) ** 2 for z in st.amplitude_list(K4)) - 2.0) < 1e-12
     # raw self-pairing keeps the four loops, d^4 = 9 at k = 4
     assert abs(st.norm_sq(K4) - 9.0) < 1e-12
 
@@ -266,13 +266,6 @@ def test_chained_state_amplitudes():
         amp = st.amplitudes(pt)
         exp = np.diag([(A ** 4 + A ** -4) ** 2, (1 - A ** -4) ** 2])
         assert np.max(np.abs(amp - exp)) < 1e-10
-
-
-def test_projected_norm_matches_amplitudes():
-    st = reduced_diagram(3, 1)
-    pt = EvalPoint(-0.3)
-    amp = st.amplitudes(pt)
-    assert abs(st.projected_norm_sq(pt) - np.sum(np.abs(amp) ** 2)) < 1e-12
 
 
 def test_crossed_triple_residual():
