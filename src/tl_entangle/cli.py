@@ -29,23 +29,25 @@ singular values from that list with entanglement.cut_singular_values, the
 pure-Python kernel that every entanglement measure reads.
 rep hw counts: su2 reads its ranks and multiplicities off the numbers of
 product states per weight, and the three spin-1/2 classes off exact vectors.
+
+A cold process loads only what its command runs.  It builds the top-level
+parser and the named command's parser (every parser when the first argument
+names no command); connectome imports connectomes, rep hw su2 and fractions,
+and --format csv the csv module, and scalars and skein import fractions
+only to build a Fraction.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import itertools
 import json
 import math
 import os
 import sys
-from fractions import Fraction
 
-from . import entanglement, su2
-from .connectomes import (Connectome, enumerate_connectomes, label_blocks, reduce_connectome,
-                          representative_state)
+from . import entanglement
 from .scalars import DegeneratePointError, EvalPoint, evaluate
 from .tangle_dsl import TangleParseError, corpus_names, load_corpus, parse_tangle
 
@@ -221,6 +223,8 @@ def _emit(args, payload, csv_rows, csv_header):
     if args.format == "json":
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(csv_header)
@@ -440,6 +444,8 @@ def _cmd_scan_tangle3(args):
 
 def _connectome_from_args(args):
     """The connectome given to --adj (Connectome.from_json gives its forms)."""
+    from .connectomes import Connectome
+
     try:
         return Connectome.from_json(args.adj)
     except json.JSONDecodeError as exc:
@@ -460,6 +466,9 @@ def _check_enumerate_size(parties, punctures):
 
 
 def _cmd_connectome(args):
+    from .connectomes import (enumerate_connectomes, label_blocks, reduce_connectome,
+                              representative_state)
+
     if args.action == "enumerate":
         _check_enumerate_size(args.parties, args.punctures)
         found = enumerate_connectomes(args.parties, args.punctures)
@@ -503,6 +512,8 @@ def _cmd_connectome(args):
 
 
 def _parse_spins(text):
+    from fractions import Fraction
+
     spins = []
     for part in text.split(","):
         part = part.strip()
@@ -514,6 +525,8 @@ def _parse_spins(text):
 
 
 def _cmd_rep(args):
+    from . import su2
+
     spins = _parse_spins(args.spins)
     if len(spins) not in (2, 3):
         raise UsageError("--spins needs two or three comma-separated values")
@@ -526,7 +539,7 @@ def _cmd_rep(args):
     sectors = su2.hw_multiplicities(spins)
     payload["sectors"] = [{"J": str(J), "multiplicity": n} for J, n in sectors]
     rows = [[str(J), n] for J, n in sectors]
-    if all(j == Fraction(1, 2) for j in spins):
+    if payload["spins"] == ["1/2"] * 3:
         classes = su2.classify_hw_tripartite()
         payload["classes"] = [{"J": str(J), "index": k, "class": cls}
                               for J, k, cls in classes]
@@ -535,55 +548,68 @@ def _cmd_rep(args):
     return payload, rows, ["J", "multiplicity"]
 
 
-def _build_parser():
-    """The parser; every command accepts exactly the flags its handler reads."""
-    fmt, point, mode, tol = (_Parser(add_help=False) for _ in range(4))
-    fmt.add_argument("--format", choices=("json", "csv"), default="json")
-    angle = point.add_mutually_exclusive_group()
-    angle.add_argument("--theta", help="evaluation angle in radians; accepts 0.5pi")
-    angle.add_argument("--k", type=int, help="root-of-unity level (default 4)")
-    mode.add_argument("--mode", choices=("exact", "numeric"), default="numeric")
-    tol.add_argument("--tol", type=float, default=1e-8)
+# The commands that read a document, in help order: each one's handler and
+# the shared flags it reads, of --mode, --theta | --k and --tol
+_DOCUMENT_COMMANDS = {
+    "bracket": (_cmd_bracket, ("mode", "point")),
+    "reduce": (_cmd_reduce, ("mode", "point")),
+    "state": (_cmd_state, ("point",)),
+    "classify": (_cmd_classify, ("point", "tol")),
+    "entropy": (_cmd_entropy, ("point", "tol")),
+    "tangle3": (_cmd_tangle3, ("point",)),
+    "scan-tangle3": (_cmd_scan_tangle3, ("tol",)),
+}
+_COMMANDS = (*_DOCUMENT_COMMANDS, "connectome", "rep")
 
+
+def _build_parser(argv=()):
+    """The parser; every command accepts exactly the flags its handler reads.
+    When argv's first word names a command, only that command's parser is
+    built, and its help and usage errors are its own; otherwise every one is."""
     parser = _Parser(prog="tl-entangle",
                      description="Evaluate and classify tangle diagram states.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(subparsers, name, handler, *parents):
-        p = subparsers.add_parser(name, parents=[*parents, fmt])
+    def command(subparsers, name, handler, flags=()):
+        """A parser with the shared flags named in flags, in help order, then --format."""
+        p = subparsers.add_parser(name)
+        if "mode" in flags:
+            p.add_argument("--mode", choices=("exact", "numeric"), default="numeric")
+        if "point" in flags:
+            angle = p.add_mutually_exclusive_group()
+            angle.add_argument("--theta", help="evaluation angle in radians; accepts 0.5pi")
+            angle.add_argument("--k", type=int, help="root-of-unity level (default 4)")
+        if "tol" in flags:
+            p.add_argument("--tol", type=float, default=1e-8)
+        p.add_argument("--format", choices=("json", "csv"), default="json")
         p.set_defaults(handler=handler)
         return p
 
-    for name, handler, parents in (
-            ("bracket", _cmd_bracket, (mode, point)),
-            ("reduce", _cmd_reduce, (mode, point)),
-            ("state", _cmd_state, (point,)),
-            ("classify", _cmd_classify, (point, tol)),
-            ("entropy", _cmd_entropy, (point, tol)),
-            ("tangle3", _cmd_tangle3, (point,)),
-            ("scan-tangle3", _cmd_scan_tangle3, (tol,))):
-        p = command(sub, name, handler, *parents)
-        p.add_argument("file", help="path to a .tl file or a shipped tangle name")
-        if name == "entropy":
-            p.add_argument("--party", required=True)
-        if name == "scan-tangle3":
-            p.add_argument("--theta-min", dest="theta_min", required=True)
-            p.add_argument("--theta-max", dest="theta_max", required=True)
-            p.add_argument("--steps", type=int, default=200)
-
-    actions = sub.add_parser("connectome").add_subparsers(dest="action", required=True)
-    p = command(actions, "enumerate", _cmd_connectome)
-    p.add_argument("--parties", type=int, default=3)
-    p.add_argument("--punctures", type=int, default=4)
-    for name, parents in (("classify", ()), ("state", (point,))):
-        p = command(actions, name, _cmd_connectome, *parents)
-        p.add_argument("--adj", required=True,
-                       help="adjacency matrix as JSON, or a connectome JSON object")
-
-    actions = sub.add_parser("rep").add_subparsers(dest="action", required=True)
-    p = command(actions, "hw", _cmd_rep)
-    p.add_argument("--spins", required=True,
-                   help="comma-separated spins, e.g. 1/2,1/2 or 1,2")
+    first = argv[0] if argv else None
+    for name in [first] if first in _COMMANDS else _COMMANDS:
+        if name in _DOCUMENT_COMMANDS:
+            p = command(sub, name, *_DOCUMENT_COMMANDS[name])
+            p.add_argument("file", help="path to a .tl file or a shipped tangle name")
+            if name == "entropy":
+                p.add_argument("--party", required=True)
+            if name == "scan-tangle3":
+                p.add_argument("--theta-min", dest="theta_min", required=True)
+                p.add_argument("--theta-max", dest="theta_max", required=True)
+                p.add_argument("--steps", type=int, default=200)
+        elif name == "connectome":
+            actions = sub.add_parser(name).add_subparsers(dest="action", required=True)
+            p = command(actions, "enumerate", _cmd_connectome)
+            p.add_argument("--parties", type=int, default=3)
+            p.add_argument("--punctures", type=int, default=4)
+            for action, flags in (("classify", ()), ("state", ("point",))):
+                p = command(actions, action, _cmd_connectome, flags)
+                p.add_argument("--adj", required=True,
+                               help="adjacency matrix as JSON, or a connectome JSON object")
+        else:
+            actions = sub.add_parser(name).add_subparsers(dest="action", required=True)
+            p = command(actions, "hw", _cmd_rep)
+            p.add_argument("--spins", required=True,
+                           help="comma-separated spins, e.g. 1/2,1/2 or 1,2")
     return parser
 
 
@@ -604,9 +630,10 @@ def _angle_flag_values(argv):
 
 
 def main(argv=None):
-    parser = _build_parser()
+    argv = _angle_flag_values(sys.argv[1:] if argv is None else argv)
+    parser = _build_parser(argv)
     try:
-        args = parser.parse_args(_angle_flag_values(sys.argv[1:] if argv is None else argv))
+        args = parser.parse_args(argv)
         payload, rows, header = args.handler(args)
         _emit(args, payload, rows, header)
         return 0

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
+import sys
 from functools import lru_cache
 
 # |denominator| below which RationalFn.evaluate raises DegeneratePointError
@@ -81,6 +81,8 @@ def _exact(c):
     """A rational coefficient as an int when it is integral, else a Fraction."""
     if type(c) is int:
         return c
+    from fractions import Fraction
+
     if type(c) is not Fraction:
         c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
@@ -89,7 +91,11 @@ def _exact(c):
 def _coerce(value):
     if isinstance(value, LaurentPoly):
         return value
-    if isinstance(value, (int, Fraction)):
+    # no Fraction exists before its module is loaded, and this package loads
+    # fractions only where it builds one
+    fractions = sys.modules.get("fractions")
+    if isinstance(value, int) or (fractions is not None
+                                  and isinstance(value, fractions.Fraction)):
         return LaurentPoly({0: value} if value else {})
     return NotImplemented
 

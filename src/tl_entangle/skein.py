@@ -16,8 +16,6 @@ coefficient 1, loops count -2, and connectivity is all that survives.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .diagrams import PlanarDiagram, TLElement, as_int, charge
 from .jones_wenzl import jones_wenzl
 from .scalars import LaurentPoly, RationalFn, d_param
@@ -32,6 +30,8 @@ MAX_JW_WIDTH = 6
 
 def _at_one(c):
     """Exact value of a coefficient at A = 1."""
+    from fractions import Fraction
+
     c = RationalFn(c)
     return sum(c.num.coeffs.values(), Fraction(0)) / sum(c.den.coeffs.values())
 

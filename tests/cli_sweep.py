@@ -19,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import sys
 
 POINTS = ([], ["--k", "4"], ["--k", "6"], ["--k", "9"], ["--theta=-0.05"], ["--theta=pi/4"])
@@ -82,6 +83,25 @@ def invocations():
     for spins in SPINS:
         for fmt in FORMATS:
             out.append(["rep", "hw", "--spins", spins] + fmt)
+    return out + parser_invocations()
+
+
+def parser_invocations():
+    """The parser's own output: help at each level, and a usage error at each
+    level that has one (no command or action, an unknown one, and one unknown
+    flag after each command's required arguments)."""
+    commands = [([cmd], ["quasiw"]) for cmd in ("bracket", "reduce", "state", "classify",
+                                                "tangle3")]
+    commands += [(["entropy"], ["quasiw", "--party", "A"]), (SCAN[:1], SCAN[1:]),
+                 (["connectome", "enumerate"], []),
+                 (["connectome", "classify"], ["--adj", "[[0,4],[4,0]]"]),
+                 (["connectome", "state"], ["--adj", "[[0,4],[4,0]]"]),
+                 (["rep", "hw"], ["--spins", "1,1"])]
+    out = [["--help"], ["connectome", "--help"], ["rep", "--help"]]
+    out += [cmd + ["--help"] for cmd, _ in commands]
+    out += [[], ["nosuch"], ["connectome"], ["rep"], ["connectome", "nosuch"],
+            ["rep", "nosuch"]]
+    out += [cmd + required + ["--nosuch"] for cmd, required in commands]
     return out
 
 
@@ -124,6 +144,7 @@ def main(args):
         return
     import tl_entangle
 
+    os.environ["COLUMNS"] = "80"  # argparse wraps help at the terminal's width
     cases = invocations()
     with open(args[0], "w") as fh:
         for argv in cases:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import tl_entangle
-from tl_entangle import cli, entanglement, spaces, su2
+from tl_entangle import cli, connectomes, entanglement, spaces, su2
 from tl_entangle.cli import _angle, main
 from tl_entangle.diagrams import TLElement
 from tl_entangle.jones_wenzl import jones_wenzl
@@ -419,7 +419,7 @@ def test_connectome_enumerate_beyond_bound_rejected(capsys, monkeypatch, argv, m
     def no_search(*args):
         raise AssertionError("the search started")
 
-    monkeypatch.setattr(cli, "enumerate_connectomes", no_search)
+    monkeypatch.setattr(connectomes, "enumerate_connectomes", no_search)
     code, out, err = run(capsys, ["connectome", "enumerate"] + argv)
     assert code == 1 and out == ""
     assert err == f"usage error: connectome enumerate takes {message}\n"
@@ -659,7 +659,7 @@ def test_connectome_state_above_party_bound_rejected(capsys, monkeypatch, adj, p
     def refuse(c):
         raise AssertionError("a state was built for a rejected party dimension")
 
-    monkeypatch.setattr(cli, "representative_state", refuse)
+    monkeypatch.setattr(connectomes, "representative_state", refuse)
     code, out, err = run(capsys, ["connectome", "state", "--adj", adj])
     assert code == 1 and out == ""
     assert err == ("usage error: connectome state takes at most 12 punctures per party "
@@ -841,13 +841,33 @@ def _loads_no_numpy(modules):
     return not {m for m in modules if m.split(".")[0] == "numpy"}
 
 
+# modules that a command loads only when it uses them
+ON_DEMAND = {"fractions", "decimal", "csv", "tl_entangle.su2", "tl_entangle.connectomes"}
+
+
+def _loaded_on_demand(argv):
+    """The modules of ON_DEMAND that argv uses: connectome loads connectomes,
+    rep hw su2 and fractions (which loads decimal), --format csv the csv
+    module; the document commands none."""
+    loaded = {"connectome": {"tl_entangle.connectomes"},
+              "rep": {"tl_entangle.su2", "fractions", "decimal"}}.get(argv[0], set())
+    return loaded | ({"csv"} if "csv" in argv else set())
+
+
 @pytest.mark.parametrize("argv", [
     ["bracket", "trefoil", "--mode", "exact"],
     ["bracket", "hopf", "--theta=0.3"],
     ["reduce", "two_qutrit_rank2", "--mode", "exact"],
     ["reduce", "maxent", "--k", "6", "--format", "csv"],
+    ["state", "two_qutrit_rank2", "--k", "4"],
+    ["classify", "quasiw", "--format", "csv"],
+    ["entropy", "two_qutrit_rank3", "--party", "L"],
+    ["tangle3", "quasiw", "--k", "6"],
+    ["scan-tangle3", "quasiw", "--theta-min", "0.02pi", "--theta-max", "0.12pi",
+     "--steps", "20"],
     ["connectome", "enumerate", "--parties", "3"],
     ["connectome", "classify", "--adj", RING],
+    ["connectome", "state", "--adj", RING, "--format", "csv"],
     # rep hw counts its tables and classifies exact vectors
     *(pytest.param(["rep", "hw", "--spins", spins], id=f"rep hw {spins}")
       for spins in ("1,2", "1,1,1", "1/2,1/2,1/2")),
@@ -855,9 +875,31 @@ def _loads_no_numpy(modules):
 def test_exact_commands_never_import_numpy(capsys, argv):
     code, out, _, modules = _imported_modules(argv)
     assert code == 0
-    assert {"tl_entangle.scalars", "tl_entangle.connectomes"} <= modules
+    assert "tl_entangle.scalars" in modules
+    assert modules & ON_DEMAND == _loaded_on_demand(argv)
     assert _loads_no_numpy(modules)
     assert out == run(capsys, argv)[1]
+
+
+def test_named_command_builds_only_its_parser(capsys, monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    code, out, _ = run(capsys, ["state", "quasiw", "--k", "4"])
+    assert code == 0 and json.loads(out)["name"] == "quasi-W"
+    # the top level, then the state command's parser
+    assert built == ["tl-entangle", "tl-entangle state"]
+    built.clear()
+    # with no command named, every parser: the top level, the seven document
+    # commands, connectome and its three actions, rep and its one
+    code, _, err = run(capsys, ["nosuch"])
+    assert code == 1 and "invalid choice: 'nosuch'" in err
+    assert len(built) == 14
 
 
 TOL_ERROR = "usage error: --tol must be a finite number above 0 and below 1, got 2.0\n"

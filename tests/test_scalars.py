@@ -1,10 +1,14 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import tl_entangle
 from reference_rationalfn import RationalFn as ReferenceFn, assert_same, package_fraction
 from tl_entangle.scalars import (
     DegeneratePointError,
@@ -124,3 +128,41 @@ def test_sqrt_normalizer_sign_convention():
     with pytest.raises(DegeneratePointError) as info:
         sqrt_normalizer(((2, 1), (3, -1)), EvalPoint(0.6))
     assert info.value.factor == "squarefree"
+
+
+COERCE_CHECK = """
+import sys
+import numpy as np
+from tl_entangle.scalars import LaurentPoly, _coerce
+
+poly = LaurentPoly({1: 2})
+
+def check():
+    assert _coerce(poly) is poly
+    for value in (3, 0, True, False):
+        assert _coerce(value) == LaurentPoly({0: int(value)} if value else {})
+    for value in (np.int64(3), 1.5, "3", None):
+        assert _coerce(value) is NotImplemented
+
+assert "fractions" not in sys.modules
+check()
+from fractions import Fraction
+
+class Half(Fraction):
+    pass
+
+check()
+for value in (Fraction(1, 2), Half(1, 2), Fraction(4, 2), Fraction(0)):
+    assert _coerce(value) == LaurentPoly({0: Fraction(value)} if value else {})
+    assert _coerce(value) == value
+"""
+
+
+def test_coerce_accepts_ints_and_fractions_with_or_without_fractions_loaded():
+    # scalars loads fractions only where it builds a Fraction, so _coerce
+    # reads the class from sys.modules; a fresh process checks it before
+    # and after fractions is loaded
+    src = os.path.dirname(os.path.dirname(tl_entangle.__file__))
+    proc = subprocess.run([sys.executable, "-c", COERCE_CHECK], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
